@@ -268,5 +268,4 @@ fn main() {
     println!("  Eq. 4's estimate is the mixture mean, so combining each scheme's");
     println!("  posterior mean (top-k candidates / particle cloud) is the literal");
     println!("  reading; with posteriors centered on the estimates both agree.");
-    uniloc_bench::finish("ablations");
 }

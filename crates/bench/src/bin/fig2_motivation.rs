@@ -76,5 +76,4 @@ fn main() {
             basement_wins as f64 / total as f64 * 100.0
         );
     }
-    uniloc_bench::finish("fig2_motivation");
 }

@@ -52,5 +52,4 @@ fn main() {
     );
     println!("paper: combining can beat the best single scheme because the other");
     println!("schemes pull the combined result closer to the true location.");
-    uniloc_bench::finish("fig3_uniloc_vs_oracle");
 }

@@ -50,5 +50,4 @@ fn main() {
         outdoor / 1000.0,
         (total - outdoor) / 1000.0
     );
-    uniloc_bench::finish("fig4_paths");
 }

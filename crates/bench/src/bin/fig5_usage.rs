@@ -74,5 +74,4 @@ fn main() {
             regrets.len()
         );
     }
-    uniloc_bench::finish("fig5_usage");
 }

@@ -64,5 +64,4 @@ fn main() {
         fusion / uniloc2,
         uniloc1 / uniloc2
     );
-    uniloc_bench::finish("fig6_average_error");
 }

@@ -67,5 +67,4 @@ fn main() {
             u2.1, w.1, w.1 / u2.1, f.1, f.1 / u2.1);
         println!("paper: p50 gains 1.4x (uniloc1) / 1.6x (uniloc2); p90 uniloc2 ~5.8 m.");
     }
-    uniloc_bench::finish("fig7_cdf_eight_paths");
 }

@@ -98,5 +98,4 @@ fn main() {
     }
     println!("\npaper: calibration recovers most heterogeneity loss (~1.9x at p90),");
     println!("and UniLoc assimilates the per-scheme heterogeneity handling.");
-    uniloc_bench::finish("fig8_environments");
 }

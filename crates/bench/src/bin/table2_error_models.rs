@@ -76,5 +76,4 @@ fn main() {
     }
     println!("\npaper targets: motion/fusion R^2 high (>=0.7-0.85); wifi/cellular R^2 low");
     println!("but sufficient, since UniLoc only needs *relative* errors to rank schemes.");
-    uniloc_bench::finish("table2_error_models");
 }

@@ -125,5 +125,4 @@ fn main() {
     );
     println!("\npaper targets: ~0.49 average for same place + device, ~0.76 for new");
     println!("place + device; prediction degrades away from training but stays usable.");
-    uniloc_bench::finish("table3_error_prediction");
 }

@@ -62,5 +62,4 @@ fn main() {
         println!("other schemes' predicted errors stayed below the GPS constant (13.5 m).");
     }
     println!("paper: 2.1x outdoor saving from turning GPS off when it cannot win.");
-    uniloc_bench::finish("table4_energy");
 }

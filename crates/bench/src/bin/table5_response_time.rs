@@ -97,5 +97,4 @@ fn main() {
     println!("\nmeasured: error prediction {errpred_ms:.4} ms, BMA {bma_ms:.4} ms per fix");
     println!("paper: error prediction 6.0 ms, BMA 0.1 ms on their workstation; both are");
     println!("'light-weight, as they only involve simple linear calculation'.");
-    uniloc_bench::finish("table5_response_time");
 }

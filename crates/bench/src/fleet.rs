@@ -13,8 +13,8 @@
 //! any worker count, resident cap and machine speed (held by
 //! `tests/fleet_differential.rs` and the CI fleet smoke).
 //!
-//! Throughput (epochs/sec, sessions/sec, p99 epoch latency) goes to
-//! `BENCH_fleet.json` instead, in the `bench-diff` gate's stage shape.
+//! Wall-clock throughput is measured by the fleet benchmark in
+//! `benchmark/`, which drives this module's public API.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -99,20 +99,6 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
-    /// The spec a checkpoint was taken from — restore rebuilds the walker
-    /// from this and replays to the cursor.
-    pub fn from_checkpoint(ckpt: &SessionCheckpoint) -> SessionSpec {
-        SessionSpec {
-            lane: ckpt.lane,
-            name: ckpt.name.clone(),
-            scenario: ckpt.scenario.clone(),
-            persona: ckpt.persona.clone(),
-            device: ckpt.device.clone(),
-            plan: ckpt.plan.clone(),
-            seed: ckpt.seed,
-        }
-    }
-
     /// The checkpoint naming this spec with `cursor` frames served.
     pub fn checkpoint(&self, cursor: usize) -> SessionCheckpoint {
         SessionCheckpoint {
@@ -271,20 +257,6 @@ pub fn build_session_with_obs(
     });
     fleet_session.set_panic_at_epoch(panic_epoch);
     fleet_session
-}
-
-/// Restores a checkpointed walker: rebuilds from the spec and silently
-/// replays to the cursor, after which it records only post-checkpoint
-/// epochs. Determinism makes this byte-equivalent to never having stopped.
-pub fn restore_session(
-    ckpt: &SessionCheckpoint,
-    models: Arc<ErrorModelSet>,
-    base: PipelineConfig,
-    max_epochs: usize,
-) -> FleetSession {
-    let mut session = build_session(SessionSpec::from_checkpoint(ckpt), models, base, max_epochs);
-    session.replay_to(ckpt.cursor as usize);
-    session
 }
 
 /// The spec's records through the *legacy batch path*
@@ -1115,76 +1087,6 @@ fn fleet_report(cfg: &FleetConfig, summaries: &[SessionSummary]) -> Json {
     .canonical()
 }
 
-/// Writes `BENCH_fleet.json` in the `bench-diff` gate's shape: the
-/// scheduler's wall-clock histograms as stages (`fleet.epoch`,
-/// `fleet.round`, `fleet.run`) plus throughput headline keys (which the
-/// gate's parser ignores).
-///
-/// # Errors
-///
-/// Propagates the write error.
-pub fn write_fleet_bench(stats: &FleetRunStats) -> std::io::Result<Option<String>> {
-    let reg = uniloc_obs::MetricsRegistry::new();
-    let epoch = reg.histogram("fleet.epoch", uniloc_obs::DURATION_BUCKETS_NS);
-    for &ns in &stats.epoch_ns {
-        epoch.record_ns(ns);
-    }
-    let round = reg.histogram("fleet.round", uniloc_obs::DURATION_BUCKETS_NS);
-    for &ns in &stats.round_ns {
-        round.record_ns(ns);
-    }
-    let run = reg.histogram("fleet.run", uniloc_obs::DURATION_BUCKETS_NS);
-    run.record_ns(stats.run_ns);
-
-    let mut stages = Vec::new();
-    let mut p99_epoch_ns = None;
-    for (name, h) in [("fleet.epoch", &epoch), ("fleet.round", &round), ("fleet.run", &run)] {
-        let snap = h.snapshot();
-        let Some((p50, p90, p99)) = snap.summary() else { continue };
-        if name == "fleet.epoch" {
-            p99_epoch_ns = Some(p99);
-        }
-        stages.push((
-            name.to_owned(),
-            Json::Obj(vec![
-                ("count".to_owned(), snap.count().to_json()),
-                ("mean_ns".to_owned(), snap.mean().to_json()),
-                ("p50_ns".to_owned(), p50.to_json()),
-                ("p90_ns".to_owned(), p90.to_json()),
-                ("p99_ns".to_owned(), p99.to_json()),
-                ("sum_ns".to_owned(), snap.sum.to_json()),
-            ]),
-        ));
-    }
-    if stages.is_empty() {
-        return Ok(None);
-    }
-    let secs = stats.run_ns as f64 / 1e9;
-    let doc = Json::Obj(vec![
-        ("bench".to_owned(), Json::Str("fleet".to_owned())),
-        ("stages".to_owned(), Json::Obj(stages)),
-        ("sessions".to_owned(), Json::Int(stats.sessions as i64)),
-        ("epochs".to_owned(), Json::Int(stats.epochs as i64)),
-        ("rounds".to_owned(), Json::Int(stats.rounds as i64)),
-        (
-            "epochs_per_sec".to_owned(),
-            if secs > 0.0 { Json::Num(stats.epochs as f64 / secs) } else { Json::Null },
-        ),
-        (
-            "sessions_per_sec".to_owned(),
-            if secs > 0.0 { Json::Num(stats.sessions as f64 / secs) } else { Json::Null },
-        ),
-        (
-            "p99_epoch_ms".to_owned(),
-            p99_epoch_ns.map_or(Json::Null, |ns| Json::Num(ns / 1e6)),
-        ),
-    ]);
-    let dir = if std::path::Path::new("results").is_dir() { "results" } else { "." };
-    let path = format!("{dir}/BENCH_fleet.json");
-    std::fs::write(&path, doc.canonical().to_string_pretty())?;
-    Ok(Some(path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1231,14 +1133,6 @@ mod tests {
         let mut c = cfg(4);
         c.scenario_names = vec!["mars".to_owned()];
         assert!(fleet_specs(&c).unwrap_err().contains("mars"));
-    }
-
-    #[test]
-    fn checkpoint_spec_round_trip() {
-        let spec = fleet_specs(&cfg(8)).unwrap().swap_remove(7);
-        let ckpt = spec.checkpoint(13);
-        assert_eq!(ckpt.cursor, 13);
-        assert_eq!(SessionSpec::from_checkpoint(&ckpt), spec);
     }
 
     #[test]

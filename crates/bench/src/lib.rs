@@ -9,7 +9,6 @@
 pub mod chaos;
 pub mod fleet;
 pub mod microbench;
-pub mod regression;
 
 use std::sync::Arc;
 
@@ -19,7 +18,6 @@ use uniloc_env::{venues, Scenario};
 use uniloc_obs::{StderrSubscriber, TraceLevel};
 use uniloc_schemes::SchemeId;
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
-use uniloc_stats::json::{Json, ToJson};
 use uniloc_stats::{percentile, Ecdf};
 
 /// Installs a stderr progress subscriber at `Info` so the regenerators'
@@ -31,56 +29,6 @@ pub fn init_obs() {
     }
     uniloc_obs::global()
         .set_subscriber(Some(Arc::new(StderrSubscriber::new(TraceLevel::Info))));
-}
-
-/// Writes `results/BENCH_<name>.json` (or `./BENCH_<name>.json` when no
-/// `results/` directory exists under the working directory): the per-stage
-/// latency breakdown accumulated in the global `span.*` duration
-/// histograms while the regenerator ran. Returns the path written, or
-/// `None` when no spans were recorded.
-///
-/// # Errors
-///
-/// Propagates the write error.
-pub fn write_latency_breakdown(name: &str) -> std::io::Result<Option<String>> {
-    let snap = uniloc_obs::global_metrics().snapshot();
-    let mut stages = Vec::new();
-    for (metric, h) in &snap.histograms {
-        let Some(stage) = metric.strip_prefix("span.") else { continue };
-        let Some((p50, p90, p99)) = h.summary() else { continue };
-        stages.push((
-            stage.to_owned(),
-            Json::Obj(vec![
-                ("count".to_owned(), h.count().to_json()),
-                ("mean_ns".to_owned(), h.mean().to_json()),
-                ("p50_ns".to_owned(), p50.to_json()),
-                ("p90_ns".to_owned(), p90.to_json()),
-                ("p99_ns".to_owned(), p99.to_json()),
-                ("sum_ns".to_owned(), h.sum.to_json()),
-            ]),
-        ));
-    }
-    if stages.is_empty() {
-        return Ok(None);
-    }
-    let doc = Json::Obj(vec![
-        ("bench".to_owned(), Json::Str(name.to_owned())),
-        ("stages".to_owned(), Json::Obj(stages)),
-    ]);
-    let dir = if std::path::Path::new("results").is_dir() { "results" } else { "." };
-    let path = format!("{dir}/BENCH_{name}.json");
-    std::fs::write(&path, doc.canonical().to_string_pretty())?;
-    Ok(Some(path))
-}
-
-/// Emits the run's latency breakdown (see [`write_latency_breakdown`]) and
-/// logs where it went; every regenerator calls this last.
-pub fn finish(name: &str) {
-    match write_latency_breakdown(name) {
-        Ok(Some(path)) => uniloc_obs::info!("latency breakdown: {path}"),
-        Ok(None) => {}
-        Err(e) => uniloc_obs::warn!("latency breakdown for {name} not written: {e}"),
-    }
 }
 
 /// Worker count for the regenerators: `UNILOC_JOBS` when set (≥ 1), else
@@ -97,22 +45,17 @@ pub fn jobs_from_env() -> usize {
 
 /// Runs one [`pipeline::run_walk`] per `(scenario, cfg, seed)` triple on
 /// up to [`jobs_from_env`] workers, returning records in input order.
-/// Each walk executes under an isolated observability session; the merged
-/// span-timing metrics are re-absorbed into the process registry
-/// afterward, so [`write_latency_breakdown`] sees the same histograms as
-/// a sequential run.
+/// Each walk executes under an isolated observability session, so worker
+/// telemetry never lands in the process registry.
 pub fn run_walks_parallel(
     walks: &[(Scenario, PipelineConfig, u64)],
     models: &ErrorModelSet,
 ) -> Vec<Vec<EpochRecord>> {
     let jobs = jobs_from_env();
-    let (records, obs) =
+    let (records, _obs) =
         uniloc_core::parallel::run_observed(walks, jobs, |_, (scenario, cfg, seed)| {
             pipeline::run_walk(scenario, models, cfg, *seed)
         });
-    if let Err(e) = uniloc_obs::process_metrics().absorb(&obs.metrics) {
-        uniloc_obs::warn!("bench metrics re-absorb failed: {e}");
-    }
     records
 }
 

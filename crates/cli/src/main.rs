@@ -12,10 +12,6 @@
 //!                                               and drift state from a sidecar
 //! uniloc inspect-flight --file FILE [--full]    flight-recorder postmortems from a
 //!                                               sidecar (--full pretty-prints dumps)
-//! uniloc bench-diff [--baseline DIR] [--candidate DIR]
-//!                   [--threshold X] [--warn-only]
-//!                                               diff BENCH_*.json latency breakdowns
-//!                                               against the committed baselines
 //! uniloc chaos [--plans smoke|full] [--jobs N]  scenario x fault-plan resilience sweep
 //!                                               (parallel, deterministic at any --jobs)
 //! uniloc fleet [--sessions N] [--obs-stub]      fleet-scale load generator; also writes
@@ -80,7 +76,6 @@ fn main() -> ExitCode {
         "inspect-metrics" => cmd_inspect_metrics(&flags),
         "inspect-calibration" => cmd_inspect_calibration(&flags),
         "inspect-flight" => cmd_inspect_flight(&flags),
-        "bench-diff" => cmd_bench_diff(&flags),
         "chaos" => cmd_chaos(&flags, exporter.as_deref()),
         "fleet" => cmd_fleet(&flags),
         "inspect-fleet" => cmd_inspect_fleet(&flags),
@@ -110,11 +105,10 @@ const USAGE: &str = "usage:
   uniloc inspect-metrics --file FILE [--json]
   uniloc inspect-calibration --file FILE
   uniloc inspect-flight --file FILE [--full]
-  uniloc bench-diff [--baseline DIR] [--candidate DIR] [--threshold X] [--warn-only]
   uniloc chaos [--models FILE] [--scenarios a,b] [--plans smoke|full|p1,p2] [--seed N]
                [--out DIR] [--strict] [--jobs N]
   uniloc fleet [--models FILE] [--sessions N] [--scenarios a,b] [--seed N] [--jobs N]
-               [--resident N] [--max-epochs N] [--chaos-every N] [--out DIR] [--bench]
+               [--resident N] [--max-epochs N] [--chaos-every N] [--out DIR]
                [--strict] [--shards N] [--obs-stub] [--top-k N] [--alloc-budget N]
                [--obs-overhead] [--overhead-budget X] [--overhead-passes N]
                [--checkpoint-every N] [--checkpoint FILE] [--resume FILE]
@@ -321,8 +315,7 @@ fn cmd_inspect(flags: &BTreeMap<String, String>) -> Result<(), String> {
 /// lines: counters, gauges, then histograms with count/mean/p50/p90/p99.
 /// Trace-event lines (kind `span`/`event`) are counted but not rendered.
 /// With `--json`, emits the reassembled [`uniloc_obs::MetricsSnapshot`] as
-/// one JSON document instead — the machine-readable format `bench-diff`
-/// and external tooling share.
+/// one JSON document instead, for external tooling.
 fn cmd_inspect_metrics(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let path = flags.get("file").ok_or("--file FILE is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -460,52 +453,6 @@ fn cmd_inspect_flight(flags: &BTreeMap<String, String>) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// The bench-regression gate: diffs `BENCH_*.json` latency breakdowns in
-/// `--candidate DIR` against `--baseline DIR` (both default to
-/// `results/`, so a bare `uniloc bench-diff` self-checks the committed
-/// baselines). Structural drift (missing stages, changed span counts)
-/// always fails; mean-latency growth fails beyond `--threshold` (relative,
-/// default 4.0 = five-fold). `--warn-only` reports without failing.
-fn cmd_bench_diff(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    use uniloc_bench::regression::{diff_dirs, DiffConfig};
-    let baseline = flags.get("baseline").map(String::as_str).unwrap_or("results");
-    let candidate = flags.get("candidate").map(String::as_str).unwrap_or(baseline);
-    let mut cfg = DiffConfig::default();
-    if let Some(t) = flags.get("threshold") {
-        cfg.latency_tolerance = t
-            .parse()
-            .map_err(|_| format!("--threshold must be a number, got `{t}`"))?;
-    }
-    let outcome = diff_dirs(baseline, candidate, &cfg)?;
-    for (name, findings) in &outcome.compared {
-        if findings.is_empty() {
-            println!("ok   {name}");
-        } else {
-            for f in findings {
-                let tag = if f.is_regression() { "FAIL" } else { "note" };
-                println!("{tag} {name}: {f}");
-            }
-        }
-    }
-    for name in &outcome.skipped {
-        println!("skip {name} (not in candidate dir)");
-    }
-    let regressions = outcome.regressions().count();
-    if regressions == 0 {
-        println!(
-            "no regression across {} bench(es) ({} skipped)",
-            outcome.compared.len(),
-            outcome.skipped.len()
-        );
-        Ok(())
-    } else if flags.contains_key("warn-only") {
-        println!("{regressions} regression finding(s) — warn-only mode, not failing");
-        Ok(())
-    } else {
-        Err(format!("{regressions} bench regression finding(s)"))
-    }
 }
 
 /// `uniloc chaos`: sweeps a scenario × fault-plan matrix deterministically
@@ -646,9 +593,7 @@ fn f64_flag(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result
 /// `PROF_fleet.folded`, `PROF_fleet.json`) to `--out DIR`: all four are
 /// byte-identical at any `--jobs`/`--resident`/`--shards` value and
 /// contain no wall-clock numbers, so the CI smoke gate diffs the whole
-/// directory across worker counts. `--bench` additionally writes the
-/// throughput breakdown (`BENCH_fleet.json`: epochs/sec, sessions/sec,
-/// p99 epoch latency) for the `bench-diff` gate. `--obs-stub` swaps every
+/// directory across worker counts. `--obs-stub` swaps every
 /// session's observability for the sink configuration (no aggregation
 /// artifacts), and `--obs-overhead` runs the paired obs-on/obs-stub bench
 /// and fails if the epochs/s cost exceeds `--overhead-budget` (default
@@ -667,8 +612,8 @@ fn f64_flag(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result
 /// lane L at epoch E to exercise the supervisor's poison path.
 fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     use uniloc_bench::fleet::{
-        load_fleet_checkpoint, measure_obs_overhead, run_fleet_durable, write_fleet_bench,
-        FleetConfig, FleetOutcome, FleetRunOptions,
+        load_fleet_checkpoint, measure_obs_overhead, run_fleet_durable, FleetConfig, FleetOutcome,
+        FleetRunOptions,
     };
     use uniloc_obs::fleet as obsfleet;
 
@@ -856,13 +801,6 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         stats.epochs as f64 / secs.max(1e-9),
         stats.sessions as f64 / secs.max(1e-9),
     );
-    if flags.contains_key("bench") {
-        match write_fleet_bench(stats) {
-            Ok(Some(p)) => uniloc_obs::info!("wrote {p}"),
-            Ok(None) => {}
-            Err(e) => return Err(format!("write fleet bench: {e}")),
-        }
-    }
 
     if result.violations.is_empty() {
         uniloc_obs::info!(

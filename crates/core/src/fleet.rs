@@ -291,27 +291,14 @@ impl FleetSession {
         self.panic_at_epoch = epoch;
     }
 
-    /// Serves frames `0..cursor` *without recording them* — the restore
-    /// half of [`SessionCheckpoint`]: a restored session replays up to the
-    /// checkpoint cursor, then records only post-checkpoint epochs.
-    pub fn replay_to(&mut self, cursor: usize) {
-        let guard = obs_session::install(Arc::clone(&self.obs));
-        let end = cursor.min(self.frames.len());
-        while self.cursor < end {
-            let _ = self.session.step(&self.frames[self.cursor]);
-            self.cursor += 1;
-        }
-        drop(guard);
-    }
-
-    /// Serves frames `0..cursor` *with recording* — the fleet-resume
-    /// restore: the replayed epochs re-enter `records` (and the walker's
-    /// isolated capture) exactly as an uninterrupted run would have
-    /// recorded them, so a resumed fleet's artifacts are byte-identical
-    /// to never having stopped. The injected panic-at-epoch fault is
-    /// deliberately *not* honored during replay: a checkpoint cursor can
-    /// never lie past the panic frame (the session never advances past
-    /// it), so replay stays strictly before the fault.
+    /// Serves frames `0..cursor` *with recording* — the restore half of
+    /// [`SessionCheckpoint`]: the replayed epochs re-enter `records` (and
+    /// the walker's isolated capture) exactly as an uninterrupted run would
+    /// have recorded them, so a resumed fleet's artifacts are
+    /// byte-identical to never having stopped. The injected panic-at-epoch
+    /// fault is deliberately *not* honored during replay: a checkpoint
+    /// cursor can never lie past the panic frame (the session never
+    /// advances past it), so replay stays strictly before the fault.
     pub fn replay_recorded(&mut self, cursor: usize) {
         let guard = obs_session::install(Arc::clone(&self.obs));
         let end = cursor.min(self.frames.len());
@@ -373,7 +360,6 @@ impl FleetSession {
             lane: self.lane,
             name: self.name,
             epochs: self.records.len(),
-            frames_served: self.cursor,
             records: self.records,
             capture: self.obs.capture(),
             poisoned: None,
@@ -398,7 +384,6 @@ impl FleetSession {
             lane: self.lane,
             name: self.name,
             epochs: self.records.len(),
-            frames_served: self.cursor,
             records: self.records,
             capture: self.obs.capture(),
             poisoned: Some(failure),
@@ -411,12 +396,9 @@ impl FleetSession {
 pub struct FinishedSession {
     pub lane: u64,
     pub name: String,
-    /// Epochs *recorded* (equals the walk length unless the session was
-    /// restored from a checkpoint, which replays silently).
+    /// Epochs recorded: the walk length, or the epochs served before the
+    /// first panic for a poisoned session.
     pub epochs: usize,
-    /// Frames served in total (the checkpoint cursor at retirement —
-    /// differs from `epochs` only after a silent [`FleetSession::replay_to`]).
-    pub frames_served: usize,
     pub records: Vec<EpochRecord>,
     /// The walker's private observability capture (metrics, calibration
     /// cells, flight lines).
@@ -614,7 +596,6 @@ impl Active {
                 lane: self.lane,
                 name: format!("lane{:05}", self.lane),
                 epochs: 0,
-                frames_served: 0,
                 records: Vec::new(),
                 capture: ObsSession::isolated().capture(),
                 poisoned: Some(failure),

@@ -6,9 +6,9 @@
 //! Why exact matters: wall-clock latencies are excluded from CI byte-diffs
 //! because they are non-deterministic, but allocation counts of a seeded
 //! pipeline are fully deterministic — same seed, same code, same counts.
-//! That lets `bench-diff` gate on them with a zero noise budget, and lets
-//! the `allocs_per_epoch` steady-state meter ride the fleet snapshot's
-//! exact merge algebra byte-identically at any `--jobs`/`--shards`.
+//! That lets `PROF_alloc.*` ride the byte-identity gates, and lets the
+//! `allocs_per_epoch` steady-state meter ride the fleet snapshot's exact
+//! merge algebra byte-identically at any `--jobs`/`--shards`.
 //!
 //! # How attribution works
 //!
@@ -60,25 +60,41 @@ use crate::metrics::global_metrics;
 /// the budget gate only cares about the loop after that settles.
 pub const STEADY_WARMUP_EPOCHS: u64 = 2;
 
-/// The interned stage table: every span name in the §7c taxonomy that the
-/// per-epoch hot path opens, plus a terminal `"other"` bucket for names
-/// outside the table. Linear-scanned once per span open (never per
-/// allocation).
-pub const STAGES: &[&str] = &[
-    "engine.update",
-    "engine.predict",
-    "engine.confidence",
-    "engine.fuse",
-    "scheme.estimate.wifi",
-    "scheme.estimate.cellular",
-    "scheme.estimate.gps",
-    "scheme.estimate.motion",
-    "scheme.estimate.fusion",
-    "pipeline.build_context",
-    "pipeline.collect_training",
-    "pipeline.run_walk",
-    "other",
+/// The stage table: every span name in the §7c taxonomy that the
+/// per-epoch hot path opens, with its parent stage (`""` is the root),
+/// plus a terminal `"other"` bucket for names outside the table. Span
+/// opens intern against it (a linear scan per open, never per
+/// allocation), and the fleet profilers hang their stage trees off its
+/// parents through [`span_parent`].
+pub const STAGES: &[(&str, &str)] = &[
+    ("engine.update", ""),
+    ("engine.predict", "engine.update"),
+    ("engine.confidence", "engine.update"),
+    ("engine.fuse", "engine.update"),
+    ("scheme.estimate.wifi", "engine.update"),
+    ("scheme.estimate.cellular", "engine.update"),
+    ("scheme.estimate.gps", "engine.update"),
+    ("scheme.estimate.motion", "engine.update"),
+    ("scheme.estimate.fusion", "engine.update"),
+    ("pipeline.build_context", ""),
+    ("pipeline.collect_training", ""),
+    ("pipeline.run_walk", ""),
+    ("other", ""),
 ];
+
+/// The parent of `name` in the stage taxonomy (`""` is the root). Every
+/// per-scheme estimate span (`scheme.estimate.<id>`, custom schemes
+/// included) opens inside the engine's update scope; other names outside
+/// [`STAGES`] hang off the root.
+pub fn span_parent(name: &str) -> &'static str {
+    if name.starts_with("scheme.estimate.") {
+        return "engine.update";
+    }
+    STAGES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map_or("", |(_, p)| p)
+}
 
 const N_STAGES: usize = STAGES.len();
 const OTHER: u8 = (N_STAGES - 1) as u8;
@@ -195,7 +211,7 @@ pub struct SpanToken {
 fn intern(name: &str) -> u8 {
     STAGES
         .iter()
-        .position(|s| *s == name)
+        .position(|(s, _)| *s == name)
         .map(|i| i as u8)
         .unwrap_or(OTHER)
 }
@@ -250,7 +266,7 @@ pub fn span_close(token: SpanToken) {
     if delta == [0; SLOTS_PER_STAGE] {
         return;
     }
-    let stage = STAGES[token.stage as usize];
+    let (stage, _) = STAGES[token.stage as usize];
     let m = global_metrics();
     let [allocs, bytes, deallocs, reallocs] = delta;
     if allocs > 0 {
@@ -450,7 +466,26 @@ mod tests {
     fn unknown_span_names_fall_into_other() {
         assert_eq!(intern("pipeline.collect_training"), 10);
         assert_eq!(intern("no.such.stage"), OTHER);
-        assert_eq!(STAGES[OTHER as usize], "other");
+        assert_eq!(STAGES[OTHER as usize], ("other", ""));
+    }
+
+    #[test]
+    fn span_parents_follow_the_stage_table() {
+        assert_eq!(span_parent("engine.update"), "");
+        assert_eq!(span_parent("engine.fuse"), "engine.update");
+        assert_eq!(span_parent("scheme.estimate.wifi"), "engine.update");
+        // The prefix rule covers custom schemes outside the table.
+        assert_eq!(span_parent("scheme.estimate.custom"), "engine.update");
+        assert_eq!(span_parent("pipeline.run_walk"), "");
+        assert_eq!(span_parent("other"), "");
+        assert_eq!(span_parent("no.such.stage"), "");
+        // Every parent is itself a root-level stage of the table.
+        for (_, parent) in STAGES {
+            assert!(
+                parent.is_empty() || span_parent(parent).is_empty(),
+                "{parent}"
+            );
+        }
     }
 
     #[test]

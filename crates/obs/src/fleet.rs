@@ -37,6 +37,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::alloc::span_parent;
 use crate::session::SessionCapture;
 use uniloc_stats::json::{field, FromJson, Json, JsonError, ToJson};
 
@@ -759,8 +760,8 @@ pub fn evaluate_slos(snap: &FleetSnapshot, targets: &SloTargets) -> Vec<SloRow> 
 /// per-scheme availability/quarantine, cohort breakdown, error
 /// distribution, exemplars and flight/calibration totals. Deliberately
 /// excludes every wall-clock number — byte-identical at any
-/// `--jobs`/`--resident`/shard value (wall-clock latency SLOs live in
-/// `BENCH_fleet.json`).
+/// `--jobs`/`--resident`/shard value (wall-clock latency is measured by
+/// the fleet benchmark in `benchmark/`).
 pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
     let slo_rows: Vec<Json> = evaluate_slos(snap, targets)
         .iter()
@@ -895,31 +896,6 @@ pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
 // Deterministic self-profiler
 // ---------------------------------------------------------------------------
 
-/// The declared span taxonomy: `(span name, parent span name)`; `""` means
-/// a direct child of the root. Spans not named here (and not matching
-/// [`span_parent`]'s prefix rules) also hang off the root.
-const SPAN_PARENTS: &[(&str, &str)] = &[
-    ("engine.confidence", "engine.update"),
-    ("engine.fuse", "engine.update"),
-    ("engine.predict", "engine.update"),
-    ("engine.update", ""),
-    ("pipeline.build_context", ""),
-    ("pipeline.collect_training", ""),
-    ("pipeline.run_walk", ""),
-];
-
-/// The parent of `name` in the span taxonomy. Per-scheme estimate spans
-/// (`scheme.estimate.<id>`) are opened inside the engine's update scope.
-pub fn span_parent(name: &str) -> &'static str {
-    if name.starts_with("scheme.estimate.") {
-        return "engine.update";
-    }
-    SPAN_PARENTS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or("", |(_, p)| p)
-}
-
 /// One node of the profiler's stage tree. `count` is the span's
 /// *invocation count* (see the module docs for why counts, not
 /// durations); children are sorted by name.
@@ -947,8 +923,9 @@ impl ProfNode {
 }
 
 /// Builds the span-accounting tree from the snapshot's merged
-/// `span.*` counts: every recorded span hangs under its declared parent,
-/// the root is `fleet` with the epoch total.
+/// `span.*` counts: every recorded span hangs under its parent in the
+/// stage table ([`span_parent`]), the root is `fleet` with the epoch
+/// total.
 pub fn profile_tree(snap: &FleetSnapshot) -> ProfNode {
     fn build(name: &str, count: u64, by_parent: &BTreeMap<&str, Vec<(&str, u64)>>) -> ProfNode {
         let children = by_parent

@@ -518,33 +518,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds a snapshot into this live registry: counters add, gauges set
-    /// to the snapshot's value, histograms bucket-add (created with the
-    /// snapshot's bounds on first sight). This is how a parallel bench run
-    /// re-absorbs its workers' span timings so `BENCH_*.json` breakdowns
-    /// stay populated. Errors on bucket-bound mismatch with an existing
-    /// histogram.
-    pub fn absorb(&self, snap: &MetricsSnapshot) -> Result<(), String> {
-        for (name, v) in &snap.counters {
-            self.counter(name).add(*v);
-        }
-        for (name, v) in &snap.gauges {
-            self.gauge(name).set(*v);
-        }
-        for (name, h) in &snap.histograms {
-            let live = self.histogram(name, &h.bounds);
-            if live.bounds != h.bounds {
-                return Err(format!("histogram `{name}`: bucket bounds differ"));
-            }
-            for (slot, &c) in live.counts.iter().zip(&h.counts) {
-                slot.fetch_add(c, Ordering::Relaxed);
-            }
-            atomic_f64_add(&live.sum_bits, h.sum);
-            live.dropped.fetch_add(h.dropped, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
     /// Drops every registered metric (test isolation; cached handles keep
     /// their atomics but detach from future snapshots).
     pub fn reset(&self) {
@@ -730,27 +703,6 @@ mod tests {
         let c = MetricsRegistry::new();
         c.histogram("lat", &[9.0]).record(0.5);
         assert!(a.snapshot().merge(&c.snapshot()).is_err());
-    }
-
-    #[test]
-    fn registry_absorbs_snapshot() {
-        let src = MetricsRegistry::new();
-        src.counter("n").add(2);
-        src.gauge("g").set(4.5);
-        src.histogram("h", &[1.0, 2.0]).record(1.5);
-        let dst = MetricsRegistry::new();
-        dst.counter("n").add(1);
-        dst.absorb(&src.snapshot()).unwrap();
-        let snap = dst.snapshot();
-        assert!(snap.counters.contains(&("n".to_owned(), 3)));
-        assert!(snap.gauges.contains(&("g".to_owned(), 4.5)));
-        let h = &snap.histograms.iter().find(|(n, _)| n == "h").unwrap().1;
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum, 1.5);
-        // Bound mismatch is an error.
-        let bad = MetricsRegistry::new();
-        bad.histogram("h", &[7.0]).record(0.5);
-        assert!(dst.absorb(&bad.snapshot()).is_err());
     }
 
     #[test]

@@ -73,6 +73,12 @@ impl JsonError {
     fn at(msg: impl Into<String>, offset: usize) -> Self {
         JsonError { msg: msg.into(), offset: Some(offset) }
     }
+
+    /// The input byte offset of a parse error; `None` for conversion
+    /// errors.
+    pub fn offset(&self) -> Option<usize> {
+        self.offset
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -176,7 +182,7 @@ impl Json {
     /// their element order.
     ///
     /// This is the canonical form used for committed artifacts
-    /// (`results/CHAOS_*.json`, `results/BENCH_*.json`): serializing a
+    /// (`results/CHAOS_*.json`, `results/FLEET_HEALTH.json`): serializing a
     /// canonicalized document is byte-stable under refactors that merely
     /// reorder struct fields or map insertions, which is what lets CI diff
     /// artifacts produced by different code paths (e.g. `--jobs 1` vs
@@ -460,13 +466,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::at("invalid UTF-8", self.pos))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` in one
+                    // step. Both are ASCII and the input is a valid &str,
+                    // so the run ends on a char boundary, and each byte is
+                    // validated once: parsing stays linear.
+                    let start = self.pos;
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    let run = std::str::from_utf8(&self.bytes[start..end])
+                        .map_err(|_| JsonError::at("invalid UTF-8", start))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -893,14 +905,57 @@ mod tests {
         assert_eq!(Json::parse(&json.to_string()).unwrap(), json);
     }
 
+    /// The parser copies string content a run at a time between `"` and
+    /// `\`; multibyte characters right next to escapes, at the start of a
+    /// string and at run ends must come through intact.
+    #[test]
+    fn string_heavy_document_round_trips() {
+        const PIECES: [&str; 12] = [
+            "é", "中", "😀", "\"", "\\", "\n", "\t", "\u{1}", "/", "a", "ü\\", "\"中",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let strings: Vec<Json> = (0..2000)
+            .map(|i| {
+                let len = next() % (1 + i % 64);
+                Json::Str((0..len).map(|_| PIECES[next() % PIECES.len()]).collect())
+            })
+            .collect();
+        let doc = Json::Obj(vec![
+            ("strings".into(), Json::Arr(strings)),
+            ("中\"é".into(), Json::Str("😀\\".into())),
+        ]);
+        for text in [doc.to_string(), doc.to_string_pretty()] {
+            assert!(
+                text.len() > 50_000,
+                "document too small: {} bytes",
+                text.len()
+            );
+            assert_eq!(Json::parse(&text).unwrap(), doc);
+        }
+        // Escapes the writer never emits (`\/` and `\u`), between
+        // multibyte characters.
+        let text = [r#""é\/中\"#, r#"u00e9😀\"""#].concat();
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str("é/中é😀\"".into()));
+    }
+
+    /// `\u` escapes, split across literals so the test source itself holds
+    /// the escape sequences rather than the characters they decode to.
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(Json::parse(r#""A""#).unwrap(), Json::Str("A".into()));
+        let text = [r#""\"#, r#"u0041""#].concat();
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str("A".into()));
         // Surrogate pair for U+1F600.
-        assert_eq!(
-            Json::parse(r#""😀""#).unwrap(),
-            Json::Str("\u{1F600}".into())
-        );
+        let text = [r#""\"#, r#"ud83d\"#, r#"ude00""#].concat();
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str("\u{1F600}".into()));
+        // A lone low surrogate is not a character.
+        let text = [r#""\"#, r#"ude00""#].concat();
+        assert!(Json::parse(&text).unwrap_err().offset().is_some());
     }
 
     #[test]
@@ -928,7 +983,7 @@ mod tests {
     fn parse_errors_carry_offsets() {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "[] []"] {
             let err = Json::parse(bad).unwrap_err();
-            assert!(err.offset.is_some(), "{bad}: {err}");
+            assert!(err.offset().is_some(), "{bad}: {err}");
         }
     }
 

@@ -19,7 +19,7 @@ fail=0
 # uniloc-* crate. Feature tables are exempt (that is where the default-off
 # `bench-external` feature lives).
 echo "==> auditing workspace manifests for external dependencies"
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; do
     bad=$(awk '
         # Table-header form: [dependencies.foo] / [dev-dependencies.foo]
         /^\[(workspace\.)?(dev-|build-)?dependencies\./ {
@@ -279,24 +279,13 @@ if ! grep -qF '"poisoned_sessions": 1' "$smoke/fleet-poison/FLEET.json"; then
 fi
 echo "    ok: one panicking session poisoned itself; the fleet completed"
 
-# --- 6. bench-regression gate --------------------------------------------
-# Strict self-diff first: re-parses every committed results/BENCH_*.json
-# with the in-repo JSON reader (malformed or duplicate-key files are hard
-# errors) and must report no regression against itself.
-echo "==> bench gate (uniloc bench-diff)"
-# The fleet throughput breakdown must be committed and inside the gate:
-# bench-diff scans all of results/, so its presence check is all that is
-# needed for it to be parsed and self-diffed below.
-if [ ! -f results/BENCH_fleet.json ]; then
-    echo "ERROR: results/BENCH_fleet.json is missing (regenerate with" >&2
-    echo "       \`uniloc fleet --sessions 10000 --bench\`)" >&2
-    exit 1
-fi
-target/release/uniloc bench-diff
-# Then a fresh run of one representative bench, compared warn-only: latency
-# on shared CI hardware is too noisy to gate hard, but structural drift
-# (stages appearing/vanishing, per-stage counts changing) gets surfaced.
-(cd "$smoke" && UNILOC_QUIET=1 "$OLDPWD/target/release/table5_response_time" >/dev/null)
-target/release/uniloc bench-diff --baseline results --candidate "$smoke" --warn-only
-echo "    ok: committed bench breakdowns parse and self-diff clean"
+# --- 6. fleet benchmark ---------------------------------------------------
+# benchmark/ (described by BENCHMARK.json) is its own Cargo package outside
+# the root workspace, so the builds above never compile it. Its test suite
+# builds it against the current crates and runs a correctness-checked
+# --smoke of every workload, traced and untraced: an API change that
+# breaks the benchmark fails here, not the next time someone measures.
+echo "==> fleet benchmark (cargo test --manifest-path benchmark/Cargo.toml)"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+echo "    ok: the benchmark builds and every workload's smoke run is correct"
 echo "==> ci.sh: all checks passed"

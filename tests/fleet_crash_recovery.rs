@@ -17,9 +17,10 @@ use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::env::venues;
 use uniloc::faults::CrashPoint;
 use uniloc::obs::fleet as obsfleet;
+use uniloc::stats::json::Json;
 use uniloc_bench::fleet::{
-    load_fleet_checkpoint, run_fleet, run_fleet_durable, FleetConfig, FleetOutcome,
-    FleetRunOptions, FleetResult,
+    load_fleet_checkpoint, run_fleet, run_fleet_durable, FleetCheckpoint, FleetConfig,
+    FleetOutcome, FleetResult, FleetRunOptions,
 };
 
 fn models(seed: u64) -> Arc<ErrorModelSet> {
@@ -200,6 +201,50 @@ fn chained_double_crash_still_resumes_byte_identically() {
     };
     assert!(finished.violations.is_empty(), "violations: {:?}", finished.violations);
     assert_same_artifacts(&straight, &finished, "chained");
+}
+
+/// Reading a checkpoint never panics: every proper prefix of a real fleet
+/// checkpoint, cut on a char boundary the way a torn write leaves it, is
+/// a parse error that names a byte offset inside the prefix.
+#[test]
+fn truncated_checkpoint_fails_with_an_offset() {
+    let models = models(41);
+    let base = PipelineConfig::default();
+    let cfg = FleetConfig {
+        sessions: 4,
+        resident: 2,
+        max_epochs: 4,
+        ..fleet_config(41, 2, None)
+    };
+    let path = ckpt_path("truncated");
+    let outcome = run_fleet_durable(
+        &models,
+        &base,
+        &cfg,
+        FleetRunOptions {
+            checkpoint_every: 1,
+            checkpoint_path: Some(path.clone()),
+            crash_after_rounds: Some(6),
+            ..FleetRunOptions::default()
+        },
+    )
+    .expect("crashing fleet starts");
+    assert!(matches!(outcome, FleetOutcome::Crashed { rounds: 6 }));
+    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    let doc = text.trim_end();
+    let ckpt = FleetCheckpoint::restore(&Json::parse(doc).expect("whole checkpoint parses"))
+        .expect("checkpoint restores");
+    assert!(
+        !ckpt.retired.is_empty() && !ckpt.resident.is_empty() && ckpt.snapshot.is_some(),
+        "the checkpoint should carry retired rows, resident walkers and a snapshot"
+    );
+    for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+        let err = Json::parse(&doc[..cut]).expect_err("a proper prefix cannot parse");
+        assert!(
+            err.offset().is_some_and(|at| at <= cut),
+            "prefix of {cut} bytes: {err}"
+        );
+    }
 }
 
 /// Tentpole (a) acceptance: a single panicking session is retried, then

@@ -22,8 +22,8 @@ use uniloc::env::venues;
 use uniloc::obs::session as obs_session;
 use uniloc::obs::ObsSession;
 use uniloc_bench::fleet::{
-    build_session, fleet_specs, records_digest, restore_session, solo_records, spec_frames,
-    spec_pipeline_config, spec_scenario, FleetConfig, SessionSpec,
+    build_session, fleet_specs, records_digest, solo_records, spec_frames, spec_pipeline_config,
+    spec_scenario, FleetConfig, SessionSpec,
 };
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -260,9 +260,10 @@ fn fault_and_quarantine_state_never_leaks_between_sessions() {
     );
 }
 
-/// Satellite: checkpoint → restore resumes byte-identically. A session
-/// rebuilt from its [`SessionCheckpoint`] and replayed to the cursor
-/// records exactly the post-checkpoint suffix of the uninterrupted run.
+/// Checkpoint → restore resumes byte-identically. A session rebuilt from
+/// its spec and replayed to its [`SessionCheckpoint`] cursor, the way
+/// fleet resume restores a resident walker, then served to the end by
+/// the scheduler records exactly the uninterrupted run's record stream.
 #[test]
 fn checkpoint_restore_resumes_byte_identically() {
     let models = models(5);
@@ -286,8 +287,13 @@ fn checkpoint_restore_resumes_byte_identically() {
         let full = solo_records(spec, &models, &base, cfg.max_epochs);
         let cut = full.len() / 2;
         let ckpt = spec.checkpoint(cut);
-        let restored =
-            restore_session(&ckpt, Arc::clone(&models), base.clone(), cfg.max_epochs);
+        let mut restored = build_session(
+            spec.clone(),
+            Arc::clone(&models),
+            base.clone(),
+            cfg.max_epochs,
+        );
+        restored.replay_recorded(ckpt.cursor as usize);
         assert_eq!(restored.cursor(), cut);
 
         let mut scheduler = FleetScheduler::new(2, base.epoch_interval, 2);
@@ -296,8 +302,7 @@ fn checkpoint_restore_resumes_byte_identically() {
         scheduler.run(|f| resumed.push(f));
         assert_eq!(resumed.len(), 1);
         assert_eq!(
-            resumed[0].records,
-            full[cut..],
+            resumed[0].records, full,
             "restored lane {} did not resume at its checkpoint",
             spec.lane
         );

@@ -17,7 +17,7 @@ use uniloc::rng::check::Checker;
 use uniloc::rng::{require, require_eq, split_seed, Rng};
 use uniloc::stats::json::{from_str, ToJson};
 use uniloc_bench::fleet::{
-    restore_session, spec_frames, spec_pipeline_config, spec_scenario, SessionSpec,
+    build_session, spec_frames, spec_pipeline_config, spec_scenario, SessionSpec,
 };
 
 const REGRESSIONS: &str =
@@ -228,9 +228,11 @@ fn quarantined_session_resumes_mid_sentence() {
             if lived.iter().any(|(_, s)| *s != QuarantineStanding::Active) {
                 mid_sentence.set(mid_sentence.get() + 1);
             }
-            // Resume path: rebuild from the checkpoint and replay.
-            let restored =
-                restore_session(&spec.checkpoint(cut), Arc::clone(&models), base.clone(), 0);
+            // Resume path: rebuild from the spec and replay to the
+            // checkpoint cursor.
+            let ckpt = spec.checkpoint(cut);
+            let mut restored = build_session(spec.clone(), Arc::clone(&models), base.clone(), 0);
+            restored.replay_recorded(ckpt.cursor as usize);
             require_eq!(restored.cursor(), cut);
             require_eq!(restored.session().epochs(), cut);
             require_eq!(restored.session().engine().quarantine_standings(), lived);
