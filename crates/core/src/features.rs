@@ -22,7 +22,7 @@
 //! During training, ground truth is used (Section III-B: "during the
 //! training phase, we know the user's true location").
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use uniloc_filters::{Hmm2Predictor, Kalman2D};
 use uniloc_geom::{FloorPlan, Point};
@@ -134,12 +134,8 @@ impl FeatureExtractor {
                 // any tower is audible), so the predicted location can
                 // actually *be* there and the WiFi-density feature
                 // correctly reports sparsity.
-                let mut states: Vec<Point> = ctx.wifi_db.positions().collect();
-                for p in ctx.cell_db.positions() {
-                    if states.iter().all(|q| q.distance(p) > 0.5) {
-                        states.push(p);
-                    }
-                }
+                let cell: Vec<Point> = ctx.cell_db.positions().collect();
+                let states = hmm_states(ctx.wifi_db.positions().collect(), &cell);
                 Predictor::Hmm2(Hmm2Predictor::new(states, 2.5, 5.0).ok())
             }
             PredictorKind::Kalman => Predictor::Kalman { filter: None, last_t: 0.0 },
@@ -339,6 +335,59 @@ impl FeatureExtractor {
     }
 }
 
+/// The HMM state list: the WiFi fingerprint positions `states`, then each
+/// cellular position `p` with `q.distance(p) > 0.5` for every state `q`
+/// before it, in survey order.
+///
+/// States are bucketed in 1 m cells, twice the 0.5 m merge radius. A state
+/// within 0.5 m of `p` is less than 1 m from it on each axis, so `floor`
+/// puts it in the 3×3 block of cells around `p`'s, whatever the rounding,
+/// and only that block is tested: O(n) instead of O(N_wifi × N_cell). A
+/// non-finite position makes `distance` NaN, which fails `> 0.5` against
+/// everything, and no cell block can express that, so then every state is
+/// tested.
+fn hmm_states(mut states: Vec<Point>, cell: &[Point]) -> Vec<Point> {
+    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+    if !(states.iter().all(finite) && cell.iter().all(finite)) {
+        return hmm_states_quadratic(states, cell);
+    }
+    // Per-cell chains of state indices: `heads` holds each cell's latest
+    // state, `next[s]` the one before `s` in the same cell.
+    const END: u32 = u32::MAX;
+    let key = |p: Point| (p.x.floor() as i64, p.y.floor() as i64);
+    let mut heads: HashMap<(i64, i64), u32> = HashMap::with_capacity(states.len() + cell.len());
+    let mut next: Vec<u32> = Vec::with_capacity(states.len() + cell.len());
+    for (s, &q) in states.iter().enumerate() {
+        next.push(heads.insert(key(q), s as u32).unwrap_or(END));
+    }
+    for &p in cell {
+        let (kx, ky) = key(p);
+        let clear = (-1..=1).all(|dx| {
+            (-1..=1).all(|dy| {
+                let head = heads.get(&(kx.saturating_add(dx), ky.saturating_add(dy))).copied();
+                std::iter::successors(head, |&s| Some(next[s as usize]).filter(|&n| n != END))
+                    .all(|s| states[s as usize].distance(p) > 0.5)
+            })
+        });
+        if clear {
+            next.push(heads.insert((kx, ky), states.len() as u32).unwrap_or(END));
+            states.push(p);
+        }
+    }
+    states
+}
+
+/// [`hmm_states`] testing every state: its non-finite path, and the
+/// reference its grid path is tested against.
+fn hmm_states_quadratic(mut states: Vec<Point>, cell: &[Point]) -> Vec<Point> {
+    for &p in cell {
+        if states.iter().all(|q| q.distance(p) > 0.5) {
+            states.push(p);
+        }
+    }
+    states
+}
+
 /// Standard deviation of the top-k candidate RSSI distances — the paper's
 /// `beta_2`: "if the deviation is small, the fingerprints at these
 /// locations are more similar, and in turn the estimated location is more
@@ -521,6 +570,60 @@ mod tests {
         let p = fx.predicted_location().unwrap();
         // Second-order prediction extrapolates eastward.
         assert!(p.x >= 6.0);
+    }
+
+    #[test]
+    fn hmm_state_grid_matches_the_quadratic_union() {
+        fn bits(v: &[Point]) -> Vec<(u64, u64)> {
+            v.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+        }
+        /// A point drawn near `pool`: a duplicate, a neighbour exactly
+        /// 0.5 m away (on an axis or on a 0.3/0.4 diagonal), a point on a
+        /// cell edge, or a random one.
+        fn draw(rng: &mut Rng, pool: &[Point]) -> Point {
+            let pick = |rng: &mut Rng| pool[rng.gen_range(0..pool.len())];
+            match rng.gen_range(0..6u32) {
+                0 if !pool.is_empty() => pick(rng),
+                1 if !pool.is_empty() => {
+                    let q = pick(rng);
+                    let (dx, dy) = [(0.5, 0.0), (0.0, -0.5), (0.3, 0.4), (-0.4, 0.3)]
+                        [rng.gen_range(0..4usize)];
+                    Point::new(q.x + dx, q.y + dy)
+                }
+                2 => {
+                    Point::new(rng.gen_range(-6..6i64) as f64 * 0.5, rng.gen_range(-6..6i64) as f64)
+                }
+                _ => Point::new(rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0)),
+            }
+        }
+        let mut rng = Rng::seed_from_u64(17);
+        for case in 0..400 {
+            let mut wifi: Vec<Point> = Vec::new();
+            for _ in 0..rng.gen_range(0..40usize) {
+                let p = draw(&mut rng, &wifi);
+                wifi.push(p);
+            }
+            let mut cell: Vec<Point> = Vec::new();
+            for _ in 0..rng.gen_range(0..60usize) {
+                let pool = if rng.gen_range(0..2u32) == 0 { &wifi } else { &cell };
+                let p = draw(&mut rng, pool);
+                cell.push(p);
+            }
+            if case % 50 == 7 {
+                // A NaN position on either side takes the full scan.
+                let nan = Point::new(f64::NAN, 1.0);
+                if case % 100 == 7 && !wifi.is_empty() {
+                    let i = rng.gen_range(0..wifi.len());
+                    wifi[i] = nan;
+                } else {
+                    cell.push(nan);
+                    cell.push(Point::new(0.25, 0.25));
+                }
+            }
+            let want = hmm_states_quadratic(wifi.clone(), &cell);
+            let got = hmm_states(wifi.clone(), &cell);
+            assert_eq!(bits(&got), bits(&want), "case {case}: wifi {wifi:?} cell {cell:?}");
+        }
     }
 
     #[test]

@@ -620,6 +620,15 @@ macro_rules! warn {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that read or flip the process-wide span-timing
+    /// flag: `cargo test` runs tests on parallel threads, and one test
+    /// turns the flag off for a moment.
+    fn global_timings_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failed holder poisons the lock; the other tests still run.
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn event(level: TraceLevel, name: &str) -> TraceEvent {
         TraceEvent {
             level,
@@ -724,6 +733,7 @@ mod tests {
 
     #[test]
     fn span_records_duration_histogram() {
+        let _flag = global_timings_lock();
         // The global dispatcher has span timing on by default; spans feed
         // `span.<name>` histograms even with no subscriber installed.
         let name = "obs.test.span_records_duration";
@@ -751,6 +761,7 @@ mod tests {
     #[test]
     fn session_span_timings_override_beats_global_flag() {
         use crate::session::ObsSession;
+        let _flag = global_timings_lock();
         // Global flag ON (the default), session override OFF: no sample.
         let mut session = ObsSession::isolated();
         session.span_timings = Some(false);
@@ -778,6 +789,7 @@ mod tests {
     #[test]
     fn session_none_defers_to_global_and_guard_restores_on_drop() {
         use crate::session::ObsSession;
+        let _flag = global_timings_lock();
         // `span_timings: None` (the isolated default) defers to the
         // process-wide flag in both positions.
         let defer = Arc::new(ObsSession::isolated());
@@ -816,6 +828,7 @@ mod tests {
     #[test]
     fn stubbed_session_suppresses_timing_without_racing_global_state() {
         use crate::session::ObsSession;
+        let _flag = global_timings_lock();
         // A stubbed session turns timing off per-session while the
         // process-wide flag stays untouched — the obs-stub mode's whole
         // point (no cross-thread races on the global flag).

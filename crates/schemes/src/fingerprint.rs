@@ -72,11 +72,13 @@ pub struct FingerprintMatch {
 
 /// An offline fingerprint database over scans of type `S`.
 ///
-/// Construction builds a [`SignalIndex`] (RSSI-quantized inverted index +
-/// struct-of-arrays slabs) over the entries once, so every online
-/// [`match_scan`](Self::match_scan) prunes candidates instead of scoring
-/// the whole survey — with output proven identical to the linear scan
-/// (see the `index` module docs and `tests/index_differential.rs`).
+/// Construction builds a [`SignalIndex`] (struct-of-arrays slabs, the
+/// heard-id list and a nearest-neighbour table) over the entries once, so
+/// [`match_scan`](Self::match_scan) and
+/// [`local_density`](Self::local_density) run allocation-free top-k and
+/// table-driven kernels — with output bit-identical to the retained
+/// linear references (see the `index` module docs and
+/// `tests/index_differential.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintDb<S> {
     entries: Vec<(Point, S)>,
@@ -149,10 +151,19 @@ impl<S: RssiLike> FingerprintDb<S> {
         self.index.match_into(scan, k, self.missing_penalty, out);
     }
 
+    /// Whether some fingerprint hears an AP (tower) id of `scan`. For a
+    /// non-empty scan, with it and the fingerprints in id order (as every
+    /// scan type keeps them), this is exactly
+    /// `!match_scan(scan, k).is_empty()` for any `k >= 1`, without scoring
+    /// anything — the fusion scheme's emptiness test.
+    pub fn hears_any(&self, scan: &S) -> bool {
+        self.index.hears_any(scan)
+    }
+
     /// The retained linear-scan reference implementation of
     /// [`match_scan`](Self::match_scan): scores every entry, ranks with the
     /// same stable `total_cmp` sort. The differential suite asserts the
-    /// indexed path returns exactly this on every input; it is not used on
+    /// slab path returns exactly this on every input; it is not used on
     /// the hot path.
     pub fn match_scan_linear(&self, scan: &S, k: usize) -> Vec<FingerprintMatch> {
         if scan.no_signal() || k == 0 {
@@ -183,6 +194,37 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// fingerprints are in range (density undefined — treat as very sparse).
     pub fn local_density(&self, p: Point, radius: f64) -> Option<f64> {
         self.index.local_density(p, radius)
+    }
+
+    /// The retained reference implementation of
+    /// [`local_density`](Self::local_density), which defines it: the
+    /// in-radius set, stably sorted by squared distance to `p`, and the
+    /// mean over its 40 closest points of the distance to their nearest
+    /// other in-radius point. For dense surveys probing the points closest
+    /// to `p` against the whole neighborhood gives the same estimate as
+    /// the full O(n^2) pass (the local grid is homogeneous) at O(40·n).
+    /// The differential suite asserts the table-driven path returns
+    /// exactly this; it is not used on the hot path.
+    pub fn local_density_linear(&self, p: Point, radius: f64) -> Option<f64> {
+        const PROBES: usize = 40;
+        let mut nearby: Vec<Point> = self.positions().filter(|q| q.distance(p) <= radius).collect();
+        if nearby.len() < 2 {
+            return None;
+        }
+        nearby.sort_by(|a, b| a.distance_sq(p).total_cmp(&b.distance_sq(p)));
+        let probes = nearby.len().min(PROBES);
+        let mut total = 0.0;
+        for i in 0..probes {
+            let a = nearby[i];
+            let mut best = f64::INFINITY;
+            for (j, b) in nearby.iter().enumerate() {
+                if i != j {
+                    best = best.min(a.distance_sq(*b));
+                }
+            }
+            total += best.sqrt();
+        }
+        Some(total / probes as f64)
     }
 
     /// Thins the database so remaining fingerprints are at least

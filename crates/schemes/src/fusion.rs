@@ -15,7 +15,7 @@
 //! not the baseline's.
 
 use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
-use crate::fingerprint::{FingerprintMatch, WifiFingerprintDb};
+use crate::fingerprint::WifiFingerprintDb;
 use crate::index::SpatialGrid;
 use crate::pdr::{PdrConfig, PdrCore};
 use uniloc_geom::{FloorPlan, Point};
@@ -24,9 +24,6 @@ use uniloc_sensors::{SensorFrame, WifiScan};
 /// Grid cell size (m) of the spatial hash over fingerprint positions (the
 /// per-particle nearest-fingerprint loop would otherwise be quadratic).
 const GRID_CELL_M: f64 = 5.0;
-
-/// Candidates retained for availability checks.
-const FUSION_TOP_K: usize = 5;
 
 /// Likelihood floor: keeps particle weights positive so one scan cannot
 /// annihilate the cloud.
@@ -42,9 +39,44 @@ pub struct FusionScheme {
     db: WifiFingerprintDb,
     index: SpatialGrid,
     fingerprints: Vec<WifiScan>,
-    /// Match scratch, recycled across epochs so steady-state reweighting
-    /// performs no heap allocation.
-    match_buf: Vec<FingerprintMatch>,
+    /// Per-fingerprint likelihoods of the scan being reweighted.
+    memo: LikelihoodMemo,
+}
+
+/// Generation-stamped per-fingerprint memo for one reweight call:
+/// `values[i]` is current when `stamps[i] == generation`. Bumping the
+/// generation invalidates every entry without clearing; the buffers grow
+/// once, under the alloc-meter pause (warmup, like the match scratch).
+#[derive(Debug, Clone, Default)]
+struct LikelihoodMemo {
+    stamps: Vec<u32>,
+    values: Vec<f64>,
+    generation: u32,
+}
+
+impl LikelihoodMemo {
+    /// Starts a call over `n` fingerprints with every entry stale.
+    fn begin(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            let _pause = uniloc_obs::alloc::pause();
+            self.stamps.resize(n, 0);
+            self.values.resize(n, 0.0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Entry `i`, computed by `f` on its first use this call.
+    fn get(&mut self, i: usize, f: impl FnOnce() -> f64) -> f64 {
+        if self.stamps[i] != self.generation {
+            self.stamps[i] = self.generation;
+            self.values[i] = f();
+        }
+        self.values[i]
+    }
 }
 
 impl FusionScheme {
@@ -65,7 +97,7 @@ impl FusionScheme {
             db,
             index,
             fingerprints,
-            match_buf: Vec::new(),
+            memo: LikelihoodMemo::default(),
         }
     }
 
@@ -81,13 +113,20 @@ impl FusionScheme {
     /// low-quality RSSIs really do drag the estimate, as the paper observes
     /// at the 180 m mark of the daily path.
     fn rssi_reweight(&mut self, scan: &WifiScan) {
-        if scan.is_empty() || self.db.is_empty() {
+        // A scan no fingerprint shares an AP with matches nothing (the
+        // RSSI distance is undefined without a common AP), so it leaves
+        // the cloud alone.
+        if scan.is_empty() || !self.db.hears_any(scan) {
             return;
         }
-        self.db.match_scan_into(scan, FUSION_TOP_K, &mut self.match_buf);
-        if self.match_buf.is_empty() {
-            return;
-        }
+        self.reweight_particles(scan);
+        self.core
+            .pf
+            .maybe_resample(self.core.config.resample_frac, &mut self.core.rng);
+    }
+
+    /// The likelihood pass of [`rssi_reweight`](Self::rssi_reweight).
+    fn reweight_particles(&mut self, scan: &WifiScan) {
         // Travi-Navi weighting: each particle is scored by the RSSI
         // distance between the online scan and the offline fingerprint
         // nearest to that particle ("assign different weights to the
@@ -100,22 +139,24 @@ impl FusionScheme {
         // 180 m mark of the daily path), "the low-quality RSSIs make the
         // estimated location depart from the user's true location".
         // Recognizing that variation is UniLoc's job, not the baseline's.
+        //
+        // A particle's likelihood depends only on its nearest fingerprint,
+        // so each fingerprint's is computed once per call and memoized.
         let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
         let index = &self.index;
         let fingerprints = &self.fingerprints;
+        let memo = &mut self.memo;
+        memo.begin(fingerprints.len());
         let _ = self.core.pf.reweight(|p| {
             let l = match index.nearest(p.pos) {
-                Some(i) => match scan.distance(&fingerprints[i], 12.0) {
+                Some(i) => memo.get(i, || match scan.distance(&fingerprints[i], 12.0) {
                     Some(d) => (-d * d / two_sigma2).exp(),
                     None => 0.0,
-                },
+                }),
                 None => 0.0,
             };
             LIKELIHOOD_FLOOR + l
         });
-        self.core
-            .pf
-            .maybe_resample(self.core.config.resample_frac, &mut self.core.rng);
     }
 }
 
@@ -272,6 +313,52 @@ mod tests {
             before.distance(after) < 1e-9,
             "unmatched scans must not move the cloud ({before} -> {after})"
         );
+    }
+
+    #[test]
+    fn memoized_reweight_matches_the_per_particle_formula() {
+        let scenario = venues::training_office(111);
+        let mut fusion = build_fusion(&scenario, 112);
+        let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(113));
+        let walk = walker.walk(&scenario.route);
+        let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 114);
+        let frames = hub.sample_walk(&walk, 0.5);
+        // Scans heard along the walk, one from the far end of the office,
+        // and one sharing a single AP with the survey.
+        let mut scans: Vec<WifiScan> =
+            frames.iter().filter_map(|f| f.wifi.clone()).take(6).collect();
+        scans.push(hub.scan_wifi(Point::new(50.0, 15.0)));
+        let mut partial = scans[0].clone();
+        partial.readings.truncate(1);
+        partial.readings.push((uniloc_env::ApId(9_999), -60.0));
+        scans.push(partial);
+        let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
+        for (round, scan) in scans.iter().enumerate() {
+            // Step the cloud between rounds so particles move across
+            // fingerprints and the memo sees fresh generations.
+            for f in frames.iter().skip(round * 5).take(5) {
+                fusion.update(f);
+            }
+            let mut reference = fusion.core.pf.clone();
+            let index = &fusion.index;
+            let fingerprints = &fusion.fingerprints;
+            reference.reweight(|p| {
+                let l = match index.nearest(p.pos) {
+                    Some(i) => match scan.distance(&fingerprints[i], 12.0) {
+                        Some(d) => (-d * d / two_sigma2).exp(),
+                        None => 0.0,
+                    },
+                    None => 0.0,
+                };
+                LIKELIHOOD_FLOOR + l
+            });
+            fusion.reweight_particles(scan);
+            let bits = |pf: &uniloc_filters::ParticleFilter<_>| -> Vec<u64> {
+                pf.particles().iter().map(|p| p.weight.to_bits()).collect()
+            };
+            let (got, want) = (bits(&fusion.core.pf), bits(&reference));
+            assert_eq!(got, want, "round {round}: memoized weights differ");
+        }
     }
 
     #[test]

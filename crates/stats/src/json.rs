@@ -14,6 +14,9 @@
 //!   floats so the distinction survives a parse.
 //! * Objects preserve insertion order (`Vec<(String, Json)>`), which makes
 //!   the output deterministic — a requirement for the golden-trace tests.
+//!   The reader rejects an object that repeats a key, naming the offset
+//!   of the repeat: [`Json::get`] returns the first of two equal keys, so
+//!   a spliced document would otherwise load as whichever came first.
 //! * Maps with non-string keys (e.g. `BTreeMap<SchemeId, _>`) serialize as
 //!   arrays of `[key, value]` pairs.
 //! * Non-finite floats serialize as `null`, matching `serde_json`.
@@ -152,7 +155,8 @@ impl Json {
 
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p =
+            Parser { bytes: text.as_bytes(), pos: 0, key_offsets: Vec::new(), order: Vec::new() };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -311,6 +315,11 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Start offsets of the keys of every object being parsed, innermost
+    /// object last (a stack shared by the nesting levels).
+    key_offsets: Vec<usize>,
+    /// Sort scratch for the duplicate-key check.
+    order: Vec<usize>,
 }
 
 impl Parser<'_> {
@@ -391,8 +400,10 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(Json::Obj(pairs));
         }
+        let base = self.key_offsets.len();
         loop {
             self.skip_ws();
+            self.key_offsets.push(self.pos);
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
@@ -403,10 +414,39 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.check_unique_keys(&pairs, base)?;
+                    self.key_offsets.truncate(base);
                     return Ok(Json::Obj(pairs));
                 }
                 _ => return Err(JsonError::at("expected `,` or `}`", self.pos)),
             }
+        }
+    }
+
+    /// Rejects an object that repeats a key, at the offset of the first
+    /// repeat in document order. O(n) for keys already in ascending order
+    /// (canonical documents), else one O(n log n) sort.
+    fn check_unique_keys(
+        &mut self,
+        pairs: &[(String, Json)],
+        base: usize,
+    ) -> Result<(), JsonError> {
+        if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Ok(());
+        }
+        self.order.clear();
+        self.order.extend(0..pairs.len());
+        self.order.sort_unstable_by(|&a, &b| pairs[a].0.cmp(&pairs[b].0).then(a.cmp(&b)));
+        // Equal keys sit together, in document order: the second of each
+        // adjacent equal pair repeats an earlier key.
+        let repeat =
+            self.order.windows(2).filter(|w| pairs[w[0]].0 == pairs[w[1]].0).map(|w| w[1]).min();
+        match repeat {
+            Some(i) => Err(JsonError::at(
+                format!("duplicate object key `{}`", pairs[i].0),
+                self.key_offsets[base + i],
+            )),
+            None => Ok(()),
         }
     }
 
@@ -852,7 +892,13 @@ mod tests {
 
     #[test]
     fn canonical_sorts_keys_recursively_and_stably() {
-        let doc = Json::parse(r#"{"b":{"z":1,"a":2},"a":[{"y":1,"x":2}],"b":0}"#).unwrap();
+        // Built directly: the reader rejects the duplicate `b` key, but a
+        // document model holding one must still canonicalize stably.
+        let doc = Json::Obj(vec![
+            ("b".to_owned(), Json::parse(r#"{"z":1,"a":2}"#).unwrap()),
+            ("a".to_owned(), Json::parse(r#"[{"y":1,"x":2}]"#).unwrap()),
+            ("b".to_owned(), Json::Int(0)),
+        ]);
         let canon = doc.canonical();
         assert_eq!(
             canon.to_string(),
@@ -977,6 +1023,22 @@ mod tests {
     fn object_order_is_preserved() {
         let v = Json::parse(r#"{"z":1,"a":2}"#).unwrap();
         assert_eq!(v.to_string(), r#"{"z":1,"a":2}"#);
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_at_the_repeat() {
+        let err = Json::parse(r#"{"a":1,"b":2,"a":3}"#).unwrap_err();
+        assert_eq!(err.offset(), Some(13), "{err}");
+        // Nested, with the outer object's keys out of order.
+        let text = r#"{"z":{"k":1, "k":2},"y":0}"#;
+        let err = Json::parse(text).unwrap_err();
+        assert_eq!(err.offset(), text.find(r#""k":2"#), "{err}");
+        // The first repeat in document order wins.
+        let text = r#"{"b":1,"a":1,"a":2,"b":2}"#;
+        assert_eq!(Json::parse(text).unwrap_err().offset(), text.find(r#""a":2"#));
+        // Distinct keys in any order, and equal keys in sibling objects,
+        // still parse.
+        assert!(Json::parse(r#"{"z":1,"a":2,"m":{"z":3},"n":{"z":4}}"#).is_ok());
     }
 
     #[test]

@@ -247,6 +247,61 @@ fn truncated_checkpoint_fails_with_an_offset() {
     }
 }
 
+/// A spliced checkpoint that repeats a key is a parse error at the
+/// repeat's offset — never a panic, and never a silent pick of whichever
+/// copy comes first (`Json::get` returns the first). Both a second
+/// top-level `version` and a repeated key inside a nested object are
+/// caught.
+#[test]
+fn duplicate_key_checkpoint_is_rejected() {
+    let models = models(43);
+    let base = PipelineConfig::default();
+    let cfg = FleetConfig {
+        sessions: 4,
+        resident: 2,
+        max_epochs: 4,
+        ..fleet_config(43, 2, None)
+    };
+    let path = ckpt_path("duplicate");
+    let outcome = run_fleet_durable(
+        &models,
+        &base,
+        &cfg,
+        FleetRunOptions {
+            checkpoint_every: 1,
+            checkpoint_path: Some(path.clone()),
+            crash_after_rounds: Some(6),
+            ..FleetRunOptions::default()
+        },
+    )
+    .expect("crashing fleet starts");
+    assert!(matches!(outcome, FleetOutcome::Crashed { rounds: 6 }));
+    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    load_fleet_checkpoint(&path).expect("the unspliced checkpoint loads");
+
+    // Top level: a second `version` ahead of the real one.
+    let top = text.replacen('{', "{\"version\": 0,", 1);
+    // Nested: the snapshot object's first key, repeated at its front.
+    let open = text.find("\"snapshot\": {").expect("checkpoint has a snapshot") + 12;
+    let key_start = open + text[open..].find('"').expect("snapshot has a key");
+    let key_len = text[key_start + 1..].find('"').expect("key is terminated") + 2;
+    let key = &text[key_start..key_start + key_len];
+    let nested = format!("{}{key}: null,{}", &text[..open + 1], &text[open + 1..]);
+
+    for (what, doc, repeat_at) in [
+        // `version` sorts last among the top-level keys, after any
+        // nested `version`.
+        ("top-level", top, text.rfind("\"version\"").expect("version key") + 13),
+        ("nested", nested, key_start + key_len + 7),
+    ] {
+        let err = Json::parse(&doc).expect_err("a repeated key cannot parse");
+        assert_eq!(err.offset(), Some(repeat_at), "{what}: {err}");
+        std::fs::write(&path, &doc).expect("write spliced checkpoint");
+        let err = load_fleet_checkpoint(&path).expect_err("a spliced checkpoint cannot load");
+        assert!(err.contains("duplicate object key"), "{what}: {err}");
+    }
+}
+
 /// Tentpole (a) acceptance: a single panicking session is retried, then
 /// poisoned — and poisons *only itself*. Every other lane's report row is
 /// byte-identical to a fleet that never had the panicking lane armed, the
