@@ -53,7 +53,8 @@ pub struct FleetConfig {
     /// Maximum sessions live at once; bounds memory, never affects
     /// artifacts. `0` picks a default.
     pub resident: usize,
-    /// Truncates each walk to this many epochs; `0` keeps full walks.
+    /// Serves each walker only the first this-many epochs of its walk, and
+    /// synthesizes only those frames; `0` serves full walks.
     pub max_epochs: usize,
     /// Every `chaos_every`-th lane walks under a fault plan (cycling the
     /// smoke library); `0` keeps the whole fleet clean.
@@ -188,19 +189,19 @@ pub fn spec_scenario(spec: &SessionSpec) -> Scenario {
         .unwrap_or_else(|e| panic!("spec scenario vanished: {e}"))
 }
 
-/// The spec's frame stream: the walk, truncated to `max_epochs` (when
-/// nonzero), then fault-injected when the spec names a plan — the same
-/// chaos-seed discipline as the chaos sweep.
+/// The spec's frame stream: the first `max_epochs` frames of the walk (the
+/// whole walk when `0`), then fault-injected when the spec names a plan —
+/// the same chaos-seed discipline as the chaos sweep. Only the served
+/// prefix is synthesized ([`pipeline::walk_frames_prefix`]); it equals
+/// [`pipeline::walk_frames`] truncated to `max_epochs`, bit for bit.
 pub fn spec_frames(
     scenario: &Scenario,
     cfg: &PipelineConfig,
     spec: &SessionSpec,
     max_epochs: usize,
 ) -> Vec<SensorFrame> {
-    let mut frames = pipeline::walk_frames(scenario, cfg, spec.seed);
-    if max_epochs > 0 {
-        frames.truncate(max_epochs);
-    }
+    let limit = if max_epochs == 0 { usize::MAX } else { max_epochs };
+    let frames = pipeline::walk_frames_prefix(scenario, cfg, spec.seed, limit);
     if spec.plan == "none" {
         return frames;
     }

@@ -348,11 +348,24 @@ pub fn walk_frames(
     cfg: &PipelineConfig,
     seed: u64,
 ) -> Vec<uniloc_sensors::SensorFrame> {
+    walk_frames_prefix(scenario, cfg, seed, usize::MAX)
+}
+
+/// The first `limit` frames of [`walk_frames`], bit for bit, without
+/// synthesizing the rest ([`SensorHub::sample_walk_prefix`]). Same streams:
+/// the walker on `seed + 3` builds the whole trajectory, and the hub on
+/// `seed + 4` stops after `limit` frames.
+pub fn walk_frames_prefix(
+    scenario: &Scenario,
+    cfg: &PipelineConfig,
+    seed: u64,
+    limit: usize,
+) -> Vec<uniloc_sensors::SensorFrame> {
     assert_valid(cfg);
     let mut walker = Walker::new(cfg.gait.clone(), Rng::seed_from_u64(seed + 3));
     let walk = walker.walk(&scenario.route);
     let mut hub = SensorHub::new(&scenario.world, cfg.device, seed + 4);
-    hub.sample_walk(&walk, cfg.epoch_interval)
+    hub.sample_walk_prefix(&walk, cfg.epoch_interval, limit)
 }
 
 /// Walks a scenario with trained models and records everything Section V

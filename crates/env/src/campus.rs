@@ -18,7 +18,7 @@ use crate::radio::PropagationConfig;
 use crate::world::{World, WorldBuilder};
 use crate::zone::EnvKind;
 use uniloc_geom::{
-    Corridor, FloorPlan, Landmark, LandmarkKind, Point, Polyline, Rect, Vector2,
+    cmp_nan_last, Corridor, FloorPlan, Landmark, LandmarkKind, Point, Polyline, Rect, Vector2,
 };
 
 /// A labelled span of a scenario route.
@@ -83,13 +83,17 @@ impl Scenario {
                 }
             }
         }
-        // Deduplicate overlapping-zone grid points on a fine lattice.
-        out.sort_by(|a, b| {
-            (a.x, a.y).partial_cmp(&(b.x, b.y)).expect("finite survey points")
-        });
-        out.dedup_by(|a, b| a.distance(*b) < 0.25);
-        out
+        dedup_survey_points(out)
     }
+}
+
+/// Deduplicates overlapping-zone grid points on a fine lattice: sorted by
+/// `(x, y)`, with NaN coordinates after every number, then points closer
+/// than 0.25 m to their predecessor dropped (a NaN point is never close).
+fn dedup_survey_points(mut points: Vec<Point>) -> Vec<Point> {
+    points.sort_by(|a, b| cmp_nan_last(a.x, b.x).then_with(|| cmp_nan_last(a.y, b.y)));
+    points.dedup_by(|a, b| a.distance(*b) < 0.25);
+    points
 }
 
 /// Specification of one path segment.
@@ -361,6 +365,41 @@ mod tests {
     use super::*;
     use uniloc_rng::Rng;
 
+    /// The survey-point sort is total on NaN: finite points keep their
+    /// `(x, y)` order (`-0.0` equal to `0.0`), NaN coordinates sort after
+    /// every number, and a NaN point is never a duplicate.
+    #[test]
+    fn survey_point_dedup_is_total_on_nan() {
+        let nan = f64::NAN;
+        let p = Point::new;
+        let out = dedup_survey_points(vec![
+            p(1.0, nan),
+            p(2.0, 0.0),
+            p(nan, 0.0),
+            p(1.0, 0.0),
+            p(1.1, 0.0),
+            p(-0.0, 3.0),
+            p(2.0, 0.1),
+            p(0.0, 1.0),
+            p(nan, nan),
+        ]);
+        let bits: Vec<(u64, u64)> = out.iter().map(|q| (q.x.to_bits(), q.y.to_bits())).collect();
+        let want: Vec<(u64, u64)> = [
+            p(0.0, 1.0),
+            p(-0.0, 3.0),
+            p(1.0, 0.0),
+            p(1.0, nan),
+            p(1.1, 0.0),
+            p(2.0, 0.0),
+            p(nan, 0.0),
+            p(nan, nan),
+        ]
+        .iter()
+        .map(|q| (q.x.to_bits(), q.y.to_bits()))
+        .collect();
+        assert_eq!(bits, want);
+    }
+
     #[test]
     fn daily_path_structure() {
         let s = daily_path(1);
@@ -406,13 +445,14 @@ mod tests {
     fn basement_has_no_wifi_but_some_cellular() {
         let s = daily_path(4);
         let mut rng = Rng::seed_from_u64(9);
+        let mut memo = s.world.shadow_memo();
         let basement_point = s.route.point_at(160.0);
         assert_eq!(s.world.kind_at(basement_point), EnvKind::Basement);
-        let wifi = s.world.wifi_observation(basement_point, &mut rng);
+        let wifi = s.world.wifi_observation(basement_point, &mut memo, &mut rng);
         assert!(wifi.len() <= 1, "basement should be WiFi-dark, heard {}", wifi.len());
         let mut heard = 0usize;
         for _ in 0..20 {
-            heard += s.world.cell_observation(basement_point, &mut rng).len();
+            heard += s.world.cell_observation(basement_point, &mut memo, &mut rng).len();
         }
         let avg = heard as f64 / 20.0;
         assert!((1.0..=3.5).contains(&avg), "basement cellular avg {avg}");
@@ -423,7 +463,7 @@ mod tests {
         let s = daily_path(5);
         let mut rng = Rng::seed_from_u64(10);
         let p = s.route.point_at(25.0);
-        let n = s.world.wifi_observation(p, &mut rng).len();
+        let n = s.world.wifi_observation(p, &mut s.world.shadow_memo(), &mut rng).len();
         assert!(n >= 3, "office heard only {n} APs");
     }
 
@@ -431,10 +471,11 @@ mod tests {
     fn open_space_sees_satellites() {
         let s = daily_path(6);
         let mut rng = Rng::seed_from_u64(11);
+        let mut memo = s.world.shadow_memo();
         let p = s.route.point_at(300.0);
         let mut total = 0;
         for _ in 0..30 {
-            total += s.world.visible_satellites(p, &mut rng);
+            total += s.world.visible_satellites(p, &mut memo, &mut rng);
         }
         assert!(total as f64 / 30.0 > 8.0);
     }

@@ -34,10 +34,11 @@
 //! let scenario = campus::daily_path(7);
 //! assert_eq!(scenario.route.length().round(), 320.0);
 //! let mut rng = uniloc_rng::Rng::seed_from_u64(1);
+//! let mut memo = scenario.world.shadow_memo();
 //! let start = scenario.route.start();
 //! // The office where the path starts is indoors and has audible APs.
 //! assert!(scenario.world.is_indoor(start));
-//! assert!(!scenario.world.wifi_observation(start, &mut rng).is_empty());
+//! assert!(!scenario.world.wifi_observation(start, &mut memo, &mut rng).is_empty());
 //! ```
 
 pub mod campus;
@@ -52,5 +53,5 @@ pub use campus::Scenario;
 pub use noise::SpatialNoise;
 pub use radio::{AccessPoint, ApId, CellTower, PropagationConfig, TowerId};
 pub use walker::{GaitProfile, StepEvent, Trajectory, Walker};
-pub use world::{World, WorldBuilder};
+pub use world::{ShadowMemo, World, WorldBuilder};
 pub use zone::{EnvKind, Zone};

@@ -9,7 +9,7 @@
 //! same value. Fast temporal fading is added separately (and randomly) at
 //! measurement time.
 
-use uniloc_geom::Point;
+use uniloc_geom::{Point, Rect};
 
 /// SplitMix64 — tiny, high-quality hash/PRNG step for lattice nodes.
 fn splitmix64(mut z: u64) -> u64 {
@@ -91,6 +91,20 @@ impl SpatialNoise {
     /// stream) at point `p`. Returns a value with standard deviation
     /// [`SpatialNoise::sigma`], smoothly varying in space.
     pub fn sample(&self, salt: u64, p: Point) -> f64 {
+        self.interpolate(p, |ix, iy| self.node(salt, ix, iy))
+    }
+
+    /// The unit-variance lattice value of stream `salt` at node `(ix, iy)`
+    /// (the node at `(ix * cell, iy * cell)` meters). A pure function of
+    /// the seed, the salt and the node; never NaN.
+    fn node(&self, salt: u64, ix: i64, iy: i64) -> f64 {
+        gaussian_from_hash(hash_node(self.seed, salt, ix, iy))
+    }
+
+    /// Smoothstep-bilinear blend of the four lattice nodes around `p`,
+    /// scaled by sigma. The one interpolation routine: [`Self::sample`]
+    /// and [`NoiseMemo::sample`] differ only in where `node` reads from.
+    fn interpolate(&self, p: Point, mut node: impl FnMut(i64, i64) -> f64) -> f64 {
         let cell = self.cell();
         let gx = p.x / cell;
         let gy = p.y / cell;
@@ -101,13 +115,142 @@ impl SpatialNoise {
         // Smoothstep for C1 continuity.
         let sx = fx * fx * (3.0 - 2.0 * fx);
         let sy = fy * fy * (3.0 - 2.0 * fy);
-        let n00 = gaussian_from_hash(hash_node(self.seed, salt, ix, iy));
-        let n10 = gaussian_from_hash(hash_node(self.seed, salt, ix + 1, iy));
-        let n01 = gaussian_from_hash(hash_node(self.seed, salt, ix, iy + 1));
-        let n11 = gaussian_from_hash(hash_node(self.seed, salt, ix + 1, iy + 1));
+        // `floor() as i64` saturates for huge or infinite coordinates, so
+        // the far neighbours wrap rather than overflow.
+        let (jx, jy) = (ix.wrapping_add(1), iy.wrapping_add(1));
+        let n00 = node(ix, iy);
+        let n10 = node(jx, iy);
+        let n01 = node(ix, jy);
+        let n11 = node(jx, jy);
         let a = n00 * (1.0 - sx) + n10 * sx;
         let b = n01 * (1.0 - sx) + n11 * sx;
         (a * (1.0 - sy) + b * sy) * self.sigma()
+    }
+}
+
+/// Nodes per stream above which a [`NoiseMemo`] covers nothing (every
+/// node is then a miss). 2^18 nodes is a 2 km square at the 4 m cell; the
+/// benchmark venues need at most a few thousand.
+const MAX_MEMO_NODES: u64 = 1 << 18;
+
+/// A [`SpatialNoise`] field with its lattice nodes memoized over one
+/// rectangle, for a fixed list of streams (salts).
+///
+/// A survey or a walk samples the same few hundred nodes per stream over
+/// and over: every point of a 1 m survey grid reads four nodes of a 4 m
+/// lattice. The memo keeps one dense row-major array of node values per
+/// stream, covering the nodes of `area`; each array is allocated on the
+/// stream's first query and each node is computed on its first read. NaN
+/// marks "not yet computed": a node value is a finite sum minus 6, never
+/// NaN. A node outside the rectangle is computed directly, which is a
+/// cache miss, not a second formula. Both paths feed the same
+/// interpolation routine, so
+/// `memo.sample(i, p)` equals `field.sample(salts[i], p)` bit for bit for
+/// every `p`, NaN coordinates included.
+///
+/// # Examples
+///
+/// ```
+/// use uniloc_env::noise::{NoiseMemo, SpatialNoise};
+/// use uniloc_geom::{Point, Rect};
+///
+/// let field = SpatialNoise::new(42, 4.0, 6.0);
+/// let area = Rect::new(Point::new(0.0, 0.0), Point::new(40.0, 20.0))?;
+/// let mut memo = NoiseMemo::new(field, vec![7, 9], area);
+/// for p in [Point::new(10.0, 10.0), Point::new(-300.0, 5.0)] {
+///     assert_eq!(memo.sample(1, p).to_bits(), field.sample(9, p).to_bits());
+/// }
+/// # Ok::<(), uniloc_geom::GeomError>(())
+/// ```
+#[derive(Debug)]
+pub struct NoiseMemo {
+    field: SpatialNoise,
+    salts: Vec<u64>,
+    /// Lattice index of the rectangle's lower-left node.
+    x0: i64,
+    y0: i64,
+    /// Nodes per row and per column (both 0 when the memo covers nothing).
+    nx: i64,
+    ny: i64,
+    /// Per stream: `nx * ny` node values, row-major; empty until the
+    /// stream's first query.
+    nodes: Vec<Vec<f64>>,
+}
+
+impl NoiseMemo {
+    /// A memo of `field` for the streams `salts` (stream `i` is salt
+    /// `salts[i]`), covering every lattice node that a sample inside
+    /// `area` reads.
+    pub fn new(field: SpatialNoise, salts: Vec<u64>, area: Rect) -> Self {
+        let cell = field.cell();
+        let lo = |v: f64| (v / cell).floor() as i64;
+        let (x0, y0) = (lo(area.min().x), lo(area.min().y));
+        // A sample reads nodes `floor(g)` and `floor(g) + 1`.
+        let nx = lo(area.max().x).saturating_sub(x0).saturating_add(2);
+        let ny = lo(area.max().y).saturating_sub(y0).saturating_add(2);
+        let fits = (nx as u64)
+            .checked_mul(ny as u64)
+            .is_some_and(|n| n <= MAX_MEMO_NODES);
+        let (nx, ny) = if fits { (nx, ny) } else { (0, 0) };
+        let nodes = vec![Vec::new(); salts.len()];
+        NoiseMemo {
+            field,
+            salts,
+            x0,
+            y0,
+            nx,
+            ny,
+            nodes,
+        }
+    }
+
+    /// The memoized field.
+    pub(crate) fn field(&self) -> &SpatialNoise {
+        &self.field
+    }
+
+    /// Number of streams.
+    pub(crate) fn streams(&self) -> usize {
+        self.salts.len()
+    }
+
+    /// Samples stream `stream` at `p`: exactly
+    /// `self.field().sample(salts[stream], p)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is not below the number of salts.
+    pub fn sample(&mut self, stream: usize, p: Point) -> f64 {
+        let field = self.field;
+        field.interpolate(p, |ix, iy| self.node(stream, ix, iy))
+    }
+
+    fn node(&mut self, stream: usize, ix: i64, iy: i64) -> f64 {
+        let salt = self.salts[stream];
+        let Some(slot) = self.slot(ix, iy) else {
+            return self.field.node(salt, ix, iy);
+        };
+        let table = &mut self.nodes[stream];
+        if table.is_empty() {
+            *table = vec![f64::NAN; (self.nx * self.ny) as usize];
+        }
+        let cached = table[slot];
+        if !cached.is_nan() {
+            return cached;
+        }
+        let v = self.field.node(salt, ix, iy);
+        table[slot] = v;
+        v
+    }
+
+    /// Row-major slot of node `(ix, iy)`, or `None` outside the rectangle.
+    /// Checked subtraction keeps saturated lattice indices from wrapping
+    /// into range.
+    fn slot(&self, ix: i64, iy: i64) -> Option<usize> {
+        let dx = ix.checked_sub(self.x0)?;
+        let dy = iy.checked_sub(self.y0)?;
+        ((0..self.nx).contains(&dx) && (0..self.ny).contains(&dy))
+            .then(|| (dy * self.nx + dx) as usize)
     }
 }
 
@@ -179,6 +322,20 @@ mod tests {
     #[should_panic(expected = "cell size must be positive")]
     fn rejects_zero_cell() {
         SpatialNoise::new(0, 0.0, 1.0);
+    }
+
+    /// A rectangle too large to memoize (every node would be a 4 m node of
+    /// a 10^6 m square) memoizes nothing and still answers exactly.
+    #[test]
+    fn oversized_area_memoizes_nothing() {
+        let f = SpatialNoise::new(5, 4.0, 2.0);
+        let area = Rect::new(Point::new(-5e5, -5e5), Point::new(5e5, 5e5)).unwrap();
+        let mut memo = NoiseMemo::new(f, vec![1, 2], area);
+        assert_eq!(memo.nx * memo.ny, 0);
+        for p in [Point::new(0.0, 0.0), Point::new(-17.3, 4.4), Point::new(4e5, -3e5)] {
+            assert_eq!(memo.sample(1, p).to_bits(), f.sample(2, p).to_bits());
+        }
+        assert!(memo.nodes.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -320,10 +320,11 @@ mod tests {
     fn mall_hears_few_towers() {
         let malls = shopping_mall(5, 1);
         let mut rng = Rng::seed_from_u64(3);
+        let mut memo = malls[0].world.shadow_memo();
         let p = malls[0].route.point_at(50.0);
         let mut heard = 0usize;
         for _ in 0..20 {
-            heard += malls[0].world.cell_observation(p, &mut rng).len();
+            heard += malls[0].world.cell_observation(p, &mut memo, &mut rng).len();
         }
         let avg = heard as f64 / 20.0;
         assert!((1.0..=3.5).contains(&avg), "mall cellular avg {avg}");
@@ -334,7 +335,8 @@ mod tests {
         let malls = shopping_mall(6, 1);
         let mut rng = Rng::seed_from_u64(4);
         let p = malls[0].route.point_at(100.0);
-        assert!(malls[0].world.wifi_observation(p, &mut rng).len() >= 3);
+        let mut memo = malls[0].world.shadow_memo();
+        assert!(malls[0].world.wifi_observation(p, &mut memo, &mut rng).len() >= 3);
     }
 
     #[test]
@@ -343,11 +345,12 @@ mod tests {
         assert_eq!(spaces.len(), 10);
         let s = &spaces[0];
         let mut rng = Rng::seed_from_u64(5);
+        let mut memo = s.world.shadow_memo();
         let p = s.route.point_at(30.0);
         assert!(!s.world.is_indoor(p));
         let mut sats = 0;
         for _ in 0..20 {
-            sats += s.world.visible_satellites(p, &mut rng);
+            sats += s.world.visible_satellites(p, &mut memo, &mut rng);
         }
         assert!(sats as f64 / 20.0 > 8.0);
         // No corridors outdoors.

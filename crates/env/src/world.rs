@@ -5,7 +5,7 @@
 //! Device imperfections (RSSI offsets between phone models, GPS fix error,
 //! IMU drift) are layered on top by `uniloc-sensors`.
 
-use crate::noise::SpatialNoise;
+use crate::noise::{NoiseMemo, SpatialNoise};
 use crate::radio::{AccessPoint, ApId, CellTower, PropagationConfig, TowerId};
 use crate::zone::{EnvKind, Zone};
 use uniloc_rng::Rng;
@@ -124,25 +124,55 @@ impl World {
             .count()
     }
 
+    /// A fresh [`ShadowMemo`] for this world's two shadowing fields. Pass
+    /// it to every [`World::wifi_observation`], [`World::cell_observation`],
+    /// [`World::sky_view`] and [`World::visible_satellites`] call on this
+    /// world; it answers exactly as the fields themselves would.
+    pub fn shadow_memo(&self) -> ShadowMemo {
+        let wifi = self.aps.iter().map(|ap| WIFI_SALT ^ u64::from(ap.id.0));
+        let cell = self.towers.iter().map(|t| CELL_SALT ^ u64::from(t.id.0));
+        let fine = wifi.clone().chain([SAT_SALT]).collect();
+        ShadowMemo {
+            fine: NoiseMemo::new(self.shadowing, fine, self.bounds),
+            coarse: NoiseMemo::new(self.cell_shadowing, wifi.chain(cell).collect(), self.bounds),
+        }
+    }
+
+    /// Whether `memo` answers for this world: same fields and stream
+    /// counts. AP and tower ids are [`WorldBuilder`] indices, so the counts
+    /// fix every salt.
+    fn owns(&self, memo: &ShadowMemo) -> bool {
+        *memo.fine.field() == self.shadowing
+            && *memo.coarse.field() == self.cell_shadowing
+            && memo.fine.streams() == self.aps.len() + 1
+            && memo.coarse.streams() == self.aps.len() + self.towers.len()
+    }
+
     /// Truth-level WiFi scan at `p`: every audible AP with its RSS in dBm,
     /// sorted by id. Includes stable shadowing plus fresh temporal fading.
-    pub fn wifi_observation(&self, p: Point, rng: &mut Rng) -> Vec<(ApId, f64)> {
+    pub fn wifi_observation(
+        &self,
+        p: Point,
+        memo: &mut ShadowMemo,
+        rng: &mut Rng,
+    ) -> Vec<(ApId, f64)> {
+        assert!(self.owns(memo), "shadow memo from another world");
         let kind = self.kind_at(p);
         let extra = kind.wifi_extra_loss_db();
         // Indoor shadowing decorrelates at room scale (walls, furniture);
         // outdoor shadowing varies over tens of meters.
-        let (field, temporal) = if kind.is_roofed() {
-            (&self.shadowing, self.propagation.wifi_temporal_sigma_db)
+        let (lattice, temporal) = if kind.is_roofed() {
+            (&mut memo.fine, self.propagation.wifi_temporal_sigma_db)
         } else {
-            (&self.cell_shadowing, self.propagation.wifi_temporal_outdoor_sigma_db)
+            (&mut memo.coarse, self.propagation.wifi_temporal_outdoor_sigma_db)
         };
+        let scale = self.propagation.wifi_shadowing_sigma_db / lattice.field().sigma().max(1e-9);
         let mut out = Vec::new();
-        for ap in &self.aps {
+        for (i, ap) in self.aps.iter().enumerate() {
             let d = ap.position.distance(p);
             let walls = self.wall_crossings(ap.position, p);
             let mean = self.propagation.wifi_mean_rss(ap.tx_power_dbm, d, walls) - extra;
-            let shadow = field.sample(WIFI_SALT ^ u64::from(ap.id.0), p)
-                * (self.propagation.wifi_shadowing_sigma_db / field.sigma().max(1e-9));
+            let shadow = lattice.sample(i, p) * scale;
             let fading = gauss(rng) * temporal;
             let rss = mean + shadow + fading;
             if rss >= self.propagation.wifi_floor_dbm {
@@ -153,16 +183,22 @@ impl World {
     }
 
     /// Truth-level cellular scan at `p`, sorted by id.
-    pub fn cell_observation(&self, p: Point, rng: &mut Rng) -> Vec<(TowerId, f64)> {
+    pub fn cell_observation(
+        &self,
+        p: Point,
+        memo: &mut ShadowMemo,
+        rng: &mut Rng,
+    ) -> Vec<(TowerId, f64)> {
+        assert!(self.owns(memo), "shadow memo from another world");
         let kind = self.kind_at(p);
         let pen = kind.cellular_penetration_loss_db();
+        let scale =
+            self.propagation.cell_shadowing_sigma_db / self.cell_shadowing.sigma().max(1e-9);
         let mut out = Vec::new();
-        for tower in &self.towers {
+        for (j, tower) in self.towers.iter().enumerate() {
             let d = tower.position.distance(p);
             let mean = self.propagation.cell_mean_rss(tower.tx_power_dbm, d, pen);
-            let shadow = self.cell_shadowing.sample(CELL_SALT ^ u64::from(tower.id.0), p)
-                * (self.propagation.cell_shadowing_sigma_db
-                    / self.cell_shadowing.sigma().max(1e-9));
+            let shadow = memo.coarse.sample(self.aps.len() + j, p) * scale;
             let fading = gauss(rng) * self.propagation.cell_temporal_sigma_db;
             let rss = mean + shadow + fading;
             if rss >= self.propagation.cell_floor_dbm {
@@ -174,16 +210,18 @@ impl World {
 
     /// Sky-view fraction at `p` (from the zone kind, smoothly dithered so
     /// satellite counts vary within a zone).
-    pub fn sky_view(&self, p: Point) -> f64 {
+    pub fn sky_view(&self, p: Point, memo: &mut ShadowMemo) -> f64 {
+        assert!(self.owns(memo), "shadow memo from another world");
         let base = self.kind_at(p).sky_view();
-        let dither = self.shadowing.sample(SAT_SALT, p) / self.shadowing.sigma().max(1e-9) * 0.05;
+        let dither =
+            memo.fine.sample(self.aps.len(), p) / self.shadowing.sigma().max(1e-9) * 0.05;
         (base + dither).clamp(0.0, 1.0)
     }
 
     /// Number of GNSS satellites visible at `p`. Outdoors this averages
     /// ~10-11 (the paper measures 10.9); indoors it collapses.
-    pub fn visible_satellites(&self, p: Point, rng: &mut Rng) -> u32 {
-        let sky = self.sky_view(p);
+    pub fn visible_satellites(&self, p: Point, memo: &mut ShadowMemo, rng: &mut Rng) -> u32 {
+        let sky = self.sky_view(p, memo);
         let mean = 12.0 * sky;
         let n = mean + gauss(rng) * 0.8;
         n.round().clamp(0.0, 14.0) as u32
@@ -199,6 +237,23 @@ impl World {
     pub fn magnetic_disturbance(&self, p: Point) -> f64 {
         self.kind_at(p).magnetic_disturbance()
     }
+}
+
+/// A [`World`]'s shadowing-lattice nodes, memoized ([`World::shadow_memo`]).
+///
+/// One [`NoiseMemo`] per field, each covering the lattice nodes of
+/// [`World::bounds`]: the 4 m field (indoor WiFi per AP, then satellite
+/// dither) and the 22 m field (outdoor WiFi per AP, then cellular per
+/// tower), streams in world order. Arrays are allocated per stream on
+/// first use and filled node by node, so a hub that takes four frames
+/// hashes only the nodes those frames read. A memo changes how often a
+/// node is hashed, never a value: observations through a warm memo equal
+/// those through a fresh one bit for bit. Each `SensorHub` owns one;
+/// memos are never shared between threads.
+#[derive(Debug)]
+pub struct ShadowMemo {
+    fine: NoiseMemo,
+    coarse: NoiseMemo,
 }
 
 /// Standard normal sample from a uniform RNG (Box–Muller).
@@ -376,10 +431,11 @@ mod tests {
     fn wifi_observation_in_office_vs_basement() {
         let w = demo_world();
         let mut rng = Rng::seed_from_u64(1);
-        let office_scan = w.wifi_observation(Point::new(5.0, 5.0), &mut rng);
+        let mut memo = w.shadow_memo();
+        let office_scan = w.wifi_observation(Point::new(5.0, 5.0), &mut memo, &mut rng);
         assert!(!office_scan.is_empty(), "office must hear APs");
         // Basement extra loss (35 dB) plus distance kills WiFi.
-        let basement_scan = w.wifi_observation(Point::new(55.0, 5.0), &mut rng);
+        let basement_scan = w.wifi_observation(Point::new(55.0, 5.0), &mut memo, &mut rng);
         assert!(
             basement_scan.len() < office_scan.len(),
             "basement must hear fewer APs than the office"
@@ -392,8 +448,9 @@ mod tests {
         let p = Point::new(10.0, 5.0);
         let mut r1 = Rng::seed_from_u64(10);
         let mut r2 = Rng::seed_from_u64(20);
-        let s1 = w.wifi_observation(p, &mut r1);
-        let s2 = w.wifi_observation(p, &mut r2);
+        let mut memo = w.shadow_memo();
+        let s1 = w.wifi_observation(p, &mut memo, &mut r1);
+        let s2 = w.wifi_observation(p, &mut memo, &mut r2);
         assert_eq!(s1.len(), s2.len());
         for (a, b) in s1.iter().zip(&s2) {
             assert_eq!(a.0, b.0);
@@ -411,11 +468,12 @@ mod tests {
     fn cell_observation_reaches_indoors() {
         let w = demo_world();
         let mut rng = Rng::seed_from_u64(2);
+        let mut memo = w.shadow_memo();
         // Basement still hears at least one macro tower (they are loud).
         // Temporal fading can drop a single scan below the floor, so the
         // claim is over a handful of draws rather than one.
         let heard = (0..8)
-            .map(|_| w.cell_observation(Point::new(45.0, 5.0), &mut rng).len())
+            .map(|_| w.cell_observation(Point::new(45.0, 5.0), &mut memo, &mut rng).len())
             .sum::<usize>();
         assert!(heard > 0);
     }
@@ -424,11 +482,12 @@ mod tests {
     fn satellites_follow_sky_view() {
         let w = demo_world();
         let mut rng = Rng::seed_from_u64(3);
+        let mut memo = w.shadow_memo();
         let mut outdoor_total = 0;
         let mut basement_total = 0;
         for _ in 0..50 {
-            outdoor_total += w.visible_satellites(Point::new(200.0, 200.0), &mut rng);
-            basement_total += w.visible_satellites(Point::new(45.0, 5.0), &mut rng);
+            outdoor_total += w.visible_satellites(Point::new(200.0, 200.0), &mut memo, &mut rng);
+            basement_total += w.visible_satellites(Point::new(45.0, 5.0), &mut memo, &mut rng);
         }
         let outdoor_avg = outdoor_total as f64 / 50.0;
         let basement_avg = basement_total as f64 / 50.0;

@@ -154,18 +154,19 @@ fn observations_respect_floors() {
                 ],
             );
             let mut rng = Rng::seed_from_u64(rng_seed);
-            for (_, rss) in s.world.wifi_observation(p, &mut rng) {
+            let mut memo = s.world.shadow_memo();
+            for (_, rss) in s.world.wifi_observation(p, &mut memo, &mut rng) {
                 require!(rss >= s.world.propagation().wifi_floor_dbm);
                 require!(rss < 30.0, "implausibly strong WiFi: {rss}");
             }
-            for (_, rss) in s.world.cell_observation(p, &mut rng) {
+            for (_, rss) in s.world.cell_observation(p, &mut memo, &mut rng) {
                 require!(rss >= s.world.propagation().cell_floor_dbm);
                 require!(rss < 0.0, "implausibly strong cellular: {rss}");
             }
-            let sats = s.world.visible_satellites(p, &mut rng);
+            let sats = s.world.visible_satellites(p, &mut memo, &mut rng);
             require!(sats <= 14);
             require!(s.world.ambient_light(p, &mut rng) >= 0.0);
-            let sky = s.world.sky_view(p);
+            let sky = s.world.sky_view(p, &mut memo);
             require!((0.0..=1.0).contains(&sky));
             Ok(())
         },

@@ -10,7 +10,7 @@
 use crate::point::Point;
 use crate::polyline::Polyline;
 use crate::shapes::Segment;
-use crate::{GeomError, Result};
+use crate::{cmp_nan_last, GeomError, Result};
 
 /// An opaque wall segment that blocks pedestrian movement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,50 +210,43 @@ impl FloorPlan {
 
     /// The first wall a straight move from `a` to `b` crosses (closest
     /// intersection to `a`), if any. Used by particle filters to slide
-    /// blocked motion along the obstacle.
+    /// blocked motion along the obstacle. A NaN distance ranks last.
     pub fn blocking_wall(&self, a: Point, b: Point) -> Option<&Wall> {
         let step = Segment::new(a, b);
         self.walls
             .iter()
             .filter_map(|w| w.segment.intersection(&step).map(|p| (w, a.distance_sq(p))))
-            .min_by(|x, y| x.1.partial_cmp(&y.1).expect("finite distances"))
+            .min_by(|x, y| cmp_nan_last(x.1, y.1))
             .map(|(w, _)| w)
     }
 
     /// Width of the corridor containing `p`, or the nearest corridor if none
-    /// contains it and one lies within `2 * width`; `None` in open space.
+    /// contains it and one lies within `2 * width`; `None` in open space
+    /// (and for a NaN `p`).
     pub fn corridor_width_at(&self, p: Point) -> Option<f64> {
         // Prefer a corridor that actually contains the point.
         if let Some(c) = self
             .corridors
             .iter()
             .filter(|c| c.contains(p))
-            .min_by(|a, b| {
-                a.distance_to(p).partial_cmp(&b.distance_to(p)).expect("finite distances")
-            })
+            .min_by(|a, b| cmp_nan_last(a.distance_to(p), b.distance_to(p)))
         {
             return Some(c.width());
         }
         self.corridors
             .iter()
             .filter(|c| c.distance_to(p) <= 2.0 * c.width())
-            .min_by(|a, b| {
-                a.distance_to(p).partial_cmp(&b.distance_to(p)).expect("finite distances")
-            })
+            .min_by(|a, b| cmp_nan_last(a.distance_to(p), b.distance_to(p)))
             .map(Corridor::width)
     }
 
-    /// The landmark detectable from `p` (closest wins), if any.
+    /// The landmark detectable from `p` (closest wins), if any; `None` for
+    /// a NaN `p`.
     pub fn detected_landmark(&self, p: Point) -> Option<&Landmark> {
         self.landmarks
             .iter()
             .filter(|l| l.detects(p))
-            .min_by(|a, b| {
-                a.position
-                    .distance(p)
-                    .partial_cmp(&b.position.distance(p))
-                    .expect("finite distances")
-            })
+            .min_by(|a, b| cmp_nan_last(a.position.distance(p), b.position.distance(p)))
     }
 
     /// Distance from `p` to the nearest landmark (INFINITY when none exist).
@@ -384,6 +377,51 @@ mod tests {
         assert_eq!(a.walls().len(), 3);
         assert_eq!(a.corridors().len(), 1);
         assert_eq!(a.landmarks().len(), 2);
+    }
+
+    /// NaN and infinite endpoints degrade to "no wall" instead of
+    /// panicking; finite moves still stop at the nearer of two walls.
+    #[test]
+    fn blocking_wall_is_total_on_nan() {
+        let plan = corridor_plan();
+        let near = plan.blocking_wall(Point::new(5.0, -5.0), Point::new(5.0, 5.0)).unwrap();
+        assert!(std::ptr::eq(near, &plan.walls()[1]));
+        let far = plan.blocking_wall(Point::new(5.0, 5.0), Point::new(5.0, -5.0)).unwrap();
+        assert!(std::ptr::eq(far, &plan.walls()[0]));
+        let nan = f64::NAN;
+        for (a, b) in [
+            (Point::new(nan, 0.0), Point::new(5.0, 5.0)),
+            (Point::new(5.0, -5.0), Point::new(5.0, nan)),
+            (Point::new(nan, nan), Point::new(nan, nan)),
+        ] {
+            assert!(plan.blocking_wall(a, b).is_none());
+        }
+        // Infinite endpoints: whatever the answer, no panic.
+        let _ = plan.blocking_wall(Point::new(5.0, f64::NEG_INFINITY), Point::new(5.0, 1e308));
+    }
+
+    /// A NaN query point is in no corridor and near none.
+    #[test]
+    fn corridor_width_is_total_on_nan() {
+        let plan = corridor_plan();
+        assert_eq!(plan.corridor_width_at(Point::new(10.0, 0.5)), Some(4.0));
+        for p in [
+            Point::new(f64::NAN, 0.0),
+            Point::new(10.0, f64::NAN),
+            Point::new(f64::INFINITY, f64::NAN),
+        ] {
+            assert_eq!(plan.corridor_width_at(p), None);
+        }
+    }
+
+    /// A NaN query point detects no landmark.
+    #[test]
+    fn detected_landmark_is_total_on_nan() {
+        let plan = corridor_plan();
+        assert!(plan.detected_landmark(Point::new(0.5, 0.0)).is_some());
+        for p in [Point::new(f64::NAN, 0.0), Point::new(0.0, f64::NAN)] {
+            assert!(plan.detected_landmark(p).is_none());
+        }
     }
 
     #[test]

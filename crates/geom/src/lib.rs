@@ -73,6 +73,26 @@ impl Error for GeomError {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GeomError>;
 
+/// Orders two floats as `partial_cmp` does, with NaN after every number
+/// (and equal to another NaN), so that `min_by`, `sort_by` and
+/// `binary_search_by` over distances never panic. Unlike
+/// [`f64::total_cmp`], `-0.0` and `0.0` stay equal (and a NaN with its
+/// sign bit set still sorts last), so non-NaN inputs order exactly as
+/// `partial_cmp` orders them.
+///
+/// ```
+/// use std::cmp::Ordering;
+/// use uniloc_geom::cmp_nan_last;
+///
+/// assert_eq!(cmp_nan_last(1.0, 2.0), Ordering::Less);
+/// assert_eq!(cmp_nan_last(-0.0, 0.0), Ordering::Equal);
+/// assert_eq!(cmp_nan_last(f64::NAN, f64::INFINITY), Ordering::Greater);
+/// assert_eq!(cmp_nan_last(f64::NAN, -f64::NAN), Ordering::Equal);
+/// ```
+pub fn cmp_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 pub use floorplan::{Corridor, FloorPlan, Landmark, LandmarkKind, Wall};
 pub use frame::{GeoCoord, GeoFrame};
 pub use point::{Point, Vector2};

@@ -8,7 +8,7 @@
 
 use crate::point::{Point, Vector2};
 use crate::shapes::Segment;
-use crate::{GeomError, Result};
+use crate::{cmp_nan_last, GeomError, Result};
 
 /// A connected series of segments with arc-length addressing.
 ///
@@ -92,10 +92,14 @@ impl Polyline {
         self.vertices.windows(2).map(|w| Segment::new(w[0], w[1]))
     }
 
-    /// Position at station `s` (clamped to `[0, length]`).
+    /// Position at station `s` (clamped to `[0, length]`). A NaN station
+    /// has no position: the result is NaN.
     pub fn point_at(&self, s: f64) -> Point {
+        if s.is_nan() {
+            return Point::new(f64::NAN, f64::NAN);
+        }
         let s = s.clamp(0.0, self.length());
-        let i = match self.cum.binary_search_by(|c| c.partial_cmp(&s).expect("finite")) {
+        let i = match self.search(s) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
@@ -107,10 +111,14 @@ impl Polyline {
         self.vertices[i].lerp(self.vertices[i + 1], t)
     }
 
-    /// Unit tangent direction at station `s` (direction of travel).
+    /// Unit tangent direction at station `s` (direction of travel). A NaN
+    /// station has no direction: the result is NaN.
     pub fn direction_at(&self, s: f64) -> Vector2 {
+        if s.is_nan() {
+            return Vector2::new(f64::NAN, f64::NAN);
+        }
         let s = s.clamp(0.0, self.length());
-        let i = match self.cum.binary_search_by(|c| c.partial_cmp(&s).expect("finite")) {
+        let i = match self.search(s) {
             Ok(i) => i.min(self.vertices.len() - 2),
             Err(i) => i - 1,
         };
@@ -118,6 +126,13 @@ impl Polyline {
         (self.vertices[i + 1] - self.vertices[i])
             .normalized()
             .expect("polyline segments have positive length")
+    }
+
+    /// Where the clamped, non-NaN station `s` falls among the vertex
+    /// stations. `cum[0]` is `0.0` and `s >= 0.0` (`-0.0` compares equal),
+    /// so an `Err(i)` always has `i >= 1`.
+    fn search(&self, s: f64) -> std::result::Result<usize, usize> {
+        self.cum.binary_search_by(|c| cmp_nan_last(*c, s))
     }
 
     /// Compass heading of travel at station `s` (radians, 0 = north,
@@ -192,6 +207,31 @@ mod tests {
     fn l_path() -> Polyline {
         Polyline::new(vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0), Point::new(10.0, 5.0)])
             .unwrap()
+    }
+
+    /// A NaN station has no position; `-0.0` still reads as the start,
+    /// because the search compares like `partial_cmp` (where `total_cmp`
+    /// would put `-0.0` before `cum[0]` and underflow the index).
+    #[test]
+    fn point_at_is_total_on_nan() {
+        let p = l_path();
+        let q = p.point_at(f64::NAN);
+        assert!(q.x.is_nan() && q.y.is_nan());
+        assert_eq!(p.point_at(-0.0), Point::new(0.0, 0.0));
+        assert_eq!(p.point_at(f64::NEG_INFINITY), Point::new(0.0, 0.0));
+        assert_eq!(p.point_at(f64::INFINITY), p.end());
+    }
+
+    /// A NaN station has no direction (nor heading); `-0.0` is the first
+    /// segment's.
+    #[test]
+    fn direction_at_is_total_on_nan() {
+        let p = l_path();
+        let d = p.direction_at(f64::NAN);
+        assert!(d.x.is_nan() && d.y.is_nan());
+        assert!(p.heading_at(f64::NAN).is_nan());
+        assert_eq!(p.direction_at(-0.0), Vector2::new(1.0, 0.0));
+        assert_eq!(p.direction_at(f64::INFINITY), Vector2::new(0.0, 1.0));
     }
 
     #[test]

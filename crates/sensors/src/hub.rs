@@ -12,7 +12,7 @@
 use crate::device::DeviceProfile;
 use crate::scans::{CellScan, GpsFix, WifiScan};
 use uniloc_rng::Rng;
-use uniloc_env::{Trajectory, World};
+use uniloc_env::{ShadowMemo, Trajectory, World};
 use uniloc_geom::{LandmarkKind, Point, Vector2};
 
 /// One IMU-derived step, as the phone's PDR front-end reports it.
@@ -87,6 +87,8 @@ pub struct SensorFrame {
 #[derive(Debug)]
 pub struct SensorHub<'w> {
     world: &'w World,
+    /// This hub's own memo of the world's shadowing-lattice nodes.
+    memo: ShadowMemo,
     device: DeviceProfile,
     rng: Rng,
     heading_bias: f64,
@@ -109,6 +111,7 @@ impl<'w> SensorHub<'w> {
         let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         SensorHub {
             world,
+            memo: world.shadow_memo(),
             device,
             rng,
             heading_bias: 0.0,
@@ -145,7 +148,7 @@ impl<'w> SensorHub<'w> {
     pub fn scan_wifi(&mut self, p: Point) -> WifiScan {
         let readings = self
             .world
-            .wifi_observation(p, &mut self.rng)
+            .wifi_observation(p, &mut self.memo, &mut self.rng)
             .into_iter()
             .map(|(id, rss)| (id, self.device.measure_rssi(rss)))
             .collect();
@@ -156,7 +159,7 @@ impl<'w> SensorHub<'w> {
     pub fn scan_cell(&mut self, p: Point) -> CellScan {
         let readings = self
             .world
-            .cell_observation(p, &mut self.rng)
+            .cell_observation(p, &mut self.memo, &mut self.rng)
             .into_iter()
             .map(|(id, rss)| (id, self.device.measure_rssi(rss)))
             .collect();
@@ -170,7 +173,7 @@ impl<'w> SensorHub<'w> {
     /// `|N(13.5 m, 9.4 m)|`, inflated when fewer satellites are visible
     /// (semi-open corridors, car parks).
     pub fn gps_fix(&mut self, p: Point) -> Option<GpsFix> {
-        let sats = self.world.visible_satellites(p, &mut self.rng);
+        let sats = self.world.visible_satellites(p, &mut self.memo, &mut self.rng);
         if sats < 4 {
             return None;
         }
@@ -245,13 +248,30 @@ impl<'w> SensorHub<'w> {
     ///
     /// Panics if `interval <= 0`.
     pub fn sample_walk(&mut self, walk: &Trajectory, interval: f64) -> Vec<SensorFrame> {
+        self.sample_walk_prefix(walk, interval, usize::MAX)
+    }
+
+    /// The first `limit` frames of [`SensorHub::sample_walk`], bit for bit,
+    /// without synthesizing the rest. Frames draw from the hub's one RNG in
+    /// frame order, and frame `k`'s draws depend only on the frames before
+    /// it, so stopping after `limit` frames changes none of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval <= 0`.
+    pub fn sample_walk_prefix(
+        &mut self,
+        walk: &Trajectory,
+        interval: f64,
+        limit: usize,
+    ) -> Vec<SensorFrame> {
         assert!(interval > 0.0, "sampling interval must be positive");
         let duration = walk.duration();
         let mut frames = Vec::new();
         let mut step_idx = 0usize;
         let steps = walk.steps();
         let mut t = interval;
-        while t <= duration + interval {
+        while frames.len() < limit && t <= duration + interval {
             let epoch_t = t.min(duration);
             let p = walk.position_at(epoch_t);
             let mut epoch_steps = Vec::new();
@@ -466,6 +486,19 @@ mod tests {
         let f1 = hub1.sample_walk(&walk1, 0.5);
         let f2 = hub2.sample_walk(&walk2, 0.5);
         assert_eq!(f1, f2, "same seeds must reproduce identical frames");
+    }
+
+    /// The limited sampler is the prefix of the full one: same frames, bit
+    /// for bit, at every cut including the empty one and past the end.
+    #[test]
+    fn prefix_sampler_equals_truncated_walk() {
+        let (scenario, walk, full) = path_frames(15);
+        let len = full.len();
+        for k in [0, 1, len - 1, len, len + 3] {
+            let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 15 + 2);
+            let prefix = hub.sample_walk_prefix(&walk, 0.5, k);
+            assert_eq!(prefix, full[..k.min(len)], "prefix of {k} frames");
+        }
     }
 
     #[test]

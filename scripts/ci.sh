@@ -168,6 +168,25 @@ for needle in '"sessions": 200' '"fleet_digest"' '"quarantined_sessions"'; do
 done
 echo "    ok: 200-session fleet is clean and --jobs/--resident invariant"
 
+# Campus short walks. The fleets above serve office and open space for 12
+# epochs, so they never reach the campus paths' outdoor segments (the
+# 22 m shadowing field, the GPS sky view) or a 4-frame served prefix.
+# Serve 48 mall/path1/path2 walkers for 4 epochs each at two worker
+# counts and resident caps, strict, and require byte-identical artifacts.
+echo "==> campus short-walk smoke (uniloc fleet --max-epochs 4, --jobs 1 vs --jobs 4)"
+target/release/uniloc fleet --models "$smoke/models.json" --sessions 48 \
+    --scenarios mall,path1,path2 --max-epochs 4 --seed 17 \
+    --out "$smoke/campus" --strict --quiet --jobs 1 --resident 64
+target/release/uniloc fleet --models "$smoke/models.json" --sessions 48 \
+    --scenarios mall,path1,path2 --max-epochs 4 --seed 17 \
+    --out "$smoke/campus4" --strict --quiet --jobs 4 --resident 9
+if ! diff -r "$smoke/campus" "$smoke/campus4" >/dev/null; then
+    echo "ERROR: campus short-walk artifacts differ between --jobs 1 and --jobs 4" >&2
+    diff -r "$smoke/campus" "$smoke/campus4" >&2 || true
+    exit 1
+fi
+echo "    ok: 48-session campus short-walk fleet is clean and --jobs/--resident invariant"
+
 # The fleet observatory artifacts ride the same determinism gate (the
 # diff -r above already proved them byte-identical across worker counts);
 # here assert they exist and that the health table renders from them.

@@ -19,6 +19,8 @@ use uniloc::core::fleet::{FleetScheduler, FinishedSession};
 use uniloc::core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc::core::session::Session;
 use uniloc::env::venues;
+use uniloc::faults::{FaultInjector, FaultPlan};
+use uniloc::sensors::SensorFrame;
 use uniloc::obs::session as obs_session;
 use uniloc::obs::ObsSession;
 use uniloc_bench::fleet::{
@@ -311,17 +313,23 @@ fn checkpoint_restore_resumes_byte_identically() {
 
 /// The fleet session's frame stream really is the legacy stream: same
 /// walk, same truncation, same chaos-seed discipline — so the
-/// differential above compares like with like.
+/// differential above compares like with like. `spec_frames` synthesizes
+/// only the served prefix, so this is also the prefix claim: on every
+/// fleet venue, clean and faulted, for no limit, a 1- and 4-frame limit
+/// and a limit past the walk's end, the prefix equals the whole walk
+/// truncated (then injected).
 #[test]
 fn spec_frames_match_legacy_walk_frames() {
     let cfg = FleetConfig {
         seed: 47,
-        sessions: 4,
-        scenario_names: vec!["office".to_owned()],
+        sessions: 10,
+        scenario_names: ["mall", "office", "path1", "path2", "open-space"]
+            .map(str::to_owned)
+            .to_vec(),
         jobs: 0,
         resident: 0,
-        max_epochs: 15,
-        chaos_every: 0,
+        max_epochs: 0,
+        chaos_every: 2,
         obs_stub: false,
         shards: 0,
         top_k: 0,
@@ -329,15 +337,47 @@ fn spec_frames_match_legacy_walk_frames() {
         panic_epoch: 0,
     };
     let base = PipelineConfig::default();
-    for spec in fleet_specs(&cfg).unwrap() {
+    let specs = fleet_specs(&cfg).unwrap();
+    assert!(specs.iter().any(|s| s.plan == "none") && specs.iter().any(|s| s.plan != "none"));
+    for spec in specs {
         let scenario = spec_scenario(&spec);
         let pcfg = spec_pipeline_config(&base, &spec);
-        let frames = spec_frames(&scenario, &pcfg, &spec, cfg.max_epochs);
-        let mut legacy = pipeline::walk_frames(&scenario, &pcfg, spec.seed);
-        legacy.truncate(cfg.max_epochs);
-        assert_eq!(frames, legacy);
-        assert!(frames.len() <= cfg.max_epochs);
+        let whole = pipeline::walk_frames(&scenario, &pcfg, spec.seed);
+        for max_epochs in [0, 1, 4, whole.len() + 7] {
+            let frames = spec_frames(&scenario, &pcfg, &spec, max_epochs);
+            let mut legacy = whole.clone();
+            if max_epochs > 0 {
+                legacy.truncate(max_epochs);
+            }
+            if let Some(plan) = FaultPlan::by_name(&spec.plan) {
+                let name_hash =
+                    plan.name.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
+                let chaos_seed = spec.seed ^ name_hash;
+                legacy = FaultInjector::new(plan, chaos_seed)
+                    .with_geo_frame(*scenario.world.geo_frame())
+                    .inject_walk(&legacy);
+            }
+            let (got, want) = (frame_text(&frames), frame_text(&legacy));
+            let at = format!("{} ({}) at max_epochs {max_epochs}", spec.name, spec.plan);
+            assert_eq!(got.len(), want.len(), "{at}: frame count");
+            if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                panic!("{at}: frame {i} differs:\n  {}\n  {}", got[i], want[i]);
+            }
+            // Injection may drop or repeat frames; a clean walk serves the
+            // whole prefix.
+            if spec.plan == "none" {
+                let served = if max_epochs == 0 { whole.len() } else { max_epochs };
+                assert_eq!(frames.len(), served.min(whole.len()), "{at}");
+            }
+        }
     }
+}
+
+/// Frames rendered through `Debug`, which prints every f64 exactly (`-0.0`
+/// apart from `0.0`) and every NaN alike, so NaN-stormed streams compare
+/// where `==` cannot.
+fn frame_text(frames: &[SensorFrame]) -> Vec<String> {
+    frames.iter().map(|f| format!("{f:?}")).collect()
 }
 
 /// `FleetSession::build` really constructs under the walker's own obs
