@@ -30,10 +30,9 @@ use uniloc_stats::json::Json;
 /// `open-space`, `office`) to a concrete [`Scenario`].
 pub fn scenario_by_name(name: &str, seed: u64) -> Result<Scenario, String> {
     match name {
-        "path1" | "daily" => Ok(campus::daily_path(seed)),
-        "path2" | "path3" | "path4" | "path5" | "path6" | "path7" | "path8" => {
-            let idx: usize = name[4..].parse().expect("digit-suffixed name");
-            Ok(campus::all_paths(seed).swap_remove(idx - 1))
+        "daily" => Ok(campus::path(1, seed)),
+        "path1" | "path2" | "path3" | "path4" | "path5" | "path6" | "path7" | "path8" => {
+            Ok(campus::path(name[4..].parse().expect("digit-suffixed name"), seed))
         }
         "mall" => Ok(venues::shopping_mall(seed, 1).swap_remove(0)),
         "open-space" => Ok(venues::urban_open_space(seed, 1).swap_remove(0)),

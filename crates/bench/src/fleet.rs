@@ -22,15 +22,15 @@ use std::sync::Arc;
 use crate::chaos::{error_stats, fused_error, scenario_by_name};
 use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::fleet::{
-    check_checkpoint_version, CheckpointError, FinishedSession, FleetEvent, FleetRunStats,
-    FleetScheduler, FleetSession, RunControl, SessionCheckpoint, SupervisionPolicy,
+    check_checkpoint_version, hex_field, CheckpointError, FinishedSession, FleetEvent,
+    FleetRunStats, FleetScheduler, FleetSession, RunControl, SessionCheckpoint, SupervisionPolicy,
     CHECKPOINT_VERSION,
 };
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_core::session::Session;
 use uniloc_env::{GaitProfile, Scenario};
 use uniloc_faults::{FaultInjector, FaultPlan};
-use uniloc_obs::fleet::{FleetAggregator, FleetSnapshot, SessionMeta};
+use uniloc_obs::fleet::{self as obsfleet, FleetAggregator, FleetSnapshot, SessionMeta};
 use uniloc_obs::ObsSession;
 use uniloc_rng::split_seed;
 use uniloc_sensors::{DeviceProfile, SensorFrame};
@@ -66,7 +66,8 @@ pub struct FleetConfig {
     pub obs_stub: bool,
     /// Telemetry aggregation shards (`0` picks the default). Never affects
     /// artifacts: the shard merge is associative and commutative, which
-    /// `tests/fleet_proptests.rs` holds.
+    /// `tests/fleet_proptests.rs` holds. `uniloc fleet` always passes `0`;
+    /// a resume takes the value from the checkpoint.
     pub shards: usize,
     /// Worst-session exemplars kept by the fleet observatory (`0` picks
     /// the default, [`uniloc_obs::fleet::EXEMPLAR_CAP`]). Shapes only the
@@ -328,6 +329,26 @@ pub struct FleetResult {
     pub snapshot: Option<FleetSnapshot>,
 }
 
+/// Every artifact `uniloc fleet` writes for `result`, as `(file name,
+/// bytes)` pairs in write order: `FLEET.json`, then, unless the fleet ran
+/// obs-stubbed, the health plane and the call-count and heap profiles.
+/// None carries a wall-clock number, so each is byte-identical at any
+/// `--jobs`/`--resident` and after a crash and resume.
+pub fn artifacts(result: &FleetResult) -> Vec<(&'static str, String)> {
+    let mut out = vec![("FLEET.json", result.report.to_string_pretty())];
+    if let Some(snap) = &result.snapshot {
+        let health = obsfleet::health_report(snap, &obsfleet::SloTargets::default());
+        out.push(("FLEET_HEALTH.json", health.to_string_pretty()));
+        let tree = obsfleet::profile_tree(snap);
+        out.push(("PROF_fleet.folded", obsfleet::folded_lines(&tree)));
+        out.push(("PROF_fleet.json", obsfleet::profile_report(&tree).to_string_pretty()));
+        let heap = obsfleet::alloc_tree(snap);
+        out.push(("PROF_alloc.folded", obsfleet::alloc_folded_lines(&heap)));
+        out.push(("PROF_alloc.json", obsfleet::alloc_report(snap, &heap).to_string_pretty()));
+    }
+    out
+}
+
 /// The aggregator's view of one retired walker.
 fn session_meta(s: &SessionSummary) -> SessionMeta {
     SessionMeta {
@@ -396,11 +417,6 @@ impl ToJson for SessionSummary {
     }
 }
 
-fn hex_field(json: &Json, name: &str) -> Result<u64, JsonError> {
-    let s: String = field(json, name)?;
-    u64::from_str_radix(&s, 16).map_err(|e| JsonError::new(format!("field `{name}` `{s}`: {e}")))
-}
-
 fn string_list(json: &Json, name: &str) -> Result<Vec<String>, JsonError> {
     let items: Vec<Json> = field(json, name)?;
     items
@@ -434,7 +450,13 @@ impl FromJson for SessionSummary {
             },
             epochs: field(json, "epochs")?,
             digest: hex_field(json, "digest")?,
-            mean_error: opt_field(json, "mean_error_m")?,
+            // The writer writes a float or null; an integer would come
+            // back as a float and no longer match the document it came from.
+            mean_error: match json.get("mean_error_m") {
+                None | Some(Json::Null) => None,
+                Some(Json::Num(x)) => Some(*x),
+                Some(_) => return Err(JsonError::new("field `mean_error_m`: expected a float")),
+            },
             nonfinite_fused: field(json, "nonfinite_fused")?,
             quarantined: string_list(json, "quarantined")?,
             flight_lines: field(json, "flight_lines")?,

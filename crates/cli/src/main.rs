@@ -5,22 +5,16 @@
 //! uniloc run   --models FILE [--scenario NAME]  walk a venue with trained models
 //!              [--seed N] [--device nexus5x|lgg3] [--json]
 //!              [--metrics FILE] [--trace-level LEVEL] [--virtual-clock]
-//! uniloc inspect --models FILE                  print trained coefficients
-//! uniloc inspect-metrics --file FILE [--json]   summarize a --metrics JSONL sidecar
-//!                                               (--json emits the snapshot as JSON)
-//! uniloc inspect-calibration --file FILE        per-scheme reliability bins, coverage
-//!                                               and drift state from a sidecar
-//! uniloc inspect-flight --file FILE [--full]    flight-recorder postmortems from a
-//!                                               sidecar (--full pretty-prints dumps)
+//! uniloc inspect --file FILE [--json] [--full]  render any artifact: a FLEET_HEALTH.json
+//!                [--strict]                     health table, a PROF_alloc.json heap
+//!                                               table, trained coefficients, or a
+//!                                               --metrics sidecar's metrics, calibration
+//!                                               cells and flight dumps
 //! uniloc chaos [--plans smoke|full] [--jobs N]  scenario x fault-plan resilience sweep
 //!                                               (parallel, deterministic at any --jobs)
 //! uniloc fleet [--sessions N] [--obs-stub]      fleet-scale load generator; also writes
-//!              [--shards N] [--obs-overhead]    FLEET_HEALTH.json + PROF_fleet.* +
-//!              [--top-k N] [--alloc-budget N]   PROF_alloc.* from the fleet observatory
-//! uniloc inspect-fleet [--file FILE] [--strict] fleet SLO/health table from a
-//!                      [--json]                 FLEET_HEALTH.json artifact
-//! uniloc inspect-alloc [--file FILE] [--json]   per-stage heap profile table from a
-//!                                               PROF_alloc.json artifact
+//!              [--obs-overhead] [--top-k N]     FLEET_HEALTH.json + PROF_fleet.* +
+//!              [--alloc-budget N]               PROF_alloc.* from the fleet observatory
 //! uniloc scenarios                              list available venues
 //! ```
 //!
@@ -73,13 +67,8 @@ fn main() -> ExitCode {
         "train" => cmd_train(&flags),
         "run" => cmd_run(&flags, exporter.as_deref()),
         "inspect" => cmd_inspect(&flags),
-        "inspect-metrics" => cmd_inspect_metrics(&flags),
-        "inspect-calibration" => cmd_inspect_calibration(&flags),
-        "inspect-flight" => cmd_inspect_flight(&flags),
         "chaos" => cmd_chaos(&flags, exporter.as_deref()),
         "fleet" => cmd_fleet(&flags),
-        "inspect-fleet" => cmd_inspect_fleet(&flags),
-        "inspect-alloc" => cmd_inspect_alloc(&flags),
         "scenarios" => cmd_scenarios(),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -101,20 +90,15 @@ const USAGE: &str = "usage:
   uniloc train [--seed N] [--out FILE]
   uniloc run --models FILE [--scenario NAME] [--seed N] [--device nexus5x|lgg3] [--json]
              [--metrics FILE] [--trace-level off|error|warn|info|debug|span] [--virtual-clock]
-  uniloc inspect --models FILE
-  uniloc inspect-metrics --file FILE [--json]
-  uniloc inspect-calibration --file FILE
-  uniloc inspect-flight --file FILE [--full]
+  uniloc inspect --file FILE [--json] [--full] [--strict]
   uniloc chaos [--models FILE] [--scenarios a,b] [--plans smoke|full|p1,p2] [--seed N]
                [--out DIR] [--strict] [--jobs N]
   uniloc fleet [--models FILE] [--sessions N] [--scenarios a,b] [--seed N] [--jobs N]
                [--resident N] [--max-epochs N] [--chaos-every N] [--out DIR]
-               [--strict] [--shards N] [--obs-stub] [--top-k N] [--alloc-budget N]
+               [--strict] [--obs-stub] [--top-k N] [--alloc-budget N]
                [--obs-overhead] [--overhead-budget X] [--overhead-passes N]
                [--checkpoint-every N] [--checkpoint FILE] [--resume FILE]
                [--crash-after-rounds N] [--panic-lane N] [--panic-epoch N]
-  uniloc inspect-fleet [--file FILE] [--strict] [--json]
-  uniloc inspect-alloc [--file FILE] [--json]
   uniloc scenarios
 global flags: --quiet (suppress progress output)
   --jobs N: worker threads for sweep commands (default: available cores);
@@ -287,8 +271,51 @@ fn cmd_run(flags: &BTreeMap<String, String>, exporter: Option<&JsonlExporter>) -
     Ok(())
 }
 
+/// `uniloc inspect --file FILE`: renders any artifact the CLI writes, read
+/// once. A single JSON document dispatches on its own tag: `health` (a
+/// `FLEET_HEALTH.json`) renders the fleet health table, `prof: "alloc"` (a
+/// `PROF_alloc.json`) the heap table, `models` (a `uniloc train` file) the
+/// trained coefficients; any other document is an error that names these
+/// tags. Anything else is a `--metrics` JSON-lines sidecar (its lines carry
+/// a `kind` tag each): one pass folds its metric lines, calibration cells
+/// and flight-recorder dumps, printed in that order. A bad line fails with
+/// `FILE:LINE:`. Pure formatting: the tables never recompute, so they
+/// always agree with the artifacts the CI gates diff. `--json` re-emits a
+/// document through the canonical writer, or a sidecar's reassembled
+/// [`uniloc_obs::MetricsSnapshot`]; `--full` pretty-prints the flight
+/// dumps; `--strict` fails when any SLO row of a health table is out of
+/// budget.
 fn cmd_inspect(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let models = load_models(flags)?;
+    let path = flags.get("file").ok_or("--file FILE is required")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let Some(doc) = Json::parse(&text).ok().filter(|d| d.get("kind").is_none()) else {
+        return inspect_sidecar(path, &text, flags);
+    };
+    type Render = fn(&str, &Json, &BTreeMap<String, String>) -> Result<(), String>;
+    let render: Render = if doc.get("health").is_some() {
+        inspect_health
+    } else if doc.get("prof").and_then(Json::as_str) == Some("alloc") {
+        inspect_alloc
+    } else if doc.get("models").is_some() {
+        inspect_models
+    } else {
+        return Err(format!(
+            "{path} carries none of the known tags: `health` (FLEET_HEALTH.json), \
+             `prof: \"alloc\"` (PROF_alloc.json), `models` (uniloc train), \
+             or `kind` (the lines of a --metrics sidecar)"
+        ));
+    };
+    if flags.contains_key("json") {
+        println!("{}", doc.canonical().to_string());
+        return Ok(());
+    }
+    render(path, &doc, flags)
+}
+
+/// The trained coefficients of a `uniloc train` model file.
+fn inspect_models(path: &str, doc: &Json, _: &BTreeMap<String, String>) -> Result<(), String> {
+    let models: ErrorModelSet =
+        uniloc_stats::json::FromJson::from_json(doc).map_err(|e| format!("parse {path}: {e}"))?;
     for io in [IoState::Indoor, IoState::Outdoor] {
         println!("== {io} ==");
         for id in SchemeId::BUILTIN {
@@ -311,35 +338,41 @@ fn cmd_inspect(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads a `--metrics` JSONL sidecar back and pretty-prints its metric
-/// lines: counters, gauges, then histograms with count/mean/p50/p90/p99.
-/// Trace-event lines (kind `span`/`event`) are counted but not rendered.
-/// With `--json`, emits the reassembled [`uniloc_obs::MetricsSnapshot`] as
-/// one JSON document instead, for external tooling.
-fn cmd_inspect_metrics(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let path = flags.get("file").ok_or("--file FILE is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+/// A `--metrics` sidecar in one pass: counters, gauges and histograms
+/// (count/mean/p50/p90/p99), then each scheme × environment's calibration
+/// cell (PIT bins, nominal-vs-observed coverage, sharpness, drift), then
+/// one summary line per flight-recorder postmortem. Trace-event lines
+/// (kind `span`/`event`) are counted but not rendered.
+fn inspect_sidecar(path: &str, text: &str, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mut snap = uniloc_obs::MetricsSnapshot::default();
+    let mut calib = uniloc_obs::CalibrationSnapshot::default();
+    let mut dumps = Vec::new();
     let mut spans = 0usize;
     let mut events = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let doc = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let absorbed =
-            snap.absorb_jsonl(&doc).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        if !absorbed {
-            match doc.get("kind").and_then(Json::as_str) {
-                Some("span") => spans += 1,
-                _ => events += 1,
+        let at = |e: &dyn std::fmt::Display| format!("{path}:{}: {e}", lineno + 1);
+        let doc = Json::parse(line).map_err(|e| at(&e))?;
+        if snap.absorb_jsonl(&doc).map_err(|e| at(&e))? {
+            continue;
+        }
+        calib.absorb_jsonl(&doc).map_err(|e| at(&e))?;
+        match doc.get("kind").and_then(Json::as_str) {
+            Some("span") => spans += 1,
+            Some("flight") => {
+                events += 1;
+                dumps.push(doc);
             }
+            _ => events += 1,
         }
     }
     if flags.contains_key("json") {
         println!("{}", uniloc_stats::json::to_string(&snap));
         return Ok(());
     }
+
     println!("{path}: {spans} span records, {events} events");
     if !snap.counters.is_empty() {
         println!("counters:");
@@ -369,28 +402,11 @@ fn cmd_inspect_metrics(flags: &BTreeMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    Ok(())
-}
 
-/// Reads the `"kind":"calibration"` cells out of a `--metrics` sidecar and
-/// prints each scheme × environment's reliability diagnostics: PIT bin
-/// counts, nominal-vs-observed coverage, sharpness and drift state.
-fn cmd_inspect_calibration(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let path = flags.get("file").ok_or("--file FILE is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut snap = uniloc_obs::CalibrationSnapshot::default();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        snap.absorb_jsonl(&doc).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-    }
-    if snap.cells.is_empty() {
+    if calib.cells.is_empty() {
         println!("{path}: no calibration cells (was the run recorded with --metrics?)");
-        return Ok(());
     }
-    for cell in &snap.cells {
+    for cell in &calib.cells {
         println!("== {} / {} ==", cell.scheme, cell.io);
         println!("  observations: {} ({} dropped non-finite)", cell.n, cell.dropped);
         let bins: Vec<String> = cell.pit_counts.iter().map(u64::to_string).collect();
@@ -411,26 +427,7 @@ fn cmd_inspect_calibration(flags: &BTreeMap<String, String>) -> Result<(), Strin
             cell.cusum_pos, cell.cusum_neg, cell.drift_alarms
         );
     }
-    Ok(())
-}
 
-/// Reads the `"kind":"flight"` postmortem dumps out of a `--metrics`
-/// sidecar. Default output is one summary line per dump; `--full`
-/// pretty-prints the complete dumps (window events, counter deltas,
-/// gauges).
-fn cmd_inspect_flight(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let path = flags.get("file").ok_or("--file FILE is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut dumps = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        if doc.get("kind").and_then(Json::as_str) == Some("flight") {
-            dumps.push(doc);
-        }
-    }
     if dumps.is_empty() {
         println!("{path}: no flight-recorder dumps (the run hit no anomaly)");
         return Ok(());
@@ -589,9 +586,9 @@ fn f64_flag(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result
 /// K`) fault plans, served concurrently by the deterministic
 /// [`uniloc_core::fleet::FleetScheduler`] on `--jobs N` workers with at
 /// most `--resident N` sessions live at once. Writes `FLEET.json` plus
-/// the fleet-observatory artifacts (`FLEET_HEALTH.json`,
-/// `PROF_fleet.folded`, `PROF_fleet.json`) to `--out DIR`: all four are
-/// byte-identical at any `--jobs`/`--resident`/`--shards` value and
+/// the fleet-observatory artifacts (`FLEET_HEALTH.json`, `PROF_fleet.*`,
+/// `PROF_alloc.*`; see [`uniloc_bench::fleet::artifacts`]) to `--out DIR`:
+/// all six are byte-identical at any `--jobs`/`--resident` value and
 /// contain no wall-clock numbers, so the CI smoke gate diffs the whole
 /// directory across worker counts. `--obs-stub` swaps every
 /// session's observability for the sink configuration (no aggregation
@@ -615,7 +612,6 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         load_fleet_checkpoint, measure_obs_overhead, run_fleet_durable, FleetConfig, FleetOutcome,
         FleetRunOptions,
     };
-    use uniloc_obs::fleet as obsfleet;
 
     let seed = seed_flag(flags)?;
     let jobs = jobs_flag(flags)?;
@@ -657,7 +653,7 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
             max_epochs: usize_flag(flags, "max-epochs", 40)?,
             chaos_every: usize_flag(flags, "chaos-every", 0)?,
             obs_stub: flags.contains_key("obs-stub"),
-            shards: usize_flag(flags, "shards", 0)?,
+            shards: 0,
             top_k: usize_flag(flags, "top-k", 0)?,
             panic_lane: flags
                 .get("panic-lane")
@@ -740,37 +736,12 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         );
     }
 
-    let path = format!("{out_dir}/FLEET.json");
-    std::fs::write(&path, result.report.to_string_pretty())
-        .map_err(|e| format!("write {path}: {e}"))?;
-    uniloc_obs::info!("wrote {path}");
-
+    for (name, bytes) in uniloc_bench::fleet::artifacts(&result) {
+        let path = format!("{out_dir}/{name}");
+        std::fs::write(&path, bytes).map_err(|e| format!("write {path}: {e}"))?;
+        uniloc_obs::info!("wrote {path}");
+    }
     if let Some(snap) = &result.snapshot {
-        let health = obsfleet::health_report(snap, &obsfleet::SloTargets::default());
-        let path = format!("{out_dir}/FLEET_HEALTH.json");
-        std::fs::write(&path, health.to_string_pretty())
-            .map_err(|e| format!("write {path}: {e}"))?;
-        uniloc_obs::info!("wrote {path}");
-
-        let tree = obsfleet::profile_tree(snap);
-        let path = format!("{out_dir}/PROF_fleet.folded");
-        std::fs::write(&path, obsfleet::folded_lines(&tree))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        uniloc_obs::info!("wrote {path}");
-        let path = format!("{out_dir}/PROF_fleet.json");
-        std::fs::write(&path, obsfleet::profile_report(&tree).to_string_pretty())
-            .map_err(|e| format!("write {path}: {e}"))?;
-        uniloc_obs::info!("wrote {path}");
-
-        let heap = obsfleet::alloc_tree(snap);
-        let path = format!("{out_dir}/PROF_alloc.folded");
-        std::fs::write(&path, obsfleet::alloc_folded_lines(&heap))
-            .map_err(|e| format!("write {path}: {e}"))?;
-        uniloc_obs::info!("wrote {path}");
-        let path = format!("{out_dir}/PROF_alloc.json");
-        std::fs::write(&path, obsfleet::alloc_report(snap, &heap).to_string_pretty())
-            .map_err(|e| format!("write {path}: {e}"))?;
-        uniloc_obs::info!("wrote {path}");
         uniloc_obs::info!(
             "alloc observatory: {:.1} steady-state alloc(s)/epoch",
             snap.allocs_per_epoch()
@@ -823,39 +794,21 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     }
 }
 
-/// `uniloc inspect-fleet`: a `top`-style health table rendered from a
-/// `FLEET_HEALTH.json` artifact (`--file FILE`, default
-/// `results/FLEET_HEALTH.json`) — fleet totals, the SLO burn table,
-/// per-scheme availability, per-cohort breakdowns and the worst-session
-/// exemplars. Pure formatting: it never recomputes, so the table always
-/// agrees with the artifact the CI gates diff. `--json` re-emits the
-/// artifact through the canonical writer instead (machine-readable, and a
-/// parse round-trip check in one step). `--strict` fails when any SLO row
-/// is out of budget.
-fn cmd_inspect_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let path = flags
-        .get("file")
-        .map(String::as_str)
-        .unwrap_or("results/FLEET_HEALTH.json");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    if doc.get("health").and_then(Json::as_str) != Some("uniloc-fleet") {
-        return Err(format!("{path} is not a uniloc FLEET_HEALTH.json artifact"));
-    }
-    if flags.contains_key("json") {
-        println!("{}", doc.canonical().to_string());
-        return Ok(());
-    }
+/// A `top`-style health table from a `FLEET_HEALTH.json` artifact: fleet
+/// totals, the SLO burn table, per-scheme availability, per-cohort
+/// breakdowns and the worst-session exemplars. `--strict` fails when any
+/// SLO row is out of budget.
+fn inspect_health(_: &str, doc: &Json, flags: &BTreeMap<String, String>) -> Result<(), String> {
     let int = |d: &Json, k: &str| d.get(k).and_then(Json::as_i64).unwrap_or(0);
     let num = |d: &Json, k: &str| d.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
 
     println!(
         "fleet health — {} session(s), {} epoch(s) ({} faulted, {} quarantined, {} non-finite)",
-        int(&doc, "sessions"),
-        int(&doc, "epochs"),
-        int(&doc, "faulted_sessions"),
-        int(&doc, "quarantined_sessions"),
-        int(&doc, "nonfinite_fused"),
+        int(doc, "sessions"),
+        int(doc, "epochs"),
+        int(doc, "faulted_sessions"),
+        int(doc, "quarantined_sessions"),
+        int(doc, "nonfinite_fused"),
     );
     if let Some(flight) = doc.get("flight") {
         println!(
@@ -975,26 +928,10 @@ fn cmd_inspect_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `uniloc inspect-alloc`: the per-stage heap profile table rendered from
-/// a `PROF_alloc.json` artifact (`--file FILE`, default
-/// `results/PROF_alloc.json`) — the steady-state allocs-per-epoch meter
-/// and the stage tree with exclusive alloc/byte/dealloc/realloc counts.
-/// Pure formatting over the artifact, like `inspect-fleet`. `--json`
-/// re-emits the artifact through the canonical writer.
-fn cmd_inspect_alloc(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let path = flags
-        .get("file")
-        .map(String::as_str)
-        .unwrap_or("results/PROF_alloc.json");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    if doc.get("prof").and_then(Json::as_str) != Some("alloc") {
-        return Err(format!("{path} is not a uniloc PROF_alloc.json artifact"));
-    }
-    if flags.contains_key("json") {
-        println!("{}", doc.canonical().to_string());
-        return Ok(());
-    }
+/// The per-stage heap profile table from a `PROF_alloc.json` artifact:
+/// the steady-state allocs-per-epoch meter and the stage tree with
+/// exclusive alloc/byte/dealloc/realloc counts.
+fn inspect_alloc(path: &str, doc: &Json, _: &BTreeMap<String, String>) -> Result<(), String> {
     let int = |d: &Json, k: &str| d.get(k).and_then(Json::as_i64).unwrap_or(0);
     let per_epoch = doc.get("allocs_per_epoch").and_then(Json::as_f64).unwrap_or(f64::NAN);
     let steady = doc.get("steady");
@@ -1089,28 +1026,39 @@ mod tests {
         )
         .unwrap();
         let f = parse_flags(&args(&["--file", good.to_str().unwrap()])).unwrap();
-        assert!(cmd_inspect_metrics(&f).is_ok());
+        assert!(cmd_inspect(&f).is_ok());
 
         let bad = dir.join("uniloc-cli-test-metrics-bad.jsonl");
         std::fs::write(&bad, "{\"kind\":\"counter\"\n").unwrap();
         let f = parse_flags(&args(&["--file", bad.to_str().unwrap()])).unwrap();
-        let err = cmd_inspect_metrics(&f).unwrap_err();
+        let err = cmd_inspect(&f).unwrap_err();
         assert!(err.contains(":1:"), "error should cite the line: {err}");
         std::fs::remove_file(&good).ok();
         std::fs::remove_file(&bad).ok();
     }
 
     #[test]
-    fn inspect_metrics_requires_file_flag() {
-        let f = parse_flags(&args(&[])).unwrap();
-        assert!(cmd_inspect_metrics(&f).unwrap_err().contains("--file"));
+    fn inspect_dispatches_on_the_document_tag() {
+        let dir = std::env::temp_dir();
+        let untagged = dir.join("uniloc-cli-test-untagged.json");
+        std::fs::write(&untagged, "{\"scenario\": \"office\", \"runs\": []}").unwrap();
+        let f = parse_flags(&args(&["--file", untagged.to_str().unwrap()])).unwrap();
+        let err = cmd_inspect(&f).unwrap_err();
+        for tag in ["`health`", "`prof: \"alloc\"`", "`models`", "`kind`"] {
+            assert!(err.contains(tag), "the error should name {tag}: {err}");
+        }
+        // A one-line sidecar is one JSON document too; its `kind` marks it.
+        let one_line = dir.join("uniloc-cli-test-one-line.jsonl");
+        std::fs::write(&one_line, "{\"kind\":\"counter\",\"name\":\"x\",\"value\":1}\n").unwrap();
+        let f = parse_flags(&args(&["--file", one_line.to_str().unwrap()])).unwrap();
+        assert!(cmd_inspect(&f).is_ok());
+        std::fs::remove_file(&untagged).ok();
+        std::fs::remove_file(&one_line).ok();
     }
 
     #[test]
-    fn scenario_lookup() {
-        assert_eq!(scenario_by_name("path1", 1).unwrap().name, "path1");
-        assert_eq!(scenario_by_name("path5", 1).unwrap().name, "path5");
-        assert!(scenario_by_name("mall", 1).unwrap().name.starts_with("mall"));
-        assert!(scenario_by_name("mars", 1).is_err());
+    fn inspect_metrics_requires_file_flag() {
+        let f = parse_flags(&args(&[])).unwrap();
+        assert!(cmd_inspect(&f).unwrap_err().contains("--file"));
     }
 }

@@ -185,28 +185,43 @@ impl uniloc_stats::json::ToJson for SessionCheckpoint {
     }
 }
 
+/// A `u64` checkpoint field in its written form: exactly 16 lowercase hex
+/// digits (`from_str_radix` alone would also take a sign, upper case and
+/// short strings, which read back as the same number but re-serialize to
+/// other bytes).
+///
+/// # Errors
+///
+/// A missing field, a non-string, or any other string form.
+pub fn hex_field(
+    json: &uniloc_stats::json::Json,
+    name: &str,
+) -> Result<u64, uniloc_stats::json::JsonError> {
+    let s: String = uniloc_stats::json::field(json, name)?;
+    u64::from_str_radix(&s, 16).ok().filter(|v| format!("{v:016x}") == s).ok_or_else(|| {
+        uniloc_stats::json::JsonError::new(format!(
+            "field `{name}`: `{s}` is not 16 lowercase hex digits"
+        ))
+    })
+}
+
 impl uniloc_stats::json::FromJson for SessionCheckpoint {
     fn from_json(
         json: &uniloc_stats::json::Json,
     ) -> Result<Self, uniloc_stats::json::JsonError> {
         use uniloc_stats::json::{field, JsonError};
-        let hex = |name: &str| -> Result<u64, JsonError> {
-            let s: String = field(json, name)?;
-            u64::from_str_radix(&s, 16)
-                .map_err(|e| JsonError::new(format!("checkpoint {name} `{s}`: {e}")))
-        };
         let version: i64 = field(json, "version")?;
         Ok(SessionCheckpoint {
             version: u64::try_from(version)
                 .map_err(|_| JsonError::new(format!("negative checkpoint version {version}")))?,
-            lane: hex("lane")?,
+            lane: hex_field(json, "lane")?,
             name: field(json, "name")?,
             scenario: field(json, "scenario")?,
             persona: field(json, "persona")?,
             device: field(json, "device")?,
             plan: field(json, "plan")?,
-            seed: hex("seed")?,
-            cursor: hex("cursor")?,
+            seed: hex_field(json, "seed")?,
+            cursor: hex_field(json, "cursor")?,
         })
     }
 }

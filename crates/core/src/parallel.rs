@@ -16,9 +16,8 @@
 //!   into one [`MergedObs`] in ascending job order. Sessions are
 //!   installed at *every* job count (including 1) so the merged sidecar
 //!   is invariant in the worker count by construction.
-//! * [`WalkJob`] — the canonical sweep work unit, with a
-//!   [`split_seed`](uniloc_rng::split_seed)-based per-lane seed helper so
-//!   sibling walks never share RNG streams.
+//! * [`run_ordered_mut`] — the one scoped worker pool: jobs own and mutate
+//!   their items; [`run_ordered`] and [`run_supervised_mut`] run on it.
 //!
 //! # Determinism contract
 //!
@@ -120,32 +119,6 @@ fn pool_invariant(job: usize, phase: &'static str, kind: PoolErrorKind) -> ! {
     panic!("{}", PoolError { job, lane: None, phase, kind })
 }
 
-/// A canonical sweep work unit: one walk of `scenario` under `fault_plan`
-/// with a dedicated RNG lane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalkJob {
-    pub scenario: String,
-    pub seed: u64,
-    pub fault_plan: String,
-}
-
-impl WalkJob {
-    /// Derive the per-job seed for lane `lane` of a sweep rooted at
-    /// `root_seed`. Uses [`uniloc_rng::split_seed`] so sibling lanes are
-    /// decorrelated from each other and from the root stream.
-    pub fn lane_seed(root_seed: u64, lane: u64) -> u64 {
-        uniloc_rng::split_seed(root_seed, lane)
-    }
-
-    pub fn new(scenario: impl Into<String>, root_seed: u64, lane: u64, fault_plan: impl Into<String>) -> Self {
-        WalkJob {
-            scenario: scenario.into(),
-            seed: Self::lane_seed(root_seed, lane),
-            fault_plan: fault_plan.into(),
-        }
-    }
-}
-
 /// Observability output of a parallel sweep, folded in job order.
 ///
 /// Merge semantics (all deterministic in job order, never arrival order):
@@ -200,34 +173,7 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    let n = items.len();
-    let workers = jobs.max(1).min(n.max(1));
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let out = f(idx, &items[idx]);
-                slots.lock().expect("parallel slot lock poisoned")[idx] = Some(out);
-            });
-        }
-    });
-    let results = slots.into_inner().expect("parallel slot lock poisoned");
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| pool_invariant(i, "run_ordered", PoolErrorKind::NoResult))
-        })
-        .collect()
+    run_ordered_mut(items.iter().collect(), jobs, |i, item: &mut &I| f(i, item)).1
 }
 
 /// Like [`run_ordered`], but the jobs *own and mutate* their items: the
@@ -379,7 +325,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -546,17 +491,5 @@ mod tests {
             panic: "boom".to_owned(),
         };
         assert_eq!(f.to_string(), "parallel job 3 (phase run_ordered_mut) panicked: boom");
-    }
-
-    #[test]
-    fn walk_job_lane_seeds_are_distinct() {
-        let mut seen = HashSet::new();
-        for lane in 0..256u64 {
-            assert!(seen.insert(WalkJob::lane_seed(7, lane)));
-        }
-        let job = WalkJob::new("office", 7, 3, "nan_storm");
-        assert_eq!(job.seed, WalkJob::lane_seed(7, 3));
-        assert_eq!(job.scenario, "office");
-        assert_eq!(job.fault_plan, "nan_storm");
     }
 }

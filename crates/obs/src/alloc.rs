@@ -8,7 +8,7 @@
 //! pipeline are fully deterministic — same seed, same code, same counts.
 //! That lets `PROF_alloc.*` ride the byte-identity gates, and lets the
 //! `allocs_per_epoch` steady-state meter ride the fleet snapshot's exact
-//! merge algebra byte-identically at any `--jobs`/`--shards`.
+//! merge algebra byte-identically at any `--jobs` and shard count.
 //!
 //! # How attribution works
 //!
@@ -25,10 +25,10 @@
 //!
 //! Tracking is opted into per
 //! [`ObsSession`](crate::session::ObsSession) (the `alloc_tracking`
-//! field): a fleet run's walker sessions ask for attribution while every
-//! concurrently installed session that did not stays byte-identically
+//! field), and only there: a fleet run's walker sessions ask for
+//! attribution while every concurrently installed session that did not,
+//! and every thread with no session at all, stays byte-identically
 //! unaffected — there is no process-global flag for sessions to race on.
-//! Code with no session installed follows [`set_tracking`] instead.
 //!
 //! The observatory pauses itself around its own bookkeeping (the span
 //! guard's name buffer, counter-name formatting, registry inserts) via a
@@ -51,7 +51,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::metrics::global_metrics;
 
@@ -107,10 +106,6 @@ const MAX_DEPTH: usize = 32;
 /// reallocs.
 const SLOTS_PER_STAGE: usize = 4;
 
-/// Process-wide tracking flag for threads with no session installed.
-/// Off by default.
-static TRACKING: AtomicBool = AtomicBool::new(false);
-
 struct AllocTls {
     /// Span-stack depth (entries above `MAX_DEPTH` are not stored).
     depth: Cell<usize>,
@@ -138,49 +133,6 @@ thread_local! {
             slots: [const { Cell::new(0) }; N_STAGES * SLOTS_PER_STAGE],
         }
     };
-}
-
-/// Turns span-attributed allocation tracking on or off for code running
-/// with **no** [`ObsSession`](crate::session::ObsSession) installed
-/// (threads with a session installed follow the session's
-/// `alloc_tracking` opt-in instead, so concurrent sessions never race on
-/// this flag).
-pub fn set_tracking(on: bool) {
-    TRACKING.store(on, Ordering::Relaxed);
-}
-
-/// The process-wide (no-session) tracking flag.
-pub fn tracking_enabled() -> bool {
-    TRACKING.load(Ordering::Relaxed)
-}
-
-/// Whether attribution is active on the current thread: the installed
-/// session's `alloc_tracking` opt-in when a session is installed,
-/// otherwise the process-wide flag.
-pub fn tracking_active() -> bool {
-    match crate::session::current() {
-        Some(session) => session.alloc_tracking,
-        None => tracking_enabled(),
-    }
-}
-
-/// RAII scope for [`set_tracking`]: restores the previous state on drop
-/// (fleet runs enable tracking for their duration without clobbering an
-/// enclosing scope).
-pub struct TrackingGuard {
-    prev: bool,
-}
-
-/// Enables (or disables) tracking for the guard's lifetime.
-pub fn track_scope(on: bool) -> TrackingGuard {
-    let prev = TRACKING.swap(on, Ordering::Relaxed);
-    TrackingGuard { prev }
-}
-
-impl Drop for TrackingGuard {
-    fn drop(&mut self) {
-        TRACKING.store(self.prev, Ordering::Relaxed);
-    }
 }
 
 /// RAII self-pause: while alive, this thread's heap ops are not
@@ -228,8 +180,8 @@ fn read_stage(t: &AllocTls, stage: u8) -> [u64; SLOTS_PER_STAGE] {
 
 /// Opens an attribution frame for `name` on the current thread. Returns
 /// `None` when the stack is full or thread-local state is unavailable.
-/// Callers (only `Dispatcher::span`) gate on [`tracking_active`] and hold
-/// a [`pause`] guard across the call.
+/// Callers (only `Dispatcher::span`) gate on the session's opt-in and
+/// hold a [`pause`] guard across the call.
 pub fn span_open(name: &str) -> Option<SpanToken> {
     TLS.try_with(|t| {
         let depth = t.depth.get();
@@ -288,9 +240,10 @@ pub fn span_close(token: SpanToken) {
 
 /// Reports the current epoch index at the top of `Session::step`, before
 /// any span opens: sets the thread's steady flag and counts steady epochs
-/// into `alloc.steady_epochs`. A no-op when tracking is off.
+/// into `alloc.steady_epochs`. A no-op unless the installed session opts
+/// into tracking.
 pub fn epoch_phase(epoch_index: u64) {
-    if !tracking_active() {
+    if !crate::session::current().is_some_and(|s| s.alloc_tracking) {
         return;
     }
     let steady = epoch_index >= STEADY_WARMUP_EPOCHS;
@@ -370,8 +323,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Every binary linking `uniloc-obs` gets the counting allocator; with
-/// tracking off (the default) the cost is one relaxed atomic load per
-/// heap operation.
+/// tracking off (the default) the cost is one thread-local depth check
+/// per heap operation.
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 

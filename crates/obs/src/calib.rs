@@ -44,37 +44,20 @@ use uniloc_stats::Normal;
 /// CUSUM so one absurd observation cannot trip the detector alone.
 pub const Z_CLAMP: f64 = 8.0;
 
-/// Tuning for the calibration monitor.
-#[derive(Debug, Clone)]
-pub struct CalibrationConfig {
-    /// Number of equal-width PIT reliability bins over `[0, 1]`.
-    pub pit_bins: usize,
-    /// Nominal quantiles tracked for coverage (each must be in `(0, 1)`).
-    pub quantiles: Vec<f64>,
-    /// CUSUM slack per observation (in standardized-residual units): drift
-    /// accumulates only while `|z|` exceeds this on average.
-    pub cusum_slack: f64,
-    /// CUSUM alarm threshold (standardized-residual units).
-    pub cusum_lambda: f64,
-    /// Minimum observations in a cell before its first alarm may fire.
-    pub min_obs: u64,
-    /// Observations a cell must accumulate after an alarm before the next
-    /// one may fire (alarm rate limiting).
-    pub cooldown_obs: u64,
-}
-
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        CalibrationConfig {
-            pit_bins: 10,
-            quantiles: vec![0.5, 0.8, 0.9, 0.95],
-            cusum_slack: 0.5,
-            cusum_lambda: 18.0,
-            min_obs: 10,
-            cooldown_obs: 50,
-        }
-    }
-}
+/// Number of equal-width PIT reliability bins over `[0, 1]`.
+const PIT_BINS: usize = 10;
+/// Nominal quantiles tracked for coverage.
+const QUANTILES: [f64; 4] = [0.5, 0.8, 0.9, 0.95];
+/// CUSUM slack per observation (in standardized-residual units): drift
+/// accumulates only while `|z|` exceeds this on average.
+const CUSUM_SLACK: f64 = 0.5;
+/// CUSUM alarm threshold (standardized-residual units).
+const CUSUM_LAMBDA: f64 = 18.0;
+/// Minimum observations in a cell before its first alarm may fire.
+const MIN_OBS: u64 = 10;
+/// Observations a cell must accumulate after an alarm before the next one
+/// may fire (alarm rate limiting).
+const COOLDOWN_OBS: u64 = 50;
 
 /// A drift alarm raised by [`CalibrationMonitor::observe`].
 #[derive(Debug, Clone, PartialEq)]
@@ -109,12 +92,12 @@ struct Cell {
 }
 
 impl Cell {
-    fn new(cfg: &CalibrationConfig) -> Self {
+    fn new() -> Self {
         Cell {
             n: 0,
             dropped: 0,
-            pit_counts: vec![0; cfg.pit_bins],
-            cover_hits: vec![0; cfg.quantiles.len()],
+            pit_counts: vec![0; PIT_BINS],
+            cover_hits: vec![0; QUANTILES.len()],
             sum_predicted: 0.0,
             sum_sigma: 0.0,
             sum_realized: 0.0,
@@ -191,7 +174,7 @@ impl_json_struct!(CalibrationSnapshot { cells });
 impl CalibrationSnapshot {
     /// One compact JSON line per cell, tagged `"kind":"calibration"` — the
     /// format `uniloc run --metrics` appends after the metrics snapshot
-    /// and `uniloc inspect-calibration` reads back.
+    /// and `uniloc inspect` reads back.
     pub fn jsonl_lines(&self) -> Vec<String> {
         self.cells
             .iter()
@@ -295,8 +278,7 @@ impl CalibrationSnapshot {
 /// state per `(scheme, environment)` cell.
 #[derive(Debug)]
 pub struct CalibrationMonitor {
-    cfg: CalibrationConfig,
-    /// `Phi^-1(q)` per configured quantile, precomputed.
+    /// `Phi^-1(q)` per tracked quantile, precomputed.
     z_quantiles: Vec<f64>,
     cells: Mutex<BTreeMap<(String, String), Cell>>,
     /// Obs-stub switch: a disabled monitor ignores observations entirely.
@@ -305,37 +287,16 @@ pub struct CalibrationMonitor {
 
 impl Default for CalibrationMonitor {
     fn default() -> Self {
-        CalibrationMonitor::new(CalibrationConfig::default())
-    }
-}
-
-impl CalibrationMonitor {
-    /// Creates a monitor with the given tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pit_bins` is zero or any quantile is outside `(0, 1)`.
-    pub fn new(cfg: CalibrationConfig) -> Self {
-        assert!(cfg.pit_bins > 0, "calibration monitor needs at least one PIT bin");
-        assert!(
-            cfg.quantiles.iter().all(|q| *q > 0.0 && *q < 1.0),
-            "coverage quantiles must lie strictly inside (0, 1)"
-        );
         let std = Normal::standard();
-        let z_quantiles = cfg.quantiles.iter().map(|&q| std.quantile(q)).collect();
         CalibrationMonitor {
-            cfg,
-            z_quantiles,
+            z_quantiles: QUANTILES.iter().map(|&q| std.quantile(q)).collect(),
             cells: Mutex::new(BTreeMap::new()),
             disabled: std::sync::atomic::AtomicBool::new(false),
         }
     }
+}
 
-    /// The monitor's tuning.
-    pub fn config(&self) -> &CalibrationConfig {
-        &self.cfg
-    }
-
+impl CalibrationMonitor {
     /// Disables (or re-enables) the monitor: observations become no-ops
     /// and never alarm. The obs-stub mode's switch.
     pub fn set_disabled(&self, disabled: bool) {
@@ -364,7 +325,7 @@ impl CalibrationMonitor {
         let mut cells = self.cells.lock().expect("calibration mutex");
         let cell = cells
             .entry((scheme.to_owned(), io.to_owned()))
-            .or_insert_with(|| Cell::new(&self.cfg));
+            .or_insert_with(Cell::new);
         if !predicted_mean.is_finite()
             || !predicted_sigma.is_finite()
             || predicted_sigma <= 0.0
@@ -381,7 +342,7 @@ impl CalibrationMonitor {
 
         let z = ((realized - predicted_mean) / predicted_sigma).clamp(-Z_CLAMP, Z_CLAMP);
         let pit = Normal::standard().cdf(z);
-        let bin = ((pit * self.cfg.pit_bins as f64) as usize).min(self.cfg.pit_bins - 1);
+        let bin = ((pit * PIT_BINS as f64) as usize).min(PIT_BINS - 1);
         cell.pit_counts[bin] += 1;
         for (hit, zq) in cell.cover_hits.iter_mut().zip(&self.z_quantiles) {
             if realized <= predicted_mean + predicted_sigma * zq {
@@ -393,13 +354,10 @@ impl CalibrationMonitor {
         // calibrated model keeps z ~ N(0, 1) and both sides hover near
         // zero; a shifted stream grows one side ~|shift| - slack per
         // observation.
-        cell.cusum_pos = (cell.cusum_pos + z - self.cfg.cusum_slack).max(0.0);
-        cell.cusum_neg = (cell.cusum_neg - z - self.cfg.cusum_slack).max(0.0);
+        cell.cusum_pos = (cell.cusum_pos + z - CUSUM_SLACK).max(0.0);
+        cell.cusum_neg = (cell.cusum_neg - z - CUSUM_SLACK).max(0.0);
         let statistic = cell.cusum_pos.max(cell.cusum_neg);
-        if statistic <= self.cfg.cusum_lambda
-            || cell.n < self.cfg.min_obs
-            || cell.since_alarm < self.cfg.cooldown_obs
-        {
+        if statistic <= CUSUM_LAMBDA || cell.n < MIN_OBS || cell.since_alarm < COOLDOWN_OBS {
             return None;
         }
 
@@ -451,7 +409,7 @@ impl CalibrationMonitor {
                         n: c.n,
                         dropped: c.dropped,
                         pit_counts: c.pit_counts.clone(),
-                        quantiles: self.cfg.quantiles.clone(),
+                        quantiles: QUANTILES.to_vec(),
                         coverage: c
                             .cover_hits
                             .iter()
@@ -554,7 +512,7 @@ mod tests {
         let (i, alarm) = first_alarm.expect("stale model must alarm");
         assert!(i < 20, "alarm should fire within min_obs + slack, got epoch {i}");
         assert_eq!(alarm.direction, "under_predicted_error");
-        assert!(alarm.statistic > m.config().cusum_lambda);
+        assert!(alarm.statistic > CUSUM_LAMBDA);
         assert_eq!(m.snapshot().cells[0].drift_alarms, 1);
     }
 
@@ -584,8 +542,7 @@ mod tests {
         // Without the cooldown the CUSUM would re-trip every ~3
         // observations (≈60 alarms); with it, at most 1 per cooldown
         // window plus the initial alarm.
-        let cfg = m.config();
-        let max_expected = 200 / cfg.cooldown_obs + 1;
+        let max_expected = 200 / COOLDOWN_OBS + 1;
         assert!(alarms >= 2, "repeated drift keeps alarming, got {alarms}");
         assert!(alarms <= max_expected, "got {alarms}, expected <= {max_expected}");
     }
@@ -673,13 +630,12 @@ mod tests {
         let b_wifi = b.snapshot().cells.iter().find(|c| c.scheme == "wifi").unwrap().clone();
         assert_eq!(wifi.cusum_pos, b_wifi.cusum_pos);
 
-        // Structural mismatches are errors.
-        let odd = CalibrationMonitor::new(CalibrationConfig {
-            pit_bins: 3,
-            ..CalibrationConfig::default()
-        });
-        odd.observe("wifi", "indoor", 3.0, 1.5, 3.0);
-        assert!(a.snapshot().merge(&odd.snapshot()).is_err());
+        // Structural mismatches are errors: sidecars are outside input, so
+        // a hand-built cell with another bin count must not merge.
+        let mut odd = b_wifi;
+        odd.pit_counts = vec![1, 0, 0];
+        let odd = CalibrationSnapshot { cells: vec![odd] };
+        assert!(a.snapshot().merge(&odd).is_err());
     }
 
     #[test]
@@ -688,23 +644,5 @@ mod tests {
         m.observe("wifi", "indoor", 3.0, 1.0, 3.0);
         m.reset();
         assert!(m.snapshot().cells.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "PIT bin")]
-    fn zero_bins_rejected() {
-        CalibrationMonitor::new(CalibrationConfig {
-            pit_bins: 0,
-            ..CalibrationConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "quantiles")]
-    fn out_of_range_quantile_rejected() {
-        CalibrationMonitor::new(CalibrationConfig {
-            quantiles: vec![0.5, 1.0],
-            ..CalibrationConfig::default()
-        });
     }
 }

@@ -204,7 +204,7 @@ pub struct Exemplar {
     /// Epochs recorded.
     pub epochs: u64,
     /// Flight-recorder postmortem lines the session captured — the link
-    /// target: `uniloc inspect-flight` over the session's sidecar shows
+    /// target: `uniloc inspect` over the session's sidecar shows
     /// exactly these.
     pub flight_postmortems: u64,
     /// Schemes the session quarantined.
@@ -438,16 +438,39 @@ impl FromJson for SparseHist {
             let pair = p.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
                 JsonError::new("sparse histogram bucket must be an [index, count] pair")
             })?;
-            counts.insert(usize::from_json(&pair[0])?, u64::from_json(&pair[1])?);
+            let index = usize::from_json(&pair[0])?;
+            // The writer emits each bucket once, in index order. A repeat
+            // would silently keep only its last count.
+            if counts.last_key_value().is_some_and(|(&last, _)| index <= last) {
+                return Err(JsonError::new(format!(
+                    "sparse histogram bucket index {index} repeats or is out of order"
+                )));
+            }
+            counts.insert(index, u64::from_json(&pair[1])?);
         }
+        // The writer's decimal form only: `parse` would also take a sign
+        // or leading zeros, which re-serialize to other bytes.
         let sum: String = field(json, "sum_micro")?;
-        Ok(SparseHist {
-            counts,
-            sum_micro: sum
-                .parse::<i128>()
-                .map_err(|e| JsonError::new(format!("sum_micro `{sum}`: {e}")))?,
-            dropped: field(json, "dropped")?,
-        })
+        let sum_micro = sum.parse::<i128>().ok().filter(|v| v.to_string() == sum);
+        let sum_micro = sum_micro.ok_or_else(|| {
+            JsonError::new(format!("sum_micro `{sum}` is not a decimal integer"))
+        })?;
+        Ok(SparseHist { counts, sum_micro, dropped: field(json, "dropped")? })
+    }
+}
+
+/// The `error_hist` field: a [`SparseHist`] over [`ERROR_BUCKETS_M`].
+/// An index past the overflow bucket would count in `count()` yet drop out
+/// of `dense`, so the health plane would print a mean over sessions its
+/// bucket counts do not show.
+fn error_hist_field(json: &Json) -> Result<SparseHist, JsonError> {
+    let hist: SparseHist = field(json, "error_hist")?;
+    match hist.counts.keys().next_back() {
+        Some(&i) if i > ERROR_BUCKETS_M.len() => Err(JsonError::new(format!(
+            "field `error_hist`: bucket index {i} is past the overflow bucket {}",
+            ERROR_BUCKETS_M.len()
+        ))),
+        _ => Ok(hist),
     }
 }
 
@@ -476,7 +499,7 @@ impl FromJson for CohortStats {
             drift_alarms: field(json, "drift_alarms")?,
             flight_dumps: field(json, "flight_dumps")?,
             nonfinite: field(json, "nonfinite")?,
-            error_hist: field(json, "error_hist")?,
+            error_hist: error_hist_field(json)?,
         })
     }
 }
@@ -575,7 +598,7 @@ impl FromJson for FleetSnapshot {
             nonfinite: field(json, "nonfinite")?,
             counters: str_map_from_json(json, "counters")?,
             span_counts: str_map_from_json(json, "span_counts")?,
-            error_hist: field(json, "error_hist")?,
+            error_hist: error_hist_field(json)?,
             cohorts,
             exemplars: exemplars
                 .iter()
@@ -893,66 +916,125 @@ pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic self-profiler
+// Stage profiles: the call-count profiler and the allocation observatory
 // ---------------------------------------------------------------------------
 
-/// One node of the profiler's stage tree. `count` is the span's
-/// *invocation count* (see the module docs for why counts, not
-/// durations); children are sorted by name.
+/// Columns of the call-count profile (`PROF_fleet.*`).
+const CALL_COLUMNS: &[&str] = &["count"];
+
+/// Columns of the heap profile (`PROF_alloc.*`), named like the
+/// `alloc.<column>.<stage>` counters they come from.
+const ALLOC_COLUMNS: &[&str] = &["allocs", "bytes", "deallocs", "reallocs"];
+
+/// One node of a stage profile tree: the stage's *own* values, one per
+/// profile column. In `PROF_fleet.*` the one column is the span's
+/// invocation count (see the module docs for why counts, not durations).
+/// In `PROF_alloc.*` the columns are allocs, bytes (including realloc
+/// growth), deallocs and reallocs, each *exclusive*: a stage flushes only
+/// the heap operations made while it was the innermost open span
+/// (`uniloc_obs::alloc`). Every figure is an exact merged integer,
+/// byte-identical at any `--jobs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfNode {
-    /// Span name (the root is named `fleet`).
+    /// Stage (span) name; the root is named `fleet`.
     pub name: String,
-    /// Invocation count (the root carries the fleet's epoch total).
-    pub count: u64,
+    /// The stage's own values in column order; zeros for a stage that
+    /// only hangs others.
+    pub values: Vec<u64>,
     /// Child stages, sorted by name.
     pub children: Vec<ProfNode>,
 }
 
 impl ProfNode {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("count".into(), self.count.to_json()),
-            (
-                "children".into(),
-                Json::Arr(self.children.iter().map(ProfNode::to_json).collect()),
-            ),
-        ])
+    fn to_json(&self, columns: &[&str]) -> Json {
+        let mut pairs = vec![("name".to_owned(), Json::Str(self.name.clone()))];
+        pairs.extend(columns.iter().zip(&self.values).map(|(c, v)| ((*c).to_owned(), v.to_json())));
+        let children = self.children.iter().map(|c| c.to_json(columns)).collect();
+        pairs.push(("children".to_owned(), Json::Arr(children)));
+        Json::Obj(pairs)
     }
 }
 
-/// Builds the span-accounting tree from the snapshot's merged
-/// `span.*` counts: every recorded span hangs under its parent in the
-/// stage table ([`span_parent`]), the root is `fleet` with the epoch
-/// total.
+/// Hangs `(stage, values)` rows under their [`span_parent`]s below a
+/// `fleet` root carrying `root`. An ancestor with no row of its own still
+/// becomes a node, with zero values, so every row shows in the tree.
+/// Siblings sort by name.
+fn stage_tree(root: Vec<u64>, mut rows: BTreeMap<&str, Vec<u64>>) -> ProfNode {
+    // An empty name (only a hand-made snapshot has one) is the root's own
+    // key: it would hang under itself.
+    rows.remove("");
+    let names: Vec<&str> = rows.keys().copied().collect();
+    for name in names {
+        let mut parent = span_parent(name);
+        while !parent.is_empty() {
+            rows.entry(parent).or_insert_with(|| vec![0; root.len()]);
+            parent = span_parent(parent);
+        }
+    }
+    let mut by_parent: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for &name in rows.keys() {
+        by_parent.entry(span_parent(name)).or_default().push(name);
+    }
+    fn build(
+        name: &str,
+        values: Vec<u64>,
+        rows: &BTreeMap<&str, Vec<u64>>,
+        by_parent: &BTreeMap<&str, Vec<&str>>,
+    ) -> ProfNode {
+        let kids = by_parent.get(name).map_or(&[][..], Vec::as_slice);
+        ProfNode {
+            name: name.to_owned(),
+            values,
+            children: kids.iter().map(|k| build(k, rows[k].clone(), rows, by_parent)).collect(),
+        }
+    }
+    ProfNode { name: "fleet".to_owned(), ..build("", root, &rows, &by_parent) }
+}
+
+/// The span-accounting tree from the snapshot's merged `span.*` counts;
+/// the root carries the fleet's epoch total.
 pub fn profile_tree(snap: &FleetSnapshot) -> ProfNode {
-    fn build(name: &str, count: u64, by_parent: &BTreeMap<&str, Vec<(&str, u64)>>) -> ProfNode {
-        let children = by_parent
-            .get(name)
-            .map(|kids| {
-                kids.iter().map(|&(n, c)| build(n, c, by_parent)).collect::<Vec<_>>()
-            })
-            .unwrap_or_default();
-        ProfNode { name: name.to_owned(), count, children }
-    }
-    // BTreeMap keys keep sibling order sorted by name deterministically.
-    let mut by_parent: BTreeMap<&str, Vec<(&str, u64)>> = BTreeMap::new();
-    for (name, &count) in &snap.span_counts {
-        by_parent.entry(span_parent(name)).or_default().push((name, count));
-    }
-    let root = build("", snap.epochs, &by_parent);
-    ProfNode { name: "fleet".to_owned(), count: root.count, children: root.children }
+    let rows = snap.span_counts.iter().map(|(name, &count)| (name.as_str(), vec![count]));
+    stage_tree(vec![snap.epochs], rows.collect())
 }
 
-/// The tree as flamegraph collapsed-stack lines: one
-/// `fleet;parent;child COUNT` line per node, depth-first with siblings in
-/// name order. Values are invocation counts, not time.
+/// The heap-profile tree from the snapshot's merged
+/// `alloc.{allocs,bytes,deallocs,reallocs}.<stage>` counters; the root
+/// carries the sums over every stage. Meter counters (`alloc.steady.*`,
+/// `alloc.steady_epochs`) are not stages and never appear in the tree.
+pub fn alloc_tree(snap: &FleetSnapshot) -> ProfNode {
+    let mut rows: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+    for (name, &v) in &snap.counters {
+        let Some(rest) = name.strip_prefix("alloc.") else { continue };
+        let Some((column, stage)) = ALLOC_COLUMNS
+            .iter()
+            .enumerate()
+            .find_map(|(i, c)| rest.strip_prefix(c)?.strip_prefix('.').map(|stage| (i, stage)))
+            .filter(|(_, stage)| !stage.is_empty())
+        else {
+            continue;
+        };
+        rows.entry(stage).or_insert_with(|| vec![0; ALLOC_COLUMNS.len()])[column] += v;
+    }
+    let mut total = vec![0; ALLOC_COLUMNS.len()];
+    for values in rows.values() {
+        for (t, v) in total.iter_mut().zip(values) {
+            *t += v;
+        }
+    }
+    stage_tree(total, rows)
+}
+
+/// A profile tree as flamegraph collapsed-stack lines: one
+/// `fleet;parent;child VALUE` line per node, depth-first with siblings in
+/// name order. The value is the first column: invocation counts in
+/// `PROF_fleet.folded`, exclusive allocation counts in
+/// `PROF_alloc.folded`. Values are counts, not time.
 pub fn folded_lines(root: &ProfNode) -> String {
     fn walk(node: &ProfNode, prefix: &str, out: &mut String) {
         let path =
             if prefix.is_empty() { node.name.clone() } else { format!("{prefix};{}", node.name) };
-        out.push_str(&format!("{path} {}\n", node.count));
+        out.push_str(&format!("{path} {}\n", node.values[0]));
         for child in &node.children {
             walk(child, &path, out);
         }
@@ -962,147 +1044,24 @@ pub fn folded_lines(root: &ProfNode) -> String {
     out
 }
 
-/// The tree as the canonical `PROF_fleet.json` document.
+/// The heap profile's folded lines: the same writer as [`folded_lines`].
+pub use self::folded_lines as alloc_folded_lines;
+
+/// The call-count tree as the canonical `PROF_fleet.json` document.
 pub fn profile_report(root: &ProfNode) -> Json {
     Json::Obj(vec![
         ("prof".into(), Json::Str("fleet".into())),
         ("unit".into(), Json::Str("calls".into())),
         ("clock".into(), Json::Str("virtual".into())),
-        ("root".into(), root.to_json()),
+        ("root".into(), root.to_json(CALL_COLUMNS)),
     ])
     .canonical()
-}
-
-// ---------------------------------------------------------------------------
-// Allocation observatory tree
-// ---------------------------------------------------------------------------
-
-/// One node of the heap-profile stage tree (`PROF_alloc.json`). Counts are
-/// *exclusive* (self-only): each span stage flushes only the allocations
-/// made while it was the innermost open span (`uniloc_obs::alloc`), so a
-/// parent's numbers do not include its children's. All four figures are
-/// exact merged integers — byte-identical at any `--jobs`/`--shards`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AllocNode {
-    /// Stage (span) name; the root is named `fleet` and carries the
-    /// fleet-wide totals.
-    pub name: String,
-    /// Heap allocations attributed to this stage.
-    pub allocs: u64,
-    /// Bytes requested by those allocations (including realloc growth).
-    pub bytes: u64,
-    /// Deallocations attributed to this stage.
-    pub deallocs: u64,
-    /// Reallocations attributed to this stage.
-    pub reallocs: u64,
-    /// Child stages, sorted by name.
-    pub children: Vec<AllocNode>,
-}
-
-impl AllocNode {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("allocs".into(), self.allocs.to_json()),
-            ("bytes".into(), self.bytes.to_json()),
-            ("deallocs".into(), self.deallocs.to_json()),
-            ("reallocs".into(), self.reallocs.to_json()),
-            (
-                "children".into(),
-                Json::Arr(self.children.iter().map(AllocNode::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-/// Builds the heap-profile tree from the snapshot's merged
-/// `alloc.{allocs,bytes,deallocs,reallocs}.<stage>` counters, hung under
-/// the same [`span_parent`] taxonomy as the call-count profiler; the root
-/// is `fleet` carrying the sums over every stage. Meter counters
-/// (`alloc.steady.*`, `alloc.steady_epochs`) are not stages and never
-/// appear in the tree.
-pub fn alloc_tree(snap: &FleetSnapshot) -> AllocNode {
-    #[derive(Default, Clone)]
-    struct Slots {
-        allocs: u64,
-        bytes: u64,
-        deallocs: u64,
-        reallocs: u64,
-    }
-    // BTreeMap keys keep sibling order sorted by name deterministically.
-    let mut stages: BTreeMap<&str, Slots> = BTreeMap::new();
-    for (name, &v) in &snap.counters {
-        let Some(rest) = name.strip_prefix("alloc.") else { continue };
-        let (field, stage) = if let Some(s) = rest.strip_prefix("allocs.") {
-            (0, s)
-        } else if let Some(s) = rest.strip_prefix("bytes.") {
-            (1, s)
-        } else if let Some(s) = rest.strip_prefix("deallocs.") {
-            (2, s)
-        } else if let Some(s) = rest.strip_prefix("reallocs.") {
-            (3, s)
-        } else {
-            // Meter counters (`alloc.steady.allocs`, `alloc.steady_epochs`)
-            // are not per-stage slots.
-            continue;
-        };
-        let slot = stages.entry(stage).or_default();
-        match field {
-            0 => slot.allocs += v,
-            1 => slot.bytes += v,
-            2 => slot.deallocs += v,
-            _ => slot.reallocs += v,
-        }
-    }
-    fn build(name: &str, slots: &Slots, by_parent: &BTreeMap<&str, Vec<(&str, Slots)>>) -> AllocNode {
-        let children = by_parent
-            .get(name)
-            .map(|kids| kids.iter().map(|(n, s)| build(n, s, by_parent)).collect::<Vec<_>>())
-            .unwrap_or_default();
-        AllocNode {
-            name: name.to_owned(),
-            allocs: slots.allocs,
-            bytes: slots.bytes,
-            deallocs: slots.deallocs,
-            reallocs: slots.reallocs,
-            children,
-        }
-    }
-    let mut by_parent: BTreeMap<&str, Vec<(&str, Slots)>> = BTreeMap::new();
-    let mut total = Slots::default();
-    for (stage, slots) in &stages {
-        total.allocs += slots.allocs;
-        total.bytes += slots.bytes;
-        total.deallocs += slots.deallocs;
-        total.reallocs += slots.reallocs;
-        by_parent.entry(span_parent(stage)).or_default().push((stage, slots.clone()));
-    }
-    let mut root = build("", &total, &by_parent);
-    root.name = "fleet".to_owned();
-    root
-}
-
-/// The heap-profile tree as flamegraph collapsed-stack lines: one
-/// `fleet;parent;child ALLOCS` line per node, depth-first with siblings in
-/// name order. Values are exclusive allocation counts, not time.
-pub fn alloc_folded_lines(root: &AllocNode) -> String {
-    fn walk(node: &AllocNode, prefix: &str, out: &mut String) {
-        let path =
-            if prefix.is_empty() { node.name.clone() } else { format!("{prefix};{}", node.name) };
-        out.push_str(&format!("{path} {}\n", node.allocs));
-        for child in &node.children {
-            walk(child, &path, out);
-        }
-    }
-    let mut out = String::new();
-    walk(root, "", &mut out);
-    out
 }
 
 /// The heap profile as the canonical `PROF_alloc.json` document:
 /// the stage tree plus the steady-state meter, all exact integers (the
 /// per-epoch ratio is the one derived float, computed from them).
-pub fn alloc_report(snap: &FleetSnapshot, root: &AllocNode) -> Json {
+pub fn alloc_report(snap: &FleetSnapshot, root: &ProfNode) -> Json {
     Json::Obj(vec![
         ("prof".into(), Json::Str("alloc".into())),
         ("unit".into(), Json::Str("allocs".into())),
@@ -1114,7 +1073,7 @@ pub fn alloc_report(snap: &FleetSnapshot, root: &AllocNode) -> Json {
                 ("epochs".into(), snap.counter("alloc.steady_epochs").to_json()),
             ]),
         ),
-        ("root".into(), root.to_json()),
+        ("root".into(), root.to_json(ALLOC_COLUMNS)),
     ])
     .canonical()
 }
@@ -1290,7 +1249,7 @@ mod tests {
         };
         let root = profile_tree(&snap);
         assert_eq!(root.name, "fleet");
-        assert_eq!(root.count, 10);
+        assert_eq!(root.values, [10]);
         let update = root.children.iter().find(|c| c.name == "engine.update").unwrap();
         let kids: Vec<&str> = update.children.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(kids, ["engine.fuse", "engine.predict", "scheme.estimate.wifi"]);
@@ -1356,8 +1315,8 @@ mod tests {
         );
         let root = alloc_tree(&snap);
         assert_eq!(root.name, "fleet");
-        assert_eq!(root.allocs, 149, "root carries the stage totals");
-        assert_eq!(root.bytes, 4096 + 512 + 65536);
+        assert_eq!(root.values[0], 149, "root carries the stage totals");
+        assert_eq!(root.values[1], 4096 + 512 + 65536);
         let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1365,10 +1324,10 @@ mod tests {
             "meter counters must not become stages"
         );
         let update = &root.children[0];
-        assert_eq!(update.allocs, 40, "counts are exclusive, not rolled up");
-        assert_eq!(update.reallocs, 2);
+        assert_eq!(update.values[0], 40, "counts are exclusive, not rolled up");
+        assert_eq!(update.values[3], 2);
         let wifi = update.children.iter().find(|c| c.name == "scheme.estimate.wifi").unwrap();
-        assert_eq!((wifi.allocs, wifi.bytes, wifi.deallocs), (9, 512, 0));
+        assert_eq!(wifi.values[..3], [9, 512, 0]);
 
         let folded = alloc_folded_lines(&root);
         assert!(folded.starts_with("fleet 149\n"));
@@ -1393,6 +1352,75 @@ mod tests {
         let rows = evaluate_slos(&snap, &SloTargets::default());
         let row = rows.iter().find(|r| r.name == "allocs_per_epoch").unwrap();
         assert!(!row.ok && row.kind == "max" && (row.observed - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn orphan_stages_keep_their_missing_ancestors() {
+        // Only a child stage allocated: its parent has no row of its own.
+        let snap = FleetSnapshot {
+            counters: [("alloc.allocs.engine.fuse".to_owned(), 5)].into_iter().collect(),
+            ..FleetSnapshot::default()
+        };
+        let heap = alloc_tree(&snap);
+        assert_eq!(
+            alloc_folded_lines(&heap),
+            "fleet 5\nfleet;engine.update 0\nfleet;engine.update;engine.fuse 5\n"
+        );
+        let update = &heap.children[0];
+        assert_eq!((update.name.as_str(), &update.values[..]), ("engine.update", &[0; 4][..]));
+
+        // The call-count tree hangs orphans the same way.
+        let snap = FleetSnapshot {
+            epochs: 3,
+            span_counts: [("scheme.estimate.gps".to_owned(), 3)].into_iter().collect(),
+            ..FleetSnapshot::default()
+        };
+        assert_eq!(
+            folded_lines(&profile_tree(&snap)),
+            "fleet 3\nfleet;engine.update 0\nfleet;engine.update;scheme.estimate.gps 3\n"
+        );
+    }
+
+    fn hist_json(counts: &str) -> Json {
+        Json::parse(&format!(r#"{{"counts":{counts},"sum_micro":"0","dropped":0}}"#)).unwrap()
+    }
+
+    #[test]
+    fn sparse_hist_rejects_a_repeated_bucket_index() {
+        let err = SparseHist::from_json(&hist_json("[[3,5],[3,7]]")).unwrap_err();
+        assert!(err.to_string().contains("index 3 repeats"), "{err}");
+        assert!(SparseHist::from_json(&hist_json("[[4,1],[3,1]]")).is_err(), "out of order");
+        let ok = SparseHist::from_json(&hist_json("[[3,5],[4,7]]")).unwrap();
+        assert_eq!(ok.count(), 12);
+    }
+
+    /// `doc` with its `error_hist` field replaced by one holding `counts`.
+    fn with_error_hist(doc: &Json, counts: &str) -> Json {
+        let Json::Obj(fields) = doc else { panic!("object expected") };
+        let swap = |(k, v): &(String, Json)| {
+            (k.clone(), if k == "error_hist" { hist_json(counts) } else { v.clone() })
+        };
+        Json::Obj(fields.iter().map(swap).collect())
+    }
+
+    #[test]
+    fn error_hist_past_the_overflow_bucket_is_rejected() {
+        let mut snap = FleetSnapshot::default();
+        snap.observe(&meta(0, 2.0), &capture(&[], &[]));
+        let doc = snap.to_json();
+        let cohort = snap.cohorts["m-30s/nexus5x/office"].to_json();
+        // The overflow bucket itself is a real bucket.
+        let overflow = format!("[[{}, 1]]", ERROR_BUCKETS_M.len());
+        let back = FleetSnapshot::from_json(&with_error_hist(&doc, &overflow)).unwrap();
+        let (dense, _) = back.error_hist.dense(ERROR_BUCKETS_M);
+        assert_eq!(dense.iter().sum::<u64>(), back.error_hist.count());
+        assert!(CohortStats::from_json(&with_error_hist(&cohort, &overflow)).is_ok());
+        // One past it would count in `count()` but drop out of `dense`.
+        let past = "[[2,4],[99,1]]";
+        let err = FleetSnapshot::from_json(&with_error_hist(&doc, past)).unwrap_err();
+        assert!(err.to_string().contains("past the overflow bucket"), "{err}");
+        let err = CohortStats::from_json(&with_error_hist(&cohort, past)).unwrap_err();
+        assert!(err.to_string().contains("past the overflow bucket"), "{err}");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! corruption in the fusion math). On any of them the recorder freezes its
 //! window — the last ring-capacity trace events plus counter deltas since
 //! the previous dump and current gauge values — into one `"kind":"flight"`
-//! JSON line on the metrics sidecar, where `uniloc inspect-flight` finds
-//! it next to the ordinary metric lines.
+//! JSON line on the metrics sidecar, where `uniloc inspect` finds it
+//! next to the ordinary metric lines.
 //!
 //! The recorder is a passive [`Subscriber`]: install it in the dispatcher
 //! chain and every dispatched event lands in its ring. Triggering reads

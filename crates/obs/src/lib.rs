@@ -32,10 +32,10 @@
 //!   scheme-unavailability streaks or non-finite estimates (see
 //!   [`flight::global_flight`]).
 //! * [`fleet`] — the fleet observatory: sharded aggregation of retired
-//!   session captures into one mergeable [`FleetSnapshot`], a
-//!   deterministic span-count profiler (collapsed-stack + stage tree),
-//!   and the SLO health plane behind `FLEET_HEALTH.json` and
-//!   `uniloc inspect-fleet`.
+//!   session captures into one mergeable [`FleetSnapshot`], one stage
+//!   profile tree (call counts in `PROF_fleet.*`, heap operations in
+//!   `PROF_alloc.*`), and the SLO health plane behind `FLEET_HEALTH.json`
+//!   and `uniloc inspect`.
 //! * [`session`] — per-thread observability sessions for parallel sweeps:
 //!   installing an [`ObsSession`] redirects every `global_*` accessor on
 //!   the current thread to private state that can be captured and merged
@@ -85,16 +85,16 @@ pub mod metrics;
 pub mod session;
 pub mod trace;
 
-pub use alloc::{CountingAlloc, TrackingGuard, STEADY_WARMUP_EPOCHS};
+pub use alloc::{CountingAlloc, STEADY_WARMUP_EPOCHS};
 pub use calib::{
-    global_calibration, process_calibration, CalibrationCell, CalibrationConfig,
-    CalibrationMonitor, CalibrationSnapshot, DriftAlarm,
+    global_calibration, process_calibration, CalibrationCell, CalibrationMonitor,
+    CalibrationSnapshot, DriftAlarm,
 };
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use fleet::{
     alloc_folded_lines, alloc_report, alloc_tree, evaluate_slos, folded_lines, health_report,
-    profile_report, profile_tree, AllocNode, FleetAggregator, FleetSnapshot, ProfNode,
-    SessionMeta, SloRow, SloTargets,
+    profile_report, profile_tree, FleetAggregator, FleetSnapshot, ProfNode, SessionMeta, SloRow,
+    SloTargets,
 };
 pub use flight::{global_flight, process_flight, FlightRecorder};
 pub use metrics::{

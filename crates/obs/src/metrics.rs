@@ -429,7 +429,9 @@ impl MetricsRegistry {
         reg
     }
 
-    fn is_sink(&self) -> bool {
+    /// Whether this is a [`sink`](Self::sink) registry. Spans under a
+    /// session whose registry is a sink are not timed at all.
+    pub(crate) fn is_sink(&self) -> bool {
         self.sink.load(Ordering::Relaxed)
     }
 

@@ -67,16 +67,12 @@ pub struct ObsSession {
     /// the dispatcher's subscriber — `None` means events are dropped
     /// (worker progress output would interleave nondeterministically).
     pub subscriber: Option<Arc<dyn Subscriber>>,
-    /// Span-timing override: `Some(false)` turns `span.*` duration
-    /// recording off for this session only (the obs-stub mode), `Some(true)`
-    /// forces it on, `None` defers to the dispatcher's process-wide flag.
-    pub span_timings: Option<bool>,
     /// Opt-in for span-attributed allocation tracking (see
     /// [`crate::alloc`]): while this session is installed, timed spans
     /// open attribution frames and flush `alloc.*` counters into the
-    /// session's registry. Off by default so concurrent sessions that did
-    /// not ask for heap profiles never see `alloc.*` counters, whatever
-    /// other threads are doing.
+    /// session's registry. Off by default, and nothing outside a session
+    /// turns it on, so sessions that did not ask for heap profiles never
+    /// see `alloc.*` counters, whatever other threads are doing.
     pub alloc_tracking: bool,
     flight_buf: Arc<Mutex<Vec<u8>>>,
 }
@@ -110,16 +106,15 @@ impl ObsSession {
             subscriber: Some(Arc::clone(&flight) as Arc<dyn Subscriber>),
             flight,
             clock: Some(Arc::new(VirtualClock::new())),
-            span_timings: None,
             alloc_tracking: false,
             flight_buf,
         }
     }
 
     /// A stubbed session: every instrument site still runs, but metrics
-    /// land in a sink registry, the calibration monitor and flight
-    /// recorder are disabled, span timing is off and no subscriber is
-    /// installed. Captures come back empty. This is the *obs off*
+    /// land in a sink registry (which also turns span timing off), the
+    /// calibration monitor and flight recorder are disabled and no
+    /// subscriber is installed. Captures come back empty. This is the *obs off*
     /// configuration of the obs-overhead bench — observability never feeds
     /// the pipeline, so records are byte-identical either way, and the
     /// epochs/s delta against [`isolated`](Self::isolated) sessions is the
@@ -135,7 +130,6 @@ impl ObsSession {
             subscriber: None,
             flight,
             clock: Some(Arc::new(VirtualClock::new())),
-            span_timings: Some(false),
             alloc_tracking: false,
             flight_buf: Arc::new(Mutex::new(Vec::new())),
         }

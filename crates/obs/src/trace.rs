@@ -7,11 +7,12 @@
 //! [`SpanGuard`] (or emit a log event), a process-wide [`Dispatcher`]
 //! filters by [`TraceLevel`] and forwards to at most one installed
 //! [`Subscriber`] chain. When no subscriber is installed the facade is
-//! nearly free: a span open/close is two atomic loads plus (when span
-//! timing is enabled) one clock read and one histogram record into the
-//! global [`MetricsRegistry`](crate::metrics::MetricsRegistry) — which is
-//! how every `span.*` latency histogram in the metrics snapshot is
-//! populated without any subscriber at all.
+//! nearly free: a span open/close is an atomic load plus one clock read
+//! and one histogram record into the global
+//! [`MetricsRegistry`](crate::metrics::MetricsRegistry) — which is how
+//! every `span.*` latency histogram in the metrics snapshot is populated
+//! without any subscriber at all. Only a session whose registry is a sink
+//! (the obs-stub mode) skips the timing.
 //!
 //! Determinism contract: dispatching reads the clock and writes the
 //! sidecar, never the pipeline state, so golden traces are unaffected by
@@ -21,7 +22,7 @@
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use crate::clock::{Clock, MonotonicClock};
@@ -379,7 +380,6 @@ fn threshold(level: Option<TraceLevel>) -> u8 {
 /// filtered by level, timestamped by the installed clock.
 pub struct Dispatcher {
     level: AtomicU8,
-    span_timings: AtomicBool,
     subscriber: RwLock<Option<Arc<dyn Subscriber>>>,
     clock: RwLock<Arc<dyn Clock>>,
 }
@@ -388,7 +388,6 @@ impl Dispatcher {
     fn new() -> Self {
         Dispatcher {
             level: AtomicU8::new(threshold(Some(TraceLevel::Info))),
-            span_timings: AtomicBool::new(true),
             subscriber: RwLock::new(None),
             clock: RwLock::new(Arc::new(MonotonicClock::new())),
         }
@@ -430,26 +429,6 @@ impl Dispatcher {
     /// subscriber.
     pub fn enabled(&self, level: TraceLevel) -> bool {
         (level as u8) < self.level.load(Ordering::Relaxed) && self.active_subscriber().is_some()
-    }
-
-    /// Enables/disables recording span durations into the global metrics
-    /// registry (`span.<name>` histograms). On by default.
-    pub fn set_span_timings(&self, on: bool) {
-        self.span_timings.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether spans should currently record duration samples: the current
-    /// thread's [`ObsSession`](crate::session::ObsSession) override when it
-    /// sets one (the obs-stub mode turns timing off per session without
-    /// racing other threads on the process-wide flag), otherwise the
-    /// process-wide setting.
-    fn span_timings_enabled(&self) -> bool {
-        if let Some(session) = crate::session::current() {
-            if let Some(on) = session.span_timings {
-                return on;
-            }
-        }
-        self.span_timings.load(Ordering::Relaxed)
     }
 
     /// Installs the clock used to timestamp events and measure spans.
@@ -494,36 +473,28 @@ impl Dispatcher {
     }
 
     /// Opens a span; the returned guard emits a span record (and a
-    /// `span.<name>` duration sample) when dropped. When allocation
-    /// tracking is on (see [`crate::alloc`]) a timed span also opens an
-    /// attribution frame so heap operations inside it are charged to its
-    /// stage; the guard's own bookkeeping runs under an attribution pause
-    /// so observability overhead stays out of the profile.
-    pub fn span(&self, name: &str) -> SpanGuard<'_> {
+    /// `span.<name>` duration sample) when dropped. The installed
+    /// [`ObsSession`](crate::session::ObsSession) decides the rest: spans
+    /// are timed unless its registry is a sink (the obs-stub mode), and a
+    /// timed span opens an allocation-attribution frame exactly when it
+    /// opts into tracking (see [`crate::alloc`]). The guard borrows
+    /// `name`, and its own bookkeeping runs under an attribution pause so
+    /// observability overhead stays out of the heap profile.
+    pub fn span<'a>(&'a self, name: &'a str) -> SpanGuard<'a> {
+        let session = crate::session::current();
         let emit = self.enabled(TraceLevel::Span);
-        let time = self.span_timings_enabled();
-        let track = crate::alloc::tracking_active();
+        let time = session.as_ref().is_none_or(|s| !s.metrics.is_sink());
+        let track = session.is_some_and(|s| s.alloc_tracking);
         let _pause = track.then(crate::alloc::pause);
-        if !emit && !time {
-            return SpanGuard {
-                dispatcher: self,
-                name: String::new(),
-                start_ns: 0,
-                fields: Vec::new(),
-                emit,
-                time,
-                alloc: None,
-            };
-        }
-        let alloc = if time && track { crate::alloc::span_open(name) } else { None };
         SpanGuard {
             dispatcher: self,
-            name: name.to_owned(),
-            start_ns: self.now_ns(),
+            name,
+            start_ns: if emit || time { self.now_ns() } else { 0 },
             fields: Vec::new(),
             emit,
             time,
-            alloc,
+            track,
+            alloc: if time && track { crate::alloc::span_open(name) } else { None },
         }
     }
 
@@ -539,11 +510,13 @@ impl Dispatcher {
 #[must_use = "a span measures the scope it lives in"]
 pub struct SpanGuard<'a> {
     dispatcher: &'a Dispatcher,
-    name: String,
+    name: &'a str,
     start_ns: u64,
     fields: Vec<(String, FieldValue)>,
     emit: bool,
     time: bool,
+    /// Allocation tracking was on at open: teardown runs paused.
+    track: bool,
     alloc: Option<crate::alloc::SpanToken>,
 }
 
@@ -560,9 +533,9 @@ impl SpanGuard<'_> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         // Close the allocation-attribution frame first, and keep the
-        // guard's own teardown (histogram-name formatting, the span-name
-        // buffer's free) out of the enclosing span's heap profile.
-        let _pause = crate::alloc::tracking_active().then(crate::alloc::pause);
+        // guard's own teardown (histogram-name formatting, the emitted
+        // record) out of the enclosing span's heap profile.
+        let _pause = self.track.then(crate::alloc::pause);
         if let Some(token) = self.alloc.take() {
             crate::alloc::span_close(token);
         }
@@ -581,14 +554,13 @@ impl Drop for SpanGuard<'_> {
             if let Some(sub) = d.active_subscriber() {
                 sub.event(&TraceEvent {
                     level: TraceLevel::Span,
-                    name: std::mem::take(&mut self.name),
+                    name: self.name.to_owned(),
                     t_ns: end_ns,
                     duration_ns: Some(duration_ns),
                     fields: std::mem::take(&mut self.fields),
                 });
             }
         }
-        drop(std::mem::take(&mut self.name));
     }
 }
 
@@ -619,15 +591,6 @@ macro_rules! warn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that read or flip the process-wide span-timing
-    /// flag: `cargo test` runs tests on parallel threads, and one test
-    /// turns the flag off for a moment.
-    fn global_timings_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        // A failed holder poisons the lock; the other tests still run.
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn event(level: TraceLevel, name: &str) -> TraceEvent {
         TraceEvent {
@@ -733,8 +696,7 @@ mod tests {
 
     #[test]
     fn span_records_duration_histogram() {
-        let _flag = global_timings_lock();
-        // The global dispatcher has span timing on by default; spans feed
+        // With no session installed spans are timed; they feed
         // `span.<name>` histograms even with no subscriber installed.
         let name = "obs.test.span_records_duration";
         {
@@ -759,54 +721,18 @@ mod tests {
     }
 
     #[test]
-    fn session_span_timings_override_beats_global_flag() {
+    fn session_spans_stay_in_the_session_and_timing_returns_after_drop() {
         use crate::session::ObsSession;
-        let _flag = global_timings_lock();
-        // Global flag ON (the default), session override OFF: no sample.
-        let mut session = ObsSession::isolated();
-        session.span_timings = Some(false);
-        let off = Arc::new(session);
+        // An installed session's span timings land in its own registry.
+        let session = Arc::new(ObsSession::isolated());
         {
-            let _g = crate::session::install(Arc::clone(&off));
-            let _s = global().span("obs.test.override_off");
+            let _g = crate::session::install(Arc::clone(&session));
+            let _s = global().span("obs.test.session_span");
         }
-        assert_eq!(span_samples(&off.capture().metrics, "obs.test.override_off"), 0);
+        assert_eq!(span_samples(&session.capture().metrics, "obs.test.session_span"), 1);
 
-        // Session override ON records into the session even while the
-        // process-wide flag is OFF: `Some(true)` wins over the global.
-        global().set_span_timings(false);
-        let mut session = ObsSession::isolated();
-        session.span_timings = Some(true);
-        let on = Arc::new(session);
-        {
-            let _g = crate::session::install(Arc::clone(&on));
-            let _s = global().span("obs.test.override_on");
-        }
-        global().set_span_timings(true);
-        assert_eq!(span_samples(&on.capture().metrics, "obs.test.override_on"), 1);
-    }
-
-    #[test]
-    fn session_none_defers_to_global_and_guard_restores_on_drop() {
-        use crate::session::ObsSession;
-        let _flag = global_timings_lock();
-        // `span_timings: None` (the isolated default) defers to the
-        // process-wide flag in both positions.
-        let defer = Arc::new(ObsSession::isolated());
-        assert_eq!(defer.span_timings, None);
-        {
-            let _g = crate::session::install(Arc::clone(&defer));
-            let _s = global().span("obs.test.defer_global_on");
-        }
-        assert_eq!(span_samples(&defer.capture().metrics, "obs.test.defer_global_on"), 1);
-
-        // Once the install guard drops, the session's override stops
-        // applying: timing lands in the process registry again.
-        let stub = Arc::new(ObsSession::stubbed());
-        {
-            let _g = crate::session::install(Arc::clone(&stub));
-            let _s = global().span("obs.test.restore_inside");
-        }
+        // Once the install guard drops, timing lands in the process
+        // registry again.
         let name = "obs.test.restore_after_drop";
         {
             let _s = global().span(name);
@@ -814,36 +740,33 @@ mod tests {
         let process = global_metrics().snapshot();
         assert!(
             span_samples(&process, name) >= 1,
-            "global flag applies again after the session guard drops"
+            "timing returns to the process registry after the session guard drops"
         );
-        assert!(
-            !process
-                .histograms
-                .iter()
-                .any(|(n, _)| n == "span.obs.test.restore_inside"),
-            "stubbed-session span must not leak into the process registry"
+        assert_eq!(
+            span_samples(&process, "obs.test.session_span"),
+            0,
+            "a session's span must not leak into the process registry"
         );
     }
 
     #[test]
     fn stubbed_session_suppresses_timing_without_racing_global_state() {
         use crate::session::ObsSession;
-        let _flag = global_timings_lock();
-        // A stubbed session turns timing off per-session while the
-        // process-wide flag stays untouched — the obs-stub mode's whole
-        // point (no cross-thread races on the global flag).
+        // A stubbed session's sink registry turns timing off for that
+        // session alone: there is no process-wide switch to race on, and
+        // the sample lands nowhere.
         let stub = Arc::new(ObsSession::stubbed());
-        assert_eq!(stub.span_timings, Some(false));
         {
             let _g = crate::session::install(Arc::clone(&stub));
-            let _s = global().span("obs.test.stub_span");
-            assert!(!global().span_timings_enabled());
+            let span = global().span("obs.test.stub_span");
+            assert!(!span.time, "a sink session's spans are not timed");
         }
-        assert!(
-            global().span_timings.load(Ordering::Relaxed),
-            "process-wide flag unchanged by the stubbed session"
-        );
         assert_eq!(stub.capture(), crate::session::SessionCapture::default());
+        assert_eq!(
+            span_samples(&global_metrics().snapshot(), "obs.test.stub_span"),
+            0,
+            "stubbed-session span must not leak into the process registry"
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! (`DESIGN.md` §10), on the in-repo [`uniloc_rng::check`] harness. The
 //! sharded aggregation is only deterministic because the snapshot merge is
 //! an exact, associative, commutative fold — these tests pin that algebra
-//! directly, over randomized session populations, so the `--jobs`/`--shards`
-//! byte-identity gates in `tests/fleet_differential.rs` rest on a proven
-//! primitive rather than a sampled one.
+//! directly, over randomized session populations, so the `--jobs` and
+//! shard-count byte-identity gates in `tests/fleet_differential.rs` rest on
+//! a proven primitive rather than a sampled one.
 
 use uniloc_obs::fleet::{FleetAggregator, FleetSnapshot, SessionMeta, SparseHist, EXEMPLAR_CAP};
 use uniloc_obs::{HistogramSnapshot, MetricsSnapshot, SessionCapture};

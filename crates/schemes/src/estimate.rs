@@ -34,15 +34,16 @@ impl SchemeId {
     ];
 }
 
+/// Honors width, fill and alignment (`{id:<9}` pads like a `&str`).
 impl std::fmt::Display for SchemeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SchemeId::Gps => f.write_str("gps"),
-            SchemeId::Wifi => f.write_str("wifi"),
-            SchemeId::Cellular => f.write_str("cellular"),
-            SchemeId::Motion => f.write_str("motion"),
-            SchemeId::Fusion => f.write_str("fusion"),
-            SchemeId::Custom(n) => write!(f, "custom{n}"),
+            SchemeId::Gps => f.pad("gps"),
+            SchemeId::Wifi => f.pad("wifi"),
+            SchemeId::Cellular => f.pad("cellular"),
+            SchemeId::Motion => f.pad("motion"),
+            SchemeId::Fusion => f.pad("fusion"),
+            SchemeId::Custom(n) => f.pad(&format!("custom{n}")),
         }
     }
 }
@@ -136,6 +137,14 @@ mod tests {
         assert_eq!(SchemeId::Gps.to_string(), "gps");
         assert_eq!(SchemeId::Fusion.to_string(), "fusion");
         assert_eq!(SchemeId::Custom(3).to_string(), "custom3");
+    }
+
+    #[test]
+    fn scheme_id_display_pads_to_width() {
+        assert_eq!(format!("[{:<9}]", SchemeId::Gps), "[gps      ]");
+        assert_eq!(format!("[{:>6}]", SchemeId::Wifi), "[  wifi]");
+        assert_eq!(format!("[{:^10}]", SchemeId::Custom(7)), "[ custom7  ]");
+        assert_eq!(format!("[{:<3}]", SchemeId::Cellular), "[cellular]", "width never truncates");
     }
 
     #[test]

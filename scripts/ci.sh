@@ -2,8 +2,7 @@
 # Tier-1 verification with the hermetic-build policy enforced.
 #
 # 1. Every dependency named in a workspace Cargo.toml must be an in-repo
-#    `uniloc-*` path crate (the `bench-external` feature may reference
-#    external crates once something opts in; nothing else may).
+#    `uniloc-*` path crate.
 # 2. The workspace must build and test fully offline, with the registry
 #    untouched.
 #
@@ -16,8 +15,7 @@ fail=0
 
 # --- 1. dependency audit -------------------------------------------------
 # Walk every manifest's dependency tables and flag anything that is not a
-# uniloc-* crate. Feature tables are exempt (that is where the default-off
-# `bench-external` feature lives).
+# uniloc-* crate.
 echo "==> auditing workspace manifests for external dependencies"
 for manifest in Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; do
     bad=$(awk '
@@ -63,7 +61,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # --- 3. metrics smoke ----------------------------------------------------
 # Run a short scenario with the observability sidecar enabled, then assert
-# the JSONL parses with the in-repo reader (via inspect-metrics) and
+# the JSONL parses with the in-repo reader (via `uniloc inspect`) and
 # carries the expected metric names.
 echo "==> metrics smoke (uniloc run --metrics)"
 smoke=$(mktemp -d)
@@ -71,7 +69,7 @@ trap 'rm -rf "$smoke"' EXIT
 target/release/uniloc train --seed 1 --out "$smoke/models.json" --quiet
 target/release/uniloc run --models "$smoke/models.json" --scenario office \
     --seed 3 --metrics "$smoke/metrics.jsonl" --virtual-clock --quiet >/dev/null
-target/release/uniloc inspect-metrics --file "$smoke/metrics.jsonl" > "$smoke/summary.txt"
+target/release/uniloc inspect --file "$smoke/metrics.jsonl" > "$smoke/summary.txt"
 for name in pipeline.epochs engine.fusion.mode.bma engine.scheme.available.wifi \
             engine.tau error_model.residual.wifi span.engine.update \
             span.scheme.estimate.fusion; do
@@ -82,19 +80,17 @@ for name in pipeline.epochs engine.fusion.mode.bma engine.scheme.available.wifi 
 done
 echo "    ok: sidecar parses and carries the expected metrics"
 
-# The same sidecar must round-trip through the calibration and flight
-# inspectors: per-scheme reliability bins with coverage summaries, and the
+# The same inspection carries the sidecar's calibration and flight
+# sections: per-scheme reliability bins with coverage summaries, and the
 # GPS-indoors scheme_unavailable postmortem the office walk always trips.
-target/release/uniloc inspect-calibration --file "$smoke/metrics.jsonl" > "$smoke/calib.txt"
 for needle in "reliability bins (PIT 0..1)" "coverage (nominal->observed)" "drift: cusum"; do
-    if ! grep -qF "$needle" "$smoke/calib.txt"; then
-        echo "ERROR: inspect-calibration output is missing \`$needle\`" >&2
+    if ! grep -qF "$needle" "$smoke/summary.txt"; then
+        echo "ERROR: inspect output is missing the calibration section's \`$needle\`" >&2
         exit 1
     fi
 done
-target/release/uniloc inspect-flight --file "$smoke/metrics.jsonl" > "$smoke/flight.txt"
-if ! grep -q "scheme_unavailable" "$smoke/flight.txt"; then
-    echo "ERROR: inspect-flight shows no scheme_unavailable postmortem" >&2
+if ! grep -q "scheme_unavailable" "$smoke/summary.txt"; then
+    echo "ERROR: inspect shows no scheme_unavailable postmortem" >&2
     exit 1
 fi
 echo "    ok: calibration cells and flight postmortems inspect cleanly"
@@ -145,7 +141,8 @@ echo "==> fleet smoke (uniloc fleet --strict, --jobs 1 vs --jobs 4)"
 # chaos-driven rare paths (frame scrubs, quarantine trips, postmortem
 # events). A breach of 0.5 means a per-epoch allocation landed on the hot
 # path (any real one adds >= 1/epoch). Re-bless by measuring the new
-# steady state (`uniloc fleet ... --out` then `uniloc inspect-alloc`) and
+# steady state (`uniloc fleet ... --out` then `uniloc inspect --file
+# .../PROF_alloc.json`) and
 # raising the budget in the same change that justifies it.
 target/release/uniloc fleet --models "$smoke/models.json" --sessions 200 \
     --scenarios office,open-space --max-epochs 12 --chaos-every 10 --seed 17 \
@@ -205,38 +202,57 @@ if ! grep -q '^fleet;engine.update;' "$smoke/fleet/PROF_alloc.folded"; then
     echo "ERROR: PROF_alloc.folded carries no engine.update stack" >&2
     exit 1
 fi
-target/release/uniloc inspect-fleet --file "$smoke/fleet/FLEET_HEALTH.json" \
-    > "$smoke/fleet-health.txt"
-for needle in "fleet health — 200 session(s)" "availability.motion" \
-              "worst sessions" "alloc observatory:"; do
-    if ! grep -qF "$needle" "$smoke/fleet-health.txt"; then
-        echo "ERROR: inspect-fleet output is missing \`$needle\`" >&2
-        exit 1
-    fi
+# The renderers run on the fresh artifacts and on the committed ones, so a
+# renderer change that breaks either shows here.
+for dir in "$smoke/fleet" results; do
+    name=$(basename "$dir")
+    target/release/uniloc inspect --file "$dir/FLEET_HEALTH.json" > "$smoke/health-$name.txt"
+    for needle in "fleet health — " "availability.motion" "worst sessions" \
+                  "alloc observatory:"; do
+        if ! grep -qF "$needle" "$smoke/health-$name.txt"; then
+            echo "ERROR: inspect of $dir/FLEET_HEALTH.json is missing \`$needle\`" >&2
+            exit 1
+        fi
+    done
+    target/release/uniloc inspect --file "$dir/PROF_alloc.json" > "$smoke/alloc-$name.txt"
+    for needle in "heap profile —" "engine.update" "steady alloc(s)/epoch"; do
+        if ! grep -qF "$needle" "$smoke/alloc-$name.txt"; then
+            echo "ERROR: inspect of $dir/PROF_alloc.json is missing \`$needle\`" >&2
+            exit 1
+        fi
+    done
 done
+if ! grep -qF "fleet health — 200 session(s)" "$smoke/health-fleet.txt"; then
+    echo "ERROR: inspect does not count the smoke fleet's 200 sessions" >&2
+    exit 1
+fi
 # The machine-readable views must stay canonical JSON the in-repo reader
-# accepts: --json on both inspectors round-trips through inspect-* itself.
-target/release/uniloc inspect-fleet --file "$smoke/fleet/FLEET_HEALTH.json" \
+# accepts: --json round-trips each document through the inspector itself.
+target/release/uniloc inspect --file "$smoke/fleet/FLEET_HEALTH.json" \
     --json > "$smoke/fleet-health.json"
 if ! grep -qF '"allocs_per_epoch"' "$smoke/fleet-health.json"; then
-    echo "ERROR: inspect-fleet --json carries no allocs_per_epoch" >&2
+    echo "ERROR: inspect --json of FLEET_HEALTH.json carries no allocs_per_epoch" >&2
     exit 1
 fi
-target/release/uniloc inspect-alloc --file "$smoke/fleet/PROF_alloc.json" \
-    > "$smoke/fleet-alloc.txt"
-for needle in "heap profile —" "engine.update" "steady alloc(s)/epoch"; do
-    if ! grep -qF "$needle" "$smoke/fleet-alloc.txt"; then
-        echo "ERROR: inspect-alloc output is missing \`$needle\`" >&2
+target/release/uniloc inspect --file "$smoke/fleet/PROF_alloc.json" \
+    --json > "$smoke/fleet-alloc.json"
+if ! grep -qF '"prof":"alloc"' "$smoke/fleet-alloc.json"; then
+    echo "ERROR: inspect --json of PROF_alloc.json is not the canonical alloc profile" >&2
+    exit 1
+fi
+# A document with none of the known tags is an error that names them.
+if target/release/uniloc inspect --file results/CHAOS_path1.json \
+        > /dev/null 2> "$smoke/inspect-chaos.err"; then
+    echo "ERROR: inspect accepted results/CHAOS_path1.json, which has no known tag" >&2
+    exit 1
+fi
+for needle in '`health`' '`prof: "alloc"`' '`models`' '`kind`'; do
+    if ! grep -qF "$needle" "$smoke/inspect-chaos.err"; then
+        echo "ERROR: inspect's unknown-document error does not name \`$needle\`" >&2
         exit 1
     fi
 done
-target/release/uniloc inspect-alloc --file "$smoke/fleet/PROF_alloc.json" \
-    --json > "$smoke/fleet-alloc.json"
-if ! grep -qF '"prof":"alloc"' "$smoke/fleet-alloc.json"; then
-    echo "ERROR: inspect-alloc --json is not the canonical alloc profile" >&2
-    exit 1
-fi
-echo "    ok: observatory artifacts written and inspectors render them"
+echo "    ok: observatory artifacts written and the inspector renders them"
 
 # Observability must stay cheap as well as inert: run the same smoke
 # fleet with live and stubbed obs (paired, best-of-2, identical fleet

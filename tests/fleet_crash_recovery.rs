@@ -8,7 +8,9 @@
 //!
 //! The kill switch is `uniloc_faults::CrashPoint` driving
 //! [`FleetRunOptions::crash_after_rounds`]; resume reloads the checkpoint
-//! exactly as `uniloc fleet --resume` does.
+//! exactly as `uniloc fleet --resume` does. Malformed checkpoints —
+//! truncated, with a repeated key, or spliced together from other real
+//! documents — fail to load cleanly, never by a panic or a silent misread.
 
 use std::sync::Arc;
 
@@ -16,10 +18,12 @@ use uniloc::core::error_model::{train, ErrorModelSet};
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::env::venues;
 use uniloc::faults::CrashPoint;
-use uniloc::obs::fleet as obsfleet;
-use uniloc::stats::json::Json;
+use uniloc::obs::fleet::ERROR_BUCKETS_M;
+use uniloc::rng::check::Checker;
+use uniloc::rng::{require, Rng};
+use uniloc::stats::json::{Json, ToJson};
 use uniloc_bench::fleet::{
-    load_fleet_checkpoint, run_fleet, run_fleet_durable, FleetCheckpoint, FleetConfig,
+    artifacts, load_fleet_checkpoint, run_fleet, run_fleet_durable, FleetCheckpoint, FleetConfig,
     FleetOutcome, FleetResult, FleetRunOptions,
 };
 
@@ -52,25 +56,10 @@ fn fleet_config(seed: u64, jobs: usize, panic_lane: Option<u64>) -> FleetConfig 
     }
 }
 
-/// Every artifact the CLI derives from a [`FleetResult`], rendered to the
-/// exact bytes `uniloc fleet` writes. Byte-comparing these is the whole
-/// resume-determinism contract: if each artifact matches, an operator
-/// cannot tell a resumed fleet from one that never crashed.
-fn artifacts(result: &FleetResult) -> Vec<(&'static str, String)> {
-    let mut out = vec![("FLEET.json", result.report.to_string_pretty())];
-    if let Some(snap) = &result.snapshot {
-        let health = obsfleet::health_report(snap, &obsfleet::SloTargets::default());
-        out.push(("FLEET_HEALTH.json", health.to_string_pretty()));
-        let tree = obsfleet::profile_tree(snap);
-        out.push(("PROF_fleet.folded", obsfleet::folded_lines(&tree)));
-        out.push(("PROF_fleet.json", obsfleet::profile_report(&tree).to_string_pretty()));
-        let heap = obsfleet::alloc_tree(snap);
-        out.push(("PROF_alloc.folded", obsfleet::alloc_folded_lines(&heap)));
-        out.push(("PROF_alloc.json", obsfleet::alloc_report(snap, &heap).to_string_pretty()));
-    }
-    out
-}
-
+/// Byte-compares every artifact `uniloc fleet` writes for the two runs
+/// ([`artifacts`]): the whole resume-determinism contract. If each one
+/// matches, an operator cannot tell a resumed fleet from one that never
+/// crashed.
 fn assert_same_artifacts(straight: &FleetResult, resumed: &FleetResult, label: &str) {
     let (a, b) = (artifacts(straight), artifacts(resumed));
     assert_eq!(a.len(), b.len(), "{label}: artifact sets differ");
@@ -203,23 +192,15 @@ fn chained_double_crash_still_resumes_byte_identically() {
     assert_same_artifacts(&straight, &finished, "chained");
 }
 
-/// Reading a checkpoint never panics: every proper prefix of a real fleet
-/// checkpoint, cut on a char boundary the way a torn write leaves it, is
-/// a parse error that names a byte offset inside the prefix.
-#[test]
-fn truncated_checkpoint_fails_with_an_offset() {
-    let models = models(41);
-    let base = PipelineConfig::default();
-    let cfg = FleetConfig {
-        sessions: 4,
-        resident: 2,
-        max_epochs: 4,
-        ..fleet_config(41, 2, None)
-    };
-    let path = ckpt_path("truncated");
+/// The checkpoint a 4-walker fleet seeded `seed` leaves on disk when it
+/// crashes after 6 rounds (one checkpoint per round), with its path.
+fn small_crashed_checkpoint(models: &Arc<ErrorModelSet>, seed: u64, tag: &str) -> (String, String) {
+    let cfg =
+        FleetConfig { sessions: 4, resident: 2, max_epochs: 4, ..fleet_config(seed, 2, None) };
+    let path = ckpt_path(tag);
     let outcome = run_fleet_durable(
-        &models,
-        &base,
+        models,
+        &PipelineConfig::default(),
         &cfg,
         FleetRunOptions {
             checkpoint_every: 1,
@@ -231,6 +212,15 @@ fn truncated_checkpoint_fails_with_an_offset() {
     .expect("crashing fleet starts");
     assert!(matches!(outcome, FleetOutcome::Crashed { rounds: 6 }));
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    (path, text)
+}
+
+/// Reading a checkpoint never panics: every proper prefix of a real fleet
+/// checkpoint, cut on a char boundary the way a torn write leaves it, is
+/// a parse error that names a byte offset inside the prefix.
+#[test]
+fn truncated_checkpoint_fails_with_an_offset() {
+    let (_, text) = small_crashed_checkpoint(&models(41), 41, "truncated");
     let doc = text.trim_end();
     let ckpt = FleetCheckpoint::restore(&Json::parse(doc).expect("whole checkpoint parses"))
         .expect("checkpoint restores");
@@ -254,29 +244,7 @@ fn truncated_checkpoint_fails_with_an_offset() {
 /// caught.
 #[test]
 fn duplicate_key_checkpoint_is_rejected() {
-    let models = models(43);
-    let base = PipelineConfig::default();
-    let cfg = FleetConfig {
-        sessions: 4,
-        resident: 2,
-        max_epochs: 4,
-        ..fleet_config(43, 2, None)
-    };
-    let path = ckpt_path("duplicate");
-    let outcome = run_fleet_durable(
-        &models,
-        &base,
-        &cfg,
-        FleetRunOptions {
-            checkpoint_every: 1,
-            checkpoint_path: Some(path.clone()),
-            crash_after_rounds: Some(6),
-            ..FleetRunOptions::default()
-        },
-    )
-    .expect("crashing fleet starts");
-    assert!(matches!(outcome, FleetOutcome::Crashed { rounds: 6 }));
-    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    let (path, text) = small_crashed_checkpoint(&models(43), 43, "duplicate");
     load_fleet_checkpoint(&path).expect("the unspliced checkpoint loads");
 
     // Top level: a second `version` ahead of the real one.
@@ -300,6 +268,130 @@ fn duplicate_key_checkpoint_is_rejected() {
         let err = load_fleet_checkpoint(&path).expect_err("a spliced checkpoint cannot load");
         assert!(err.contains("duplicate object key"), "{what}: {err}");
     }
+}
+
+/// Every node of `doc` in pre-order, the root first.
+fn nodes(doc: &Json) -> Vec<&Json> {
+    let mut out = vec![doc];
+    match doc {
+        Json::Arr(items) => items.iter().for_each(|j| out.extend(nodes(j))),
+        Json::Obj(pairs) => pairs.iter().for_each(|(_, j)| out.extend(nodes(j))),
+        _ => {}
+    }
+    out
+}
+
+/// `doc` with its pre-order node `*at` replaced by `with`.
+fn graft(doc: &Json, at: &mut usize, with: &Json) -> Json {
+    if *at == 0 {
+        *at = usize::MAX;
+        return with.clone();
+    }
+    *at -= 1;
+    match doc {
+        Json::Arr(items) => Json::Arr(items.iter().map(|j| graft(j, at, with)).collect()),
+        Json::Obj(pairs) => {
+            Json::Obj(pairs.iter().map(|(k, j)| (k.clone(), graft(j, at, with))).collect())
+        }
+        other => other.clone(),
+    }
+}
+
+/// `doc` with the value at the object-key `path` replaced by `with`.
+fn set_path(doc: &Json, path: &[&str], with: Json) -> Json {
+    let Some((key, rest)) = path.split_first() else { return with };
+    let Json::Obj(pairs) = doc else { panic!("no object at `{key}`") };
+    let set = |(k, j): &(String, Json)| {
+        (k.clone(), if k == key { set_path(j, rest, with.clone()) } else { j.clone() })
+    };
+    Json::Obj(pairs.iter().map(set).collect())
+}
+
+/// The spliced-checkpoint properties: loading never panics; a checkpoint
+/// that loads re-serializes to the spliced document's own canonical bytes
+/// (nothing was silently dropped, reordered or coerced); and every error
+/// histogram in its snapshot densifies to exactly its `count()`.
+fn check_spliced(doc: &Json, path: &str) -> Result<(), String> {
+    std::fs::write(path, doc.to_string_pretty()).map_err(|e| e.to_string())?;
+    let loaded = std::panic::catch_unwind(|| load_fleet_checkpoint(path))
+        .map_err(|_| "load_fleet_checkpoint panicked".to_owned())?;
+    let Ok(ckpt) = loaded else { return Ok(()) };
+    let (back, want) = (ckpt.to_json().canonical().to_string(), doc.canonical().to_string());
+    if back != want {
+        let at = back.bytes().zip(want.bytes()).take_while(|(a, b)| a == b).count();
+        let around = |s: &str| s[at.saturating_sub(60)..(at + 20).min(s.len())].to_owned();
+        return Err(format!(
+            "accepted, but re-serializes differently at byte {at}: `{}` vs `{}`",
+            around(&back),
+            around(&want)
+        ));
+    }
+    let Some(snap) = &ckpt.snapshot else { return Ok(()) };
+    let cohorts = snap.cohorts.iter().map(|(key, c)| (key.as_str(), &c.error_hist));
+    for (what, hist) in std::iter::once(("fleet", &snap.error_hist)).chain(cohorts) {
+        let (dense, _) = hist.dense(ERROR_BUCKETS_M);
+        let dense: u64 = dense.iter().sum();
+        let count = hist.count();
+        require!(dense == count, "{what}: dense counts sum to {dense}, count() is {count}");
+    }
+    Ok(())
+}
+
+/// A real checkpoint with subtrees of other real documents grafted in: a
+/// second fleet's checkpoint, `FLEET.json` rows and `FLEET_HEALTH.json`.
+/// Malformed error histograms are pinned first: a repeated bucket index
+/// (which used to keep only its last count) and an index past the overflow
+/// bucket (which used to count in `count()` yet vanish from the dense
+/// counts the health plane prints), out of order and in order.
+#[test]
+fn spliced_checkpoints_load_or_fail_cleanly() {
+    let models = models(47);
+    let (path, text) = small_crashed_checkpoint(&models, 47, "spliced");
+    let target = Json::parse(&text).expect("checkpoint parses");
+    let (_, other) = small_crashed_checkpoint(&models, 53, "spliced-donor");
+    let done = run_fleet(&models, &PipelineConfig::default(), &fleet_config(59, 2, None))
+        .expect("donor fleet runs");
+    let docs: std::collections::BTreeMap<&str, String> = artifacts(&done).into_iter().collect();
+    let parse = |text: &str| Json::parse(text).expect("artifact parses");
+    let fleet = parse(&docs["FLEET.json"]);
+    let donors = [
+        parse(&other),
+        fleet.get("rows").expect("FLEET.json has rows").clone(),
+        parse(&docs["FLEET_HEALTH.json"]),
+    ];
+    let grafts: Vec<Vec<&Json>> = donors.iter().map(nodes).collect();
+    check_spliced(&target, &path).expect("the unspliced checkpoint holds the properties");
+
+    for counts in ["[[3,5],[3,7]]", "[[99,1],[2,4]]", "[[2,4],[99,1]]"] {
+        let counts = Json::parse(counts).unwrap();
+        let doc = set_path(&target, &["snapshot", "error_hist", "counts"], counts);
+        check_spliced(&doc, &path).unwrap_or_else(|e| panic!("pinned histogram: {e}"));
+        assert!(load_fleet_checkpoint(&path).is_err(), "a malformed histogram must not load");
+    }
+
+    Checker::new("spliced_checkpoints_load_or_fail_cleanly")
+        .cases(256)
+        .regressions(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fleet_crash_recovery.regressions"))
+        .run(
+            |rng: &mut Rng, scale| {
+                // 1 to 4 grafts: (target node, donor, donor node), the node
+                // indices taken modulo the live node counts.
+                let n = 1 + (scale * 3.0) as usize;
+                (0..n)
+                    .map(|_| (rng.next_u64(), rng.gen_range(0..donors.len()), rng.next_u64()))
+                    .collect::<Vec<_>>()
+            },
+            |splices| {
+                let mut doc = target.clone();
+                for &(at, donor, node) in splices {
+                    let pool = &grafts[donor];
+                    let with = pool[(node % pool.len() as u64) as usize];
+                    let mut at = (at % nodes(&doc).len() as u64) as usize;
+                    doc = graft(&doc, &mut at, with);
+                }
+                check_spliced(&doc, &path)
+            },
+        );
 }
 
 /// Tentpole (a) acceptance: a single panicking session is retried, then
