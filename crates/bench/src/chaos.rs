@@ -24,7 +24,7 @@ use uniloc_core::parallel::{run_observed, MergedObs};
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_env::{campus, venues, Scenario};
 use uniloc_faults::{FaultInjector, FaultPlan};
-use uniloc_stats::json::Json;
+use uniloc_stats::json::{float, Json, ToJson};
 
 /// Resolves the CLI scenario vocabulary (`path1`..`path8`, `mall`,
 /// `open-space`, `office`) to a concrete [`Scenario`].
@@ -61,35 +61,24 @@ pub struct ChaosOutcome {
     pub recovered: bool,
 }
 
-impl ChaosOutcome {
-    fn to_json(&self) -> Json {
-        let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-        Json::Obj(vec![
-            ("plan".into(), Json::Str(self.plan.clone())),
-            ("epochs".into(), Json::Int(self.epochs as i64)),
-            ("injected_events".into(), Json::Int(self.injected_events as i64)),
-            ("clean_mean_m".into(), opt(self.clean_mean)),
-            ("faulted_mean_m".into(), opt(self.faulted_mean)),
-            ("mean_shift_m".into(), opt(self.mean_shift)),
-            ("p50_shift_m".into(), opt(self.p50_shift)),
-            ("p90_shift_m".into(), opt(self.p90_shift)),
-            ("worst_ladder".into(), Json::Str(self.worst_ladder.clone())),
-            ("final_ladder".into(), Json::Str(self.final_ladder.clone())),
-            ("lost_terminal".into(), Json::Bool(self.lost_terminal)),
-            ("nonfinite_fused".into(), Json::Int(self.nonfinite_fused as i64)),
-            ("quarantined_epochs".into(), Json::Int(self.quarantined_epochs as i64)),
-            (
-                "schemes_quarantined".into(),
-                Json::Arr(self.schemes_quarantined.iter().cloned().map(Json::Str).collect()),
-            ),
-            (
-                "epochs_to_recover".into(),
-                self.epochs_to_recover.map_or(Json::Null, |e| Json::Int(e as i64)),
-            ),
-            ("recovered".into(), Json::Bool(self.recovered)),
-        ])
-    }
-}
+uniloc_stats::impl_json_struct!(ChaosOutcome {
+    plan,
+    epochs,
+    injected_events,
+    clean_mean as "clean_mean_m" with float,
+    faulted_mean as "faulted_mean_m" with float,
+    mean_shift as "mean_shift_m" with float,
+    p50_shift as "p50_shift_m" with float,
+    p90_shift as "p90_shift_m" with float,
+    worst_ladder,
+    final_ladder,
+    lost_terminal,
+    nonfinite_fused,
+    quarantined_epochs,
+    schemes_quarantined,
+    epochs_to_recover,
+    recovered,
+});
 
 /// The fused error of one epoch: UniLoc2 when available, UniLoc1 otherwise
 /// (mirroring the engine's own degradation order).
@@ -258,10 +247,10 @@ pub fn run_sweep(
             ("scenario".into(), Json::Str(base.scenario.name.clone())),
             ("seed".into(), Json::Int(seed as i64)),
             ("epochs".into(), Json::Int(base.clean_epochs as i64)),
-            ("clean_mean_m".into(), base.clean_mean.map_or(Json::Null, Json::Num)),
+            ("clean_mean_m".into(), float::to_json(&base.clean_mean)),
             (
                 "runs".into(),
-                Json::Arr(scenario_outcomes.iter().map(ChaosOutcome::to_json).collect()),
+                Json::Arr(scenario_outcomes.iter().map(ToJson::to_json).collect()),
             ),
         ])
         .canonical();

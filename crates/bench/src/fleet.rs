@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::chaos::{error_stats, fused_error, scenario_by_name};
 use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::fleet::{
-    check_checkpoint_version, hex_field, CheckpointError, FinishedSession, FleetEvent,
+    check_checkpoint_version, CheckpointError, FinishedSession, FleetEvent,
     FleetRunStats, FleetScheduler, FleetSession, RunControl, SessionCheckpoint, SupervisionPolicy,
     CHECKPOINT_VERSION,
 };
@@ -34,7 +34,7 @@ use uniloc_obs::fleet::{self as obsfleet, FleetAggregator, FleetSnapshot, Sessio
 use uniloc_obs::ObsSession;
 use uniloc_rng::split_seed;
 use uniloc_sensors::{DeviceProfile, SensorFrame};
-use uniloc_stats::json::{field, FromJson, Json, JsonError, ToJson};
+use uniloc_stats::json::{flattened, float, hex, FromJson, Json, ToJson};
 
 /// Load-generator parameters. Everything that shapes the fleet's *output*
 /// lives here except `jobs`/`resident`, which only shape its execution.
@@ -60,9 +60,10 @@ pub struct FleetConfig {
     /// smoke library); `0` keeps the whole fleet clean.
     pub chaos_every: usize,
     /// Serve every walker under a stubbed [`ObsSession`] (the *obs off*
-    /// half of the obs-overhead bench). Records are byte-identical either
-    /// way — observability never feeds the pipeline — but captures come
-    /// back empty, so no fleet snapshot is aggregated.
+    /// half of the obs-overhead bench; `uniloc fleet` sets it only there).
+    /// Records are byte-identical either way — observability never feeds
+    /// the pipeline — but captures come back empty, so no fleet snapshot
+    /// is aggregated.
     pub obs_stub: bool,
     /// Telemetry aggregation shards (`0` picks the default). Never affects
     /// artifacts: the shard merge is associative and commutative, which
@@ -70,8 +71,9 @@ pub struct FleetConfig {
     /// a resume takes the value from the checkpoint.
     pub shards: usize,
     /// Worst-session exemplars kept by the fleet observatory (`0` picks
-    /// the default, [`uniloc_obs::fleet::EXEMPLAR_CAP`]). Shapes only the
-    /// health plane's exemplar table, never the fleet report.
+    /// the default, [`uniloc_obs::fleet::EXEMPLAR_CAP`]; `uniloc fleet`
+    /// always passes `0`). Shapes only the health plane's exemplar table,
+    /// never the fleet report.
     pub top_k: usize,
     /// Arms a process-level fault on this lane: its walker panics at
     /// epoch [`FleetConfig::panic_epoch`] (plan `panic_at_epoch_<E>`),
@@ -99,6 +101,16 @@ pub struct SessionSpec {
     /// The session's root seed: `split_seed(fleet_seed, lane)`.
     pub seed: u64,
 }
+
+uniloc_stats::impl_json_struct!(SessionSpec {
+    lane,
+    name,
+    scenario,
+    persona,
+    device,
+    plan,
+    seed with hex,
+});
 
 impl SessionSpec {
     /// The checkpoint naming this spec with `cursor` frames served.
@@ -390,80 +402,18 @@ fn summarize(spec: SessionSpec, finished: &FinishedSession) -> SessionSummary {
     }
 }
 
-impl ToJson for SessionSummary {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("lane".into(), Json::Int(self.spec.lane as i64)),
-            ("name".into(), Json::Str(self.spec.name.clone())),
-            ("scenario".into(), Json::Str(self.spec.scenario.clone())),
-            ("persona".into(), Json::Str(self.spec.persona.clone())),
-            ("device".into(), Json::Str(self.spec.device.clone())),
-            ("plan".into(), Json::Str(self.spec.plan.clone())),
-            ("seed".into(), Json::Str(format!("{:016x}", self.spec.seed))),
-            ("epochs".into(), Json::Int(self.epochs as i64)),
-            ("digest".into(), Json::Str(format!("{:016x}", self.digest))),
-            ("mean_error_m".into(), self.mean_error.map_or(Json::Null, Json::Num)),
-            ("nonfinite_fused".into(), Json::Int(self.nonfinite_fused as i64)),
-            (
-                "quarantined".into(),
-                Json::Arr(self.quarantined.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("flight_lines".into(), Json::Int(self.flight_lines as i64)),
-            (
-                "poisoned".into(),
-                self.poisoned.as_ref().map_or(Json::Null, |p| Json::Str(p.clone())),
-            ),
-        ])
-    }
-}
-
-fn string_list(json: &Json, name: &str) -> Result<Vec<String>, JsonError> {
-    let items: Vec<Json> = field(json, name)?;
-    items
-        .iter()
-        .map(String::from_json)
-        .collect::<Result<_, _>>()
-        .map_err(|e| JsonError::new(format!("field `{name}`: {e}")))
-}
-
-/// A nullable field: `Null` (or an absent key) parses as `None`.
-fn opt_field<T: FromJson>(json: &Json, name: &str) -> Result<Option<T>, JsonError> {
-    match json.get(name) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => T::from_json(v)
-            .map(Some)
-            .map_err(|e| JsonError::new(format!("field `{name}`: {e}"))),
-    }
-}
-
-impl FromJson for SessionSummary {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(SessionSummary {
-            spec: SessionSpec {
-                lane: field::<u64>(json, "lane")?,
-                name: field(json, "name")?,
-                scenario: field(json, "scenario")?,
-                persona: field(json, "persona")?,
-                device: field(json, "device")?,
-                plan: field(json, "plan")?,
-                seed: hex_field(json, "seed")?,
-            },
-            epochs: field(json, "epochs")?,
-            digest: hex_field(json, "digest")?,
-            // The writer writes a float or null; an integer would come
-            // back as a float and no longer match the document it came from.
-            mean_error: match json.get("mean_error_m") {
-                None | Some(Json::Null) => None,
-                Some(Json::Num(x)) => Some(*x),
-                Some(_) => return Err(JsonError::new("field `mean_error_m`: expected a float")),
-            },
-            nonfinite_fused: field(json, "nonfinite_fused")?,
-            quarantined: string_list(json, "quarantined")?,
-            flight_lines: field(json, "flight_lines")?,
-            poisoned: opt_field(json, "poisoned")?,
-        })
-    }
-}
+// The row's spec keys sit beside its own; FLEET.json and the checkpoint
+// carry the same bytes.
+uniloc_stats::impl_json_struct!(SessionSummary {
+    ..spec,
+    epochs,
+    digest with hex,
+    mean_error as "mean_error_m" with float,
+    nonfinite_fused,
+    quarantined,
+    flight_lines,
+    poisoned,
+});
 
 /// One resident (not yet retired) walker in a [`FleetCheckpoint`]: its
 /// recipe + cursor, plus the supervision state the scheduler carries for
@@ -475,25 +425,7 @@ pub struct ResidentEntry {
     pub backoff_rounds: u64,
 }
 
-impl ToJson for ResidentEntry {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("checkpoint".into(), self.checkpoint.to_json()),
-            ("strikes".into(), self.strikes.to_json()),
-            ("backoff_rounds".into(), self.backoff_rounds.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ResidentEntry {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(ResidentEntry {
-            checkpoint: field(json, "checkpoint")?,
-            strikes: field(json, "strikes")?,
-            backoff_rounds: field(json, "backoff_rounds")?,
-        })
-    }
-}
+uniloc_stats::impl_json_struct!(ResidentEntry { checkpoint, strikes, backoff_rounds });
 
 /// The durable whole-fleet checkpoint: everything `uniloc fleet --resume`
 /// needs to reproduce an uninterrupted run's artifacts byte for byte.
@@ -534,62 +466,23 @@ pub struct FleetCheckpoint {
     pub snapshot: Option<FleetSnapshot>,
 }
 
-impl ToJson for FleetCheckpoint {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::Int(self.version as i64)),
-            ("seed".into(), Json::Str(format!("{:016x}", self.seed))),
-            ("sessions".into(), self.sessions.to_json()),
-            (
-                "scenarios".into(),
-                Json::Arr(self.scenario_names.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("max_epochs".into(), self.max_epochs.to_json()),
-            ("chaos_every".into(), self.chaos_every.to_json()),
-            ("obs_stub".into(), Json::Bool(self.obs_stub)),
-            ("shards".into(), self.shards.to_json()),
-            ("top_k".into(), self.top_k.to_json()),
-            ("panic_lane".into(), self.panic_lane.map_or(Json::Null, |l| l.to_json())),
-            ("panic_epoch".into(), self.panic_epoch.to_json()),
-            ("round".into(), self.round.to_json()),
-            ("retired".into(), Json::Arr(self.retired.iter().map(ToJson::to_json).collect())),
-            ("resident".into(), Json::Arr(self.resident.iter().map(ToJson::to_json).collect())),
-            ("snapshot".into(), self.snapshot.as_ref().map_or(Json::Null, ToJson::to_json)),
-        ])
-    }
-}
-
-impl FromJson for FleetCheckpoint {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let retired: Vec<Json> = field(json, "retired")?;
-        let resident: Vec<Json> = field(json, "resident")?;
-        Ok(FleetCheckpoint {
-            version: field::<u64>(json, "version")?,
-            seed: hex_field(json, "seed")?,
-            sessions: field(json, "sessions")?,
-            scenario_names: string_list(json, "scenarios")?,
-            max_epochs: field(json, "max_epochs")?,
-            chaos_every: field(json, "chaos_every")?,
-            obs_stub: field(json, "obs_stub")?,
-            shards: field(json, "shards")?,
-            top_k: field(json, "top_k")?,
-            panic_lane: opt_field(json, "panic_lane")?,
-            panic_epoch: field(json, "panic_epoch")?,
-            round: field(json, "round")?,
-            retired: retired
-                .iter()
-                .map(SessionSummary::from_json)
-                .collect::<Result<_, _>>()
-                .map_err(|e| JsonError::new(format!("field `retired`: {e}")))?,
-            resident: resident
-                .iter()
-                .map(ResidentEntry::from_json)
-                .collect::<Result<_, _>>()
-                .map_err(|e| JsonError::new(format!("field `resident`: {e}")))?,
-            snapshot: opt_field(json, "snapshot")?,
-        })
-    }
-}
+uniloc_stats::impl_json_struct!(FleetCheckpoint {
+    version,
+    seed with hex,
+    sessions,
+    scenario_names as "scenarios",
+    max_epochs,
+    chaos_every,
+    obs_stub,
+    shards,
+    top_k,
+    panic_lane,
+    panic_epoch,
+    round,
+    retired,
+    resident,
+    snapshot,
+});
 
 impl FleetCheckpoint {
     /// Parses and *validates* a fleet checkpoint document, rejecting
@@ -618,6 +511,55 @@ impl FleetCheckpoint {
         Ok(ckpt)
     }
 
+    /// The checkpoint of `cfg`'s fleet after `round` scheduler rounds:
+    /// the config echo plus the retired rows, resident walkers and
+    /// aggregate at the cut.
+    pub fn cut(
+        cfg: &FleetConfig,
+        round: u64,
+        retired: Vec<SessionSummary>,
+        resident: Vec<ResidentEntry>,
+        snapshot: Option<FleetSnapshot>,
+    ) -> FleetCheckpoint {
+        FleetCheckpoint {
+            version: CHECKPOINT_VERSION,
+            seed: cfg.seed,
+            sessions: cfg.sessions,
+            scenario_names: cfg.scenario_names.clone(),
+            max_epochs: cfg.max_epochs,
+            chaos_every: cfg.chaos_every,
+            obs_stub: cfg.obs_stub,
+            shards: cfg.shards,
+            top_k: cfg.top_k,
+            panic_lane: cfg.panic_lane,
+            panic_epoch: cfg.panic_epoch,
+            round,
+            retired,
+            resident,
+            snapshot,
+        }
+    }
+
+    /// The fleet this checkpoint was cut from, served with `jobs` workers
+    /// and at most `resident` live sessions (execution-only knobs the
+    /// checkpoint does not pin).
+    pub fn config(&self, jobs: usize, resident: usize) -> FleetConfig {
+        FleetConfig {
+            seed: self.seed,
+            sessions: self.sessions,
+            scenario_names: self.scenario_names.clone(),
+            jobs,
+            resident,
+            max_epochs: self.max_epochs,
+            chaos_every: self.chaos_every,
+            obs_stub: self.obs_stub,
+            shards: self.shards,
+            top_k: self.top_k,
+            panic_lane: self.panic_lane,
+            panic_epoch: self.panic_epoch,
+        }
+    }
+
     /// Validates that `cfg` regenerates the fleet this checkpoint was cut
     /// from — every artifact-shaping knob must match (jobs and resident
     /// cap are execution-only and free to change).
@@ -626,58 +568,18 @@ impl FleetCheckpoint {
     ///
     /// Names the first mismatched knob.
     pub fn check_config(&self, cfg: &FleetConfig) -> Result<(), String> {
-        let mismatch = |knob: &str, ckpt: String, now: String| -> Result<(), String> {
-            Err(format!(
-                "checkpoint was cut from a different fleet: {knob} was {ckpt}, resume asks {now}"
-            ))
+        // Two empty cuts share version, round and state, so only a config
+        // key can differ between them.
+        let echo = |cfg: &FleetConfig| {
+            flattened(&FleetCheckpoint::cut(cfg, 0, Vec::new(), Vec::new(), None))
         };
-        if self.seed != cfg.seed {
-            return mismatch("seed", self.seed.to_string(), cfg.seed.to_string());
+        let (was, now) = (echo(&self.config(cfg.jobs, cfg.resident)), echo(cfg));
+        match was.iter().zip(&now).find(|(a, b)| a != b) {
+            Some(((knob, a), (_, b))) => Err(format!(
+                "checkpoint was cut from a different fleet: {knob} was {a}, resume asks {b}"
+            )),
+            None => Ok(()),
         }
-        if self.sessions != cfg.sessions {
-            return mismatch("sessions", self.sessions.to_string(), cfg.sessions.to_string());
-        }
-        if self.scenario_names != cfg.scenario_names {
-            return mismatch(
-                "scenarios",
-                self.scenario_names.join(","),
-                cfg.scenario_names.join(","),
-            );
-        }
-        if self.max_epochs != cfg.max_epochs {
-            return mismatch("max_epochs", self.max_epochs.to_string(), cfg.max_epochs.to_string());
-        }
-        if self.chaos_every != cfg.chaos_every {
-            return mismatch(
-                "chaos_every",
-                self.chaos_every.to_string(),
-                cfg.chaos_every.to_string(),
-            );
-        }
-        if self.obs_stub != cfg.obs_stub {
-            return mismatch("obs_stub", self.obs_stub.to_string(), cfg.obs_stub.to_string());
-        }
-        if self.shards != cfg.shards {
-            return mismatch("shards", self.shards.to_string(), cfg.shards.to_string());
-        }
-        if self.top_k != cfg.top_k {
-            return mismatch("top_k", self.top_k.to_string(), cfg.top_k.to_string());
-        }
-        if self.panic_lane != cfg.panic_lane {
-            return mismatch(
-                "panic_lane",
-                format!("{:?}", self.panic_lane),
-                format!("{:?}", cfg.panic_lane),
-            );
-        }
-        if self.panic_epoch != cfg.panic_epoch {
-            return mismatch(
-                "panic_epoch",
-                self.panic_epoch.to_string(),
-                cfg.panic_epoch.to_string(),
-            );
-        }
-        Ok(())
     }
 }
 
@@ -729,8 +631,6 @@ pub struct FleetRunOptions {
     /// Simulated process crash: abandon the run after this many rounds
     /// (the crash-injection harness's kill switch).
     pub crash_after_rounds: Option<u64>,
-    /// Panic supervision policy (strikes and retry backoff).
-    pub policy: SupervisionPolicy,
 }
 
 /// What [`run_fleet_durable`] produced.
@@ -858,7 +758,8 @@ pub fn run_fleet_durable(
         stop_after_rounds: opts.crash_after_rounds,
     };
     let mut ckpt_error: Option<String> = None;
-    let stats = scheduler.run_supervised(&opts.policy, &control, |event| match event {
+    let policy = SupervisionPolicy::default();
+    let stats = scheduler.run_supervised(&policy, &control, |event| match event {
         FleetEvent::Finished(finished) => {
             let spec = spec_by_lane
                 .get(&finished.lane)
@@ -898,33 +799,18 @@ pub fn run_fleet_durable(
                 rows.push(summary);
             }
             rows.sort_by_key(|s| s.spec.lane);
-            let ckpt = FleetCheckpoint {
-                version: CHECKPOINT_VERSION,
-                seed: cfg.seed,
-                sessions: cfg.sessions,
-                scenario_names: cfg.scenario_names.clone(),
-                max_epochs: cfg.max_epochs,
-                chaos_every: cfg.chaos_every,
-                obs_stub: cfg.obs_stub,
-                shards: cfg.shards,
-                top_k: cfg.top_k,
-                panic_lane: cfg.panic_lane,
-                panic_epoch: cfg.panic_epoch,
-                round,
-                retired: rows,
-                resident: resident
-                    .iter()
-                    .map(|r| ResidentEntry {
-                        checkpoint: spec_by_lane
-                            .get(&r.lane)
-                            .unwrap_or_else(|| panic!("resident lane {} has no spec", r.lane))
-                            .checkpoint(r.cursor as usize),
-                        strikes: r.strikes,
-                        backoff_rounds: r.backoff_rounds,
-                    })
-                    .collect(),
-                snapshot: snap,
-            };
+            let resident = resident
+                .iter()
+                .map(|r| ResidentEntry {
+                    checkpoint: spec_by_lane
+                        .get(&r.lane)
+                        .unwrap_or_else(|| panic!("resident lane {} has no spec", r.lane))
+                        .checkpoint(r.cursor as usize),
+                    strikes: r.strikes,
+                    backoff_rounds: r.backoff_rounds,
+                })
+                .collect();
+            let ckpt = FleetCheckpoint::cut(cfg, round, rows, resident, snap);
             if let Err(e) = atomic_write_json(path, &ckpt.to_json()) {
                 ckpt_error = Some(format!("write checkpoint {path}: {e}"));
             }

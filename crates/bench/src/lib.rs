@@ -12,9 +12,9 @@ pub mod microbench;
 
 use std::sync::Arc;
 
-use uniloc_core::error_model::{train, ErrorModelSet};
+use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
-use uniloc_env::{venues, Scenario};
+use uniloc_env::Scenario;
 use uniloc_obs::{StderrSubscriber, TraceLevel};
 use uniloc_schemes::SchemeId;
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
@@ -72,14 +72,7 @@ pub const SYSTEM_LABELS: [&str; 8] =
 /// cannot, unless the substrate is broken).
 pub fn trained_models(seed: u64) -> ErrorModelSet {
     uniloc_obs::info!("training error models (office + open space, seed {seed}) ...");
-    let cfg = PipelineConfig::default();
-    let mut samples = pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    train(&samples).expect("training venues produce enough samples")
+    pipeline::train_standard_models(seed).expect("training venues produce enough samples")
 }
 
 /// Per-epoch error series of one system, for figure printing.

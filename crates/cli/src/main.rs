@@ -1,40 +1,32 @@
 //! `uniloc` — command-line driver for the UniLoc reproduction.
 //!
-//! ```text
-//! uniloc train [--seed N] [--out FILE]          train error models, write JSON
-//! uniloc run   --models FILE [--scenario NAME]  walk a venue with trained models
-//!              [--seed N] [--device nexus5x|lgg3] [--json]
-//!              [--metrics FILE] [--trace-level LEVEL] [--virtual-clock]
-//! uniloc inspect --file FILE [--json] [--full]  render any artifact: a FLEET_HEALTH.json
-//!                [--strict]                     health table, a PROF_alloc.json heap
-//!                                               table, trained coefficients, or a
-//!                                               --metrics sidecar's metrics, calibration
-//!                                               cells and flight dumps
-//! uniloc chaos [--plans smoke|full] [--jobs N]  scenario x fault-plan resilience sweep
-//!                                               (parallel, deterministic at any --jobs)
-//! uniloc fleet [--sessions N] [--obs-stub]      fleet-scale load generator; also writes
-//!              [--obs-overhead] [--top-k N]     FLEET_HEALTH.json + PROF_fleet.* +
-//!              [--alloc-budget N]               PROF_alloc.* from the fleet observatory
-//! uniloc scenarios                              list available venues
-//! ```
+//! Commands: `train` (fit the error models, write JSON), `run` (walk a
+//! venue with trained models), `inspect` (render any artifact), `chaos`
+//! (scenario × fault-plan resilience sweep), `fleet` (the fleet-scale load
+//! generator and its observatory artifacts) and `scenarios`; [`USAGE`]
+//! lists each command's flags.
 //!
-//! Global flags: `--quiet` silences progress output (progress is routed
-//! through the `uniloc-obs` tracing facade at `info` level, not
-//! `eprintln!`, so any subscriber can capture it). `--trace-level` takes
-//! `off|error|warn|info|debug|span`; `--virtual-clock` timestamps the
-//! sidecar with simulation time so same-seed runs are byte-identical.
+//! Global flags, accepted by every command: `--quiet` silences progress
+//! output (progress is routed through the `uniloc-obs` tracing facade at
+//! `info` level, not `eprintln!`, so any subscriber can capture it);
+//! `--metrics FILE` streams trace events to a JSON-lines sidecar (`run`
+//! and `chaos` append their metrics, calibration cells and flight dumps);
+//! `--trace-level` takes `off|error|warn|info|debug|span`; `--virtual-clock`
+//! timestamps the sidecar with simulation time so same-seed runs are
+//! byte-identical.
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency policy has no
-//! CLI crate); flags are order-independent `--key value` pairs.
+//! CLI crate); flags are order-independent `--key value` pairs, and each
+//! command accepts only its own flags ([`COMMANDS`]) and the global ones:
+//! any other flag exits 2 naming it.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use uniloc_bench::chaos::scenario_by_name;
-use uniloc_core::error_model::{train, ErrorModelSet};
+use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::pipeline::{self, PipelineConfig};
-use uniloc_env::venues;
 use uniloc_iodetect::IoState;
 use uniloc_obs::{
     JsonlExporter, MultiSubscriber, StderrSubscriber, Subscriber, TraceLevel, VirtualClock,
@@ -49,7 +41,15 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let flags = match parse_flags(&args[1..]) {
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, own)) = COMMANDS.iter().find(|(name, _)| name == command) else {
+        eprintln!("error: unknown command `{command}`\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(command, own, &args[1..]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -70,11 +70,7 @@ fn main() -> ExitCode {
         "chaos" => cmd_chaos(&flags, exporter.as_deref()),
         "fleet" => cmd_fleet(&flags),
         "scenarios" => cmd_scenarios(),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => unreachable!("`{other}` has flags but no handler"),
     };
     uniloc_obs::global().flush();
     match result {
@@ -89,20 +85,39 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   uniloc train [--seed N] [--out FILE]
   uniloc run --models FILE [--scenario NAME] [--seed N] [--device nexus5x|lgg3] [--json]
-             [--metrics FILE] [--trace-level off|error|warn|info|debug|span] [--virtual-clock]
   uniloc inspect --file FILE [--json] [--full] [--strict]
   uniloc chaos [--models FILE] [--scenarios a,b] [--plans smoke|full|p1,p2] [--seed N]
                [--out DIR] [--strict] [--jobs N]
   uniloc fleet [--models FILE] [--sessions N] [--scenarios a,b] [--seed N] [--jobs N]
                [--resident N] [--max-epochs N] [--chaos-every N] [--out DIR]
-               [--strict] [--obs-stub] [--top-k N] [--alloc-budget N]
-               [--obs-overhead] [--overhead-budget X] [--overhead-passes N]
+               [--strict] [--alloc-budget N] [--obs-overhead] [--overhead-budget X]
                [--checkpoint-every N] [--checkpoint FILE] [--resume FILE]
                [--crash-after-rounds N] [--panic-lane N] [--panic-epoch N]
   uniloc scenarios
-global flags: --quiet (suppress progress output)
-  --jobs N: worker threads for sweep commands (default: available cores);
-            artifacts are byte-identical at any value, --jobs 1 runs inline";
+global flags, accepted by every command:
+  [--quiet] [--metrics FILE] [--trace-level off|error|warn|info|debug|span] [--virtual-clock]
+jobs: worker threads for chaos and fleet (default: available cores);
+  artifacts are byte-identical at any value, and 1 runs inline";
+
+/// Every command and the flags it accepts besides [`GLOBAL_FLAGS`]: the
+/// flags its `USAGE` lines show (held by a unit test).
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("train", &["seed", "out"]),
+    ("run", &["models", "scenario", "seed", "device", "json"]),
+    ("inspect", &["file", "json", "full", "strict"]),
+    ("chaos", &["models", "scenarios", "plans", "seed", "out", "strict", "jobs"]),
+    ("fleet", &[
+        "models", "sessions", "scenarios", "seed", "jobs", "resident", "max-epochs",
+        "chaos-every", "out", "strict", "alloc-budget", "obs-overhead", "overhead-budget",
+        "checkpoint-every", "checkpoint", "resume", "crash-after-rounds", "panic-lane",
+        "panic-epoch",
+    ]),
+    ("scenarios", &[]),
+];
+
+/// Flags every command accepts: they configure the tracing facade
+/// ([`init_obs`]).
+const GLOBAL_FLAGS: &[&str] = &["quiet", "metrics", "trace-level", "virtual-clock"];
 
 /// Configures the global `uniloc-obs` dispatcher from the flags: a stderr
 /// progress printer (unless `--quiet`), a JSONL exporter when `--metrics
@@ -148,14 +163,27 @@ fn init_obs(flags: &BTreeMap<String, String>) -> Result<Option<Arc<JsonlExporter
     Ok(exporter)
 }
 
-/// Parses `--key value` pairs (and bare `--flag` booleans).
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
+/// Parses `command`'s `--key value` pairs (and bare `--flag` booleans),
+/// accepting only its own flags `own` and the global ones.
+fn parse_flags(
+    command: &str,
+    own: &[&str],
+    args: &[String],
+) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got `{}`", args[i]))?;
+        if !own.contains(&key) && !GLOBAL_FLAGS.contains(&key) {
+            let list = |names: &[&str]| names.iter().map(|n| format!(" --{n}")).collect::<String>();
+            return Err(format!(
+                "unknown flag `--{key}` for `uniloc {command}`; its flags:{}; global:{}",
+                if own.is_empty() { " none".to_owned() } else { list(own) },
+                list(GLOBAL_FLAGS)
+            ));
+        }
         if i + 1 < args.len() && !args[i + 1].starts_with("--") {
             flags.insert(key.to_owned(), args[i + 1].clone());
             i += 2;
@@ -190,16 +218,8 @@ fn jobs_flag(flags: &BTreeMap<String, String>) -> Result<usize, String> {
 fn cmd_train(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let seed = seed_flag(flags)?;
     let out = flags.get("out").map(String::as_str).unwrap_or("uniloc-models.json");
-    let cfg = PipelineConfig::default();
     uniloc_obs::info!("collecting training data (office + open space, seed {seed}) ...");
-    let mut samples = pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    uniloc_obs::info!("  {} samples", samples.len());
-    let models = train(&samples).map_err(|e| format!("training failed: {e}"))?;
+    let models = train_models(seed)?;
     let json = uniloc_stats::json::to_string_pretty(&models);
     std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
     uniloc_obs::info!("wrote {out}");
@@ -473,7 +493,7 @@ fn cmd_chaos(flags: &BTreeMap<String, String>, exporter: Option<&JsonlExporter>)
     let strict = flags.contains_key("strict");
     let cfg = PipelineConfig::default();
 
-    let models = models_or_train(flags, &cfg, seed)?;
+    let models = models_or_train(flags, seed)?;
 
     let scenario_names: Vec<String> = flags
         .get("scenarios")
@@ -535,25 +555,18 @@ fn cmd_chaos(flags: &BTreeMap<String, String>, exporter: Option<&JsonlExporter>)
 
 /// `--models FILE` when given, otherwise the standard in-process training
 /// pass (office + open space) on `seed` — shared by the sweep commands.
-fn models_or_train(
-    flags: &BTreeMap<String, String>,
-    cfg: &PipelineConfig,
-    seed: u64,
-) -> Result<ErrorModelSet, String> {
+fn models_or_train(flags: &BTreeMap<String, String>, seed: u64) -> Result<ErrorModelSet, String> {
     match flags.get("models") {
         Some(_) => load_models(flags),
         None => {
             uniloc_obs::info!("no --models given; training in-process (seed {seed}) ...");
-            let mut samples =
-                pipeline::collect_training(&venues::training_office(seed), cfg, seed + 10);
-            samples.extend(pipeline::collect_training(
-                &venues::training_open_space(seed + 1),
-                cfg,
-                seed + 11,
-            ));
-            train(&samples).map_err(|e| format!("training failed: {e}"))
+            train_models(seed)
         }
     }
+}
+
+fn train_models(seed: u64) -> Result<ErrorModelSet, String> {
+    pipeline::train_standard_models(seed).map_err(|e| format!("training failed: {e}"))
 }
 
 /// `--<key> N` as a positive integer, with a default.
@@ -581,6 +594,10 @@ fn f64_flag(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result
     }
 }
 
+/// Paired obs-on/obs-stub passes of `uniloc fleet --obs-overhead`; each
+/// mode keeps its best.
+const OVERHEAD_PASSES: usize = 2;
+
 /// `uniloc fleet`: the fleet-scale load generator — `--sessions N` seeded
 /// walkers mixing personas, devices, scenarios and (with `--chaos-every
 /// K`) fault plans, served concurrently by the deterministic
@@ -590,12 +607,12 @@ fn f64_flag(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result
 /// `PROF_alloc.*`; see [`uniloc_bench::fleet::artifacts`]) to `--out DIR`:
 /// all six are byte-identical at any `--jobs`/`--resident` value and
 /// contain no wall-clock numbers, so the CI smoke gate diffs the whole
-/// directory across worker counts. `--obs-stub` swaps every
-/// session's observability for the sink configuration (no aggregation
-/// artifacts), and `--obs-overhead` runs the paired obs-on/obs-stub bench
-/// and fails if the epochs/s cost exceeds `--overhead-budget` (default
-/// 5%). `--strict` fails on any resilience violation (a non-finite fused
-/// estimate, or a clean walker that got quarantined).
+/// directory across worker counts. `--obs-overhead` instead runs the
+/// fleet [`OVERHEAD_PASSES`] times each with full and stubbed
+/// observability and fails if the epochs/s cost exceeds
+/// `--overhead-budget` (default 5%). `--strict` fails on any resilience
+/// violation (a non-finite fused estimate, or a clean walker that got
+/// quarantined).
 ///
 /// Crash safety: `--checkpoint-every N` cuts a durable fleet checkpoint
 /// (atomic temp-file + rename) every N scheduler rounds to `--checkpoint
@@ -623,24 +640,12 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         Some(path) => Some(load_fleet_checkpoint(path)?),
         None => None,
     };
+    let resident = usize_flag(flags, "resident", 64)?;
     let fleet_cfg = match &resume {
         // Resuming: the checkpoint pins every artifact-shaping knob (a
         // mismatched flag would silently fork the fleet); only execution
         // knobs come from the command line.
-        Some(ckpt) => FleetConfig {
-            seed: ckpt.seed,
-            sessions: ckpt.sessions,
-            scenario_names: ckpt.scenario_names.clone(),
-            jobs,
-            resident: usize_flag(flags, "resident", 64)?,
-            max_epochs: ckpt.max_epochs,
-            chaos_every: ckpt.chaos_every,
-            obs_stub: ckpt.obs_stub,
-            shards: ckpt.shards,
-            top_k: ckpt.top_k,
-            panic_lane: ckpt.panic_lane,
-            panic_epoch: ckpt.panic_epoch,
-        },
+        Some(ckpt) => ckpt.config(jobs, resident),
         None => FleetConfig {
             seed,
             sessions: usize_flag(flags, "sessions", 1000)?,
@@ -649,12 +654,12 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 .map(|s| s.split(',').map(str::to_owned).collect())
                 .unwrap_or_else(|| vec!["office".to_owned(), "open-space".to_owned()]),
             jobs,
-            resident: usize_flag(flags, "resident", 64)?,
+            resident,
             max_epochs: usize_flag(flags, "max-epochs", 40)?,
             chaos_every: usize_flag(flags, "chaos-every", 0)?,
-            obs_stub: flags.contains_key("obs-stub"),
+            obs_stub: false,
             shards: 0,
-            top_k: usize_flag(flags, "top-k", 0)?,
+            top_k: 0,
             panic_lane: flags
                 .get("panic-lane")
                 .map(|_| usize_flag(flags, "panic-lane", 0))
@@ -663,7 +668,7 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
             panic_epoch: usize_flag(flags, "panic-epoch", 0)? as u64,
         },
     };
-    let models = Arc::new(models_or_train(flags, &cfg, fleet_cfg.seed)?);
+    let models = Arc::new(models_or_train(flags, fleet_cfg.seed)?);
     let checkpoint_every = usize_flag(flags, "checkpoint-every", 0)? as u64;
     let checkpoint_path = flags
         .get("checkpoint")
@@ -680,9 +685,8 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     };
 
     if flags.contains_key("obs-overhead") {
-        let passes = usize_flag(flags, "overhead-passes", 2)?;
         let budget = f64_flag(flags, "overhead-budget", 0.05)?;
-        let o = measure_obs_overhead(&models, &cfg, &fleet_cfg, passes)?;
+        let o = measure_obs_overhead(&models, &cfg, &fleet_cfg, OVERHEAD_PASSES)?;
         println!(
             "obs_overhead_frac {:.4} budget {:.4} obs_epochs_per_sec {:.0} stub_epochs_per_sec {:.0}",
             o.overhead_frac, budget, o.epochs_per_sec_obs, o.epochs_per_sec_stub
@@ -713,7 +717,6 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
             checkpoint_path: checkpoint_path.clone(),
             resume_from: resume,
             crash_after_rounds,
-            ..FleetRunOptions::default()
         },
     )?;
     let result = match outcome {
@@ -749,7 +752,9 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     }
     if let Some(budget) = alloc_budget {
         let Some(snap) = &result.snapshot else {
-            return Err("--alloc-budget needs the alloc observatory; drop --obs-stub".to_owned());
+            return Err("--alloc-budget needs the alloc observatory, which an obs-stubbed \
+                        fleet does not run"
+                .to_owned());
         };
         let observed = snap.allocs_per_epoch();
         if observed > budget {
@@ -982,33 +987,86 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(command: &str, v: &[&str]) -> Result<BTreeMap<String, String>, String> {
+        let (_, own) = COMMANDS.iter().find(|(name, _)| *name == command).unwrap();
+        parse_flags(command, own, &args(v))
+    }
+
     #[test]
     fn parse_key_value_pairs() {
-        let f = parse_flags(&args(&["--seed", "7", "--out", "x.json"])).unwrap();
+        let f = parse("train", &["--seed", "7", "--out", "x.json"]).unwrap();
         assert_eq!(f.get("seed").unwrap(), "7");
         assert_eq!(f.get("out").unwrap(), "x.json");
     }
 
     #[test]
     fn parse_bare_booleans() {
-        let f = parse_flags(&args(&["--json", "--models", "m.json"])).unwrap();
+        let f = parse("run", &["--json", "--models", "m.json"]).unwrap();
         assert_eq!(f.get("json").unwrap(), "true");
         assert_eq!(f.get("models").unwrap(), "m.json");
     }
 
     #[test]
     fn parse_rejects_positional() {
-        assert!(parse_flags(&args(&["oops"])).is_err());
+        assert!(parse("run", &["oops"]).is_err());
     }
 
     #[test]
     fn seed_parses_or_defaults() {
-        let f = parse_flags(&args(&["--seed", "42"])).unwrap();
+        let f = parse("train", &["--seed", "42"]).unwrap();
         assert_eq!(seed_flag(&f).unwrap(), 42);
-        let f = parse_flags(&args(&[])).unwrap();
+        let f = parse("train", &[]).unwrap();
         assert_eq!(seed_flag(&f).unwrap(), 1);
-        let f = parse_flags(&args(&["--seed", "nope"])).unwrap();
+        let f = parse("train", &["--seed", "nope"]).unwrap();
         assert!(seed_flag(&f).is_err());
+    }
+
+    /// A misspelled, removed or foreign flag is an error naming it and
+    /// the command's flags, never a silent default.
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (command, line, flag) in [
+            ("scenarios", &["--bogus", "7"][..], "--bogus"),
+            ("fleet", &["--sessions", "2", "--max-epochs", "2", "--sesions", "9"], "--sesions"),
+            ("fleet", &["--shards", "4"], "--shards"),
+            ("fleet", &["--top-k", "3"], "--top-k"),
+            ("fleet", &["--obs-stub", "--overhead-passes", "3"], "--obs-stub"),
+            ("train", &["--file", "x"], "--file"),
+        ] {
+            let err = parse(command, line).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}` for `uniloc {command}`")), "{err}");
+        }
+        let err = parse("fleet", &["--sesions", "9"]).unwrap_err();
+        assert!(err.contains(" --sessions ") && err.contains(" --panic-epoch;"), "{err}");
+        assert!(err.ends_with("global: --quiet --metrics --trace-level --virtual-clock"));
+        for (command, _) in COMMANDS {
+            assert!(parse(command, &["--quiet", "--trace-level", "off"]).is_ok(), "{command}");
+        }
+    }
+
+    /// Each command's flags are exactly those its `USAGE` lines show, and
+    /// the global flags those of the global line.
+    #[test]
+    fn flag_sets_match_the_usage_lines() {
+        fn sorted<'a>(flags: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+            let mut flags: Vec<&str> = flags.collect();
+            flags.sort_unstable();
+            flags
+        }
+        let flags_in = |lines: &[&'static str]| {
+            let words = lines.iter().flat_map(|l| l.split([' ', '[', ']']));
+            sorted(words.filter_map(|w| w.strip_prefix("--")))
+        };
+        let lines: Vec<&'static str> = USAGE.lines().collect();
+        for (command, own) in COMMANDS {
+            let head = |l: &&str| l.split_whitespace().take(2).eq(["uniloc", *command]);
+            let from = lines.iter().position(head).expect("a USAGE line per command");
+            let to = (from + 1..lines.len()).find(|&i| !lines[i].starts_with("     "));
+            let shown = flags_in(&lines[from..to.unwrap_or(lines.len())]);
+            assert_eq!(shown, sorted(own.iter().copied()), "uniloc {command}");
+        }
+        let global = lines.iter().position(|l| l.starts_with("global flags")).unwrap() + 1;
+        assert_eq!(flags_in(&lines[global..=global]), sorted(GLOBAL_FLAGS.iter().copied()));
     }
 
     #[test]
@@ -1025,12 +1083,12 @@ mod tests {
             ),
         )
         .unwrap();
-        let f = parse_flags(&args(&["--file", good.to_str().unwrap()])).unwrap();
+        let f = parse("inspect", &["--file", good.to_str().unwrap()]).unwrap();
         assert!(cmd_inspect(&f).is_ok());
 
         let bad = dir.join("uniloc-cli-test-metrics-bad.jsonl");
         std::fs::write(&bad, "{\"kind\":\"counter\"\n").unwrap();
-        let f = parse_flags(&args(&["--file", bad.to_str().unwrap()])).unwrap();
+        let f = parse("inspect", &["--file", bad.to_str().unwrap()]).unwrap();
         let err = cmd_inspect(&f).unwrap_err();
         assert!(err.contains(":1:"), "error should cite the line: {err}");
         std::fs::remove_file(&good).ok();
@@ -1042,7 +1100,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let untagged = dir.join("uniloc-cli-test-untagged.json");
         std::fs::write(&untagged, "{\"scenario\": \"office\", \"runs\": []}").unwrap();
-        let f = parse_flags(&args(&["--file", untagged.to_str().unwrap()])).unwrap();
+        let f = parse("inspect", &["--file", untagged.to_str().unwrap()]).unwrap();
         let err = cmd_inspect(&f).unwrap_err();
         for tag in ["`health`", "`prof: \"alloc\"`", "`models`", "`kind`"] {
             assert!(err.contains(tag), "the error should name {tag}: {err}");
@@ -1050,7 +1108,7 @@ mod tests {
         // A one-line sidecar is one JSON document too; its `kind` marks it.
         let one_line = dir.join("uniloc-cli-test-one-line.jsonl");
         std::fs::write(&one_line, "{\"kind\":\"counter\",\"name\":\"x\",\"value\":1}\n").unwrap();
-        let f = parse_flags(&args(&["--file", one_line.to_str().unwrap()])).unwrap();
+        let f = parse("inspect", &["--file", one_line.to_str().unwrap()]).unwrap();
         assert!(cmd_inspect(&f).is_ok());
         std::fs::remove_file(&untagged).ok();
         std::fs::remove_file(&one_line).ok();
@@ -1058,7 +1116,7 @@ mod tests {
 
     #[test]
     fn inspect_metrics_requires_file_flag() {
-        let f = parse_flags(&args(&[])).unwrap();
+        let f = parse("inspect", &[]).unwrap();
         assert!(cmd_inspect(&f).unwrap_err().contains("--file"));
     }
 }

@@ -47,6 +47,7 @@ use crate::pipeline::EpochRecord;
 use crate::session::Session;
 use uniloc_obs::session::{self as obs_session, ObsSession, SessionCapture};
 use uniloc_sensors::SensorFrame;
+use uniloc_stats::json::hex;
 
 /// Current checkpoint format version, embedded in every
 /// [`SessionCheckpoint`] (and the fleet-level checkpoint built on it).
@@ -88,19 +89,13 @@ impl std::error::Error for CheckpointError {}
 /// # Errors
 ///
 /// [`CheckpointError::Malformed`] when the field is missing or not an
-/// integer, [`CheckpointError::VersionMismatch`] when it is not
+/// unsigned integer, [`CheckpointError::VersionMismatch`] when it is not
 /// [`CHECKPOINT_VERSION`].
 pub fn check_checkpoint_version(
     json: &uniloc_stats::json::Json,
 ) -> Result<(), CheckpointError> {
-    let found = json
-        .get("version")
-        .and_then(uniloc_stats::json::Json::as_i64)
-        .ok_or_else(|| {
-            CheckpointError::Malformed("checkpoint needs an integer `version`".to_owned())
-        })?;
-    let found = u64::try_from(found)
-        .map_err(|_| CheckpointError::Malformed(format!("negative version {found}")))?;
+    let found: u64 = uniloc_stats::json::field(json, "version")
+        .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
     if found != CHECKPOINT_VERSION {
         return Err(CheckpointError::VersionMismatch {
             found,
@@ -165,83 +160,19 @@ pub struct SessionCheckpoint {
     pub cursor: u64,
 }
 
-// Hand-written (not `impl_json_struct!`): `seed` comes from
-// `split_seed` and uses the full u64 range, which `Json::Int` (i64)
-// cannot hold — the u64 fields travel as fixed-width hex strings.
-impl uniloc_stats::json::ToJson for SessionCheckpoint {
-    fn to_json(&self) -> uniloc_stats::json::Json {
-        use uniloc_stats::json::Json;
-        Json::Obj(vec![
-            ("version".to_owned(), Json::Int(self.version as i64)),
-            ("lane".to_owned(), Json::Str(format!("{:016x}", self.lane))),
-            ("name".to_owned(), Json::Str(self.name.clone())),
-            ("scenario".to_owned(), Json::Str(self.scenario.clone())),
-            ("persona".to_owned(), Json::Str(self.persona.clone())),
-            ("device".to_owned(), Json::Str(self.device.clone())),
-            ("plan".to_owned(), Json::Str(self.plan.clone())),
-            ("seed".to_owned(), Json::Str(format!("{:016x}", self.seed))),
-            ("cursor".to_owned(), Json::Str(format!("{:016x}", self.cursor))),
-        ])
-    }
-}
-
-/// A `u64` checkpoint field in its written form: exactly 16 lowercase hex
-/// digits (`from_str_radix` alone would also take a sign, upper case and
-/// short strings, which read back as the same number but re-serialize to
-/// other bytes).
-///
-/// # Errors
-///
-/// A missing field, a non-string, or any other string form.
-pub fn hex_field(
-    json: &uniloc_stats::json::Json,
-    name: &str,
-) -> Result<u64, uniloc_stats::json::JsonError> {
-    let s: String = uniloc_stats::json::field(json, name)?;
-    u64::from_str_radix(&s, 16).ok().filter(|v| format!("{v:016x}") == s).ok_or_else(|| {
-        uniloc_stats::json::JsonError::new(format!(
-            "field `{name}`: `{s}` is not 16 lowercase hex digits"
-        ))
-    })
-}
-
-impl uniloc_stats::json::FromJson for SessionCheckpoint {
-    fn from_json(
-        json: &uniloc_stats::json::Json,
-    ) -> Result<Self, uniloc_stats::json::JsonError> {
-        use uniloc_stats::json::{field, JsonError};
-        let version: i64 = field(json, "version")?;
-        Ok(SessionCheckpoint {
-            version: u64::try_from(version)
-                .map_err(|_| JsonError::new(format!("negative checkpoint version {version}")))?,
-            lane: hex_field(json, "lane")?,
-            name: field(json, "name")?,
-            scenario: field(json, "scenario")?,
-            persona: field(json, "persona")?,
-            device: field(json, "device")?,
-            plan: field(json, "plan")?,
-            seed: hex_field(json, "seed")?,
-            cursor: hex_field(json, "cursor")?,
-        })
-    }
-}
-
-impl SessionCheckpoint {
-    /// Parses and *validates* a checkpoint document: the typed restore
-    /// entry point. Unlike the raw [`FromJson`] parse (which preserves
-    /// whatever version the document carries, for round-trip fidelity),
-    /// this rejects foreign versions.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::VersionMismatch`] on a foreign format version,
-    /// [`CheckpointError::Malformed`] on any other parse failure.
-    pub fn restore(json: &uniloc_stats::json::Json) -> Result<Self, CheckpointError> {
-        check_checkpoint_version(json)?;
-        uniloc_stats::json::FromJson::from_json(json)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))
-    }
-}
+// `seed` comes from `split_seed` and uses the full u64 range, which
+// `Json::Int` (i64) cannot hold: the u64 fields travel as fixed-width hex.
+uniloc_stats::impl_json_struct!(SessionCheckpoint {
+    version,
+    lane with hex,
+    name,
+    scenario,
+    persona,
+    device,
+    plan,
+    seed with hex,
+    cursor with hex,
+});
 
 /// One walker under fleet scheduling: the serving session, its private
 /// frame stream and cursor, the records served so far, and the isolated
@@ -896,23 +827,20 @@ mod tests {
             cursor: 0,
         };
         let json = uniloc_stats::json::ToJson::to_json(&ckpt);
-        assert_eq!(SessionCheckpoint::restore(&json), Ok(ckpt.clone()));
+        assert_eq!(check_checkpoint_version(&json), Ok(()));
         let stale = uniloc_stats::json::ToJson::to_json(&SessionCheckpoint {
             version: CHECKPOINT_VERSION + 7,
             ..ckpt
         });
         assert_eq!(
-            SessionCheckpoint::restore(&stale),
+            check_checkpoint_version(&stale),
             Err(CheckpointError::VersionMismatch {
                 found: CHECKPOINT_VERSION + 7,
                 expected: CHECKPOINT_VERSION
             })
         );
         let missing = uniloc_stats::json::Json::Obj(vec![]);
-        assert!(matches!(
-            SessionCheckpoint::restore(&missing),
-            Err(CheckpointError::Malformed(_))
-        ));
+        assert!(matches!(check_checkpoint_version(&missing), Err(CheckpointError::Malformed(_))));
     }
 
     #[test]

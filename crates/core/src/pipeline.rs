@@ -10,10 +10,10 @@
 //!   models and record every scheme's error, UniLoc1/UniLoc2's errors, the
 //!   oracle, scheme usage and the GPS duty cycle.
 
-use crate::error_model::{ErrorModelSet, ErrorPrediction, TrainingSample};
+use crate::error_model::{train, ErrorModelSet, ErrorPrediction, TrainingSample};
 use crate::features::{FeatureExtractor, PredictorKind, SharedContext};
 use crate::quarantine::DegradationLadder;
-use uniloc_env::{GaitProfile, Scenario, Walker};
+use uniloc_env::{venues, GaitProfile, Scenario, Walker};
 use uniloc_geom::Point;
 use uniloc_iodetect::IoState;
 use uniloc_schemes::{
@@ -22,6 +22,7 @@ use uniloc_schemes::{
 };
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
 use uniloc_rng::Rng;
+use uniloc_stats::StatsError;
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -308,12 +309,7 @@ fn collect_training_pass(
     let mut schemes = build_schemes(scenario, ctx, cfg, seed + 2);
     let mut extractor = FeatureExtractor::new(ctx);
 
-    let mut walker = Walker::new(cfg.gait.clone(), Rng::seed_from_u64(seed + 3));
-    let walk = walker.walk(&scenario.route);
-    let mut hub = SensorHub::new(&scenario.world, cfg.device, seed + 4);
-    let frames = hub.sample_walk(&walk, cfg.epoch_interval);
-
-    for frame in &frames {
+    for frame in &walk_frames(scenario, cfg, seed) {
         extractor.begin_epoch(frame);
         let indoor = scenario.world.is_indoor(frame.true_position);
         let io = if indoor { IoState::Indoor } else { IoState::Outdoor };
@@ -334,6 +330,22 @@ fn collect_training_pass(
         }
         extractor.note_estimate(frame.true_position);
     }
+}
+
+/// Trains the error models as Section III-B does, on the default config:
+/// one [`collect_training`] pass over the training office
+/// ([`venues::training_office`]`(seed)`, walk seed `seed + 10`), then one
+/// over the training open space (`seed + 1`, walk seed `seed + 11`).
+///
+/// # Errors
+///
+/// Propagates [`train`]'s error (the training venues always produce
+/// enough samples unless the substrate is broken).
+pub fn train_standard_models(seed: u64) -> Result<ErrorModelSet, StatsError> {
+    let cfg = PipelineConfig::default();
+    let mut samples = collect_training(&venues::training_office(seed), &cfg, seed + 10);
+    samples.extend(collect_training(&venues::training_open_space(seed + 1), &cfg, seed + 11));
+    train(&samples)
 }
 
 /// Samples the sensor-frame stream of one walk through a scenario — the
@@ -451,8 +463,6 @@ pub fn scheme_mean_error(records: &[EpochRecord], id: SchemeId) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error_model::train;
-    use uniloc_env::venues;
 
     fn small_cfg() -> PipelineConfig {
         PipelineConfig { indoor_spacing: 2.0, ..PipelineConfig::default() }

@@ -219,19 +219,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error_model::train;
     use uniloc_env::venues;
 
     fn models(seed: u64) -> ErrorModelSet {
-        let cfg = PipelineConfig::default();
-        let mut samples =
-            pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-        samples.extend(pipeline::collect_training(
-            &venues::training_open_space(seed + 1),
-            &cfg,
-            seed + 11,
-        ));
-        train(&samples).expect("training venues produce enough samples")
+        pipeline::train_standard_models(seed).expect("training venues produce enough samples")
     }
 
     /// Driving a `Session` frame by frame reproduces the batch harness

@@ -16,7 +16,6 @@
 
 use std::sync::Arc;
 
-use uniloc_core::error_model::train;
 use uniloc_core::pipeline::{self, PipelineConfig};
 use uniloc_core::Session;
 use uniloc_env::venues;
@@ -33,9 +32,8 @@ fn counter(capture: &uniloc_obs::session::SessionCapture, name: &str) -> u64 {
 #[test]
 fn steady_state_epoch_loop_is_allocation_free() {
     let cfg = PipelineConfig::default();
-    let mut samples = pipeline::collect_training(&venues::training_office(7), &cfg, 17);
-    samples.extend(pipeline::collect_training(&venues::training_open_space(8), &cfg, 18));
-    let models = train(&samples).expect("training venues produce enough samples");
+    let models =
+        pipeline::train_standard_models(7).expect("training venues produce enough samples");
 
     let scenario = venues::office("zero-alloc", 21, 40.0, 15.0);
     let frames = pipeline::walk_frames(&scenario, &cfg, 22);

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::metrics::global_metrics;
 use crate::trace::{FieldValue, TraceLevel};
 use uniloc_stats::impl_json_struct;
-use uniloc_stats::json::{Json, JsonError, ToJson};
+use uniloc_stats::json::{Json, JsonError};
 use uniloc_stats::Normal;
 
 /// Standardized residuals are clamped to this magnitude before feeding the
@@ -179,12 +179,8 @@ impl CalibrationSnapshot {
         self.cells
             .iter()
             .map(|cell| {
-                let Json::Obj(fields) = cell.to_json() else {
-                    unreachable!("impl_json_struct serializes to an object")
-                };
-                let mut pairs =
-                    vec![("kind".to_owned(), Json::Str("calibration".to_owned()))];
-                pairs.extend(fields);
+                let mut pairs = vec![("kind".to_owned(), Json::Str("calibration".to_owned()))];
+                pairs.extend(uniloc_stats::json::flattened(cell));
                 Json::Obj(pairs).to_string()
             })
             .collect()
@@ -197,7 +193,8 @@ impl CalibrationSnapshot {
         if line.get("kind").and_then(Json::as_str) != Some("calibration") {
             return Ok(false);
         }
-        self.cells.push(uniloc_stats::json::FromJson::from_json(line)?);
+        // The cell's reader takes its own keys only.
+        self.cells.push(uniloc_stats::json::FromJson::from_json(&line.without(&["kind"]))?);
         Ok(true)
     }
 

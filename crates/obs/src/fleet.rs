@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 
 use crate::alloc::span_parent;
 use crate::session::SessionCapture;
-use uniloc_stats::json::{field, FromJson, Json, JsonError, ToJson};
+use uniloc_stats::json::{decimal, flattened, float, object, FromJson, Json, JsonError, ToJson};
 
 /// Bucket upper bounds for per-session mean localization error, meters.
 pub const ERROR_BUCKETS_M: &[f64] =
@@ -50,7 +50,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// Default worst-session exemplar count kept per snapshot (and per
 /// shard); override per snapshot with [`FleetSnapshot::with_exemplar_cap`]
-/// (the CLI's `--top-k`).
+/// (a library fleet's `FleetConfig::top_k`).
 pub const EXEMPLAR_CAP: usize = 8;
 
 /// A finite value in fixed-point micro-units (`v * 1e6`, rounded). Integer
@@ -408,206 +408,93 @@ impl FleetSnapshot {
 // ---------------------------------------------------------------------------
 //
 // A fleet checkpoint must carry the aggregate of every *retired* session,
-// because resume only replays the *resident* ones. These impls are exact:
+// because resume only replays the *resident* ones. These forms are exact:
 // every count survives as an integer (`sum_micro` travels as a decimal
 // string — i128 overflows `Json::Int`), so
 // `restore(checkpoint).merge(post_resume)` equals the uninterrupted fold
 // byte for byte. Round-trip fidelity is property-tested in
 // `tests/fleet_properties.rs`.
 
-impl ToJson for SparseHist {
-    fn to_json(&self) -> Json {
-        let counts = self
-            .counts
-            .iter()
-            .map(|(&i, &c)| Json::Arr(vec![i.to_json(), c.to_json()]))
-            .collect();
-        Json::Obj(vec![
-            ("counts".into(), Json::Arr(counts)),
-            ("sum_micro".into(), Json::Str(self.sum_micro.to_string())),
-            ("dropped".into(), self.dropped.to_json()),
-        ])
-    }
-}
+/// [`SparseHist::counts`] as `[index, count]` pairs in index order.
+mod buckets {
+    use super::{BTreeMap, FromJson, Json, JsonError, ToJson};
 
-impl FromJson for SparseHist {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let pairs: Vec<Json> = field(json, "counts")?;
-        let mut counts = BTreeMap::new();
-        for p in &pairs {
-            let pair = p.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                JsonError::new("sparse histogram bucket must be an [index, count] pair")
-            })?;
-            let index = usize::from_json(&pair[0])?;
-            // The writer emits each bucket once, in index order. A repeat
-            // would silently keep only its last count.
-            if counts.last_key_value().is_some_and(|(&last, _)| index <= last) {
-                return Err(JsonError::new(format!(
-                    "sparse histogram bucket index {index} repeats or is out of order"
-                )));
-            }
-            counts.insert(index, u64::from_json(&pair[1])?);
+    pub fn to_json(counts: &BTreeMap<usize, u64>) -> Json {
+        counts.to_json()
+    }
+
+    /// The writer emits each bucket once, in index order. A repeat would
+    /// silently keep only its last count.
+    pub fn from_json(json: &Json) -> Result<BTreeMap<usize, u64>, JsonError> {
+        let pairs: Vec<(usize, u64)> = FromJson::from_json(json)?;
+        match pairs.windows(2).find(|w| w[1].0 <= w[0].0) {
+            Some(w) => Err(JsonError::new(format!(
+                "sparse histogram bucket index {} repeats or is out of order",
+                w[1].0
+            ))),
+            None => Ok(pairs.into_iter().collect()),
         }
-        // The writer's decimal form only: `parse` would also take a sign
-        // or leading zeros, which re-serialize to other bytes.
-        let sum: String = field(json, "sum_micro")?;
-        let sum_micro = sum.parse::<i128>().ok().filter(|v| v.to_string() == sum);
-        let sum_micro = sum_micro.ok_or_else(|| {
-            JsonError::new(format!("sum_micro `{sum}` is not a decimal integer"))
-        })?;
-        Ok(SparseHist { counts, sum_micro, dropped: field(json, "dropped")? })
     }
 }
 
-/// The `error_hist` field: a [`SparseHist`] over [`ERROR_BUCKETS_M`].
-/// An index past the overflow bucket would count in `count()` yet drop out
+/// An `error_hist` field: a [`SparseHist`] over [`ERROR_BUCKETS_M`]. An
+/// index past the overflow bucket would count in `count()` yet drop out
 /// of `dense`, so the health plane would print a mean over sessions its
 /// bucket counts do not show.
-fn error_hist_field(json: &Json) -> Result<SparseHist, JsonError> {
-    let hist: SparseHist = field(json, "error_hist")?;
-    match hist.counts.keys().next_back() {
-        Some(&i) if i > ERROR_BUCKETS_M.len() => Err(JsonError::new(format!(
-            "field `error_hist`: bucket index {i} is past the overflow bucket {}",
-            ERROR_BUCKETS_M.len()
-        ))),
-        _ => Ok(hist),
+mod error_buckets {
+    use super::{FromJson, Json, JsonError, SparseHist, ToJson, ERROR_BUCKETS_M};
+
+    pub fn to_json(hist: &SparseHist) -> Json {
+        hist.to_json()
+    }
+
+    pub fn from_json(json: &Json) -> Result<SparseHist, JsonError> {
+        let hist = SparseHist::from_json(json)?;
+        match hist.counts.keys().next_back() {
+            Some(&i) if i > ERROR_BUCKETS_M.len() => Err(JsonError::new(format!(
+                "bucket index {i} is past the overflow bucket {}",
+                ERROR_BUCKETS_M.len()
+            ))),
+            _ => Ok(hist),
+        }
     }
 }
 
-impl ToJson for CohortStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("sessions".into(), self.sessions.to_json()),
-            ("epochs".into(), self.epochs.to_json()),
-            ("faulted".into(), self.faulted.to_json()),
-            ("quarantined".into(), self.quarantined.to_json()),
-            ("drift_alarms".into(), self.drift_alarms.to_json()),
-            ("flight_dumps".into(), self.flight_dumps.to_json()),
-            ("nonfinite".into(), self.nonfinite.to_json()),
-            ("error_hist".into(), self.error_hist.to_json()),
-        ])
-    }
-}
+uniloc_stats::impl_json_struct!(SparseHist { counts with buckets, sum_micro with decimal, dropped });
 
-impl FromJson for CohortStats {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(CohortStats {
-            sessions: field(json, "sessions")?,
-            epochs: field(json, "epochs")?,
-            faulted: field(json, "faulted")?,
-            quarantined: field(json, "quarantined")?,
-            drift_alarms: field(json, "drift_alarms")?,
-            flight_dumps: field(json, "flight_dumps")?,
-            nonfinite: field(json, "nonfinite")?,
-            error_hist: error_hist_field(json)?,
-        })
-    }
-}
+uniloc_stats::impl_json_struct!(CohortStats {
+    sessions,
+    epochs,
+    faulted,
+    quarantined,
+    drift_alarms,
+    flight_dumps,
+    nonfinite,
+    error_hist with error_buckets,
+});
 
-impl ToJson for Exemplar {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("lane".into(), self.lane.to_json()),
-            ("name".into(), Json::Str(self.name.clone())),
-            ("mean_error_micro".into(), Json::Int(self.mean_error_micro)),
-            ("epochs".into(), self.epochs.to_json()),
-            ("flight_postmortems".into(), self.flight_postmortems.to_json()),
-            (
-                "quarantined".into(),
-                Json::Arr(self.quarantined.iter().cloned().map(Json::Str).collect()),
-            ),
-        ])
-    }
-}
+uniloc_stats::impl_json_struct!(Exemplar {
+    lane,
+    name,
+    mean_error_micro,
+    epochs,
+    flight_postmortems,
+    quarantined,
+});
 
-impl FromJson for Exemplar {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let quarantined: Vec<Json> = field(json, "quarantined")?;
-        Ok(Exemplar {
-            lane: field(json, "lane")?,
-            name: field(json, "name")?,
-            mean_error_micro: field(json, "mean_error_micro")?,
-            epochs: field(json, "epochs")?,
-            flight_postmortems: field(json, "flight_postmortems")?,
-            quarantined: quarantined
-                .iter()
-                .map(String::from_json)
-                .collect::<Result<_, _>>()
-                .map_err(|e| JsonError::new(format!("field `quarantined`: {e}")))?,
-        })
-    }
-}
-
-fn str_map_to_json(map: &BTreeMap<String, u64>) -> Json {
-    Json::Obj(map.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-}
-
-fn str_map_from_json(json: &Json, name: &str) -> Result<BTreeMap<String, u64>, JsonError> {
-    let obj = json
-        .get(name)
-        .and_then(Json::as_obj)
-        .ok_or_else(|| JsonError::new(format!("missing object field `{name}`")))?;
-    obj.iter()
-        .map(|(k, v)| Ok((k.clone(), u64::from_json(v)?)))
-        .collect::<Result<_, JsonError>>()
-        .map_err(|e| JsonError::new(format!("field `{name}`: {e}")))
-}
-
-impl ToJson for FleetSnapshot {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("exemplar_cap".into(), self.exemplar_cap.to_json()),
-            ("sessions".into(), self.sessions.to_json()),
-            ("epochs".into(), self.epochs.to_json()),
-            ("faulted".into(), self.faulted.to_json()),
-            ("quarantined_sessions".into(), self.quarantined_sessions.to_json()),
-            ("nonfinite".into(), self.nonfinite.to_json()),
-            ("counters".into(), str_map_to_json(&self.counters)),
-            ("span_counts".into(), str_map_to_json(&self.span_counts)),
-            ("error_hist".into(), self.error_hist.to_json()),
-            (
-                "cohorts".into(),
-                Json::Obj(self.cohorts.iter().map(|(k, c)| (k.clone(), c.to_json())).collect()),
-            ),
-            (
-                "exemplars".into(),
-                Json::Arr(self.exemplars.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for FleetSnapshot {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let cohorts_obj = json
-            .get("cohorts")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| JsonError::new("missing object field `cohorts`"))?;
-        let cohorts = cohorts_obj
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), CohortStats::from_json(v)?)))
-            .collect::<Result<_, JsonError>>()
-            .map_err(|e| JsonError::new(format!("field `cohorts`: {e}")))?;
-        let exemplars: Vec<Json> = field(json, "exemplars")?;
-        Ok(FleetSnapshot {
-            exemplar_cap: field(json, "exemplar_cap")?,
-            sessions: field(json, "sessions")?,
-            epochs: field(json, "epochs")?,
-            faulted: field(json, "faulted")?,
-            quarantined_sessions: field(json, "quarantined_sessions")?,
-            nonfinite: field(json, "nonfinite")?,
-            counters: str_map_from_json(json, "counters")?,
-            span_counts: str_map_from_json(json, "span_counts")?,
-            error_hist: error_hist_field(json)?,
-            cohorts,
-            exemplars: exemplars
-                .iter()
-                .map(Exemplar::from_json)
-                .collect::<Result<_, _>>()
-                .map_err(|e| JsonError::new(format!("field `exemplars`: {e}")))?,
-        })
-    }
-}
+uniloc_stats::impl_json_struct!(FleetSnapshot {
+    exemplar_cap,
+    sessions,
+    epochs,
+    faulted,
+    quarantined_sessions,
+    nonfinite,
+    counters with object,
+    span_counts with object,
+    error_hist with error_buckets,
+    cohorts with object,
+    exemplars,
+});
 
 /// The sharded fold: sessions route to shard `lane % shards`, and
 /// [`FleetAggregator::snapshot`] merges the shards. Because the merge is
@@ -626,7 +513,7 @@ impl FleetAggregator {
     }
 
     /// [`new`](Self::new) with a configurable worst-K exemplar count
-    /// (`0` keeps [`EXEMPLAR_CAP`]) — the CLI's `--top-k`.
+    /// (`0` keeps [`EXEMPLAR_CAP`]).
     pub fn with_exemplar_cap(shards: usize, cap: usize) -> FleetAggregator {
         let n = if shards == 0 { DEFAULT_SHARDS } else { shards };
         FleetAggregator { shards: vec![FleetSnapshot::with_exemplar_cap(cap); n] }
@@ -718,6 +605,8 @@ pub struct SloRow {
     pub ok: bool,
 }
 
+uniloc_stats::impl_json_struct!(SloRow { name, kind, target, observed, burn, ok });
+
 fn max_row(name: &str, target: f64, observed: f64) -> SloRow {
     let burn = if target > 0.0 { observed / target } else { observed };
     SloRow {
@@ -786,19 +675,7 @@ pub fn evaluate_slos(snap: &FleetSnapshot, targets: &SloTargets) -> Vec<SloRow> 
 /// `--jobs`/`--resident`/shard value (wall-clock latency is measured by
 /// the fleet benchmark in `benchmark/`).
 pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
-    let slo_rows: Vec<Json> = evaluate_slos(snap, targets)
-        .iter()
-        .map(|r| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(r.name.clone())),
-                ("kind".into(), Json::Str(r.kind.clone())),
-                ("target".into(), Json::Num(r.target)),
-                ("observed".into(), Json::Num(r.observed)),
-                ("burn".into(), Json::Num(r.burn)),
-                ("ok".into(), Json::Bool(r.ok)),
-            ])
-        })
-        .collect();
+    let slo_rows = evaluate_slos(snap, targets).to_json();
     let schemes: Vec<(String, Json)> = snap
         .availability()
         .iter()
@@ -820,42 +697,28 @@ pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
             )
         })
         .collect();
+    // The cohort and exemplar views are the records' own forms with the
+    // fixed-point error fields rendered in meters.
     let cohorts: Vec<(String, Json)> = snap
         .cohorts
         .iter()
         .map(|(key, c)| {
             let (counts, mean) = c.error_hist.dense(ERROR_BUCKETS_M);
-            (
-                key.clone(),
-                Json::Obj(vec![
-                    ("sessions".into(), c.sessions.to_json()),
-                    ("epochs".into(), c.epochs.to_json()),
-                    ("faulted".into(), c.faulted.to_json()),
-                    ("quarantined".into(), c.quarantined.to_json()),
-                    ("drift_alarms".into(), c.drift_alarms.to_json()),
-                    ("flight_dumps".into(), c.flight_dumps.to_json()),
-                    ("nonfinite".into(), c.nonfinite.to_json()),
-                    ("mean_error_m".into(), mean.map_or(Json::Null, Json::Num)),
-                    ("error_counts".into(), counts.to_json()),
-                ]),
-            )
+            let mut pairs = flattened(c);
+            pairs.retain(|(k, _)| k != "error_hist");
+            pairs.push(("mean_error_m".into(), float::to_json(&mean)));
+            pairs.push(("error_counts".into(), counts.to_json()));
+            (key.clone(), Json::Obj(pairs))
         })
         .collect();
     let exemplars: Vec<Json> = snap
         .exemplars
         .iter()
         .map(|e| {
-            Json::Obj(vec![
-                ("lane".into(), Json::Int(e.lane as i64)),
-                ("name".into(), Json::Str(e.name.clone())),
-                ("mean_error_m".into(), Json::Num(e.mean_error_micro as f64 / 1e6)),
-                ("epochs".into(), e.epochs.to_json()),
-                ("flight_postmortems".into(), e.flight_postmortems.to_json()),
-                (
-                    "quarantined".into(),
-                    Json::Arr(e.quarantined.iter().cloned().map(Json::Str).collect()),
-                ),
-            ])
+            let mut pairs = flattened(e);
+            pairs.retain(|(k, _)| k != "mean_error_micro");
+            pairs.push(("mean_error_m".into(), Json::Num(e.mean_error_micro as f64 / 1e6)));
+            Json::Obj(pairs)
         })
         .collect();
     let (error_counts, mean_error) = snap.error_hist.dense(ERROR_BUCKETS_M);
@@ -866,7 +729,7 @@ pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
         ("faulted_sessions".into(), snap.faulted.to_json()),
         ("quarantined_sessions".into(), snap.quarantined_sessions.to_json()),
         ("nonfinite_fused".into(), snap.nonfinite.to_json()),
-        ("slo".into(), Json::Arr(slo_rows)),
+        ("slo".into(), slo_rows),
         ("schemes".into(), Json::Obj(schemes)),
         ("cohorts".into(), Json::Obj(cohorts)),
         (
@@ -874,7 +737,7 @@ pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
             Json::Obj(vec![
                 ("bounds_m".into(), ERROR_BUCKETS_M.to_vec().to_json()),
                 ("counts".into(), error_counts.to_json()),
-                ("mean_error_m".into(), mean_error.map_or(Json::Null, Json::Num)),
+                ("mean_error_m".into(), float::to_json(&mean_error)),
                 ("dropped".into(), snap.error_hist.dropped.to_json()),
             ]),
         ),

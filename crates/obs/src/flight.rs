@@ -29,17 +29,17 @@ use uniloc_stats::json::{Json, ToJson};
 /// Default ring capacity: enough for several epochs of span-level detail.
 pub const DEFAULT_RING_CAPACITY: usize = 128;
 
-/// Default consecutive-unavailable-epoch count that trips a dump.
-pub const DEFAULT_UNAVAILABLE_THRESHOLD: u64 = 25;
+/// Consecutive unavailable epochs that trip a dump.
+pub const UNAVAILABLE_THRESHOLD: u64 = 25;
 
-/// Default cap on dumps per recorder *arming*: postmortems are for the
+/// Cap on dumps per recorder *arming*: postmortems are for the
 /// first few anomalies; a persistently sick run would otherwise flood the
 /// sidecar. The cap is not meant to span unrelated runs in one process —
 /// a fleet run calls [`FlightRecorder::rearm_dumps`] on its process-wide
 /// recorder up front so an earlier run's dumps don't starve it, and every
 /// suppressed postmortem is counted in the `flight.dropped` metric rather
 /// than vanishing.
-pub const DEFAULT_MAX_DUMPS: u64 = 16;
+pub const MAX_DUMPS: u64 = 16;
 
 /// Per-scheme availability streak state.
 #[derive(Debug, Default)]
@@ -53,8 +53,6 @@ struct Streak {
 pub struct FlightRecorder {
     ring: RingCollector,
     sink: RwLock<Option<Arc<JsonlExporter>>>,
-    unavailable_threshold: AtomicU64,
-    max_dumps: AtomicU64,
     dumps: AtomicU64,
     disabled: AtomicBool,
     streaks: Mutex<BTreeMap<String, Streak>>,
@@ -73,8 +71,6 @@ impl FlightRecorder {
         FlightRecorder {
             ring: RingCollector::new(capacity),
             sink: RwLock::new(None),
-            unavailable_threshold: AtomicU64::new(DEFAULT_UNAVAILABLE_THRESHOLD),
-            max_dumps: AtomicU64::new(DEFAULT_MAX_DUMPS),
             dumps: AtomicU64::new(0),
             disabled: AtomicBool::new(false),
             streaks: Mutex::new(BTreeMap::new()),
@@ -86,16 +82,6 @@ impl FlightRecorder {
     /// no sink still count and still emit the `flight.dump` warn event.
     pub fn set_sink(&self, sink: Option<Arc<JsonlExporter>>) {
         *self.sink.write().expect("flight sink lock") = sink;
-    }
-
-    /// Sets the consecutive-unavailable-epoch count that trips a dump.
-    pub fn set_unavailable_threshold(&self, epochs: u64) {
-        self.unavailable_threshold.store(epochs.max(1), Ordering::Relaxed);
-    }
-
-    /// Sets the per-process dump cap.
-    pub fn set_max_dumps(&self, max: u64) {
-        self.max_dumps.store(max, Ordering::Relaxed);
     }
 
     /// Number of postmortems dumped so far.
@@ -136,9 +122,7 @@ impl FlightRecorder {
             return false;
         }
         s.consecutive_unavailable += 1;
-        if !s.tripped
-            && s.consecutive_unavailable >= self.unavailable_threshold.load(Ordering::Relaxed)
-        {
+        if !s.tripped && s.consecutive_unavailable >= UNAVAILABLE_THRESHOLD {
             s.tripped = true;
             return true;
         }
@@ -155,7 +139,7 @@ impl FlightRecorder {
         if self.disabled.load(Ordering::Relaxed) {
             return false;
         }
-        if self.dumps.load(Ordering::Relaxed) >= self.max_dumps.load(Ordering::Relaxed) {
+        if self.dumps.load(Ordering::Relaxed) >= MAX_DUMPS {
             global_metrics().counter("flight.dumps_suppressed").inc();
             global_metrics().counter("flight.dropped").inc();
             return false;
@@ -311,17 +295,19 @@ mod tests {
         assert_eq!(doc.get("ring_dropped").unwrap().as_i64().unwrap(), 6);
     }
 
+    /// `n` unavailable epochs of `scheme`; whether the last one tripped.
+    fn unavailable_for(fr: &FlightRecorder, scheme: &str, n: u64) -> bool {
+        (0..n).fold(false, |_, _| fr.note_availability(scheme, false))
+    }
+
     #[test]
     fn availability_streak_trips_once_and_rearms() {
         let fr = FlightRecorder::new(4);
-        fr.set_unavailable_threshold(3);
-        assert!(!fr.note_availability("gps", false));
-        assert!(!fr.note_availability("gps", false));
-        assert!(fr.note_availability("gps", false), "third epoch trips");
+        assert!(!unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD - 1));
+        assert!(fr.note_availability("gps", false), "the threshold epoch trips");
         assert!(!fr.note_availability("gps", false), "already tripped");
         assert!(!fr.note_availability("gps", true), "recovery re-arms");
-        assert!(!fr.note_availability("gps", false));
-        assert!(!fr.note_availability("gps", false));
+        assert!(!unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD - 1));
         assert!(fr.note_availability("gps", false), "fresh streak trips again");
         // Independent schemes keep independent streaks.
         assert!(!fr.note_availability("wifi", false));
@@ -330,11 +316,11 @@ mod tests {
     #[test]
     fn dump_cap_suppresses_floods() {
         let fr = FlightRecorder::new(4);
-        fr.set_max_dumps(2);
-        assert!(fr.trigger("a", vec![]));
-        assert!(fr.trigger("b", vec![]));
+        for i in 0..MAX_DUMPS {
+            assert!(fr.trigger("a", vec![]), "dump {i} is under the cap");
+        }
         assert!(!fr.trigger("c", vec![]), "over the cap");
-        assert_eq!(fr.dumps(), 2);
+        assert_eq!(fr.dumps(), MAX_DUMPS);
     }
 
     #[test]
@@ -344,8 +330,9 @@ mod tests {
         let session = Arc::new(crate::session::ObsSession::isolated());
         let _g = crate::session::install(Arc::clone(&session));
         let fr = FlightRecorder::new(4);
-        fr.set_max_dumps(1);
-        assert!(fr.trigger("a", vec![]));
+        for _ in 0..MAX_DUMPS {
+            assert!(fr.trigger("a", vec![]));
+        }
         assert!(!fr.trigger("b", vec![]));
         assert!(!fr.trigger("c", vec![]));
         let dropped = session
@@ -365,11 +352,10 @@ mod tests {
     #[test]
     fn disabled_recorder_is_a_no_op() {
         let fr = FlightRecorder::new(4);
-        fr.set_unavailable_threshold(1);
         fr.set_disabled(true);
         fr.event(&event("x", 0));
         assert!(fr.ring.is_empty(), "ring writes are dropped");
-        assert!(!fr.note_availability("gps", false), "streaks never trip");
+        assert!(!unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD), "streaks never trip");
         assert!(!fr.trigger("a", vec![]), "triggers never dump");
         assert_eq!(fr.dumps(), 0);
         fr.set_disabled(false);
@@ -404,16 +390,16 @@ mod tests {
     #[test]
     fn reset_rearms_everything() {
         let fr = FlightRecorder::new(4);
-        fr.set_max_dumps(1);
-        fr.set_unavailable_threshold(1);
         fr.event(&event("x", 0));
-        assert!(fr.note_availability("gps", false));
-        assert!(fr.trigger("a", vec![]));
+        assert!(unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD));
+        for _ in 0..MAX_DUMPS {
+            assert!(fr.trigger("a", vec![]));
+        }
         assert!(!fr.trigger("b", vec![]));
         fr.reset();
         assert_eq!(fr.dumps(), 0);
         assert!(fr.ring.is_empty());
-        assert!(fr.note_availability("gps", false), "streak state cleared");
+        assert!(unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD), "streak state cleared");
         assert!(fr.trigger("c", vec![]), "dump budget restored");
     }
 }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use uniloc_stats::impl_json_struct;
-use uniloc_stats::json::{field, Json, JsonError, ToJson};
+use uniloc_stats::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// Bucket upper bounds for span-duration histograms, in nanoseconds
 /// (1 us .. 5 s, roughly logarithmic; the last implicit bucket catches
@@ -308,17 +308,12 @@ impl MetricsSnapshot {
             );
         }
         for (name, h) in &self.histograms {
-            lines.push(
-                Json::Obj(vec![
-                    ("kind".into(), Json::Str("histogram".into())),
-                    ("name".into(), Json::Str(name.clone())),
-                    ("bounds".into(), h.bounds.to_json()),
-                    ("counts".into(), h.counts.to_json()),
-                    ("sum".into(), h.sum.to_json()),
-                    ("dropped".into(), h.dropped.to_json()),
-                ])
-                .to_string(),
-            );
+            let mut pairs = vec![
+                ("kind".into(), Json::Str("histogram".into())),
+                ("name".into(), Json::Str(name.clone())),
+            ];
+            pairs.extend(uniloc_stats::json::flattened(h));
+            lines.push(Json::Obj(pairs).to_string());
         }
         lines
     }
@@ -382,12 +377,7 @@ impl MetricsSnapshot {
             }
             "histogram" => {
                 let name: String = field(line, "name")?;
-                let snap = HistogramSnapshot {
-                    bounds: field(line, "bounds")?,
-                    counts: field(line, "counts")?,
-                    sum: field(line, "sum")?,
-                    dropped: field(line, "dropped")?,
-                };
+                let snap = HistogramSnapshot::from_json(&line.without(&["kind", "name"]))?;
                 self.histograms.push((name, snap));
             }
             _ => return Ok(false),

@@ -153,6 +153,18 @@ impl Json {
         }
     }
 
+    /// The object without its `keys` (a tagged JSON-lines record's own
+    /// fields); any other value comes back unchanged.
+    pub fn without(&self, keys: &[&str]) -> Json {
+        match self {
+            Json::Obj(pairs) => {
+                let kept = pairs.iter().filter(|(k, _)| !keys.contains(&k.as_str()));
+                Json::Obj(kept.cloned().collect())
+            }
+            other => other.clone(),
+        }
+    }
+
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p =
@@ -608,10 +620,120 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 /// Extracts and converts an object field — the building block used by
 /// [`impl_json_struct!`].
 pub fn field<T: FromJson>(json: &Json, name: &str) -> Result<T, JsonError> {
+    field_with(json, name, T::from_json)
+}
+
+/// [`field`] through a codec's reader instead of [`FromJson`].
+pub fn field_with<T>(
+    json: &Json,
+    name: &str,
+    read: impl FnOnce(&Json) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
     let value = json
         .get(name)
         .ok_or_else(|| JsonError::new(format!("missing field `{name}`")))?;
-    T::from_json(value).map_err(|e| JsonError::new(format!("field `{name}`: {e}")))
+    read(value).map_err(|e| JsonError::new(format!("field `{name}`: {e}")))
+}
+
+/// The strict key set of [`impl_json_struct!`]: `json` must be an object
+/// whose keys lie in `keys`, unless the record flattens a field, which
+/// then gets every other key as one object to read.
+#[doc(hidden)]
+pub fn record_keys(json: &Json, keys: &[&str], flatten: bool) -> Result<Json, JsonError> {
+    let pairs = json.as_obj().ok_or_else(|| JsonError::new("expected object"))?;
+    match pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        Some((k, _)) if !flatten => Err(JsonError::new(format!("unknown field `{k}`"))),
+        _ => Ok(json.without(keys)),
+    }
+}
+
+/// The object pairs of a record's JSON form: a flattened field's, or a
+/// JSON-lines record's behind its tag.
+///
+/// # Panics
+///
+/// Panics if `value` does not serialize to an object.
+pub fn flattened<T: ToJson>(value: &T) -> Vec<(String, Json)> {
+    match value.to_json() {
+        Json::Obj(pairs) => pairs,
+        other => panic!("a flattened field must serialize to an object, not {other}"),
+    }
+}
+
+// Field codecs for `impl_json_struct!`'s `with` clause: modules with
+// `to_json(&T) -> Json` and `from_json(&Json) -> Result<T, JsonError>`.
+// Each reader accepts only its writer's form, so a value that reads back
+// re-serializes to its own bytes.
+
+/// A `u64` as exactly 16 lowercase hex digits ([`Json::Int`] is an
+/// `i64`). A sign, upper case or a short string would read back as the
+/// same number but re-serialize to other bytes, so the reader rejects them.
+pub mod hex {
+    use super::{Json, JsonError};
+
+    pub fn to_json(value: &u64) -> Json {
+        Json::Str(format!("{value:016x}"))
+    }
+
+    pub fn from_json(json: &Json) -> Result<u64, JsonError> {
+        let s = json.as_str().ok_or_else(|| JsonError::new("expected string"))?;
+        let v = u64::from_str_radix(s, 16).ok().filter(|v| format!("{v:016x}") == s);
+        v.ok_or_else(|| JsonError::new(format!("`{s}` is not 16 lowercase hex digits")))
+    }
+}
+
+/// An `i128` as a canonical decimal string ([`Json::Int`] is an `i64`);
+/// the reader rejects a `+` sign and leading zeros.
+pub mod decimal {
+    use super::{Json, JsonError};
+
+    pub fn to_json(value: &i128) -> Json {
+        Json::Str(value.to_string())
+    }
+
+    pub fn from_json(json: &Json) -> Result<i128, JsonError> {
+        let s = json.as_str().ok_or_else(|| JsonError::new("expected string"))?;
+        let v = s.parse::<i128>().ok().filter(|v| v.to_string() == s);
+        v.ok_or_else(|| JsonError::new(format!("`{s}` is not a decimal integer")))
+    }
+}
+
+/// An `Option<f64>` as a float or `null`. Unlike the `f64` reader, it
+/// rejects an integer, which would re-serialize as a float.
+pub mod float {
+    use super::{Json, JsonError};
+
+    pub fn to_json(value: &Option<f64>) -> Json {
+        value.map_or(Json::Null, Json::Num)
+    }
+
+    pub fn from_json(json: &Json) -> Result<Option<f64>, JsonError> {
+        match json {
+            Json::Null => Ok(None),
+            Json::Num(x) => Ok(Some(*x)),
+            _ => Err(JsonError::new("expected a float or null")),
+        }
+    }
+}
+
+/// A `BTreeMap<String, T>` as a JSON object (the default map form is an
+/// array of `[key, value]` pairs).
+pub mod object {
+    use super::{FromJson, Json, JsonError, ToJson};
+    use std::collections::BTreeMap;
+
+    pub fn to_json<T: ToJson>(map: &BTreeMap<String, T>) -> Json {
+        Json::Obj(map.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+
+    pub fn from_json<T: FromJson>(json: &Json) -> Result<BTreeMap<String, T>, JsonError> {
+        let pairs = json.as_obj().ok_or_else(|| JsonError::new("expected object"))?;
+        let read = |(k, v): &(String, Json)| match T::from_json(v) {
+            Ok(v) => Ok((k.clone(), v)),
+            Err(e) => Err(JsonError::new(format!("key `{k}`: {e}"))),
+        };
+        pairs.iter().map(read).collect()
+    }
 }
 
 impl ToJson for Json {
@@ -802,41 +924,109 @@ impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
 }
 
 /// Implements [`ToJson`]/[`FromJson`] for a struct with named fields,
-/// serializing as an object in field order.
+/// serializing as an object in field order. This is the one declaration of
+/// a record's JSON form: the reader accepts exactly the key set the writer
+/// emits, so a missing key and an undeclared key are both errors, and a
+/// document that reads back re-serializes to its own bytes.
+///
+/// Per field, optionally:
+///
+/// * `field as "key"` writes the field under another key;
+/// * `field with codec` writes and reads it through a codec module
+///   ([`hex`], [`decimal`], [`float`], [`object`], or any module with
+///   `to_json(&T) -> Json` and `from_json(&Json) -> Result<T, JsonError>`).
+///
+/// A leading `..field` flattens one field: its object's keys are written
+/// first, beside the declared ones, and on reading every undeclared key
+/// belongs to it, for its own strict reader to check.
 ///
 /// ```
 /// # use uniloc_stats::impl_json_struct;
-/// # use uniloc_stats::json::{to_string, from_str};
+/// # use uniloc_stats::json::{hex, to_string, from_str};
 /// #[derive(Debug, PartialEq)]
-/// struct Sample { t: f64, label: String }
-/// impl_json_struct!(Sample { t, label });
+/// struct Sample { t: f64, label: String, seed: u64 }
+/// impl_json_struct!(Sample { t, label as "tag", seed with hex });
 ///
-/// let s = Sample { t: 0.5, label: "indoor".into() };
-/// let back: Sample = from_str(&to_string(&s)).unwrap();
+/// let s = Sample { t: 0.5, label: "indoor".into(), seed: 7 };
+/// let text = to_string(&s);
+/// assert_eq!(text, r#"{"t":0.5,"tag":"indoor","seed":"0000000000000007"}"#);
+/// let back: Sample = from_str(&text).unwrap();
 /// assert_eq!(back, s);
+/// assert!(from_str::<Sample>(r#"{"t":0.5,"tag":"x"}"#).is_err(), "missing key");
+/// let extra = r#"{"t":0.5,"tag":"x","seed":"0000000000000007","n":1}"#;
+/// assert!(from_str::<Sample>(extra).is_err(), "unknown key");
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    ($ty:ty {
+        $(..$flat:ident,)?
+        $($field:ident $(as $key:literal)? $(with $($codec:ident)::+)?),+ $(,)?
+    }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((
-                        stringify!($field).to_owned(),
-                        $crate::json::ToJson::to_json(&self.$field),
-                    )),+
-                ])
+                let pairs = vec![$((
+                    $crate::__json_key!($field $($key)?).to_owned(),
+                    $crate::__json_write!(&self.$field $(, $($codec)::+)?),
+                )),+];
+                $(let pairs =
+                    $crate::json::flattened(&self.$flat).into_iter().chain(pairs).collect();)?
+                $crate::json::Json::Obj(pairs)
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(
                 json: &$crate::json::Json,
             ) -> std::result::Result<Self, $crate::json::JsonError> {
+                let keys = [$($crate::__json_key!($field $($key)?)),+];
+                let flat: &[&str] = &[$(stringify!($flat))?];
+                #[allow(unused_variables)]
+                let rest = $crate::json::record_keys(json, &keys, !flat.is_empty())?;
                 Ok(Self {
-                    $($field: $crate::json::field(json, stringify!($field))?),+
+                    $($flat: $crate::json::FromJson::from_json(&rest)?,)?
+                    $($field: $crate::__json_read!(
+                        json,
+                        $crate::__json_key!($field $($key)?)
+                        $(, $($codec)::+)?
+                    )?),+
                 })
             }
         }
+    };
+}
+
+/// A field's JSON key: its name, or its `as` rename.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// Writes a field through [`ToJson`] or its codec.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_write {
+    ($value:expr) => {
+        $crate::json::ToJson::to_json($value)
+    };
+    ($value:expr, $($codec:ident)::+) => {
+        $($codec)::+::to_json($value)
+    };
+}
+
+/// Reads a field through [`FromJson`] or its codec.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_read {
+    ($json:expr, $key:expr) => {
+        $crate::json::field($json, $key)
+    };
+    ($json:expr, $key:expr, $($codec:ident)::+) => {
+        $crate::json::field_with($json, $key, $($codec)::+::from_json)
     };
 }
 
@@ -1079,8 +1269,78 @@ mod tests {
         let back: Reading = from_str(&text).unwrap();
         assert_eq!(back, r);
 
+        // The key set is strict: a missing key, a nullable one included, and
+        // an undeclared key are errors.
         let err = from_str::<Reading>(r#"{"t":1.0}"#).unwrap_err();
         assert!(err.to_string().contains("missing field `count`"), "{err}");
+        let err = from_str::<Reading>(r#"{"t":1.0,"count":7}"#).unwrap_err();
+        assert_eq!(err.to_string(), "missing field `tag`");
+        let err = from_str::<Reading>(r#"{"t":1.0,"count":7,"tag":null,"x":0}"#).unwrap_err();
+        assert_eq!(err.to_string(), "unknown field `x`");
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Row {
+        seed: u64,
+        mean: Option<f64>,
+        sum: i128,
+        counts: BTreeMap<String, u32>,
+    }
+    impl_json_struct!(Row {
+        seed with hex, mean as "mean_m" with float, sum with decimal, counts with object
+    });
+
+    #[test]
+    fn struct_macro_renames_and_codecs() {
+        let counts = [("b".to_owned(), 2), ("a".to_owned(), 1)].into_iter().collect();
+        let row = Row { seed: u64::MAX - 1, mean: Some(2.5), sum: -(1i128 << 70), counts };
+        let text = to_string(&row);
+        let want = [
+            r#"{"seed":"fffffffffffffffe","mean_m":2.5,"#,
+            r#""sum":"-1180591620717411303424","counts":{"a":1,"b":2}}"#,
+        ];
+        assert_eq!(text, want.concat());
+        assert_eq!(from_str::<Row>(&text).unwrap(), row);
+        let none = Row { mean: None, ..row };
+        assert_eq!(from_str::<Row>(&to_string(&none)).unwrap(), none);
+        // Each codec reads only its writer's form.
+        for (from, to) in [
+            ("fffffffffffffffe", "FFFFFFFFFFFFFFFE"),
+            (r#""fffffffffffffffe""#, "7"),
+            ("fffffffffffffffe", "+ffffffffffffffe"),
+            ("fffffffffffffffe", "fffe"),
+            ("-1180591620717411303424", "-01180591620717411303424"),
+            (r#""-1180591620717411303424""#, "5"),
+            ("2.5", "3"),
+            (r#"{"a":1,"b":2}"#, r#"[["a",1]]"#),
+            ("mean_m", "mean"),
+        ] {
+            let err = from_str::<Row>(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.to_string().contains("field `"), "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn struct_macro_flattens_one_field() {
+        #[derive(Debug, PartialEq)]
+        struct Spec { lane: u64, name: String }
+        #[derive(Debug, PartialEq)]
+        struct Summary { spec: Spec, epochs: u32 }
+        impl_json_struct!(Spec { lane, name });
+        impl_json_struct!(Summary { ..spec, epochs });
+
+        let s = Summary { spec: Spec { lane: 3, name: "s3".into() }, epochs: 9 };
+        let text = to_string(&s);
+        assert_eq!(text, r#"{"lane":3,"name":"s3","epochs":9}"#, "flattened keys come first");
+        assert_eq!(from_str::<Summary>(&text).unwrap(), s);
+        // Undeclared keys go to the flattened field, whose reader is strict.
+        for (doc, err) in [
+            (r#"{"lane":3,"name":"s3","epochs":9,"x":0}"#, "unknown field `x`"),
+            (r#"{"lane":3,"epochs":9}"#, "missing field `name`"),
+            (r#"{"lane":3,"name":"s3"}"#, "missing field `epochs`"),
+        ] {
+            assert_eq!(from_str::<Summary>(doc).unwrap_err().to_string(), err);
+        }
     }
 
     #[test]

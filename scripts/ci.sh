@@ -95,6 +95,28 @@ if ! grep -q "scheme_unavailable" "$smoke/summary.txt"; then
 fi
 echo "    ok: calibration cells and flight postmortems inspect cleanly"
 
+# Each command accepts only its own flags and the global ones: a typo or
+# a retired flag must exit non-zero and name the flag, never run with a
+# silent default (`--out` keeps a run that wrongly starts out of results/).
+echo "==> unknown-flag smoke (uniloc fleet --sesions, uniloc scenarios --bogus)"
+expect_unknown_flag() {
+    local flag=$1
+    shift
+    if target/release/uniloc "$@" > /dev/null 2> "$smoke/flag.err"; then
+        echo "ERROR: \`uniloc $*\` accepted the unknown flag $flag" >&2
+        exit 1
+    fi
+    if ! grep -qF "unknown flag \`$flag\`" "$smoke/flag.err"; then
+        echo "ERROR: \`uniloc $*\` failed without naming $flag:" >&2
+        cat "$smoke/flag.err" >&2
+        exit 1
+    fi
+}
+expect_unknown_flag --sesions fleet --sessions 2 --max-epochs 2 --sesions 9 \
+    --out "$smoke/typo" --quiet
+expect_unknown_flag --bogus scenarios --bogus 7
+echo "    ok: unknown flags exit non-zero and are named"
+
 # --- 4. chaos smoke -------------------------------------------------------
 # Sweep the small fault-plan set over one scenario, strict: a terminal
 # `lost` ladder state, any non-finite fused estimate, or a quarantine that
@@ -323,4 +345,32 @@ echo "    ok: one panicking session poisoned itself; the fleet completed"
 echo "==> fleet benchmark (cargo test --manifest-path benchmark/Cargo.toml)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "    ok: the benchmark builds and every workload's smoke run is correct"
+
+# `compare` skips a result file it cannot read, so a record reader that
+# rejected committed results would go unnoticed. Compare the committed
+# baseline with itself: every workload in BENCHMARK.json needs a row, over
+# as many pairs as the baseline has untraced runs of it, and the workloads
+# checked must be exactly the baseline's untraced result names.
+echo "==> benchmark compare (benchmark/baseline against itself)"
+cargo run --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    compare benchmark/baseline benchmark/baseline > "$smoke/compare.txt"
+checked=0
+for w in $(grep -o '{"name": "[a-z-]*", "why"' BENCHMARK.json | cut -d'"' -f4); do
+    n=$(find benchmark/baseline -name "$w.json" | wc -l)
+    if [ "$n" -eq 0 ] || ! grep -qE "^$w +epochs_per_s .* $n pairs\)$" "$smoke/compare.txt" \
+            || ! grep -qE "^$w +=> " "$smoke/compare.txt"; then
+        echo "ERROR: compare shows no $n-pair row for workload $w:" >&2
+        cat "$smoke/compare.txt" >&2
+        exit 1
+    fi
+    checked=$((checked + 1))
+done
+names=$(find benchmark/baseline -name '*.json' ! -name '*.trace.json' -exec basename {} \; \
+    | sort -u | wc -l)
+if [ "$checked" -eq 0 ] || [ "$checked" -ne "$names" ]; then
+    echo "ERROR: checked $checked workloads from BENCHMARK.json;" \
+        "benchmark/baseline holds $names" >&2
+    exit 1
+fi
+echo "    ok: compare reads every committed baseline result ($checked workloads)"
 echo "==> ci.sh: all checks passed"

@@ -12,7 +12,7 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use uniloc::core::error_model::{train, ErrorModelSet};
+use uniloc::core::error_model::ErrorModelSet;
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::env::venues;
 use uniloc::iodetect::IoState;
@@ -44,15 +44,7 @@ impl Write for SharedBuf {
 }
 
 fn trained_models(seed: u64) -> ErrorModelSet {
-    let cfg = PipelineConfig::default();
-    let mut samples =
-        pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    train(&samples).expect("training venues produce enough samples")
+    pipeline::train_standard_models(seed).expect("training venues produce enough samples")
 }
 
 /// Makes every model wildly optimistic — predictions and spread shrunk to

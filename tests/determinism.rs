@@ -5,22 +5,15 @@
 //! `uniloc-rng` substrate guarantees (see DESIGN.md, "Deterministic
 //! randomness").
 
-use uniloc::core::error_model::train;
 use uniloc::core::pipeline::{self, PipelineConfig};
-use uniloc::env::{campus, venues};
+use uniloc::env::campus;
 
 /// Runs the full train-then-localize pipeline and returns the walk trace
 /// serialized to JSON — the same bytes `uniloc run --json` would emit.
 fn pipeline_trace(seed: u64) -> String {
     let cfg = PipelineConfig::default();
-    let mut samples =
-        pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    let models = train(&samples).expect("training venues produce enough samples");
+    let models =
+        pipeline::train_standard_models(seed).expect("training venues produce enough samples");
     let records = pipeline::run_walk(&campus::daily_path(seed), &models, &cfg, seed + 100);
     assert!(!records.is_empty(), "walk produced no epochs");
     uniloc::stats::json::to_string(&records)

@@ -9,14 +9,14 @@
 //! The kill switch is `uniloc_faults::CrashPoint` driving
 //! [`FleetRunOptions::crash_after_rounds`]; resume reloads the checkpoint
 //! exactly as `uniloc fleet --resume` does. Malformed checkpoints —
-//! truncated, with a repeated key, or spliced together from other real
-//! documents — fail to load cleanly, never by a panic or a silent misread.
+//! truncated, with a repeated, missing or unknown key, or spliced together
+//! from other real documents — fail to load cleanly, never by a panic or a
+//! silent misread.
 
 use std::sync::Arc;
 
-use uniloc::core::error_model::{train, ErrorModelSet};
+use uniloc::core::error_model::ErrorModelSet;
 use uniloc::core::pipeline::{self, PipelineConfig};
-use uniloc::env::venues;
 use uniloc::faults::CrashPoint;
 use uniloc::obs::fleet::ERROR_BUCKETS_M;
 use uniloc::rng::check::Checker;
@@ -28,15 +28,9 @@ use uniloc_bench::fleet::{
 };
 
 fn models(seed: u64) -> Arc<ErrorModelSet> {
-    let cfg = PipelineConfig::default();
-    let mut samples =
-        pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    Arc::new(train(&samples).expect("training venues produce enough samples"))
+    Arc::new(
+        pipeline::train_standard_models(seed).expect("training venues produce enough samples"),
+    )
 }
 
 fn fleet_config(seed: u64, jobs: usize, panic_lane: Option<u64>) -> FleetConfig {
@@ -97,7 +91,6 @@ fn resume(
             checkpoint_path: Some(path.to_owned()),
             resume_from: Some(ckpt),
             crash_after_rounds: crash_after,
-            ..FleetRunOptions::default()
         },
     )
     .expect("resumed fleet runs")
@@ -281,30 +274,51 @@ fn nodes(doc: &Json) -> Vec<&Json> {
     out
 }
 
-/// `doc` with its pre-order node `*at` replaced by `with`.
-fn graft(doc: &Json, at: &mut usize, with: &Json) -> Json {
-    if *at == 0 {
-        *at = usize::MAX;
-        return with.clone();
-    }
-    *at -= 1;
-    match doc {
-        Json::Arr(items) => Json::Arr(items.iter().map(|j| graft(j, at, with)).collect()),
-        Json::Obj(pairs) => {
-            Json::Obj(pairs.iter().map(|(k, j)| (k.clone(), graft(j, at, with))).collect())
+/// Applies `edit` to node `*at` of `doc` in pre-order, counting only
+/// objects when `objects` is set.
+fn edit_node(doc: &mut Json, at: &mut usize, objects: bool, edit: &mut dyn FnMut(&mut Json)) {
+    if !objects || matches!(doc, Json::Obj(_)) {
+        if *at == 0 {
+            *at = usize::MAX;
+            return edit(doc);
         }
-        other => other.clone(),
+        *at -= 1;
+    }
+    match doc {
+        Json::Arr(items) => items.iter_mut().for_each(|j| edit_node(j, at, objects, edit)),
+        Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, j)| edit_node(j, at, objects, edit)),
+        _ => {}
     }
 }
 
-/// `doc` with the value at the object-key `path` replaced by `with`.
-fn set_path(doc: &Json, path: &[&str], with: Json) -> Json {
-    let Some((key, rest)) = path.split_first() else { return with };
-    let Json::Obj(pairs) = doc else { panic!("no object at `{key}`") };
-    let set = |(k, j): &(String, Json)| {
-        (k.clone(), if k == key { set_path(j, rest, with.clone()) } else { j.clone() })
-    };
-    Json::Obj(pairs.iter().map(set).collect())
+/// The node at `path` (object keys and array indices) below `doc`.
+fn at_path<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(doc, |doc, step| match doc {
+        Json::Arr(items) => &mut items[step.parse::<usize>().expect("an index")],
+        Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == step).expect(step).1,
+        _ => panic!("no `{step}` below a scalar"),
+    })
+}
+
+/// The pairs of the object at `path` below `doc`.
+fn object_at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Vec<(String, Json)> {
+    match at_path(doc, path) {
+        Json::Obj(pairs) => pairs,
+        _ => panic!("{path:?} is not an object"),
+    }
+}
+
+/// One mutation of a real checkpoint; node and key numbers are taken
+/// modulo the live counts.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Node `at` becomes node `node` of donor `donor`.
+    Graft { at: u64, donor: usize, node: u64 },
+    /// Object `at` loses its key number `key`.
+    DeleteKey { at: u64, key: u64 },
+    /// Object `at` gains a key no writer emits, valued node `node` of
+    /// donor `donor`.
+    InsertKey { at: u64, donor: usize, node: u64 },
 }
 
 /// The spliced-checkpoint properties: loading never panics; a checkpoint
@@ -337,12 +351,18 @@ fn check_spliced(doc: &Json, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A real checkpoint with subtrees of other real documents grafted in: a
-/// second fleet's checkpoint, `FLEET.json` rows and `FLEET_HEALTH.json`.
-/// Malformed error histograms are pinned first: a repeated bucket index
-/// (which used to keep only its last count) and an index past the overflow
-/// bucket (which used to count in `count()` yet vanish from the dense
-/// counts the health plane prints), out of order and in order.
+/// A real checkpoint mutated 1 to 4 times: subtrees of other real
+/// documents grafted in (a second fleet's checkpoint, `FLEET.json` rows
+/// and `FLEET_HEALTH.json`), a key deleted, or a key no writer emits added
+/// to some object. Pinned first: malformed error histograms (a repeated
+/// bucket index, which used to keep only its last count, and an index past
+/// the overflow bucket, which used to count in `count()` yet vanish from
+/// the dense counts the health plane prints); three values that used to
+/// load and re-serialize to other bytes: an integer `mean_error_m`, a
+/// decimal `cursor` and a 16-digit `sum_micro`; and three key-set probes
+/// that did the same: a missing nullable top-level key, a retired row
+/// missing its nullable `poisoned`, and a resident entry carrying an extra
+/// key.
 #[test]
 fn spliced_checkpoints_load_or_fail_cleanly() {
     let models = models(47);
@@ -362,11 +382,36 @@ fn spliced_checkpoints_load_or_fail_cleanly() {
     let grafts: Vec<Vec<&Json>> = donors.iter().map(nodes).collect();
     check_spliced(&target, &path).expect("the unspliced checkpoint holds the properties");
 
+    let mut pinned = Vec::new();
     for counts in ["[[3,5],[3,7]]", "[[99,1],[2,4]]", "[[2,4],[99,1]]"] {
-        let counts = Json::parse(counts).unwrap();
-        let doc = set_path(&target, &["snapshot", "error_hist", "counts"], counts);
-        check_spliced(&doc, &path).unwrap_or_else(|e| panic!("pinned histogram: {e}"));
-        assert!(load_fleet_checkpoint(&path).is_err(), "a malformed histogram must not load");
+        let mut doc = target.clone();
+        *at_path(&mut doc, &["snapshot", "error_hist", "counts"]) = Json::parse(counts).unwrap();
+        pinned.push((format!("error_hist counts {counts}"), doc));
+    }
+    let text = |s: &str| Json::Str(s.to_owned());
+    for (what, path, value) in [
+        ("integer `mean_error_m`", &["retired", "0", "mean_error_m"][..], Json::Int(3)),
+        ("decimal `cursor`", &["resident", "0", "checkpoint", "cursor"], text("9603200")),
+        ("hex `sum_micro`", &["snapshot", "error_hist", "sum_micro"], text("0000000000000000")),
+    ] {
+        let mut doc = target.clone();
+        *at_path(&mut doc, path) = value;
+        pinned.push((what.to_owned(), doc));
+    }
+    for (what, path, key) in [
+        ("top-level `panic_lane` removed", &[][..], "panic_lane"),
+        ("first retired row without `poisoned`", &["retired", "0"], "poisoned"),
+    ] {
+        let mut doc = target.clone();
+        object_at(&mut doc, path).retain(|(k, _)| k != key);
+        pinned.push((what.to_owned(), doc));
+    }
+    let mut doc = target.clone();
+    object_at(&mut doc, &["resident", "0"]).push(("extra".to_owned(), Json::Int(0)));
+    pinned.push(("first resident entry with an extra key".to_owned(), doc));
+    for (what, doc) in &pinned {
+        check_spliced(doc, &path).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(load_fleet_checkpoint(&path).is_err(), "{what}: must not load");
     }
 
     Checker::new("spliced_checkpoints_load_or_fail_cleanly")
@@ -374,20 +419,43 @@ fn spliced_checkpoints_load_or_fail_cleanly() {
         .regressions(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fleet_crash_recovery.regressions"))
         .run(
             |rng: &mut Rng, scale| {
-                // 1 to 4 grafts: (target node, donor, donor node), the node
-                // indices taken modulo the live node counts.
                 let n = 1 + (scale * 3.0) as usize;
                 (0..n)
-                    .map(|_| (rng.next_u64(), rng.gen_range(0..donors.len()), rng.next_u64()))
+                    .map(|_| {
+                        let (at, node) = (rng.next_u64(), rng.next_u64());
+                        let donor = rng.gen_range(0..donors.len());
+                        match rng.gen_range(0..3u32) {
+                            0 => Mutation::Graft { at, donor, node },
+                            1 => Mutation::DeleteKey { at, key: node },
+                            _ => Mutation::InsertKey { at, donor, node },
+                        }
+                    })
                     .collect::<Vec<_>>()
             },
-            |splices| {
+            |mutations| {
                 let mut doc = target.clone();
-                for &(at, donor, node) in splices {
-                    let pool = &grafts[donor];
-                    let with = pool[(node % pool.len() as u64) as usize];
-                    let mut at = (at % nodes(&doc).len() as u64) as usize;
-                    doc = graft(&doc, &mut at, with);
+                for &m in mutations {
+                    let (at, objects) = match m {
+                        Mutation::Graft { at, .. } => (at, false),
+                        Mutation::DeleteKey { at, .. } => (at, true),
+                        Mutation::InsertKey { at, .. } => (at, true),
+                    };
+                    let live = nodes(&doc).into_iter();
+                    let live = live.filter(|j| !objects || matches!(j, Json::Obj(_))).count();
+                    let mut at = (at % live.max(1) as u64) as usize;
+                    let donor = |d: usize, n: u64| grafts[d][(n % grafts[d].len() as u64) as usize];
+                    edit_node(&mut doc, &mut at, objects, &mut |j| match (m, j) {
+                        (Mutation::Graft { donor: d, node, .. }, j) => *j = donor(d, node).clone(),
+                        (Mutation::DeleteKey { key, .. }, Json::Obj(p)) if !p.is_empty() => {
+                            p.remove((key % p.len() as u64) as usize);
+                        }
+                        (Mutation::InsertKey { donor: d, node, .. }, Json::Obj(p))
+                            if p.iter().all(|(k, _)| k != "unknown_key") =>
+                        {
+                            p.push(("unknown_key".to_owned(), donor(d, node).clone()));
+                        }
+                        _ => {}
+                    });
                 }
                 check_spliced(&doc, &path)
             },

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use uniloc::core::error_model::{train, ErrorModelSet};
+use uniloc::core::error_model::ErrorModelSet;
 use uniloc::core::fleet::{FleetScheduler, FinishedSession};
 use uniloc::core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc::core::session::Session;
@@ -31,15 +31,9 @@ use uniloc_bench::fleet::{
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn models(seed: u64) -> Arc<ErrorModelSet> {
-    let cfg = PipelineConfig::default();
-    let mut samples =
-        pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    Arc::new(train(&samples).expect("training venues produce enough samples"))
+    Arc::new(
+        pipeline::train_standard_models(seed).expect("training venues produce enough samples"),
+    )
 }
 
 /// Drives a whole spec set through a scheduler and returns each finished

@@ -7,12 +7,11 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use uniloc::core::error_model::{train, ErrorModelSet};
+use uniloc::core::error_model::ErrorModelSet;
 use uniloc::core::fleet::{DueKey, SessionCheckpoint};
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::core::quarantine::QuarantineStanding;
 use uniloc::core::session::Session;
-use uniloc::env::venues;
 use uniloc::rng::check::Checker;
 use uniloc::rng::{require, require_eq, split_seed, Rng};
 use uniloc::stats::json::{from_str, ToJson};
@@ -168,15 +167,9 @@ fn checkpoint_canonical_json_round_trips() {
 }
 
 fn trained_models(seed: u64) -> Arc<ErrorModelSet> {
-    let cfg = PipelineConfig::default();
-    let mut samples =
-        pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    Arc::new(train(&samples).expect("training venues produce enough samples"))
+    Arc::new(
+        pipeline::train_standard_models(seed).expect("training venues produce enough samples"),
+    )
 }
 
 /// A session checkpointed *mid-quarantine-sentence* resumes with the same

@@ -11,7 +11,6 @@
 //! ```
 
 use std::sync::OnceLock;
-use uniloc::core::error_model::train;
 use uniloc::core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc::env::venues;
 use uniloc::stats::json::ToJson;
@@ -25,17 +24,8 @@ fn walk_records() -> &'static [EpochRecord] {
     static RECORDS: OnceLock<Vec<EpochRecord>> = OnceLock::new();
     RECORDS.get_or_init(|| {
         let cfg = PipelineConfig::default();
-        let mut samples = pipeline::collect_training(
-            &venues::training_office(TRAIN_SEED),
-            &cfg,
-            TRAIN_SEED + 10,
-        );
-        samples.extend(pipeline::collect_training(
-            &venues::training_open_space(TRAIN_SEED + 1),
-            &cfg,
-            TRAIN_SEED + 11,
-        ));
-        let models = train(&samples).expect("training venues produce enough samples");
+        let models = pipeline::train_standard_models(TRAIN_SEED)
+            .expect("training venues produce enough samples");
         // A small office keeps the committed trace compact while still
         // exercising survey, IO detection, per-scheme estimation and both
         // UniLoc variants end to end.

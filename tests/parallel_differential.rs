@@ -8,7 +8,7 @@
 //! work at jobs ∈ {1, 2, 4, 8} and diffs the results against the
 //! sequential baseline.
 
-use uniloc::core::error_model::{train, ErrorModelSet};
+use uniloc::core::error_model::ErrorModelSet;
 use uniloc::core::parallel::{run_observed, run_ordered};
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::env::venues;
@@ -18,15 +18,7 @@ use uniloc_bench::chaos::{run_sweep, ChaosConfig};
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn models(seed: u64) -> ErrorModelSet {
-    let cfg = PipelineConfig::default();
-    let mut samples =
-        pipeline::collect_training(&venues::training_office(seed), &cfg, seed + 10);
-    samples.extend(pipeline::collect_training(
-        &venues::training_open_space(seed + 1),
-        &cfg,
-        seed + 11,
-    ));
-    train(&samples).expect("training venues produce enough samples")
+    pipeline::train_standard_models(seed).expect("training venues produce enough samples")
 }
 
 /// The full chaos sweep — reports, violation list, merged metrics,
