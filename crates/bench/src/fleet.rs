@@ -38,7 +38,7 @@ use uniloc_stats::json::{flattened, float, hex, FromJson, Json, ToJson};
 
 /// Load-generator parameters. Everything that shapes the fleet's *output*
 /// lives here except `jobs`/`resident`, which only shape its execution.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct FleetConfig {
     /// Root seed; lane seeds derive via [`split_seed`].
     pub seed: u64,
@@ -560,19 +560,27 @@ impl FleetCheckpoint {
         }
     }
 
+    /// The config echo a checkpoint of `cfg`'s fleet pins: its
+    /// artifact-shaping knobs, keyed as in the checkpoint document.
+    pub fn config_echo(cfg: &FleetConfig) -> Vec<(String, Json)> {
+        const CUT_STATE: [&str; 5] = ["version", "round", "retired", "resident", "snapshot"];
+        let cut = FleetCheckpoint::cut(cfg, 0, Vec::new(), Vec::new(), None);
+        flattened(&cut)
+            .into_iter()
+            .filter(|(key, _)| !CUT_STATE.contains(&key.as_str()))
+            .collect()
+    }
+
     /// Validates that `cfg` regenerates the fleet this checkpoint was cut
-    /// from — every artifact-shaping knob must match (jobs and resident
-    /// cap are execution-only and free to change).
+    /// from — every knob of the [config echo](Self::config_echo) must
+    /// match (jobs and resident cap are execution-only and free to
+    /// change).
     ///
     /// # Errors
     ///
     /// Names the first mismatched knob.
     pub fn check_config(&self, cfg: &FleetConfig) -> Result<(), String> {
-        // Two empty cuts share version, round and state, so only a config
-        // key can differ between them.
-        let echo = |cfg: &FleetConfig| {
-            flattened(&FleetCheckpoint::cut(cfg, 0, Vec::new(), Vec::new(), None))
-        };
+        let echo = FleetCheckpoint::config_echo;
         let (was, now) = (echo(&self.config(cfg.jobs, cfg.resident)), echo(cfg));
         match was.iter().zip(&now).find(|(a, b)| a != b) {
             Some(((knob, a), (_, b))) => Err(format!(
@@ -1064,6 +1072,9 @@ mod tests {
         }
     }
 
+    const CONFIG_KEYS: &str =
+        "seed sessions scenarios max_epochs chaos_every obs_stub shards top_k panic_lane panic_epoch";
+
     #[test]
     fn fleet_checkpoint_round_trips_and_rejects_foreign_configs() {
         let c = cfg(8);
@@ -1105,6 +1116,10 @@ mod tests {
         let mut other = c.clone();
         other.seed += 1;
         assert!(back.check_config(&other).unwrap_err().contains("seed"));
+        // The echo is the config keys alone: the cut's state stays out.
+        let echo = FleetCheckpoint::config_echo(&c);
+        let keys: Vec<&str> = echo.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.join(" "), CONFIG_KEYS);
         // A foreign format version fails loudly, not by misparse.
         let mut doc = Json::parse(&text).unwrap();
         if let Json::Obj(fields) = &mut doc {

@@ -8,7 +8,6 @@
 
 pub mod chaos;
 pub mod fleet;
-pub mod microbench;
 
 use std::sync::Arc;
 

@@ -206,13 +206,8 @@ fn seed_flag(flags: &BTreeMap<String, String>) -> Result<u64, String> {
 /// are byte-identical at any value; `--jobs 1` runs inline with no worker
 /// threads.
 fn jobs_flag(flags: &BTreeMap<String, String>) -> Result<usize, String> {
-    match flags.get("jobs") {
-        Some(s) => match s.parse() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("--jobs must be a positive integer, got `{s}`")),
-        },
-        None => Ok(std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)),
-    }
+    let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get);
+    positive_flag(flags, "jobs", cores.unwrap_or(1))
 }
 
 fn cmd_train(flags: &BTreeMap<String, String>) -> Result<(), String> {
@@ -569,7 +564,7 @@ fn train_models(seed: u64) -> Result<ErrorModelSet, String> {
     pipeline::train_standard_models(seed).map_err(|e| format!("training failed: {e}"))
 }
 
-/// `--<key> N` as a positive integer, with a default.
+/// `--<key> N` as a non-negative integer, with a default.
 fn usize_flag(
     flags: &BTreeMap<String, String>,
     key: &str,
@@ -583,15 +578,30 @@ fn usize_flag(
     }
 }
 
-/// `--<key> X` as a finite float, with a default.
-fn f64_flag(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+/// `--<key> N` as a positive integer, with a default.
+fn positive_flag(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: usize,
+) -> Result<usize, String> {
     match flags.get(key) {
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(v),
-            _ => Err(format!("--{key} must be a finite number, got `{s}`")),
+        Some(s) => match s.parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("--{key} must be a positive integer, got `{s}`")),
         },
         None => Ok(default),
     }
+}
+
+/// `--<key> X` as a budget — a finite, non-negative float — if given.
+fn budget_flag(flags: &BTreeMap<String, String>, key: &str) -> Result<Option<f64>, String> {
+    flags
+        .get(key)
+        .map(|s| match s.parse::<f64>() {
+            Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+            _ => Err(format!("--{key} must be a non-negative number, got `{s}`")),
+        })
+        .transpose()
 }
 
 /// Paired obs-on/obs-stub passes of `uniloc fleet --obs-overhead`; each
@@ -619,57 +629,31 @@ const OVERHEAD_PASSES: usize = 2;
 /// FILE` (default `<out>/FLEET.ckpt.json`), and `--resume FILE` restores
 /// one and finishes the fleet — the artifacts come out byte-identical to
 /// an uninterrupted run. On resume, every artifact-shaping knob is taken
-/// from the checkpoint itself (only `--jobs`, `--resident`, `--out` and
-/// the gate flags still apply). `--crash-after-rounds N` simulates a
-/// `kill -9` between rounds N and N+1 (the crash-injection harness), and
-/// `--panic-lane L --panic-epoch E` arms a process-level panic fault in
-/// lane L at epoch E to exercise the supervisor's poison path.
+/// from the checkpoint itself, and setting one is an error (only `--jobs`,
+/// `--resident`, `--out` and the gate flags still apply). Every flag is
+/// checked before any model is loaded or trained, and a flag that would
+/// change nothing (`--panic-epoch` without `--panic-lane`, a lane past
+/// the fleet, `--checkpoint` without a cadence) is an error, never
+/// ignored. `--crash-after-rounds N` simulates a `kill -9` between rounds
+/// N and N+1 (the crash-injection harness), and `--panic-lane L
+/// --panic-epoch E` arms a process-level panic fault in lane L at epoch E
+/// to exercise the supervisor's poison path.
 fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     use uniloc_bench::fleet::{
-        load_fleet_checkpoint, measure_obs_overhead, run_fleet_durable, FleetConfig, FleetOutcome,
-        FleetRunOptions,
+        load_fleet_checkpoint, measure_obs_overhead, run_fleet_durable, FleetCheckpoint,
+        FleetConfig, FleetOutcome, FleetRunOptions,
     };
 
     let seed = seed_flag(flags)?;
     let jobs = jobs_flag(flags)?;
+    let resident = positive_flag(flags, "resident", 64)?;
     let out_dir = flags.get("out").map(String::as_str).unwrap_or("results");
     let strict = flags.contains_key("strict");
     let cfg = PipelineConfig::default();
-
-    let resume = match flags.get("resume") {
-        Some(path) => Some(load_fleet_checkpoint(path)?),
-        None => None,
-    };
-    let resident = usize_flag(flags, "resident", 64)?;
-    let fleet_cfg = match &resume {
-        // Resuming: the checkpoint pins every artifact-shaping knob (a
-        // mismatched flag would silently fork the fleet); only execution
-        // knobs come from the command line.
-        Some(ckpt) => ckpt.config(jobs, resident),
-        None => FleetConfig {
-            seed,
-            sessions: usize_flag(flags, "sessions", 1000)?,
-            scenario_names: flags
-                .get("scenarios")
-                .map(|s| s.split(',').map(str::to_owned).collect())
-                .unwrap_or_else(|| vec!["office".to_owned(), "open-space".to_owned()]),
-            jobs,
-            resident,
-            max_epochs: usize_flag(flags, "max-epochs", 40)?,
-            chaos_every: usize_flag(flags, "chaos-every", 0)?,
-            obs_stub: false,
-            shards: 0,
-            top_k: 0,
-            panic_lane: flags
-                .get("panic-lane")
-                .map(|_| usize_flag(flags, "panic-lane", 0))
-                .transpose()?
-                .map(|l| l as u64),
-            panic_epoch: usize_flag(flags, "panic-epoch", 0)? as u64,
-        },
-    };
-    let models = Arc::new(models_or_train(flags, fleet_cfg.seed)?);
     let checkpoint_every = usize_flag(flags, "checkpoint-every", 0)? as u64;
+    if flags.contains_key("checkpoint") && checkpoint_every == 0 {
+        return Err("--checkpoint needs --checkpoint-every N (N > 0) to cut one".to_owned());
+    }
     let checkpoint_path = flags
         .get("checkpoint")
         .cloned()
@@ -679,29 +663,82 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         .map(|_| usize_flag(flags, "crash-after-rounds", 0))
         .transpose()?
         .map(|r| r as u64);
-    let alloc_budget = match flags.get("alloc-budget") {
-        Some(_) => Some(f64_flag(flags, "alloc-budget", 0.0)?),
-        None => None,
+    let alloc_budget = budget_flag(flags, "alloc-budget")?;
+    let overhead_budget = budget_flag(flags, "overhead-budget")?.unwrap_or(0.05);
+
+    let (fleet_cfg, resume) = match flags.get("resume") {
+        // Resuming: the checkpoint pins every artifact-shaping knob (the
+        // config echo `check_config` compares), so a flag setting one
+        // would be silently overridden; only execution knobs come from
+        // the command line.
+        Some(path) => {
+            for (key, _) in FleetCheckpoint::config_echo(&FleetConfig::default()) {
+                let flag = key.replace('_', "-");
+                if flags.contains_key(&flag) {
+                    return Err(format!(
+                        "--{flag} cannot change a resumed fleet: its checkpoint pins {key}"
+                    ));
+                }
+            }
+            let ckpt = load_fleet_checkpoint(path)?;
+            (ckpt.config(jobs, resident), Some(ckpt))
+        }
+        None => {
+            let sessions = usize_flag(flags, "sessions", 1000)?;
+            let panic_lane = flags
+                .get("panic-lane")
+                .map(|_| usize_flag(flags, "panic-lane", 0))
+                .transpose()?;
+            match panic_lane {
+                None if flags.contains_key("panic-epoch") => {
+                    return Err("--panic-epoch arms nothing without --panic-lane L".to_owned());
+                }
+                Some(lane) if lane >= sessions => {
+                    return Err(format!(
+                        "--panic-lane {lane} poisons nothing: the fleet's lanes are 0..{sessions}"
+                    ));
+                }
+                _ => {}
+            }
+            let fleet_cfg = FleetConfig {
+                seed,
+                sessions,
+                scenario_names: flags
+                    .get("scenarios")
+                    .map(|s| s.split(',').map(str::to_owned).collect())
+                    .unwrap_or_else(|| vec!["office".to_owned(), "open-space".to_owned()]),
+                jobs,
+                resident,
+                max_epochs: usize_flag(flags, "max-epochs", 40)?,
+                chaos_every: usize_flag(flags, "chaos-every", 0)?,
+                obs_stub: false,
+                shards: 0,
+                top_k: 0,
+                panic_lane: panic_lane.map(|l| l as u64),
+                panic_epoch: usize_flag(flags, "panic-epoch", 0)? as u64,
+            };
+            (fleet_cfg, None)
+        }
     };
+    let models = Arc::new(models_or_train(flags, fleet_cfg.seed)?);
 
     if flags.contains_key("obs-overhead") {
-        let budget = f64_flag(flags, "overhead-budget", 0.05)?;
         let o = measure_obs_overhead(&models, &cfg, &fleet_cfg, OVERHEAD_PASSES)?;
         println!(
             "obs_overhead_frac {:.4} budget {:.4} obs_epochs_per_sec {:.0} stub_epochs_per_sec {:.0}",
-            o.overhead_frac, budget, o.epochs_per_sec_obs, o.epochs_per_sec_stub
+            o.overhead_frac, overhead_budget, o.epochs_per_sec_obs, o.epochs_per_sec_stub
         );
-        return if o.overhead_frac > budget {
+        return if o.overhead_frac > overhead_budget {
             Err(format!(
                 "obs overhead {:.2}% exceeds budget {:.2}%",
                 o.overhead_frac * 100.0,
-                budget * 100.0
+                overhead_budget * 100.0
             ))
         } else {
             uniloc_obs::info!(
                 "obs overhead {:.2}% within budget {:.2}%",
                 o.overhead_frac * 100.0,
-                budget * 100.0
+                overhead_budget * 100.0
             );
             Ok(())
         };
@@ -1067,6 +1104,64 @@ mod tests {
         }
         let global = lines.iter().position(|l| l.starts_with("global flags")).unwrap() + 1;
         assert_eq!(flags_in(&lines[global..=global]), sorted(GLOBAL_FLAGS.iter().copied()));
+    }
+
+    /// `uniloc fleet` with `line` fails before it loads any models, with
+    /// an error that names `flag`.
+    fn fleet_rejects(line: &[&str], flag: &str) {
+        let mut v = vec!["--models", "no-such-models.json", "--out", "no-such-dir"];
+        v.extend_from_slice(line);
+        let err = cmd_fleet(&parse("fleet", &v).unwrap()).unwrap_err();
+        assert!(err.contains(flag), "{line:?} did not name {flag}: {err}");
+    }
+
+    #[test]
+    fn fleet_resume_rejects_the_knobs_its_checkpoint_pins() {
+        for (flag, value) in [
+            ("--sessions", "999"),
+            ("--seed", "42"),
+            ("--max-epochs", "1"),
+            ("--scenarios", "mall"),
+            ("--chaos-every", "3"),
+            ("--panic-lane", "1"),
+            ("--panic-epoch", "2"),
+        ] {
+            fleet_rejects(&["--resume", "x.ckpt.json", flag, value], flag);
+        }
+        // Execution knobs stay free: this resume gets as far as its checkpoint.
+        let v = ["--resume", "x.ckpt.json", "--resident", "9"];
+        let err = cmd_fleet(&parse("fleet", &v).unwrap()).unwrap_err();
+        assert!(err.starts_with("read checkpoint x.ckpt.json"), "{err}");
+    }
+
+    #[test]
+    fn fleet_rejects_a_panic_epoch_without_a_lane() {
+        fleet_rejects(&["--panic-epoch", "1"], "--panic-epoch");
+    }
+
+    #[test]
+    fn fleet_rejects_a_panic_lane_past_the_fleet() {
+        fleet_rejects(&["--sessions", "3", "--panic-lane", "99"], "--panic-lane");
+        fleet_rejects(&["--sessions", "3", "--panic-lane", "3"], "--panic-lane");
+    }
+
+    #[test]
+    fn fleet_rejects_a_checkpoint_path_without_a_cadence() {
+        fleet_rejects(&["--checkpoint", "x.ckpt.json"], "--checkpoint-every");
+        let zero_cadence = ["--checkpoint", "x.ckpt.json", "--checkpoint-every", "0"];
+        fleet_rejects(&zero_cadence, "--checkpoint-every");
+    }
+
+    #[test]
+    fn fleet_rejects_a_zero_resident_cap() {
+        fleet_rejects(&["--resident", "0"], "--resident");
+    }
+
+    #[test]
+    fn fleet_rejects_negative_budgets() {
+        fleet_rejects(&["--alloc-budget", "-1"], "--alloc-budget");
+        let gate = ["--obs-overhead", "--overhead-budget", "-1"];
+        fleet_rejects(&gate, "--overhead-budget");
     }
 
     #[test]

@@ -122,21 +122,6 @@ impl PowerProfile {
         ));
         rows
     }
-
-    /// The outdoor GPS saving factor: stock GPS keeps the receiver on for
-    /// the entire outdoor stretch; UniLoc only in the epochs its policy
-    /// enabled it. (The paper reports 2.1x.)
-    pub fn outdoor_gps_saving(&self, records: &[EpochRecord]) -> Option<f64> {
-        let outdoor: Vec<&EpochRecord> = records.iter().filter(|r| !r.indoor).collect();
-        if outdoor.is_empty() {
-            return None;
-        }
-        let enabled = outdoor.iter().filter(|r| r.gps_enabled).count();
-        if enabled == 0 {
-            return None;
-        }
-        Some(outdoor.len() as f64 / enabled as f64)
-    }
 }
 
 #[cfg(test)]
@@ -210,24 +195,6 @@ mod tests {
         }
         // UniLoc with GPS costs more than without.
         assert!(rows[6].power_mw > rows[5].power_mw);
-    }
-
-    #[test]
-    fn outdoor_saving_factor() {
-        let p = PowerProfile::default();
-        // 30 outdoor epochs, GPS on in 15 of them -> saving 2x.
-        let mut records: Vec<EpochRecord> =
-            (0..70).map(|i| record(i as f64, true, false)).collect();
-        records.extend((0..30).map(|i| record(70.0 + i as f64, false, i % 2 == 0)));
-        let s = p.outdoor_gps_saving(&records).unwrap();
-        assert!((s - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn no_outdoor_epochs_no_saving() {
-        let p = PowerProfile::default();
-        let records: Vec<EpochRecord> = (0..10).map(|i| record(i as f64, true, false)).collect();
-        assert!(p.outdoor_gps_saving(&records).is_none());
     }
 
     #[test]

@@ -266,11 +266,6 @@ impl FleetSession {
         &self.session
     }
 
-    /// Total frames in the walk.
-    pub fn total_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Steps every frame due by `now_ns` on the fleet clock (the session
     /// started at `start_ns`), with the session's obs installed. Returns
     /// the wall-clock nanoseconds each epoch took, for the throughput

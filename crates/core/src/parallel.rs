@@ -150,15 +150,6 @@ impl MergedObs {
         self.flight_lines.extend(later.flight_lines.iter().cloned());
         Ok(())
     }
-
-    /// Fold a sequence of captures in the order given.
-    pub fn from_captures<'a>(caps: impl IntoIterator<Item = &'a SessionCapture>) -> Result<MergedObs, String> {
-        let mut merged = MergedObs::default();
-        for cap in caps {
-            merged.fold(cap)?;
-        }
-        Ok(merged)
-    }
 }
 
 /// Execute `f(index, item)` for every item, on up to `jobs` worker

@@ -8,9 +8,8 @@
 //! occupy 73% of the total response time."
 //!
 //! The scheme-compute, error-prediction and BMA entries can be replaced
-//! with values measured on this machine (see the `bma` and
-//! `error_prediction` Criterion benches) via
-//! [`ResponseTimeModel::with_measured`].
+//! with values measured on this machine (`table5_response_time` times
+//! its own loops) via [`ResponseTimeModel::with_measured`].
 
 use uniloc_schemes::SchemeId;
 

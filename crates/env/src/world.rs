@@ -69,16 +69,6 @@ impl World {
         &self.floorplan
     }
 
-    /// Deployed access points.
-    pub fn access_points(&self) -> &[AccessPoint] {
-        &self.aps
-    }
-
-    /// Reachable cell towers.
-    pub fn cell_towers(&self) -> &[CellTower] {
-        &self.towers
-    }
-
     /// Channel parameters.
     pub fn propagation(&self) -> &PropagationConfig {
         &self.propagation

@@ -187,29 +187,6 @@ impl<S: Clone> ParticleFilter<S> {
         self.spare.clear();
     }
 
-    /// Stratified resampling: one uniform draw per stratum of width `1/n`.
-    /// Compared with systematic resampling's single shared offset, strata
-    /// draws are independent, which removes the (rare) alignment artifacts
-    /// a periodic weight pattern can cause.
-    pub fn resample_stratified(&mut self, rng: &mut Rng) {
-        let n = self.particles.len();
-        let step = 1.0 / n as f64;
-        let mut cum = self.particles[0].weight;
-        let mut i = 0usize;
-        self.spare.clear();
-        self.spare.reserve(n);
-        for k in 0..n {
-            let u = k as f64 * step + rng.gen_range(0.0..step);
-            while u > cum && i + 1 < n {
-                i += 1;
-                cum += self.particles[i].weight;
-            }
-            self.spare.push(Particle { state: self.particles[i].state.clone(), weight: step });
-        }
-        std::mem::swap(&mut self.particles, &mut self.spare);
-        self.spare.clear();
-    }
-
     /// Resamples only when the effective sample size falls below
     /// `threshold_frac * len` (typically 0.5).
     pub fn maybe_resample(&mut self, threshold_frac: f64, rng: &mut Rng) -> bool {
@@ -352,40 +329,13 @@ mod tests {
     }
 
     #[test]
-    fn stratified_resampling_preserves_distribution() {
-        let mut pf = ParticleFilter::new((0..200).map(|i| i as f64));
-        // Weight mass concentrated on states 50..70.
-        pf.reweight(|&x| if (50.0..70.0).contains(&x) { 1.0 } else { 1e-9 });
+    fn systematic_resampling_preserves_the_mean() {
+        let mut pf = ParticleFilter::new((0..300).map(|i| i as f64 * 0.1));
+        pf.reweight(|x: &f64| (-(x - 15.0) * (x - 15.0) / 8.0).exp());
         let before = pf.estimate(|&x| x);
-        pf.resample_stratified(&mut rng(7));
+        pf.resample(&mut rng(11));
         let after = pf.estimate(|&x| x);
-        assert!((before - after).abs() < 2.0, "{before} vs {after}");
-        // Equal weights afterwards.
-        let w = pf.particles()[0].weight;
-        assert!(pf.particles().iter().all(|p| (p.weight - w).abs() < 1e-12));
-        assert_eq!(pf.len(), 200);
-        // Survivors come from the heavy region.
-        let heavy = pf
-            .particles()
-            .iter()
-            .filter(|p| (50.0..70.0).contains(&p.state))
-            .count();
-        assert!(heavy > 190, "only {heavy} survivors from the heavy region");
-    }
-
-    #[test]
-    fn stratified_and_systematic_agree_on_mean(
-    ) {
-        let mut a = ParticleFilter::new((0..300).map(|i| i as f64 * 0.1));
-        let mut b = a.clone();
-        let weight = |x: &f64| (-(x - 15.0) * (x - 15.0) / 8.0).exp();
-        a.reweight(weight);
-        b.reweight(weight);
-        a.resample(&mut rng(11));
-        b.resample_stratified(&mut rng(12));
-        let ma = a.estimate(|&x| x);
-        let mb = b.estimate(|&x| x);
-        assert!((ma - mb).abs() < 1.0, "systematic {ma} vs stratified {mb}");
+        assert!((before - after).abs() < 1.0, "weighted {before} vs resampled {after}");
     }
 
     #[test]

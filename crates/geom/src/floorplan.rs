@@ -249,11 +249,6 @@ impl FloorPlan {
             .min_by(|a, b| cmp_nan_last(a.position.distance(p), b.position.distance(p)))
     }
 
-    /// Distance from `p` to the nearest landmark (INFINITY when none exist).
-    pub fn nearest_landmark_distance(&self, p: Point) -> f64 {
-        self.landmarks.iter().map(|l| l.position.distance(p)).fold(f64::INFINITY, f64::min)
-    }
-
     /// Merges another floor plan into this one (e.g. composing a campus from
     /// per-building plans).
     pub fn merge(&mut self, other: FloorPlan) -> &mut Self {
@@ -356,7 +351,6 @@ mod tests {
         let hit = plan.detected_landmark(Point::new(10.5, 0.0)).unwrap();
         assert_eq!(hit.kind, LandmarkKind::Door);
         assert!(plan.detected_landmark(Point::new(5.0, 0.0)).is_none());
-        assert_eq!(plan.nearest_landmark_distance(Point::new(5.0, 0.0)), 5.0);
     }
 
     #[test]
@@ -365,7 +359,6 @@ mod tests {
         assert!(!plan.blocks(Point::origin(), Point::new(100.0, 100.0)));
         assert_eq!(plan.corridor_width_at(Point::origin()), None);
         assert!(plan.detected_landmark(Point::origin()).is_none());
-        assert_eq!(plan.nearest_landmark_distance(Point::origin()), f64::INFINITY);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Point {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
-
-    /// Vector from this point to `other`.
-    pub fn vector_to(self, other: Point) -> Vector2 {
-        other - self
-    }
 }
 
 impl fmt::Display for Point {
@@ -243,18 +238,6 @@ pub fn wrap_angle(a: f64) -> f64 {
     a
 }
 
-/// Smallest signed difference `a - b` between two angles, in `(-pi, pi]`.
-pub fn angle_diff(a: f64, b: f64) -> f64 {
-    let pi = std::f64::consts::PI;
-    let mut d = (a - b) % (2.0 * pi);
-    if d > pi {
-        d -= 2.0 * pi;
-    } else if d <= -pi {
-        d += 2.0 * pi;
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,12 +323,9 @@ mod tests {
     }
 
     #[test]
-    fn wrap_and_diff() {
+    fn wrap_angle_normalizes() {
         assert!((wrap_angle(-0.1) - (2.0 * PI - 0.1)).abs() < 1e-12);
         assert!((wrap_angle(2.0 * PI + 0.3) - 0.3).abs() < 1e-12);
-        assert!((angle_diff(0.1, 2.0 * PI - 0.1) - 0.2).abs() < 1e-12);
-        assert!((angle_diff(2.0 * PI - 0.1, 0.1) + 0.2).abs() < 1e-12);
-        assert!((angle_diff(PI, 0.0) - PI).abs() < 1e-12);
     }
 
     #[test]

@@ -179,19 +179,6 @@ impl Polyline {
         out
     }
 
-    /// Stations of the interior vertices — i.e. where the path turns. Used
-    /// for landmark (turn) placement.
-    pub fn turn_stations(&self) -> Vec<f64> {
-        self.cum[1..self.cum.len() - 1].to_vec()
-    }
-
-    /// Concatenates another polyline whose start coincides with this end.
-    pub fn extend_with(&self, other: &Polyline) -> Result<Polyline> {
-        let mut v = self.vertices.clone();
-        v.extend_from_slice(other.vertices());
-        Polyline::new(v)
-    }
-
     /// Reverses the direction of travel.
     pub fn reversed(&self) -> Polyline {
         let mut v = self.vertices.clone();
@@ -313,17 +300,10 @@ mod tests {
     }
 
     #[test]
-    fn turn_stations_at_corners() {
-        assert_eq!(l_path().turn_stations(), vec![10.0]);
-    }
-
-    #[test]
-    fn extend_and_reverse() {
-        let p = l_path();
-        let q = Polyline::new(vec![Point::new(10.0, 5.0), Point::new(10.0, 10.0)]).unwrap();
-        let joined = p.extend_with(&q).unwrap();
-        assert_eq!(joined.length(), 20.0);
-        let r = joined.reversed();
+    fn reversed_retraces_the_path() {
+        let mut v = l_path().vertices().to_vec();
+        v.push(Point::new(10.0, 10.0));
+        let r = Polyline::new(v).unwrap().reversed();
         assert_eq!(r.start(), Point::new(10.0, 10.0));
         assert_eq!(r.length(), 20.0);
         assert_eq!(r.point_at(5.0), Point::new(10.0, 5.0));

@@ -310,12 +310,6 @@ impl Polygon {
         inside
     }
 
-    /// Distance from `p` to the polygon boundary (zero only on the
-    /// boundary itself).
-    pub fn boundary_distance(&self, p: Point) -> f64 {
-        self.edges().map(|e| e.distance_to(p)).fold(f64::INFINITY, f64::min)
-    }
-
     /// Axis-aligned bounding rectangle.
     pub fn bounding_rect(&self) -> Rect {
         let mut min = self.vertices[0];
@@ -473,14 +467,6 @@ mod tests {
         let bb = sq.bounding_rect();
         assert_eq!(bb.min(), Point::origin());
         assert_eq!(bb.max(), Point::new(2.0, 2.0));
-    }
-
-    #[test]
-    fn polygon_boundary_distance() {
-        let sq = Rect::new(Point::origin(), Point::new(4.0, 4.0)).unwrap().to_polygon();
-        assert_eq!(sq.boundary_distance(Point::new(2.0, 2.0)), 2.0);
-        assert_eq!(sq.boundary_distance(Point::new(2.0, 5.0)), 1.0);
-        assert_eq!(sq.boundary_distance(Point::new(0.0, 2.0)), 0.0);
     }
 
     #[test]

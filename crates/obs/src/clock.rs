@@ -74,11 +74,6 @@ impl VirtualClock {
         VirtualClock { now_ns: AtomicU64::new(0) }
     }
 
-    /// Advances by `dt_ns` nanoseconds.
-    pub fn advance_ns(&self, dt_ns: u64) {
-        self.now_ns.fetch_add(dt_ns, Ordering::Relaxed);
-    }
-
     /// Moves the clock to `t_ns`, saturating to monotone: a target in the
     /// past leaves the clock untouched.
     pub fn set_ns(&self, t_ns: u64) {
@@ -120,8 +115,6 @@ mod tests {
     fn virtual_clock_advances_and_saturates() {
         let c = VirtualClock::new();
         assert_eq!(c.now_ns(), 0);
-        c.advance_ns(10);
-        assert_eq!(c.now_ns(), 10);
         c.set_ns(100);
         assert_eq!(c.now_ns(), 100);
         // Setting the past is a no-op, not a rewind.

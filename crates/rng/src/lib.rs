@@ -118,22 +118,6 @@ impl Rng {
         Self::from_seed(seed)
     }
 
-    /// The raw 256-bit generator state (for diagnostics/persistence).
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Restores a generator from raw state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state, which is the one fixed point of the
-    /// xoshiro transition.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro state must be non-zero");
-        Rng { s }
-    }
-
     /// Next raw 64-bit output (xoshiro256++).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -382,20 +366,6 @@ mod tests {
         assert_ne!(c1.next_u64(), c3.next_u64());
         // Forking advanced the parent identically in both cases.
         assert_eq!(p1.next_u64(), p3.next_u64());
-    }
-
-    #[test]
-    fn state_round_trip() {
-        let mut a = Rng::from_seed(13);
-        a.next_u64();
-        let mut b = Rng::from_state(a.state());
-        assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_state_rejected() {
-        Rng::from_state([0; 4]);
     }
 
     #[test]

@@ -51,9 +51,9 @@ pub struct SensorFrame {
     pub t: f64,
     /// Ground-truth position (evaluation only).
     pub true_position: Point,
-    /// WiFi scan (`None` when the radio is disabled).
+    /// WiFi scan (`None` when a fault plan takes the radio out).
     pub wifi: Option<WifiScan>,
-    /// Cellular scan (`None` when the radio is disabled).
+    /// Cellular scan (`None` when a fault plan takes the radio out).
     pub cell: Option<CellScan>,
     /// GPS fix (`None` indoors / too few satellites / receiver disabled).
     pub gps: Option<GpsFix>,
@@ -96,9 +96,6 @@ pub struct SensorHub<'w> {
     /// residual).
     step_scale: f64,
     last_landmark: Option<Point>,
-    wifi_enabled: bool,
-    cell_enabled: bool,
-    gps_enabled: bool,
 }
 
 impl<'w> SensorHub<'w> {
@@ -117,31 +114,12 @@ impl<'w> SensorHub<'w> {
             heading_bias: 0.0,
             step_scale: 1.0 + 0.08 * g,
             last_landmark: None,
-            wifi_enabled: true,
-            cell_enabled: true,
-            gps_enabled: true,
         }
     }
 
     /// The device being simulated.
     pub fn device(&self) -> DeviceProfile {
         self.device
-    }
-
-    /// Enables/disables the WiFi radio (failure injection).
-    pub fn set_wifi_enabled(&mut self, on: bool) {
-        self.wifi_enabled = on;
-    }
-
-    /// Enables/disables the cellular radio (failure injection).
-    pub fn set_cell_enabled(&mut self, on: bool) {
-        self.cell_enabled = on;
-    }
-
-    /// Enables/disables the GPS receiver (energy policy / failure
-    /// injection).
-    pub fn set_gps_enabled(&mut self, on: bool) {
-        self.gps_enabled = on;
     }
 
     /// Performs one WiFi scan at `p` through the device's RSSI transfer.
@@ -282,9 +260,9 @@ impl<'w> SensorHub<'w> {
             frames.push(SensorFrame {
                 t: epoch_t,
                 true_position: p,
-                wifi: self.wifi_enabled.then(|| self.scan_wifi(p)),
-                cell: self.cell_enabled.then(|| self.scan_cell(p)),
-                gps: if self.gps_enabled { self.gps_fix(p) } else { None },
+                wifi: Some(self.scan_wifi(p)),
+                cell: Some(self.scan_cell(p)),
+                gps: self.gps_fix(p),
                 steps: epoch_steps,
                 landmark: self.observe_landmark(p),
                 light_lux: self.light(p),
@@ -409,19 +387,6 @@ mod tests {
             );
             assert!((rb - expected).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn radios_can_be_disabled() {
-        let scenario = campus::daily_path(6);
-        let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(1));
-        let walk = walker.walk(&scenario.route);
-        let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 8);
-        hub.set_wifi_enabled(false);
-        hub.set_gps_enabled(false);
-        hub.set_cell_enabled(false);
-        let frames = hub.sample_walk(&walk, 0.5);
-        assert!(frames.iter().all(|f| f.wifi.is_none() && f.cell.is_none() && f.gps.is_none()));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! * [`scans`] — [`WifiScan`], [`CellScan`] and [`GpsFix`] (coordinate,
 //!   HDOP, visible satellites — exactly what "the GPS module of current
 //!   smartphones" reports).
-//! * [`accel`] — 50 Hz accelerometer-trace synthesis, step detection, and
-//!   the paper's 0.4–0.7 s step-period compensation mechanism.
 //! * [`hub`] — the [`SensorHub`] samples a whole walk into per-epoch
 //!   [`SensorFrame`]s, evolving IMU heading drift along the way.
 //! * [`calibrate`] — online RSSI offset calibration between heterogeneous
@@ -36,14 +34,11 @@
 //! assert!(frames[10].wifi.as_ref().is_some_and(|w| !w.readings.is_empty()));
 //! ```
 
-pub mod accel;
 pub mod calibrate;
 pub mod device;
 pub mod hub;
-pub mod nmea;
 pub mod scans;
 
-pub use accel::{detect_steps, synthesize_accel_trace, AccelSample, DetectedStep};
 pub use calibrate::RssiCalibration;
 pub use device::{DeviceModel, DeviceProfile};
 pub use hub::{LandmarkObservation, SensorFrame, SensorHub, StepMeasurement};

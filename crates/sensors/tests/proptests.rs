@@ -3,11 +3,9 @@
 
 use std::collections::BTreeMap;
 use uniloc_env::ApId;
-use uniloc_geom::GeoCoord;
 use uniloc_rng::check::Checker;
 use uniloc_rng::{require, require_eq, Rng};
-use uniloc_sensors::nmea::{encode_gga, parse_gga};
-use uniloc_sensors::{DeviceProfile, GpsFix, RssiCalibration, WifiScan};
+use uniloc_sensors::{DeviceProfile, RssiCalibration, WifiScan};
 
 const REGRESSIONS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/proptests.regressions");
 
@@ -20,70 +18,6 @@ fn gen_readings(rng: &mut Rng) -> BTreeMap<u32, f64> {
     (0..n)
         .map(|_| (rng.gen_range(0..8u32), rng.gen_range(-90.0..-30.0)))
         .collect()
-}
-
-/// NMEA GGA encoding round-trips any valid fix to within the format's
-/// 0.0001-arcminute resolution (~2e-6 degrees).
-#[test]
-fn gga_roundtrip() {
-    checker("gga_roundtrip").run(
-        |rng, scale| {
-            (
-                rng.gen_range(-89.9 * scale..89.9 * scale), // lat
-                rng.gen_range(-179.9 * scale..179.9 * scale), // lon
-                rng.gen_range(0.1..0.1 + 19.9 * scale),     // hdop
-                rng.gen_range(4..14u32),                    // sats
-                rng.gen_range(0.0..86_400.0 * scale),       // t
-            )
-        },
-        |&(lat, lon, hdop, sats, t)| {
-            let fix = GpsFix {
-                coordinate: GeoCoord::new(lat, lon).unwrap(),
-                hdop,
-                satellites: sats,
-            };
-            let sentence = encode_gga(&fix, t);
-            let back = parse_gga(&sentence).unwrap();
-            require!((back.coordinate.lat - lat).abs() < 2e-6, "{sentence}");
-            require!((back.coordinate.lon - lon).abs() < 2e-6, "{sentence}");
-            require_eq!(back.satellites, sats);
-            require!((back.hdop - hdop).abs() <= 0.05 + 1e-9, "{sentence}");
-            Ok(())
-        },
-    );
-}
-
-/// Corrupting any payload character breaks the checksum (or produces a
-/// parse error) — never a silently wrong fix.
-#[test]
-fn gga_detects_single_byte_corruption() {
-    checker("gga_detects_single_byte_corruption").run(
-        |rng, scale| {
-            (
-                rng.gen_range(-89.0 * scale..89.0 * scale),
-                rng.gen_range(-179.0 * scale..179.0 * scale),
-                rng.gen_range(1..20usize),
-                // A replacement digit '0'..='9'.
-                char::from(b'0' + rng.gen_range(0..10u32) as u8),
-            )
-        },
-        |&(lat, lon, pos, replacement)| {
-            let fix = GpsFix {
-                coordinate: GeoCoord::new(lat, lon).unwrap(),
-                hdop: 1.0,
-                satellites: 8,
-            };
-            let sentence = encode_gga(&fix, 0.0);
-            let mut bytes: Vec<char> = sentence.chars().collect();
-            let idx = 7 + (pos % 12); // inside the time/lat fields
-            if bytes[idx] != replacement && bytes[idx].is_ascii_digit() {
-                bytes[idx] = replacement;
-                let corrupted: String = bytes.into_iter().collect();
-                require!(parse_gga(&corrupted).is_err(), "{corrupted}");
-            }
-            Ok(())
-        },
-    );
 }
 
 /// The RSSI calibration inverts any affine device transfer exactly when

@@ -193,12 +193,6 @@ impl Normal {
         self.std_dev
     }
 
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.std_dev;
-        (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
     /// Cumulative distribution function `P(X <= x)`.
     ///
     /// This is exactly the integral in the paper's Eq. 2 once `Y_t` is
@@ -304,11 +298,6 @@ impl StudentT {
         Ok(StudentT { nu })
     }
 
-    /// Degrees of freedom.
-    pub fn degrees_of_freedom(&self) -> f64 {
-        self.nu
-    }
-
     /// Cumulative distribution function.
     pub fn cdf(&self, t: f64) -> f64 {
         if t == 0.0 {
@@ -402,14 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_pdf_peak() {
-        let n = Normal::new(2.0, 0.5).unwrap();
-        let peak = n.pdf(2.0);
-        assert!(peak > n.pdf(1.5) && peak > n.pdf(2.5));
-        assert!((peak - 1.0 / (0.5 * (2.0 * std::f64::consts::PI).sqrt())).abs() < 1e-12);
-    }
-
-    #[test]
     fn normal_quantile_inverts_cdf() {
         let n = Normal::new(13.5, 9.4).unwrap();
         for p in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
@@ -455,7 +436,6 @@ mod tests {
             assert!((t.cdf(x) + t.cdf(-x) - 1.0).abs() < 1e-9, "x={x}");
             assert!((t.p_value_two_sided(x) - t.p_value_two_sided(-x)).abs() < 1e-12);
         }
-        assert_eq!(t.degrees_of_freedom(), 7.0);
     }
 
     #[test]

@@ -59,6 +59,18 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets (offline, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The examples are the public API's only in-repo callers outside the
+# tests, and `cargo test` builds them without running them.
+echo "==> examples (each run once, release)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    if ! cargo run --release --offline --quiet --example "$name" > /dev/null; then
+        echo "ERROR: example $name exited non-zero" >&2
+        exit 1
+    fi
+done
+echo "    ok: every example ran to completion"
+
 # --- 3. metrics smoke ----------------------------------------------------
 # Run a short scenario with the observability sidecar enabled, then assert
 # the JSONL parses with the in-repo reader (via `uniloc inspect`) and
@@ -98,23 +110,25 @@ echo "    ok: calibration cells and flight postmortems inspect cleanly"
 # Each command accepts only its own flags and the global ones: a typo or
 # a retired flag must exit non-zero and name the flag, never run with a
 # silent default (`--out` keeps a run that wrongly starts out of results/).
+# The crash-recovery smoke below adds the resume case: a flag the
+# checkpoint pins is an error too.
 echo "==> unknown-flag smoke (uniloc fleet --sesions, uniloc scenarios --bogus)"
-expect_unknown_flag() {
-    local flag=$1
+expect_rejected() {
+    local needle=$1
     shift
     if target/release/uniloc "$@" > /dev/null 2> "$smoke/flag.err"; then
-        echo "ERROR: \`uniloc $*\` accepted the unknown flag $flag" >&2
+        echo "ERROR: \`uniloc $*\` succeeded; it must fail with: $needle" >&2
         exit 1
     fi
-    if ! grep -qF "unknown flag \`$flag\`" "$smoke/flag.err"; then
-        echo "ERROR: \`uniloc $*\` failed without naming $flag:" >&2
+    if ! grep -qF -- "$needle" "$smoke/flag.err"; then
+        echo "ERROR: \`uniloc $*\` failed without: $needle" >&2
         cat "$smoke/flag.err" >&2
         exit 1
     fi
 }
-expect_unknown_flag --sesions fleet --sessions 2 --max-epochs 2 --sesions 9 \
+expect_rejected "unknown flag \`--sesions\`" fleet --sessions 2 --max-epochs 2 --sesions 9 \
     --out "$smoke/typo" --quiet
-expect_unknown_flag --bogus scenarios --bogus 7
+expect_rejected "unknown flag \`--bogus\`" scenarios --bogus 7
 echo "    ok: unknown flags exit non-zero and are named"
 
 # --- 4. chaos smoke -------------------------------------------------------
@@ -276,15 +290,6 @@ for needle in '`health`' '`prof: "alloc"`' '`models`' '`kind`'; do
 done
 echo "    ok: observatory artifacts written and the inspector renders them"
 
-# Observability must stay cheap as well as inert: run the same smoke
-# fleet with live and stubbed obs (paired, best-of-2, identical fleet
-# digests required) and fail if the epochs/s cost exceeds 5%.
-echo "==> obs-overhead gate (uniloc fleet --obs-overhead)"
-target/release/uniloc fleet --models "$smoke/models.json" --sessions 200 \
-    --scenarios office,open-space --max-epochs 12 --chaos-every 10 --seed 17 \
-    --quiet --jobs 4 --obs-overhead --overhead-budget 0.05
-echo "    ok: observability overhead within the 5% epochs/s budget"
-
 # Crash recovery: the same smoke fleet is killed (simulated kill -9
 # between scheduler rounds) after cutting durable checkpoints, then
 # resumed under a different worker count. A crashed run must leave only
@@ -305,6 +310,11 @@ if [ -e "$smoke/fleet-crash/FLEET.json" ]; then
     echo "       from completed runs)" >&2
     exit 1
 fi
+# The checkpoint pins the fleet's shape: a resume that sets a pinned flag
+# fails naming it instead of serving the checkpoint's fleet.
+expect_rejected "--sessions cannot change a resumed fleet" fleet \
+    --resume "$smoke/fleet-crash/FLEET.ckpt.json" --sessions 9 \
+    --models "$smoke/models.json" --out "$smoke/resume-flag" --quiet
 target/release/uniloc fleet --resume "$smoke/fleet-crash/FLEET.ckpt.json" \
     --models "$smoke/models.json" --out "$smoke/fleet-crash" --strict --quiet \
     --jobs 2 --resident 16
@@ -373,4 +383,16 @@ if [ "$checked" -eq 0 ] || [ "$checked" -ne "$names" ]; then
     exit 1
 fi
 echo "    ok: compare reads every committed baseline result ($checked workloads)"
+
+# --- 7. obs-overhead gate -------------------------------------------------
+# Observability must stay cheap as well as inert: run the same smoke
+# fleet with live and stubbed obs (paired, best-of-2, identical fleet
+# digests required) and fail if the epochs/s cost exceeds 5%. It runs
+# last so that a failing gate (EXPERIMENTS.md, "Run-to-run spread") still
+# lets every check above run; `set -e` still fails the script on it.
+echo "==> obs-overhead gate (uniloc fleet --obs-overhead)"
+target/release/uniloc fleet --models "$smoke/models.json" --sessions 200 \
+    --scenarios office,open-space --max-epochs 12 --chaos-every 10 --seed 17 \
+    --quiet --jobs 4 --obs-overhead --overhead-budget 0.05
+echo "    ok: observability overhead within the 5% epochs/s budget"
 echo "==> ci.sh: all checks passed"
