@@ -1,7 +1,7 @@
 //! Ablations of UniLoc's design choices (Section IV discussion):
 //!
 //! 1. **Locally-weighted BMA vs global-weight BMA vs unweighted mean** —
-//!    the paper's contribution over prior BMA fusion [29] is computing a
+//!    the paper's contribution over prior BMA fusion \[29\] is computing a
 //!    *unique weight per location* from real-time context rather than one
 //!    fixed weight per scheme for the whole place.
 //! 2. **Adaptive tau vs fixed tau** — Eq. 2 sets the confidence threshold
@@ -14,7 +14,7 @@
 //!    on the WiFi scheme (the paper downsamples to 5/10/15 m).
 //! 5. **Horus vs RADAR** — the probabilistic-fingerprinting sample-count
 //!    trade-off the paper cites as its reason for using RADAR.
-//! 6. **A-Loc-style selection vs UniLoc** — the related-work baseline [28]
+//! 6. **A-Loc-style selection vs UniLoc** — the related-work baseline \[28\]
 //!    that picks one low-cost scheme meeting an accuracy requirement.
 //! 7. **Location-predictor choice** — the paper's second-order HMM vs the
 //!    Kalman filter it also names, vs no smoothing at all.

@@ -276,9 +276,7 @@ fn run_cell(
     // Each cell draws from its own fault stream, derived from the sweep
     // seed and the plan's index-free name — re-running the sweep
     // bit-reproduces every cell.
-    let chaos_seed =
-        seed ^ plan.name.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
-    let mut injector = FaultInjector::new(plan.clone(), chaos_seed)
+    let mut injector = FaultInjector::new(plan.clone(), plan.chaos_seed(seed))
         .with_geo_frame(*base.scenario.world.geo_frame());
     let faulted_frames = injector.inject_walk(&base.frames);
     let records =

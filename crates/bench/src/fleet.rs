@@ -220,8 +220,7 @@ pub fn spec_frames(
     }
     let plan = FaultPlan::by_name(&spec.plan)
         .unwrap_or_else(|| panic!("unknown fault plan {}", spec.plan));
-    let chaos_seed = spec.seed
-        ^ plan.name.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
+    let chaos_seed = plan.chaos_seed(spec.seed);
     let mut injector =
         FaultInjector::new(plan, chaos_seed).with_geo_frame(*scenario.world.geo_frame());
     injector.inject_walk(&frames)

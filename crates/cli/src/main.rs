@@ -608,6 +608,14 @@ fn budget_flag(flags: &BTreeMap<String, String>, key: &str) -> Result<Option<f64
 /// mode keeps its best.
 const OVERHEAD_PASSES: usize = 2;
 
+/// `uniloc fleet` flags that only one of its modes reads, each with
+/// whether that mode is `--obs-overhead`: the other mode would ignore it.
+const FLEET_MODE_FLAGS: &[(&str, bool)] = &[
+    ("overhead-budget", true), ("out", false), ("strict", false), ("alloc-budget", false),
+    ("checkpoint-every", false), ("checkpoint", false), ("resume", false),
+    ("crash-after-rounds", false),
+];
+
 /// `uniloc fleet`: the fleet-scale load generator — `--sessions N` seeded
 /// walkers mixing personas, devices, scenarios and (with `--chaos-every
 /// K`) fault plans, served concurrently by the deterministic
@@ -632,12 +640,13 @@ const OVERHEAD_PASSES: usize = 2;
 /// from the checkpoint itself, and setting one is an error (only `--jobs`,
 /// `--resident`, `--out` and the gate flags still apply). Every flag is
 /// checked before any model is loaded or trained, and a flag that would
-/// change nothing (`--panic-epoch` without `--panic-lane`, a lane past
-/// the fleet, `--checkpoint` without a cadence) is an error, never
-/// ignored. `--crash-after-rounds N` simulates a `kill -9` between rounds
-/// N and N+1 (the crash-injection harness), and `--panic-lane L
-/// --panic-epoch E` arms a process-level panic fault in lane L at epoch E
-/// to exercise the supervisor's poison path.
+/// change nothing (`--panic-epoch` without a lane or past `--max-epochs`,
+/// a lane past the fleet, `--checkpoint` without a cadence, any of
+/// [`FLEET_MODE_FLAGS`] in the other mode) is an error, never ignored.
+/// `--crash-after-rounds N` simulates a `kill -9` between rounds N and
+/// N+1 (the crash-injection harness), and `--panic-lane L --panic-epoch E`
+/// arms a process-level panic fault in lane L at epoch E to exercise the
+/// supervisor's poison path; a run whose lane L retires unpoisoned fails.
 fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     use uniloc_bench::fleet::{
         load_fleet_checkpoint, measure_obs_overhead, run_fleet_durable, FleetCheckpoint,
@@ -665,6 +674,12 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         .map(|r| r as u64);
     let alloc_budget = budget_flag(flags, "alloc-budget")?;
     let overhead_budget = budget_flag(flags, "overhead-budget")?.unwrap_or(0.05);
+    let overhead = flags.contains_key("obs-overhead");
+    let mode = |&&(flag, gate): &&(&str, bool)| gate != overhead && flags.contains_key(flag);
+    if let Some((flag, _)) = FLEET_MODE_FLAGS.iter().find(mode) {
+        let with = if overhead { "with" } else { "without" };
+        return Err(format!("--{flag} would change nothing {with} --obs-overhead"));
+    }
 
     let (fleet_cfg, resume) = match flags.get("resume") {
         // Resuming: the checkpoint pins every artifact-shaping knob (the
@@ -685,6 +700,8 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         }
         None => {
             let sessions = usize_flag(flags, "sessions", 1000)?;
+            let max_epochs = usize_flag(flags, "max-epochs", 40)?;
+            let panic_epoch = usize_flag(flags, "panic-epoch", 0)?;
             let panic_lane = flags
                 .get("panic-lane")
                 .map(|_| usize_flag(flags, "panic-lane", 0))
@@ -698,6 +715,9 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
                         "--panic-lane {lane} poisons nothing: the fleet's lanes are 0..{sessions}"
                     ));
                 }
+                Some(_) if max_epochs > 0 && panic_epoch >= max_epochs => {
+                    return Err(format!("--panic-epoch {panic_epoch} is past --max-epochs"));
+                }
                 _ => {}
             }
             let fleet_cfg = FleetConfig {
@@ -709,20 +729,20 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
                     .unwrap_or_else(|| vec!["office".to_owned(), "open-space".to_owned()]),
                 jobs,
                 resident,
-                max_epochs: usize_flag(flags, "max-epochs", 40)?,
+                max_epochs,
                 chaos_every: usize_flag(flags, "chaos-every", 0)?,
                 obs_stub: false,
                 shards: 0,
                 top_k: 0,
                 panic_lane: panic_lane.map(|l| l as u64),
-                panic_epoch: usize_flag(flags, "panic-epoch", 0)? as u64,
+                panic_epoch: panic_epoch as u64,
             };
             (fleet_cfg, None)
         }
     };
     let models = Arc::new(models_or_train(flags, fleet_cfg.seed)?);
 
-    if flags.contains_key("obs-overhead") {
+    if overhead {
         let o = measure_obs_overhead(&models, &cfg, &fleet_cfg, OVERHEAD_PASSES)?;
         println!(
             "obs_overhead_frac {:.4} budget {:.4} obs_epochs_per_sec {:.0} stub_epochs_per_sec {:.0}",
@@ -767,6 +787,11 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
             return Ok(());
         }
     };
+    let armed = result.summaries.iter().find(|s| Some(s.spec.lane) == fleet_cfg.panic_lane);
+    if let Some(s) = armed.filter(|s| s.poisoned.is_none()) {
+        let (epoch, epochs) = (fleet_cfg.panic_epoch, s.epochs);
+        return Err(format!("--panic-epoch {epoch} never fired: its walk ended at {epochs} epochs"));
+    }
 
     let poisoned = result.summaries.iter().filter(|s| s.poisoned.is_some()).count();
     if poisoned > 0 {
@@ -1143,6 +1168,49 @@ mod tests {
     fn fleet_rejects_a_panic_lane_past_the_fleet() {
         fleet_rejects(&["--sessions", "3", "--panic-lane", "99"], "--panic-lane");
         fleet_rejects(&["--sessions", "3", "--panic-lane", "3"], "--panic-lane");
+    }
+
+    #[test]
+    fn fleet_rejects_a_panic_epoch_its_walks_never_reach() {
+        let line = ["--sessions", "6", "--max-epochs", "4", "--panic-lane", "2", "--panic-epoch"];
+        for epoch in ["4", "50"] {
+            fleet_rejects(&[&line[..], &[epoch]].concat(), "--panic-epoch");
+        }
+    }
+
+    /// With whole walks (`--max-epochs 0`) only the run can tell that the
+    /// armed lane's walk ended before its panic epoch.
+    #[test]
+    fn fleet_fails_when_the_armed_lane_retires_unpoisoned() {
+        let out = std::env::temp_dir().join("uniloc-cli-test-unfired-panic");
+        let out = out.to_str().unwrap();
+        let v = [
+            "--sessions", "1", "--scenarios", "office", "--max-epochs", "0", "--jobs", "1",
+            "--panic-lane", "0", "--panic-epoch", "100000", "--out", out,
+        ];
+        let err = cmd_fleet(&parse("fleet", &v).unwrap()).unwrap_err();
+        let _ = std::fs::remove_dir_all(out);
+        assert!(err.contains("--panic-epoch 100000 never fired"), "{err}");
+    }
+
+    /// A flag only the other mode reads is an error naming it.
+    #[test]
+    fn fleet_rejects_the_flags_of_the_mode_it_does_not_run() {
+        fleet_rejects(&["--overhead-budget", "0.01"], "--overhead-budget");
+        for (flag, value) in [
+            ("--out", Some("dir")),
+            ("--strict", None),
+            ("--alloc-budget", Some("0")),
+            ("--checkpoint-every", Some("1")),
+            ("--checkpoint", Some("x.ckpt.json")),
+            ("--resume", Some("x.ckpt.json")),
+            ("--crash-after-rounds", Some("3")),
+        ] {
+            let mut v = vec!["--models", "no-such-models.json", "--obs-overhead", flag];
+            v.extend(value);
+            let err = cmd_fleet(&parse("fleet", &v).unwrap()).unwrap_err();
+            assert!(err.starts_with(flag), "{flag} is not named first: {err}");
+        }
     }
 
     #[test]

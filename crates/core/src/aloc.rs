@@ -1,4 +1,4 @@
-//! An A-Loc-style energy-aware selection baseline ([28] in the paper).
+//! An A-Loc-style energy-aware selection baseline (\[28\] in the paper).
 //!
 //! A-Loc "uses the error models of some localization schemes to select one
 //! low-cost scheme that can meet the accuracy requirement". The paper

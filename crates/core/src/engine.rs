@@ -28,6 +28,7 @@ use crate::quarantine::{
 };
 use uniloc_geom::Point;
 use uniloc_iodetect::{IoDetector, IoState};
+use uniloc_obs::Stage;
 use uniloc_schemes::{LocalizationScheme, LocationEstimate, SchemeId};
 use uniloc_sensors::SensorFrame;
 
@@ -97,11 +98,11 @@ impl UniLocOutput {
     }
 }
 
-/// Pre-rendered per-scheme metric and span names: the per-epoch loop must
-/// not `format!`, so every name a scheme can emit is built once at engine
-/// construction (index-aligned with the scheme list).
+/// Pre-rendered per-scheme metric names and estimate stage: the per-epoch
+/// loop must not `format!`, so every name a scheme can emit is built once
+/// at engine construction (index-aligned with the scheme list).
 struct SchemeNames {
-    estimate_span: String,
+    estimate_span: Stage,
     available: String,
     unavailable: String,
     nonfinite: String,
@@ -115,7 +116,8 @@ struct SchemeNames {
 impl SchemeNames {
     fn new(id: SchemeId) -> Self {
         SchemeNames {
-            estimate_span: format!("scheme.estimate.{id}"),
+            estimate_span: Stage::named(&format!("scheme.estimate.{id}"))
+                .unwrap_or(Stage::EstimateCustom),
             available: format!("engine.scheme.available.{id}"),
             unavailable: format!("engine.scheme.unavailable.{id}"),
             nonfinite: format!("faults.validation.nonfinite_estimate.{id}"),
@@ -364,7 +366,7 @@ impl UniLocEngine {
     pub fn update(&mut self, frame: &SensorFrame) -> UniLocOutput {
         let obs = uniloc_obs::global();
         let metrics = uniloc_obs::global_metrics();
-        let _update_span = obs.span("engine.update").field("t", frame.t);
+        let _update_span = obs.span(Stage::EngineUpdate).field("t", frame.t);
 
         // Input-validation gate: a malformed frame must never abort the
         // walk. A non-finite clock rejects the whole frame; everything
@@ -436,7 +438,7 @@ impl UniLocEngine {
 
         // GPS duty cycling: predict GPS error without the receiver and
         // compare with every other scheme's prediction.
-        let predict_span = obs.span("engine.predict");
+        let predict_span = obs.span(Stage::EnginePredict);
         let has_gps_feats = self.extractor.features_into(
             &self.ctx,
             SchemeId::Gps,
@@ -500,7 +502,7 @@ impl UniLocEngine {
         for (idx, s) in self.schemes.iter_mut().enumerate() {
             let id = s.id();
             let estimate = {
-                let _s = obs.span(&self.names[idx].estimate_span);
+                let _s = obs.span(self.names[idx].estimate_span);
                 s.update(frame)
             };
             // Output-side validation: a non-finite estimate is treated as
@@ -556,7 +558,7 @@ impl UniLocEngine {
 
         // Adaptive tau over schemes that are available, predictable and
         // participating.
-        let confidence_span = obs.span("engine.confidence");
+        let confidence_span = obs.span(Stage::EngineConfidence);
         scratch.usable.clear();
         scratch.usable.extend(
             reports
@@ -585,7 +587,7 @@ impl UniLocEngine {
             metrics.gauge("engine.tau").set(tau);
         }
         drop(confidence_span);
-        let fuse_span = obs.span("engine.fuse");
+        let fuse_span = obs.span(Stage::EngineFuse);
 
         // UniLoc1: most-confident scheme. `total_cmp` keeps a stray NaN
         // confidence (already gated upstream) from panicking mid-walk.

@@ -71,7 +71,7 @@ pub struct SharedContext {
 /// Which online location predictor feeds the density/width features.
 ///
 /// The paper: "we estimate the user's location based on the existing
-/// location prediction methods [24], like Hidden Markov Model (HMM) or
+/// location prediction methods \[24\], like Hidden Markov Model (HMM) or
 /// Kalman filter. In our current implementation, we use a second order
 /// HMM." Both are available here; [`PredictorKind::Hmm2`] is the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -134,8 +134,8 @@ pub struct DueKey {
 /// frames `0..cursor` through a freshly built session, which lands on
 /// byte-identical state (held by `tests/fleet_differential.rs`).
 ///
-/// Round-trips byte-identically through [`Json::canonical`]
-/// (property-tested): `uniloc_stats::json::Json`.
+/// Round-trips byte-identically through
+/// [`Json::canonical`](uniloc_stats::json::Json::canonical) (property-tested).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionCheckpoint {
     /// Checkpoint format version ([`CHECKPOINT_VERSION`]); restore

@@ -18,7 +18,7 @@
 //!   (collect `(features, error)` samples with ground truth, fit a
 //!   per-scheme multiple linear regression with `beta_0 = 0`, indoor and
 //!   outdoor separately) producing Table II.
-//! * [`confidence`] — Eq. 2: confidence as `P(Y_t <= tau)` under
+//! * [`mod@confidence`] — Eq. 2: confidence as `P(Y_t <= tau)` under
 //!   `Y_t ~ N(mu_t, sigma_eps)` with an adaptive threshold `tau`.
 //! * [`engine`] — Section IV: **UniLoc1** (pick the most-confident scheme)
 //!   and **UniLoc2** (locally-weighted BMA, Eqs. 3-5), scheme exclusion by

@@ -274,7 +274,7 @@ pub fn collect_training(
     seed: u64,
 ) -> Vec<TrainingSample> {
     let _span = uniloc_obs::global()
-        .span("pipeline.collect_training")
+        .span(uniloc_obs::Stage::PipelineCollectTraining)
         .field("scenario", scenario.name.as_str());
     assert_valid(cfg);
     let base_ctx = build_context(scenario, cfg, seed);
@@ -414,11 +414,11 @@ pub fn run_walk_on_frames(
     assert_valid(cfg);
     let obs = uniloc_obs::global();
     let _walk_span = obs
-        .span("pipeline.run_walk")
+        .span(uniloc_obs::Stage::PipelineRunWalk)
         .field("scenario", scenario.name.as_str())
         .field("seed", seed);
     let ctx = {
-        let _s = obs.span("pipeline.build_context");
+        let _s = obs.span(uniloc_obs::Stage::PipelineBuildContext);
         build_context(scenario, cfg, seed)
     };
     let mut session = crate::session::Session::from_context(

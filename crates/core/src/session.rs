@@ -27,8 +27,9 @@
 //! the same [`EpochRecord`]. The observability handles are resolved
 //! per-step through the `uniloc_obs::global_*` accessors, so the effects
 //! land wherever the *calling thread* points — the process singletons on
-//! the legacy path, the session's private [`ObsSession`]
-//! (`uniloc_obs::session`) under the fleet scheduler.
+//! the legacy path, the session's private
+//! [`ObsSession`](uniloc_obs::ObsSession) under the fleet scheduler. The
+//! names they carry are built once, so a steady step allocates its record.
 
 use std::sync::Arc;
 
@@ -38,6 +39,7 @@ use crate::features::SharedContext;
 use crate::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_env::Scenario;
 use uniloc_geom::Point;
+use uniloc_obs::flight::UNAVAILABLE_THRESHOLD;
 use uniloc_schemes::{Oracle, SchemeId};
 
 /// One walker's online localization state: the scheme set, error models,
@@ -47,6 +49,16 @@ pub struct Session {
     scenario: Arc<Scenario>,
     engine: UniLocEngine,
     epochs: usize,
+    /// Per scheme, in report order: the names its calibration cell and
+    /// residual histogram go by, built once, and its current run of
+    /// unavailable epochs (the `scheme_unavailable` trigger).
+    tracks: Vec<SchemeTrack>,
+}
+
+struct SchemeTrack {
+    name: String,
+    residual: String,
+    unavailable_run: u64,
 }
 
 impl Session {
@@ -83,7 +95,13 @@ impl Session {
     ) -> Session {
         let schemes = pipeline::build_schemes(&scenario, &ctx, cfg, seed + 2);
         let engine = UniLocEngine::with_predictor(schemes, models.clone(), ctx, cfg.predictor);
-        Session { scenario, engine, epochs: 0 }
+        let track = |id: SchemeId| SchemeTrack {
+            name: id.to_string(),
+            residual: format!("error_model.residual.{id}"),
+            unavailable_run: 0,
+        };
+        let tracks = engine.scheme_ids().into_iter().map(track).collect();
+        Session { scenario, engine, epochs: 0, tracks }
     }
 
     /// The scenario this session walks.
@@ -131,12 +149,14 @@ impl Session {
         // Predicted-minus-actual residuals: only the evaluation harness
         // knows ground truth, so the calibration histograms — and the
         // calibration monitor judging them — live here, not in the engine.
-        for r in &out.reports {
-            if flight.note_availability(&r.id.to_string(), r.estimate.is_some()) {
+        for (r, track) in out.reports.iter().zip(&mut self.tracks) {
+            let run = if r.estimate.is_some() { 0 } else { track.unavailable_run + 1 };
+            track.unavailable_run = run;
+            if run == UNAVAILABLE_THRESHOLD {
                 flight.trigger(
                     "scheme_unavailable",
                     vec![
-                        ("scheme".to_owned(), r.id.to_string().into()),
+                        ("scheme".to_owned(), track.name.as_str().into()),
                         ("t".to_owned(), frame.t.into()),
                     ],
                 );
@@ -144,18 +164,11 @@ impl Session {
             if let (Some(p), Some(e)) = (r.prediction, r.estimate) {
                 let realized = e.position.distance(truth);
                 metrics
-                    .histogram(
-                        &format!("error_model.residual.{}", r.id),
-                        uniloc_obs::RESIDUAL_BUCKETS_M,
-                    )
+                    .histogram(&track.residual, uniloc_obs::RESIDUAL_BUCKETS_M)
                     .record(p.mean - realized);
-                if let Some(alarm) = calib.observe(
-                    &r.id.to_string(),
-                    &out.io.to_string(),
-                    p.mean,
-                    p.sigma,
-                    realized,
-                ) {
+                if let Some(alarm) =
+                    calib.observe(&track.name, out.io.as_str(), p.mean, p.sigma, realized)
+                {
                     flight.trigger(
                         "calibration_drift",
                         vec![
@@ -185,8 +198,7 @@ impl Session {
             .collect();
         let predictions: Vec<(SchemeId, Option<ErrorPrediction>)> =
             out.reports.iter().map(|r| (r.id, r.prediction)).collect();
-        let oracle_input: Vec<_> = out.reports.iter().map(|r| (r.id, r.estimate)).collect();
-        let oracle = Oracle::select(&oracle_input, truth);
+        let oracle = Oracle::select(&scheme_errors);
         self.epochs += 1;
         let record = EpochRecord {
             t: frame.t,
@@ -201,8 +213,8 @@ impl Session {
             uniloc1_choice: out.selected,
             uniloc2_error: out.bayesian_average.map(|p| p.distance(truth)),
             uniloc2_mixture_error: out.mixture_average.map(|p| p.distance(truth)),
-            oracle_error: oracle.map(|(_, _, e)| e),
-            oracle_choice: oracle.map(|(id, _, _)| id),
+            oracle_error: oracle.map(|(_, e)| e),
+            oracle_choice: oracle.map(|(id, _)| id),
             weights: out.reports.iter().map(|r| (r.id, r.weight)).collect(),
             gps_enabled: out.gps_enabled,
             tau: out.tau,
@@ -240,5 +252,57 @@ mod tests {
         let stepped: Vec<EpochRecord> = frames.iter().map(|f| session.step(f)).collect();
         assert_eq!(stepped, batch);
         assert_eq!(session.epochs(), frames.len());
+    }
+
+    /// The `(scheme, t)` of every `scheme_unavailable` postmortem in `lines`.
+    fn unavailable_dumps(lines: &[String]) -> Vec<(String, f64)> {
+        use uniloc_stats::json::Json;
+        let docs = lines.iter().map(|l| Json::parse(l).expect("flight line parses"));
+        docs.filter(|d| d.get("reason").and_then(Json::as_str) == Some("scheme_unavailable"))
+            .map(|d| {
+                let fields = d.get("fields").unwrap();
+                let scheme = fields.get("scheme").and_then(Json::as_str).unwrap().to_owned();
+                (scheme, fields.get("t").and_then(Json::as_f64).unwrap())
+            })
+            .collect()
+    }
+
+    /// A scheme's 25th consecutive unavailable epoch raises one
+    /// postmortem; the epochs around it raise none, an available epoch
+    /// re-arms the trigger, each scheme keeps its own run, and a stubbed
+    /// session raises nothing.
+    #[test]
+    fn unavailability_runs_trip_once_per_scheme_and_rearm() {
+        use uniloc_obs::session::{install, ObsSession};
+        let models = models(41);
+        let cfg = PipelineConfig { indoor_spacing: 2.0, ..PipelineConfig::default() };
+        let scenario = Arc::new(venues::office("session-runs", 42, 40.0, 15.0));
+        let mut frames = pipeline::walk_frames(&scenario, &cfg, 43);
+        assert!(frames.len() > 51, "walk too short: {} frames", frames.len());
+        // GPS never fixes indoors. Cellular loses its radio for epochs
+        // 0..=24, hears it at 25, and loses it again for 26..=50.
+        for (i, f) in frames.iter_mut().enumerate().take(51) {
+            if i != 25 {
+                f.cell = None;
+            }
+        }
+        let walk = |obs: &Arc<ObsSession>| {
+            let _guard = install(Arc::clone(obs));
+            let mut session = Session::new(Arc::clone(&scenario), &models, &cfg, 43);
+            let records: Vec<EpochRecord> = frames.iter().map(|f| session.step(f)).collect();
+            let available = |i: usize, id: SchemeId| {
+                records[i].scheme_errors.iter().any(|&(s, e)| s == id && e.is_some())
+            };
+            assert!((0..records.len()).all(|i| !available(i, SchemeId::Gps)));
+            assert!(available(25, SchemeId::Cellular) && !available(24, SchemeId::Cellular));
+            obs.capture().flight_lines
+        };
+
+        let lines = walk(&Arc::new(ObsSession::isolated()));
+        let t = |i: usize| frames[i].t;
+        let expected = [("gps", t(24)), ("cellular", t(24)), ("cellular", t(50))];
+        assert_eq!(unavailable_dumps(&lines), expected.map(|(s, t)| (s.to_owned(), t)));
+        let stubbed = walk(&Arc::new(ObsSession::stubbed()));
+        assert!(stubbed.is_empty(), "a stubbed session dumps nothing");
     }
 }

@@ -1,61 +1,98 @@
-//! Tier-1 regression: the steady-state epoch loop performs no heap
-//! allocation.
+//! Tier-1 regression: a steady-state epoch allocates its record and
+//! nothing else.
 //!
-//! The alloc observatory attributes every allocation made inside an
-//! `engine.update` span tree to its pipeline stage, and splits the count
-//! into warmup (the first [`uniloc_obs::alloc::STEADY_WARMUP_EPOCHS`]
-//! epochs, where scratch buffers legitimately grow to their high-water
-//! marks) and steady state. After the indexed-matching + scratch-reuse
-//! work, a clean walk's steady state must allocate *nothing*: every
-//! per-epoch buffer — feature vectors, fingerprint matches, particle
-//! snapshots, scheme reports, the exclusion set — is recycled.
+//! Two meters, two claims. The alloc observatory attributes every
+//! allocation made inside an `engine.update` span tree to its pipeline
+//! stage, and splits the count into warmup (the first
+//! [`uniloc_obs::alloc::STEADY_WARMUP_EPOCHS`] epochs, where scratch
+//! buffers legitimately grow to their high-water marks) and steady state.
+//! After the indexed-matching + scratch-reuse work, a clean walk's steady
+//! state allocates *nothing* inside spans: every per-epoch buffer —
+//! feature vectors, fingerprint matches, particle snapshots, scheme
+//! reports, the exclusion set — is recycled.
 //!
-//! This is a regression tripwire, not a benchmark: any new `Vec`,
-//! `format!` or `clone()` on the per-epoch path shows up here as a
-//! nonzero steady count with its stage name attached.
+//! That meter cannot see allocations outside spans or under the
+//! observatory's pause guard, so [`uniloc_obs::alloc::thread_allocs`]
+//! counts everything `Session::step` allocates on its thread around each
+//! call. A steady step allocates exactly the four vectors of its
+//! [`EpochRecord`](uniloc_core::pipeline::EpochRecord), under full and
+//! under stubbed observability alike.
+//!
+//! This is a regression tripwire, not a benchmark: a new `Vec`, `format!`
+//! or `clone()` inside a span shows up as a nonzero steady count with its
+//! stage name attached; one anywhere else in the step (a metric name, a
+//! calibration key, a trigger's bookkeeping) moves the per-step count off
+//! four.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::pipeline::{self, PipelineConfig};
 use uniloc_core::Session;
 use uniloc_env::venues;
+use uniloc_obs::alloc::{thread_allocs, STEADY_WARMUP_EPOCHS};
 use uniloc_obs::session::{install, ObsSession};
 
-/// Steady-state allocations tolerated per walk. Zero: the epoch loop is
-/// allocation-free once warm.
+/// Steady-state allocations tolerated inside spans per walk. Zero: the
+/// engine's epoch loop is allocation-free once warm.
 const STEADY_ALLOC_BUDGET: u64 = 0;
+
+/// Allocations a steady `Session::step` makes on its thread: the record's
+/// `scheme_errors`, `estimates`, `predictions` and `weights`.
+const RECORD_ALLOCS: u64 = 4;
 
 fn counter(capture: &uniloc_obs::session::SessionCapture, name: &str) -> u64 {
     capture.metrics.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
 }
 
-#[test]
-fn steady_state_epoch_loop_is_allocation_free() {
-    let cfg = PipelineConfig::default();
-    let models =
-        pipeline::train_standard_models(7).expect("training venues produce enough samples");
+fn models() -> &'static ErrorModelSet {
+    static MODELS: OnceLock<ErrorModelSet> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        pipeline::train_standard_models(7).expect("training venues produce enough samples")
+    })
+}
 
+/// Walks the zero-alloc office under `obs` and returns what each step
+/// allocated on this thread, in epoch order.
+fn walk(obs: &Arc<ObsSession>) -> Vec<u64> {
+    let cfg = PipelineConfig::default();
     let scenario = venues::office("zero-alloc", 21, 40.0, 15.0);
     let frames = pipeline::walk_frames(&scenario, &cfg, 22);
     assert!(frames.len() > 20, "walk too short to exercise steady state");
 
+    let _guard = install(Arc::clone(obs));
+    let mut walk = Session::new(Arc::new(scenario), models(), &cfg, 23);
+    let mut per_step = Vec::with_capacity(frames.len());
+    for f in &frames {
+        let before = thread_allocs();
+        let record = walk.step(f);
+        per_step.push(thread_allocs() - before);
+        drop(record);
+    }
+    per_step
+}
+
+/// The median of the steady epochs' per-step allocation counts.
+fn steady_median(per_step: &[u64]) -> u64 {
+    let mut steady = per_step[STEADY_WARMUP_EPOCHS as usize..].to_vec();
+    steady.sort_unstable();
+    steady[steady.len() / 2]
+}
+
+#[test]
+fn steady_state_epoch_loop_is_allocation_free() {
     let mut obs = ObsSession::isolated();
     obs.alloc_tracking = true;
     let session = Arc::new(obs);
-    let _guard = install(Arc::clone(&session));
-
-    let mut walk = Session::new(Arc::new(scenario), &models, &cfg, 23);
-    for f in &frames {
-        walk.step(f);
-    }
+    let per_step = walk(&session);
 
     let capture = session.capture();
     let steady_epochs = counter(&capture, "alloc.steady_epochs");
     let steady_allocs = counter(&capture, "alloc.steady.allocs");
     assert!(
-        steady_epochs as usize >= frames.len() - 3,
+        steady_epochs as usize >= per_step.len() - 3,
         "steady meter missed epochs: {steady_epochs} of {}",
-        frames.len()
+        per_step.len()
     );
     if steady_allocs > STEADY_ALLOC_BUDGET {
         // Attribute the regression before failing: list every stage that
@@ -75,4 +112,21 @@ fn steady_state_epoch_loop_is_allocation_free() {
              allocating stages (warmup included): {stages:?}"
         );
     }
+    let median = steady_median(&per_step);
+    assert_eq!(
+        median, RECORD_ALLOCS,
+        "a steady step under full obs allocated {median} time(s), not just its record; \
+         per step: {per_step:?}"
+    );
+}
+
+#[test]
+fn stubbed_step_allocates_only_its_record() {
+    let per_step = walk(&Arc::new(ObsSession::stubbed()));
+    let median = steady_median(&per_step);
+    assert_eq!(
+        median, RECORD_ALLOCS,
+        "a steady step under stubbed obs allocated {median} time(s), not just its record; \
+         per step: {per_step:?}"
+    );
 }

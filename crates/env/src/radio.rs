@@ -1,6 +1,6 @@
 //! RF infrastructure and the log-distance path-loss channel.
 //!
-//! WiFi fingerprinting (RADAR [1]) and cellular fingerprinting ([22]) both
+//! WiFi fingerprinting (RADAR \[1\]) and cellular fingerprinting (\[22\]) both
 //! consume RSSI vectors. We generate them with the standard log-distance
 //! path-loss model plus (a) spatially-stable lognormal shadowing (see
 //! [`crate::noise`]), (b) per-wall attenuation from the floor plan, (c)

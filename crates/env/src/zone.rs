@@ -11,7 +11,7 @@ use uniloc_geom::{Point, Polygon};
 
 /// The kind of environment at a map location.
 ///
-/// The paper "treat[s] all the places with roofs (e.g., corridors on the
+/// The paper "treat\[s\] all the places with roofs (e.g., corridors on the
 /// edges of buildings) as indoor environment" — [`EnvKind::is_roofed`]
 /// encodes exactly that split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -285,6 +285,12 @@ impl FaultPlan {
             .collect()
     }
 
+    /// This plan's fault-stream seed on a walk seeded `seed`: its name
+    /// folded in, so each plan's stream is independent of sweep order.
+    pub fn chaos_seed(&self, seed: u64) -> u64 {
+        seed ^ self.name.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64))
+    }
+
     /// The process-level panic-at-epoch plan: the chosen session's step
     /// panics at `epoch`. Named `panic_at_epoch_<N>` so it round-trips
     /// through [`by_name`](Self::by_name) like any library plan, but it is

@@ -4,7 +4,7 @@
 //!   and the fusion scheme ("300 particles are generated and maintained
 //!   every step", Section II of the paper).
 //! * [`kalman`] — a 2-D constant-velocity Kalman filter, one of the
-//!   "existing location prediction methods [24], like Hidden Markov Model
+//!   "existing location prediction methods \[24\], like Hidden Markov Model
 //!   (HMM) or Kalman filter" the paper mentions for the online
 //!   fingerprint-density feature.
 //! * [`hmm`] — the second-order HMM grid predictor the paper actually uses:

@@ -1,6 +1,6 @@
 //! A generic sequential-importance-resampling particle filter.
 //!
-//! The motion-based PDR of [7] and the Travi-Navi-style fusion scheme both
+//! The motion-based PDR of \[7\] and the Travi-Navi-style fusion scheme both
 //! maintain a cloud of particles per step: predict with the noisy step
 //! model, kill particles that cross walls (weight zero), reweight by RSSI
 //! likelihood (fusion only), and resample when the effective sample size

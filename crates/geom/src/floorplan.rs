@@ -1,10 +1,10 @@
 //! Floor plans: walls, corridors and landmarks.
 //!
-//! The motion-based PDR scheme the paper implements ("Li et al. [7]")
+//! The motion-based PDR scheme the paper implements ("Li et al. \[7\]")
 //! "leverages the map to impose constraints on the user's possible
 //! locations": particles die when they cross walls, corridor width bounds
 //! lateral drift (error-model factor `beta_2`), and landmarks — "turns,
-//! doors and signatures [12]" — reset the accumulated error (factor
+//! doors and signatures \[12\]" — reset the accumulated error (factor
 //! `beta_1`, distance from the last landmark).
 
 use crate::point::Point;
@@ -76,7 +76,7 @@ impl Corridor {
 /// The kinds of landmarks PDR can calibrate against.
 ///
 /// Turns and doors come from the map; signatures are recognizable sensor
-/// patterns (WiFi/magnetic) in the spirit of UnLoc [12].
+/// patterns (WiFi/magnetic) in the spirit of UnLoc \[12\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum LandmarkKind {

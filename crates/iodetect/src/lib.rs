@@ -1,7 +1,7 @@
 //! IODetector replica: energy-efficient indoor/outdoor detection.
 //!
 //! UniLoc trains and applies its error models separately for indoor and
-//! outdoor environments, and "IODetector [36] is used to automatically
+//! outdoor environments, and "IODetector \[36\] is used to automatically
 //! identify the indoor and outdoor environments. It is very energy-
 //! efficient, as it only uses some low-power sensors, including light
 //! sensor, magnetism sensor and cellular signals."
@@ -50,12 +50,19 @@ pub enum IoState {
     Outdoor,
 }
 
-impl std::fmt::Display for IoState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl IoState {
+    /// The verdict's lowercase name, `indoor` or `outdoor`.
+    pub fn as_str(self) -> &'static str {
+        match self {
             IoState::Indoor => "indoor",
             IoState::Outdoor => "outdoor",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for IoState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -17,8 +17,8 @@
 //! `Cell` counters in a const-initialised, `Drop`-free thread-local,
 //! indexed by the stage on top of a thread-local span stack. With
 //! tracking off (the default) the stack is empty and a hook is one
-//! thread-local depth check. `Dispatcher::span` pushes an interned stage
-//! id at span open and snapshots that stage's slots; `SpanGuard::drop`
+//! thread-local depth check. `Dispatcher::span` pushes its [`Stage`] at
+//! span open and snapshots that stage's slots; `SpanGuard::drop`
 //! pops, computes deltas and flushes them into `alloc.*` counters in the
 //! active metrics registry — self (exclusive) accounting, since a nested
 //! span's allocations land in the nested stage's slots, not the parent's.
@@ -30,14 +30,14 @@
 //! and every thread with no session at all, stays byte-identically
 //! unaffected — there is no process-global flag for sessions to race on.
 //!
-//! The observatory pauses itself around its own bookkeeping (the span
-//! guard's name buffer, counter-name formatting, registry inserts) via a
-//! pause depth, so obs-internal allocations are not attributed to the
-//! pipeline. Allocations outside any span (scheduler threads, artifact
-//! writers) are deliberately **not** counted: attributing them would tie
-//! the profile to which worker thread ran what, breaking `--jobs`
-//! invariance. The meter therefore covers exactly the span-covered hot
-//! path — the part the zero-alloc work targets.
+//! The observatory pauses itself around its own bookkeeping (counter-name
+//! formatting, registry inserts, emitted span records) via a pause depth,
+//! so obs-internal allocations are not attributed to the pipeline.
+//! Allocations outside any span (scheduler threads, artifact writers) are
+//! deliberately **not** attributed: that would tie the profile to which
+//! worker thread ran what, breaking `--jobs` invariance. The stage profile
+//! therefore covers exactly the span-covered hot path; [`thread_allocs`]
+//! counts every allocation on the thread, spans and pauses regardless.
 //!
 //! # Steady-state meter
 //!
@@ -59,62 +59,93 @@ use crate::metrics::global_metrics;
 /// the budget gate only cares about the loop after that settles.
 pub const STEADY_WARMUP_EPOCHS: u64 = 2;
 
-/// The stage table: every span name in the §7c taxonomy that the
-/// per-epoch hot path opens, with its parent stage (`""` is the root),
-/// plus a terminal `"other"` bucket for names outside the table. Span
-/// opens intern against it (a linear scan per open, never per
-/// allocation), and the fleet profilers hang their stage trees off its
-/// parents through [`span_parent`].
-pub const STAGES: &[(&str, &str)] = &[
-    ("engine.update", ""),
-    ("engine.predict", "engine.update"),
-    ("engine.confidence", "engine.update"),
-    ("engine.fuse", "engine.update"),
-    ("scheme.estimate.wifi", "engine.update"),
-    ("scheme.estimate.cellular", "engine.update"),
-    ("scheme.estimate.gps", "engine.update"),
-    ("scheme.estimate.motion", "engine.update"),
-    ("scheme.estimate.fusion", "engine.update"),
-    ("pipeline.build_context", ""),
-    ("pipeline.collect_training", ""),
-    ("pipeline.run_walk", ""),
-    ("other", ""),
-];
-
-/// The parent of `name` in the stage taxonomy (`""` is the root). Every
-/// per-scheme estimate span (`scheme.estimate.<id>`, custom schemes
-/// included) opens inside the engine's update scope; other names outside
-/// [`STAGES`] hang off the root.
-pub fn span_parent(name: &str) -> &'static str {
-    if name.starts_with("scheme.estimate.") {
-        return "engine.update";
-    }
-    STAGES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or("", |(_, p)| p)
+/// A stage of the §7c span taxonomy: every span the pipeline opens. Spans,
+/// allocation frames and the fleet's profile trees all key on it, and one
+/// table gives each stage its name, its `span.<name>` duration histogram
+/// and its parent. Every custom scheme's estimate is `EstimateCustom`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    EngineUpdate,
+    EnginePredict,
+    EngineConfidence,
+    EngineFuse,
+    EstimateGps,
+    EstimateWifi,
+    EstimateCellular,
+    EstimateMotion,
+    EstimateFusion,
+    EstimateCustom,
+    PipelineBuildContext,
+    PipelineCollectTraining,
+    PipelineRunWalk,
 }
 
-const N_STAGES: usize = STAGES.len();
-const OTHER: u8 = (N_STAGES - 1) as u8;
+const N_STAGES: usize = Stage::PipelineRunWalk as usize + 1;
+
+/// The stage table, in discriminant order: each stage, its `span.<name>`
+/// histogram (the tail is its name) and its parent (`None`: the root).
+const STAGE_TABLE: [(Stage, &str, Option<Stage>); N_STAGES] = {
+    use Stage::*;
+    const UPDATE: Option<Stage> = Some(EngineUpdate);
+    [
+        (EngineUpdate, "span.engine.update", None),
+        (EnginePredict, "span.engine.predict", UPDATE),
+        (EngineConfidence, "span.engine.confidence", UPDATE),
+        (EngineFuse, "span.engine.fuse", UPDATE),
+        (EstimateGps, "span.scheme.estimate.gps", UPDATE),
+        (EstimateWifi, "span.scheme.estimate.wifi", UPDATE),
+        (EstimateCellular, "span.scheme.estimate.cellular", UPDATE),
+        (EstimateMotion, "span.scheme.estimate.motion", UPDATE),
+        (EstimateFusion, "span.scheme.estimate.fusion", UPDATE),
+        (EstimateCustom, "span.scheme.estimate.custom", UPDATE),
+        (PipelineBuildContext, "span.pipeline.build_context", None),
+        (PipelineCollectTraining, "span.pipeline.collect_training", None),
+        (PipelineRunWalk, "span.pipeline.run_walk", None),
+    ]
+};
+
+impl Stage {
+    /// The stage's span name, e.g. `engine.fuse`.
+    pub fn name(self) -> &'static str {
+        &self.histogram_name()["span.".len()..]
+    }
+
+    /// The stage's duration histogram, `span.<name>`.
+    pub fn histogram_name(self) -> &'static str {
+        STAGE_TABLE[self as usize].1
+    }
+
+    /// The stage this one's span opens inside; `None` for a root stage.
+    pub fn parent(self) -> Option<Stage> {
+        STAGE_TABLE[self as usize].2
+    }
+
+    /// The stage named `name`, if the table has one.
+    pub fn named(name: &str) -> Option<Stage> {
+        STAGE_TABLE.iter().map(|row| row.0).find(|stage| stage.name() == name)
+    }
+}
 
 /// Span nesting deeper than this stops opening new attribution frames
 /// (the taxonomy nests 3 deep; 32 is pure safety margin).
 const MAX_DEPTH: usize = 32;
 
-/// Slots per stage: allocs, bytes (allocated, monotone), deallocs,
-/// reallocs.
-const SLOTS_PER_STAGE: usize = 4;
+/// Each stage's slots, in order, named like the `alloc.<column>.<stage>`
+/// counters they flush to (`bytes` counts allocated bytes, monotone).
+pub(crate) const ALLOC_COLUMNS: [&str; 4] = ["allocs", "bytes", "deallocs", "reallocs"];
+const SLOTS_PER_STAGE: usize = ALLOC_COLUMNS.len();
 
 struct AllocTls {
     /// Span-stack depth (entries above `MAX_DEPTH` are not stored).
     depth: Cell<usize>,
+    /// Every allocation this thread has made, attributed or not.
+    allocs: Cell<u64>,
     /// Self-pause depth: while > 0 the hooks skip attribution so the
     /// observatory's own allocations stay out of the profile.
     pause: Cell<usize>,
     /// Whether the current epoch is past the warmup window.
     steady: Cell<bool>,
-    /// Interned stage ids of the open spans, innermost last.
+    /// Stages of the open spans, innermost last.
     stack: [Cell<u8>; MAX_DEPTH],
     /// Per-stage counters: `[stage * 4 + {allocs,bytes,deallocs,reallocs}]`.
     slots: [Cell<u64>; N_STAGES * SLOTS_PER_STAGE],
@@ -127,6 +158,7 @@ thread_local! {
     static TLS: AllocTls = const {
         AllocTls {
             depth: Cell::new(0),
+            allocs: Cell::new(0),
             pause: Cell::new(0),
             steady: Cell::new(false),
             stack: [const { Cell::new(0) }; MAX_DEPTH],
@@ -156,40 +188,24 @@ impl Drop for PauseGuard {
 /// An open attribution frame: which stage to charge and the stage's slot
 /// values at open, so close can flush exact deltas.
 pub struct SpanToken {
-    stage: u8,
+    stage: Stage,
     base: [u64; SLOTS_PER_STAGE],
 }
 
-fn intern(name: &str) -> u8 {
-    STAGES
-        .iter()
-        .position(|(s, _)| *s == name)
-        .map(|i| i as u8)
-        .unwrap_or(OTHER)
+fn read_stage(t: &AllocTls, stage: Stage) -> [u64; SLOTS_PER_STAGE] {
+    std::array::from_fn(|i| t.slots[stage as usize * SLOTS_PER_STAGE + i].get())
 }
 
-fn read_stage(t: &AllocTls, stage: u8) -> [u64; SLOTS_PER_STAGE] {
-    let s = stage as usize * SLOTS_PER_STAGE;
-    [
-        t.slots[s].get(),
-        t.slots[s + 1].get(),
-        t.slots[s + 2].get(),
-        t.slots[s + 3].get(),
-    ]
-}
-
-/// Opens an attribution frame for `name` on the current thread. Returns
+/// Opens an attribution frame for `stage` on the current thread. Returns
 /// `None` when the stack is full or thread-local state is unavailable.
-/// Callers (only `Dispatcher::span`) gate on the session's opt-in and
-/// hold a [`pause`] guard across the call.
-pub fn span_open(name: &str) -> Option<SpanToken> {
+/// Callers (only `Dispatcher::span`) gate on the session's opt-in.
+pub fn span_open(stage: Stage) -> Option<SpanToken> {
     TLS.try_with(|t| {
         let depth = t.depth.get();
         if depth >= MAX_DEPTH {
             return None;
         }
-        let stage = intern(name);
-        t.stack[depth].set(stage);
+        t.stack[depth].set(stage as u8);
         t.depth.set(depth + 1);
         Some(SpanToken { stage, base: read_stage(t, stage) })
     })
@@ -206,35 +222,19 @@ pub fn span_close(token: SpanToken) {
         let depth = t.depth.get();
         t.depth.set(depth.saturating_sub(1));
         let now = read_stage(t, token.stage);
-        let delta = [
-            now[0] - token.base[0],
-            now[1] - token.base[1],
-            now[2] - token.base[2],
-            now[3] - token.base[3],
-        ];
+        let delta: [u64; SLOTS_PER_STAGE] = std::array::from_fn(|i| now[i] - token.base[i]);
         (delta, t.steady.get())
     });
     let Ok((delta, steady)) = flush else { return };
     if delta == [0; SLOTS_PER_STAGE] {
         return;
     }
-    let (stage, _) = STAGES[token.stage as usize];
     let m = global_metrics();
-    let [allocs, bytes, deallocs, reallocs] = delta;
-    if allocs > 0 {
-        m.counter(&format!("alloc.allocs.{stage}")).add(allocs);
-        if steady {
-            m.counter("alloc.steady.allocs").add(allocs);
-        }
+    for (column, n) in ALLOC_COLUMNS.into_iter().zip(delta).filter(|&(_, n)| n > 0) {
+        m.counter(&format!("alloc.{column}.{}", token.stage.name())).add(n);
     }
-    if bytes > 0 {
-        m.counter(&format!("alloc.bytes.{stage}")).add(bytes);
-    }
-    if deallocs > 0 {
-        m.counter(&format!("alloc.deallocs.{stage}")).add(deallocs);
-    }
-    if reallocs > 0 {
-        m.counter(&format!("alloc.reallocs.{stage}")).add(reallocs);
+    if steady && delta[0] > 0 {
+        m.counter("alloc.steady.allocs").add(delta[0]);
     }
 }
 
@@ -254,6 +254,12 @@ pub fn epoch_phase(epoch_index: u64) {
     }
 }
 
+/// Every heap allocation the current thread has made, inside spans or
+/// not, paused or not: its rise across a call is what the call allocated.
+pub fn thread_allocs() -> u64 {
+    TLS.try_with(|t| t.allocs.get()).unwrap_or(0)
+}
+
 #[derive(Clone, Copy)]
 enum Op {
     Alloc,
@@ -264,9 +270,13 @@ enum Op {
 #[inline]
 fn record(op: Op, bytes: usize) {
     // No global gate here: the span stack only ever has frames when an
-    // opted-in span opened one, so `depth == 0` (a const-TLS load and a
-    // branch) is both the correctness check and the fast path.
+    // opted-in span opened one, so after the thread's own count `depth ==
+    // 0` (a const-TLS load and a branch) is both the correctness check
+    // and the fast path.
     let _ = TLS.try_with(|t| {
+        if let Op::Alloc = op {
+            t.allocs.set(t.allocs.get() + 1);
+        }
         let depth = t.depth.get();
         if depth == 0 || t.pause.get() > 0 {
             return;
@@ -351,7 +361,7 @@ mod tests {
         let session = Arc::new(obs);
         let _guard = crate::session::install(Arc::clone(&session));
         {
-            let _span = crate::trace::global().span("engine.update");
+            let _span = crate::trace::global().span(Stage::EngineUpdate);
             let v: Vec<u64> = Vec::with_capacity(64);
             std::hint::black_box(&v);
         }
@@ -367,9 +377,9 @@ mod tests {
         let session = Arc::new(obs);
         let _guard = crate::session::install(Arc::clone(&session));
         {
-            let _outer = crate::trace::global().span("engine.update");
+            let _outer = crate::trace::global().span(Stage::EngineUpdate);
             {
-                let _inner = crate::trace::global().span("scheme.estimate.wifi");
+                let _inner = crate::trace::global().span(Stage::EstimateWifi);
                 let v: Vec<u64> = Vec::with_capacity(1024);
                 std::hint::black_box(&v);
             }
@@ -389,7 +399,7 @@ mod tests {
         let session = Arc::new(ObsSession::isolated());
         let _guard = crate::session::install(Arc::clone(&session));
         {
-            let _span = crate::trace::global().span("engine.predict");
+            let _span = crate::trace::global().span(Stage::EnginePredict);
             let v: Vec<u64> = Vec::with_capacity(64);
             std::hint::black_box(&v);
         }
@@ -404,7 +414,7 @@ mod tests {
         let session = Arc::new(obs);
         let _guard = crate::session::install(Arc::clone(&session));
         {
-            let _span = crate::trace::global().span("engine.fuse");
+            let _span = crate::trace::global().span(Stage::EngineFuse);
             {
                 let _pause = pause();
                 let v: Vec<u64> = Vec::with_capacity(4096);
@@ -416,29 +426,33 @@ mod tests {
     }
 
     #[test]
-    fn unknown_span_names_fall_into_other() {
-        assert_eq!(intern("pipeline.collect_training"), 10);
-        assert_eq!(intern("no.such.stage"), OTHER);
-        assert_eq!(STAGES[OTHER as usize], ("other", ""));
+    fn thread_allocs_count_paused_and_spanless_allocations() {
+        let before = thread_allocs();
+        let outside: Vec<u64> = Vec::with_capacity(8);
+        {
+            let _pause = pause();
+            let paused: Vec<u64> = Vec::with_capacity(8);
+            std::hint::black_box(&paused);
+        }
+        std::hint::black_box(&outside);
+        assert_eq!(thread_allocs() - before, 2);
     }
 
     #[test]
-    fn span_parents_follow_the_stage_table() {
-        assert_eq!(span_parent("engine.update"), "");
-        assert_eq!(span_parent("engine.fuse"), "engine.update");
-        assert_eq!(span_parent("scheme.estimate.wifi"), "engine.update");
-        // The prefix rule covers custom schemes outside the table.
-        assert_eq!(span_parent("scheme.estimate.custom"), "engine.update");
-        assert_eq!(span_parent("pipeline.run_walk"), "");
-        assert_eq!(span_parent("other"), "");
-        assert_eq!(span_parent("no.such.stage"), "");
-        // Every parent is itself a root-level stage of the table.
-        for (_, parent) in STAGES {
-            assert!(
-                parent.is_empty() || span_parent(parent).is_empty(),
-                "{parent}"
-            );
+    fn every_stage_round_trips_and_hangs_off_a_root() {
+        for (i, &(stage, histogram, parent)) in STAGE_TABLE.iter().enumerate() {
+            assert_eq!(stage as usize, i, "the table is in discriminant order");
+            assert_eq!(Stage::named(stage.name()), Some(stage));
+            assert_eq!(histogram, format!("span.{}", stage.name()));
+            assert_eq!(stage.parent(), parent);
+            if let Some(parent) = parent {
+                assert_eq!(parent.parent(), None, "{} nests too deep", stage.name());
+            }
         }
+        assert_eq!(Stage::EstimateWifi.parent(), Some(Stage::EngineUpdate));
+        assert_eq!(Stage::named("scheme.estimate.custom3"), None);
+        assert_eq!(Stage::named("other"), None);
+        assert_eq!(Stage::named(""), None);
     }
 
     #[test]
@@ -449,7 +463,7 @@ mod tests {
         let _guard = crate::session::install(Arc::clone(&session));
         for epoch in 0..5u64 {
             epoch_phase(epoch);
-            let _span = crate::trace::global().span("engine.update");
+            let _span = crate::trace::global().span(Stage::EngineUpdate);
             let v: Vec<u64> = Vec::with_capacity(16);
             std::hint::black_box(&v);
         }
@@ -472,7 +486,7 @@ mod tests {
             let _guard = crate::session::install(Arc::clone(&session));
             for epoch in 0..4u64 {
                 epoch_phase(epoch);
-                let _span = crate::trace::global().span("engine.confidence");
+                let _span = crate::trace::global().span(Stage::EngineConfidence);
                 let mut v: Vec<u64> = Vec::new();
                 for i in 0..33 {
                     v.push(i);

@@ -277,7 +277,8 @@ impl CalibrationSnapshot {
 pub struct CalibrationMonitor {
     /// `Phi^-1(q)` per tracked quantile, precomputed.
     z_quantiles: Vec<f64>,
-    cells: Mutex<BTreeMap<(String, String), Cell>>,
+    /// Sorted by `(scheme, io)`: a lookup borrows the key, never copies it.
+    cells: Mutex<Vec<((String, String), Cell)>>,
     /// Obs-stub switch: a disabled monitor ignores observations entirely.
     disabled: std::sync::atomic::AtomicBool,
 }
@@ -287,7 +288,7 @@ impl Default for CalibrationMonitor {
         let std = Normal::standard();
         CalibrationMonitor {
             z_quantiles: QUANTILES.iter().map(|&q| std.quantile(q)).collect(),
-            cells: Mutex::new(BTreeMap::new()),
+            cells: Mutex::new(Vec::new()),
             disabled: std::sync::atomic::AtomicBool::new(false),
         }
     }
@@ -320,9 +321,13 @@ impl CalibrationMonitor {
             return None;
         }
         let mut cells = self.cells.lock().expect("calibration mutex");
-        let cell = cells
-            .entry((scheme.to_owned(), io.to_owned()))
-            .or_insert_with(Cell::new);
+        let at = cells
+            .binary_search_by(|((s, i), _)| (s.as_str(), i.as_str()).cmp(&(scheme, io)))
+            .unwrap_or_else(|at| {
+                cells.insert(at, ((scheme.to_owned(), io.to_owned()), Cell::new()));
+                at
+            });
+        let cell = &mut cells[at].1;
         if !predicted_mean.is_finite()
             || !predicted_sigma.is_finite()
             || predicted_sigma <= 0.0
@@ -398,8 +403,8 @@ impl CalibrationMonitor {
             cells: cells
                 .iter()
                 .map(|((scheme, io), c)| {
-                    let n = c.n.max(1) as f64; // avoid 0/0; empty cells report zeros
-                    let denom = if c.n == 0 { f64::NAN } else { n };
+                    // Empty cells report zeros, never 0/0.
+                    let mean = |sum: f64| if c.n == 0 { 0.0 } else { sum / c.n as f64 };
                     CalibrationCell {
                         scheme: scheme.clone(),
                         io: io.clone(),
@@ -407,19 +412,11 @@ impl CalibrationMonitor {
                         dropped: c.dropped,
                         pit_counts: c.pit_counts.clone(),
                         quantiles: QUANTILES.to_vec(),
-                        coverage: c
-                            .cover_hits
-                            .iter()
-                            .map(|&h| if c.n == 0 { 0.0 } else { h as f64 / denom })
-                            .collect(),
-                        mean_predicted: if c.n == 0 { 0.0 } else { c.sum_predicted / n },
-                        mean_sigma: if c.n == 0 { 0.0 } else { c.sum_sigma / n },
-                        mean_realized: if c.n == 0 { 0.0 } else { c.sum_realized / n },
-                        mean_residual: if c.n == 0 {
-                            0.0
-                        } else {
-                            (c.sum_predicted - c.sum_realized) / n
-                        },
+                        coverage: c.cover_hits.iter().map(|&h| mean(h as f64)).collect(),
+                        mean_predicted: mean(c.sum_predicted),
+                        mean_sigma: mean(c.sum_sigma),
+                        mean_realized: mean(c.sum_realized),
+                        mean_residual: mean(c.sum_predicted - c.sum_realized),
                         cusum_pos: c.cusum_pos,
                         cusum_neg: c.cusum_neg,
                         drift_alarms: c.alarms,

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::alloc::span_parent;
+use crate::alloc::{Stage, ALLOC_COLUMNS};
 use crate::session::SessionCapture;
 use uniloc_stats::json::{decimal, flattened, float, object, FromJson, Json, JsonError, ToJson};
 
@@ -122,7 +122,7 @@ impl SparseHist {
 
 /// One retired session's identity and summary facts, as the aggregator
 /// needs them. The caller (the fleet load generator) builds this from its
-/// [`SessionSpec`]-equivalent plus the record summary.
+/// `SessionSpec`-equivalent plus the record summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionMeta {
     /// Unique fleet lane.
@@ -785,10 +785,6 @@ pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
 /// Columns of the call-count profile (`PROF_fleet.*`).
 const CALL_COLUMNS: &[&str] = &["count"];
 
-/// Columns of the heap profile (`PROF_alloc.*`), named like the
-/// `alloc.<column>.<stage>` counters they come from.
-const ALLOC_COLUMNS: &[&str] = &["allocs", "bytes", "deallocs", "reallocs"];
-
 /// One node of a stage profile tree: the stage's *own* values, one per
 /// profile column. In `PROF_fleet.*` the one column is the span's
 /// invocation count (see the module docs for why counts, not durations).
@@ -818,25 +814,23 @@ impl ProfNode {
     }
 }
 
-/// Hangs `(stage, values)` rows under their [`span_parent`]s below a
-/// `fleet` root carrying `root`. An ancestor with no row of its own still
-/// becomes a node, with zero values, so every row shows in the tree.
-/// Siblings sort by name.
+/// Hangs `(stage, values)` rows under their [`Stage::parent`]s below a
+/// `fleet` root carrying `root`; a name outside the stage table hangs off
+/// the root. An ancestor with no row of its own still becomes a node, with
+/// zero values, so every row shows in the tree. Siblings sort by name.
 fn stage_tree(root: Vec<u64>, mut rows: BTreeMap<&str, Vec<u64>>) -> ProfNode {
+    let parent = |name: &str| Stage::named(name).and_then(Stage::parent).map_or("", Stage::name);
     // An empty name (only a hand-made snapshot has one) is the root's own
     // key: it would hang under itself.
     rows.remove("");
-    let names: Vec<&str> = rows.keys().copied().collect();
-    for name in names {
-        let mut parent = span_parent(name);
-        while !parent.is_empty() {
-            rows.entry(parent).or_insert_with(|| vec![0; root.len()]);
-            parent = span_parent(parent);
-        }
+    // Every parent is a root stage, so one level of ancestors suffices.
+    let parents: Vec<&str> = rows.keys().map(|&n| parent(n)).filter(|p| !p.is_empty()).collect();
+    for up in parents {
+        rows.entry(up).or_insert_with(|| vec![0; root.len()]);
     }
     let mut by_parent: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for &name in rows.keys() {
-        by_parent.entry(span_parent(name)).or_default().push(name);
+        by_parent.entry(parent(name)).or_default().push(name);
     }
     fn build(
         name: &str,
@@ -936,7 +930,7 @@ pub fn alloc_report(snap: &FleetSnapshot, root: &ProfNode) -> Json {
                 ("epochs".into(), snap.counter("alloc.steady_epochs").to_json()),
             ]),
         ),
-        ("root".into(), root.to_json(ALLOC_COLUMNS)),
+        ("root".into(), root.to_json(&ALLOC_COLUMNS)),
     ])
     .canonical()
 }

@@ -3,8 +3,9 @@
 //!
 //! Three trigger classes matter for UniLoc (see `DESIGN.md` §7c): a
 //! calibration drift alarm (an error model has gone stale, see
-//! [`crate::calib`]), a scheme unavailable for N consecutive epochs (a
-//! sensing modality silently died), and a non-finite estimate (numerical
+//! [`crate::calib`]), a scheme unavailable for [`UNAVAILABLE_THRESHOLD`]
+//! consecutive epochs (a sensing modality silently died; the serving
+//! session counts the run), and a non-finite estimate (numerical
 //! corruption in the fusion math). On any of them the recorder freezes its
 //! window — the last ring-capacity trace events plus counter deltas since
 //! the previous dump and current gauge values — into one `"kind":"flight"`
@@ -29,7 +30,7 @@ use uniloc_stats::json::{Json, ToJson};
 /// Default ring capacity: enough for several epochs of span-level detail.
 pub const DEFAULT_RING_CAPACITY: usize = 128;
 
-/// Consecutive unavailable epochs that trip a dump.
+/// Consecutive unavailable epochs of one scheme that trip a dump.
 pub const UNAVAILABLE_THRESHOLD: u64 = 25;
 
 /// Cap on dumps per recorder *arming*: postmortems are for the
@@ -41,13 +42,6 @@ pub const UNAVAILABLE_THRESHOLD: u64 = 25;
 /// than vanishing.
 pub const MAX_DUMPS: u64 = 16;
 
-/// Per-scheme availability streak state.
-#[derive(Debug, Default)]
-struct Streak {
-    consecutive_unavailable: u64,
-    tripped: bool,
-}
-
 /// The flight recorder. One lives per process (see [`global_flight`]);
 /// private instances serve tests.
 pub struct FlightRecorder {
@@ -55,7 +49,6 @@ pub struct FlightRecorder {
     sink: RwLock<Option<Arc<JsonlExporter>>>,
     dumps: AtomicU64,
     disabled: AtomicBool,
-    streaks: Mutex<BTreeMap<String, Streak>>,
     /// Counter values at the previous dump (or reset); dumps report the
     /// delta since then so consecutive postmortems don't repeat totals.
     baseline: Mutex<BTreeMap<String, u64>>,
@@ -73,7 +66,6 @@ impl FlightRecorder {
             sink: RwLock::new(None),
             dumps: AtomicU64::new(0),
             disabled: AtomicBool::new(false),
-            streaks: Mutex::new(BTreeMap::new()),
             baseline: Mutex::new(BTreeMap::new()),
         }
     }
@@ -89,44 +81,20 @@ impl FlightRecorder {
         self.dumps.load(Ordering::Relaxed)
     }
 
-    /// Disables (or re-enables) the recorder entirely: triggers,
-    /// availability streaks and ring writes all become no-ops. This is the
-    /// obs-stub mode's switch — it measures the layer's cost without
-    /// changing any pipeline behavior.
+    /// Disables (or re-enables) the recorder entirely: triggers and ring
+    /// writes become no-ops. This is the obs-stub mode's switch — it
+    /// measures the layer's cost without changing any pipeline behavior.
     pub fn set_disabled(&self, disabled: bool) {
         self.disabled.store(disabled, Ordering::Relaxed);
     }
 
-    /// Re-arms only the dump budget, leaving the ring, streaks and counter
-    /// baseline intact. A fleet run calls this up front so postmortem
-    /// budget consumed by earlier runs in the same process (or an earlier
-    /// fleet round) doesn't silently starve later sessions' dumps — the
-    /// cap is per-run, not per-process.
+    /// Re-arms only the dump budget, leaving the ring and counter baseline
+    /// intact. A fleet run calls this up front so postmortem budget
+    /// consumed by earlier runs in the same process (or an earlier fleet
+    /// round) doesn't silently starve later sessions' dumps — the cap is
+    /// per-run, not per-process.
     pub fn rearm_dumps(&self) {
         self.dumps.store(0, Ordering::Relaxed);
-    }
-
-    /// Records one epoch of availability for `scheme`. Returns `true`
-    /// exactly when the scheme's unavailable streak reaches the threshold
-    /// (once per streak — the caller should then [`trigger`](Self::trigger)
-    /// a `scheme_unavailable` dump). An available epoch re-arms the trip.
-    pub fn note_availability(&self, scheme: &str, available: bool) -> bool {
-        if self.disabled.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut streaks = self.streaks.lock().expect("flight streak lock");
-        let s = streaks.entry(scheme.to_owned()).or_default();
-        if available {
-            s.consecutive_unavailable = 0;
-            s.tripped = false;
-            return false;
-        }
-        s.consecutive_unavailable += 1;
-        if !s.tripped && s.consecutive_unavailable >= UNAVAILABLE_THRESHOLD {
-            s.tripped = true;
-            return true;
-        }
-        false
     }
 
     /// Freezes the current window into a postmortem: writes one
@@ -202,7 +170,6 @@ impl FlightRecorder {
     /// back-to-back runs in one process).
     pub fn reset(&self) {
         self.ring.reset();
-        self.streaks.lock().expect("flight streak lock").clear();
         self.baseline.lock().expect("flight baseline lock").clear();
         self.dumps.store(0, Ordering::Relaxed);
     }
@@ -295,24 +262,6 @@ mod tests {
         assert_eq!(doc.get("ring_dropped").unwrap().as_i64().unwrap(), 6);
     }
 
-    /// `n` unavailable epochs of `scheme`; whether the last one tripped.
-    fn unavailable_for(fr: &FlightRecorder, scheme: &str, n: u64) -> bool {
-        (0..n).fold(false, |_, _| fr.note_availability(scheme, false))
-    }
-
-    #[test]
-    fn availability_streak_trips_once_and_rearms() {
-        let fr = FlightRecorder::new(4);
-        assert!(!unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD - 1));
-        assert!(fr.note_availability("gps", false), "the threshold epoch trips");
-        assert!(!fr.note_availability("gps", false), "already tripped");
-        assert!(!fr.note_availability("gps", true), "recovery re-arms");
-        assert!(!unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD - 1));
-        assert!(fr.note_availability("gps", false), "fresh streak trips again");
-        // Independent schemes keep independent streaks.
-        assert!(!fr.note_availability("wifi", false));
-    }
-
     #[test]
     fn dump_cap_suppresses_floods() {
         let fr = FlightRecorder::new(4);
@@ -355,7 +304,6 @@ mod tests {
         fr.set_disabled(true);
         fr.event(&event("x", 0));
         assert!(fr.ring.is_empty(), "ring writes are dropped");
-        assert!(!unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD), "streaks never trip");
         assert!(!fr.trigger("a", vec![]), "triggers never dump");
         assert_eq!(fr.dumps(), 0);
         fr.set_disabled(false);
@@ -391,7 +339,6 @@ mod tests {
     fn reset_rearms_everything() {
         let fr = FlightRecorder::new(4);
         fr.event(&event("x", 0));
-        assert!(unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD));
         for _ in 0..MAX_DUMPS {
             assert!(fr.trigger("a", vec![]));
         }
@@ -399,7 +346,6 @@ mod tests {
         fr.reset();
         assert_eq!(fr.dumps(), 0);
         assert!(fr.ring.is_empty());
-        assert!(unavailable_for(&fr, "gps", UNAVAILABLE_THRESHOLD), "streak state cleared");
         assert!(fr.trigger("c", vec![]), "dump budget restored");
     }
 }

@@ -8,7 +8,8 @@
 //! `tracing`/`metrics` crates, so this crate provides the slice the
 //! workspace needs:
 //!
-//! * [`alloc`] — the allocation observatory: a counting
+//! * [`alloc`] — the [`Stage`] taxonomy every span, allocation frame and
+//!   profile tree keys on, and the allocation observatory: a counting
 //!   `#[global_allocator]` wrapper attributing every heap operation to
 //!   the innermost active span (exact, deterministic per-stage heap
 //!   profiles and the `allocs_per_epoch` steady-state meter behind
@@ -55,7 +56,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use uniloc_obs::{RingCollector, Subscriber, TraceLevel};
+//! use uniloc_obs::{RingCollector, Stage, Subscriber, TraceLevel};
 //!
 //! // Collect spans in memory through the global dispatcher.
 //! let ring = Arc::new(RingCollector::new(128));
@@ -63,10 +64,10 @@
 //! d.set_subscriber(Some(ring.clone() as Arc<dyn Subscriber>));
 //! d.set_level(Some(TraceLevel::Span));
 //! {
-//!     let _span = d.span("demo.stage").field("items", 3usize);
+//!     let _span = d.span(Stage::EngineFuse).field("items", 3usize);
 //! }
 //! d.set_subscriber(None);
-//! assert!(ring.events().iter().any(|e| e.name == "demo.stage"));
+//! assert!(ring.events().iter().any(|e| e.name == "engine.fuse"));
 //!
 //! // Metrics: counters / gauges / histograms with a deterministic snapshot.
 //! let m = uniloc_obs::metrics::global_metrics();
@@ -85,7 +86,7 @@ pub mod metrics;
 pub mod session;
 pub mod trace;
 
-pub use alloc::{CountingAlloc, STEADY_WARMUP_EPOCHS};
+pub use alloc::{CountingAlloc, Stage, STEADY_WARMUP_EPOCHS};
 pub use calib::{
     global_calibration, process_calibration, CalibrationCell, CalibrationMonitor,
     CalibrationSnapshot, DriftAlarm,

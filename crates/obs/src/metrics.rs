@@ -425,58 +425,44 @@ impl MetricsRegistry {
         self.sink.load(Ordering::Relaxed)
     }
 
+    /// The metric named `name` in `map`, made by `make` on first use. A
+    /// sink registry hands out its shared `scratch` metric instead (made by
+    /// the first caller; its values are never read back). Finding an
+    /// existing metric allocates nothing.
+    fn resolve<T>(
+        &self,
+        map: &Mutex<BTreeMap<String, Arc<T>>>,
+        scratch: &OnceLock<Arc<T>>,
+        name: &str,
+        make: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        if self.is_sink() {
+            return Arc::clone(scratch.get_or_init(|| Arc::new(make())));
+        }
+        let mut map = map.lock().expect("metrics mutex");
+        if let Some(metric) = map.get(name) {
+            return Arc::clone(metric);
+        }
+        let metric = Arc::new(make());
+        map.insert(name.to_owned(), Arc::clone(&metric));
+        metric
+    }
+
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if self.is_sink() {
-            return Arc::clone(self.scratch_counter.get_or_init(Default::default));
-        }
-        let mut map = self.counters.lock().expect("metrics mutex");
-        match map.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(Counter::default());
-                map.insert(name.to_owned(), Arc::clone(&c));
-                c
-            }
-        }
+        self.resolve(&self.counters, &self.scratch_counter, name, Counter::default)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if self.is_sink() {
-            return Arc::clone(self.scratch_gauge.get_or_init(Default::default));
-        }
-        let mut map = self.gauges.lock().expect("metrics mutex");
-        match map.get(name) {
-            Some(g) => Arc::clone(g),
-            None => {
-                let g = Arc::new(Gauge::default());
-                map.insert(name.to_owned(), Arc::clone(&g));
-                g
-            }
-        }
+        self.resolve(&self.gauges, &self.scratch_gauge, name, Gauge::default)
     }
 
     /// The histogram named `name`, created with `bounds` on first use
     /// (later callers share the original buckets regardless of their
     /// `bounds` argument, keeping merges well-defined).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        if self.is_sink() {
-            // The first caller's bounds serve every scratch record; the
-            // values are never read back, so the bucketing is irrelevant.
-            return Arc::clone(
-                self.scratch_histogram.get_or_init(|| Arc::new(Histogram::new(bounds))),
-            );
-        }
-        let mut map = self.histograms.lock().expect("metrics mutex");
-        match map.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::new(bounds));
-                map.insert(name.to_owned(), Arc::clone(&h));
-                h
-            }
-        }
+        self.resolve(&self.histograms, &self.scratch_histogram, name, || Histogram::new(bounds))
     }
 
     /// A deterministic snapshot: metrics sorted by name within each kind.

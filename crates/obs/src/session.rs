@@ -239,7 +239,7 @@ mod tests {
                 .histogram("stub.hist", &[1.0])
                 .record(0.5);
             {
-                let _span = crate::trace::global().span("stub.span");
+                let _span = crate::trace::global().span(crate::alloc::Stage::EngineFuse);
             }
             assert!(
                 session

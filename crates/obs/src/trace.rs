@@ -25,6 +25,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
+use crate::alloc::Stage;
 use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::{global_metrics, DURATION_BUCKETS_NS};
 use uniloc_stats::json::{Json, ToJson};
@@ -472,29 +473,28 @@ impl Dispatcher {
         self.event(level, "log", vec![("message".to_owned(), FieldValue::Str(message))]);
     }
 
-    /// Opens a span; the returned guard emits a span record (and a
-    /// `span.<name>` duration sample) when dropped. The installed
+    /// Opens a span for `stage`; the returned guard emits a span record
+    /// (and a `span.<name>` duration sample) when dropped. The installed
     /// [`ObsSession`](crate::session::ObsSession) decides the rest: spans
     /// are timed unless its registry is a sink (the obs-stub mode), and a
     /// timed span opens an allocation-attribution frame exactly when it
-    /// opts into tracking (see [`crate::alloc`]). The guard borrows
-    /// `name`, and its own bookkeeping runs under an attribution pause so
+    /// opts into tracking (see [`crate::alloc`]). Opening allocates
+    /// nothing; the guard's teardown runs under an attribution pause so
     /// observability overhead stays out of the heap profile.
-    pub fn span<'a>(&'a self, name: &'a str) -> SpanGuard<'a> {
+    pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
         let session = crate::session::current();
         let emit = self.enabled(TraceLevel::Span);
         let time = session.as_ref().is_none_or(|s| !s.metrics.is_sink());
         let track = session.is_some_and(|s| s.alloc_tracking);
-        let _pause = track.then(crate::alloc::pause);
         SpanGuard {
             dispatcher: self,
-            name,
+            stage,
             start_ns: if emit || time { self.now_ns() } else { 0 },
             fields: Vec::new(),
             emit,
             time,
             track,
-            alloc: if time && track { crate::alloc::span_open(name) } else { None },
+            alloc: if time && track { crate::alloc::span_open(stage) } else { None },
         }
     }
 
@@ -510,7 +510,7 @@ impl Dispatcher {
 #[must_use = "a span measures the scope it lives in"]
 pub struct SpanGuard<'a> {
     dispatcher: &'a Dispatcher,
-    name: &'a str,
+    stage: Stage,
     start_ns: u64,
     fields: Vec<(String, FieldValue)>,
     emit: bool,
@@ -533,7 +533,7 @@ impl SpanGuard<'_> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         // Close the allocation-attribution frame first, and keep the
-        // guard's own teardown (histogram-name formatting, the emitted
+        // guard's own teardown (a first histogram insert, the emitted
         // record) out of the enclosing span's heap profile.
         let _pause = self.track.then(crate::alloc::pause);
         if let Some(token) = self.alloc.take() {
@@ -547,14 +547,14 @@ impl Drop for SpanGuard<'_> {
         let duration_ns = end_ns.saturating_sub(self.start_ns);
         if self.time {
             global_metrics()
-                .histogram(&format!("span.{}", self.name), DURATION_BUCKETS_NS)
+                .histogram(self.stage.histogram_name(), DURATION_BUCKETS_NS)
                 .record_ns(duration_ns);
         }
         if self.emit {
             if let Some(sub) = d.active_subscriber() {
                 sub.event(&TraceEvent {
                     level: TraceLevel::Span,
-                    name: self.name.to_owned(),
+                    name: self.stage.name().to_owned(),
                     t_ns: end_ns,
                     duration_ns: Some(duration_ns),
                     fields: std::mem::take(&mut self.fields),
@@ -694,28 +694,26 @@ mod tests {
         assert_eq!(b.len(), 1);
     }
 
+    // The process registry is shared by this binary's tests. Only the two
+    // spans opened with no session installed record into it, and each
+    // test's stage is its own, so the leak checks below stay exact.
+
     #[test]
     fn span_records_duration_histogram() {
         // With no session installed spans are timed; they feed
         // `span.<name>` histograms even with no subscriber installed.
-        let name = "obs.test.span_records_duration";
         {
-            let _g = global().span(name).field("k", 1i64);
+            let _g = global().span(Stage::PipelineRunWalk).field("k", 1i64);
         }
         let snap = global_metrics().snapshot();
-        let (_, h) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| n == &format!("span.{name}"))
-            .expect("span histogram registered");
-        assert!(h.count() >= 1);
+        assert!(span_samples(&snap, Stage::PipelineRunWalk) >= 1);
     }
 
-    /// Count of samples in the installed-target `span.<name>` histogram.
-    fn span_samples(snap: &crate::metrics::MetricsSnapshot, name: &str) -> u64 {
+    /// Count of samples in the `span.<name>` histogram of `stage`.
+    fn span_samples(snap: &crate::metrics::MetricsSnapshot, stage: Stage) -> u64 {
         snap.histograms
             .iter()
-            .find(|(n, _)| n == &format!("span.{name}"))
+            .find(|(n, _)| n == stage.histogram_name())
             .map(|(_, h)| h.count())
             .unwrap_or(0)
     }
@@ -727,23 +725,22 @@ mod tests {
         let session = Arc::new(ObsSession::isolated());
         {
             let _g = crate::session::install(Arc::clone(&session));
-            let _s = global().span("obs.test.session_span");
+            let _s = global().span(Stage::PipelineBuildContext);
         }
-        assert_eq!(span_samples(&session.capture().metrics, "obs.test.session_span"), 1);
+        assert_eq!(span_samples(&session.capture().metrics, Stage::PipelineBuildContext), 1);
 
         // Once the install guard drops, timing lands in the process
         // registry again.
-        let name = "obs.test.restore_after_drop";
         {
-            let _s = global().span(name);
+            let _s = global().span(Stage::PipelineCollectTraining);
         }
         let process = global_metrics().snapshot();
         assert!(
-            span_samples(&process, name) >= 1,
+            span_samples(&process, Stage::PipelineCollectTraining) >= 1,
             "timing returns to the process registry after the session guard drops"
         );
         assert_eq!(
-            span_samples(&process, "obs.test.session_span"),
+            span_samples(&process, Stage::PipelineBuildContext),
             0,
             "a session's span must not leak into the process registry"
         );
@@ -758,12 +755,12 @@ mod tests {
         let stub = Arc::new(ObsSession::stubbed());
         {
             let _g = crate::session::install(Arc::clone(&stub));
-            let span = global().span("obs.test.stub_span");
+            let span = global().span(Stage::EstimateCustom);
             assert!(!span.time, "a sink session's spans are not timed");
         }
         assert_eq!(stub.capture(), crate::session::SessionCapture::default());
         assert_eq!(
-            span_samples(&global_metrics().snapshot(), "obs.test.stub_span"),
+            span_samples(&global_metrics().snapshot(), Stage::EstimateCustom),
             0,
             "stubbed-session span must not leak into the process registry"
         );

@@ -1,4 +1,4 @@
-//! The cellular RSSI fingerprinting scheme (Otsason et al. [22]).
+//! The cellular RSSI fingerprinting scheme (Otsason et al. \[22\]).
 //!
 //! "We use the same fingerprinting algorithm of RADAR on cellular GSM
 //! signals." Macro towers are far away and few, so accuracy is coarse —

@@ -1,7 +1,7 @@
-//! Crowdsourced radio-map construction (Zee [9] / LiFS [10] style).
+//! Crowdsourced radio-map construction (Zee \[9\] / LiFS \[10\] style).
 //!
 //! The paper *assumes* its fingerprint databases are kept fresh by "service
-//! providers or crowdsourcing [9], [10]". This module implements that
+//! providers or crowdsourcing \[9\], \[10\]". This module implements that
 //! assumption: instead of a surveyed grid, the WiFi database is built from
 //! ordinary walks — each scan is stamped with the walker's *estimated*
 //! position (e.g. from PDR) and a quality weight, nearby observations are

@@ -77,7 +77,7 @@ impl LocationEstimate {
 /// frames and emitting location estimates.
 ///
 /// Returning `None` means the scheme is unavailable this epoch (no GPS fix,
-/// no audible APs, ...) — UniLoc then "temporarily exclude[s]" it "by simply
+/// no audible APs, ...) — UniLoc then "temporarily exclude\[s\]" it "by simply
 /// setting its confidence as zero".
 ///
 /// `Send` is a supertrait: under the fleet scheduler a session (and every

@@ -1,6 +1,6 @@
-//! The sensor-data fusion scheme (Travi-Navi [11]).
+//! The sensor-data fusion scheme (Travi-Navi \[11\]).
 //!
-//! "We adopt the approach in [11] and assign different weights to the
+//! "We adopt the approach in \[11\] and assign different weights to the
 //! particles of motion-based PDR according to the RSSI distances between
 //! the online and offline RSSI vectors." The scheme is the PDR core plus a
 //! WiFi reweighting pass: the online scan is matched against the offline

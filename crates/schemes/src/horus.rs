@@ -1,4 +1,4 @@
-//! Horus-style probabilistic WiFi fingerprinting ([2] in the paper).
+//! Horus-style probabilistic WiFi fingerprinting (\[2\] in the paper).
 //!
 //! Where RADAR stores one RSSI sample per AP per location and matches by
 //! Euclidean distance, Horus "handles the temporal variation of signals by

@@ -4,10 +4,10 @@
 //! | Scheme | Paper reference | Module |
 //! |---|---|---|
 //! | GPS | phone GPS module | [`gps`] |
-//! | WiFi RSSI fingerprinting | RADAR [1] | [`wifi`] |
-//! | Cellular RSSI fingerprinting | Otsason et al. [22] | [`cell`] |
-//! | Motion-based PDR | Li et al. [7] + UnLoc [12] landmarks | [`pdr`] |
-//! | Sensor-data fusion | Travi-Navi [11] | [`fusion`] |
+//! | WiFi RSSI fingerprinting | RADAR \[1\] | [`wifi`] |
+//! | Cellular RSSI fingerprinting | Otsason et al. \[22\] | [`cell`] |
+//! | Motion-based PDR | Li et al. \[7\] + UnLoc \[12\] landmarks | [`pdr`] |
+//! | Sensor-data fusion | Travi-Navi \[11\] | [`fusion`] |
 //!
 //! All schemes implement [`LocalizationScheme`]; UniLoc "without going into
 //! the details of individual schemes, only processes the final outputs".

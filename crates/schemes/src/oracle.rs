@@ -5,29 +5,24 @@
 //! as its result" — the upper bound for any *selection* strategy, and the
 //! line UniLoc2 is shown to beat by combining rather than selecting.
 
-use crate::estimate::{LocationEstimate, SchemeId};
-use uniloc_geom::Point;
+use crate::estimate::SchemeId;
 
 /// Selects the best available scheme with ground-truth knowledge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Oracle;
 
 impl Oracle {
-    /// Picks the estimate closest to `truth` from the per-scheme outputs.
-    /// Returns `(scheme, its estimate, its error)` or `None` when no scheme
-    /// produced anything.
-    pub fn select(
-        estimates: &[(SchemeId, Option<LocationEstimate>)],
-        truth: Point,
-    ) -> Option<(SchemeId, LocationEstimate, f64)> {
-        estimates
+    /// Picks the scheme with the smallest ground-truth error from the
+    /// per-scheme errors (`None` for a scheme that produced nothing); the
+    /// first of equal errors wins. Returns `(scheme, its error)` or `None`
+    /// when no scheme produced anything.
+    pub fn select(errors: &[(SchemeId, Option<f64>)]) -> Option<(SchemeId, f64)> {
+        errors
             .iter()
-            .filter_map(|(id, est)| {
-                est.map(|e| (*id, e, e.position.distance(truth)))
-            })
+            .filter_map(|&(id, e)| Some((id, e?)))
             // `total_cmp` so a NaN error (poisoned estimate) ranks last
             // deterministically instead of panicking the walk.
-            .min_by(|a, b| a.2.total_cmp(&b.2))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
@@ -37,31 +32,25 @@ mod tests {
 
     #[test]
     fn picks_minimum_error_scheme() {
-        let truth = Point::new(10.0, 10.0);
-        let est = vec![
-            (SchemeId::Gps, Some(LocationEstimate::at(Point::new(25.0, 10.0)))),
-            (SchemeId::Wifi, Some(LocationEstimate::at(Point::new(12.0, 10.0)))),
-            (SchemeId::Motion, Some(LocationEstimate::at(Point::new(10.0, 16.0)))),
+        let errors = [
+            (SchemeId::Gps, Some(15.0)),
+            (SchemeId::Wifi, Some(2.0)),
+            (SchemeId::Cellular, Some(f64::NAN)),
+            (SchemeId::Motion, Some(6.0)),
+            (SchemeId::Fusion, Some(2.0)),
         ];
-        let (id, _, err) = Oracle::select(&est, truth).unwrap();
-        assert_eq!(id, SchemeId::Wifi);
-        assert!((err - 2.0).abs() < 1e-12);
+        assert_eq!(Oracle::select(&errors), Some((SchemeId::Wifi, 2.0)), "first tie wins");
     }
 
     #[test]
     fn skips_unavailable_schemes() {
-        let truth = Point::origin();
-        let est = vec![
-            (SchemeId::Gps, None),
-            (SchemeId::Cellular, Some(LocationEstimate::at(Point::new(30.0, 0.0)))),
-        ];
-        let (id, _, _) = Oracle::select(&est, truth).unwrap();
-        assert_eq!(id, SchemeId::Cellular);
+        let errors = [(SchemeId::Gps, None), (SchemeId::Cellular, Some(30.0))];
+        assert_eq!(Oracle::select(&errors), Some((SchemeId::Cellular, 30.0)));
     }
 
     #[test]
     fn none_when_nothing_available() {
-        let est = vec![(SchemeId::Gps, None), (SchemeId::Wifi, None)];
-        assert!(Oracle::select(&est, Point::origin()).is_none());
+        let errors = [(SchemeId::Gps, None), (SchemeId::Wifi, None)];
+        assert!(Oracle::select(&errors).is_none());
     }
 }

@@ -1,10 +1,10 @@
-//! The motion-based PDR scheme (Li et al. [7] with UnLoc-style landmarks).
+//! The motion-based PDR scheme (Li et al. \[7\] with UnLoc-style landmarks).
 //!
 //! The scheme "infers the walking model (i.e., step count, step length and
 //! walking orientation) from the readings of inertial sensors and uses a
 //! particle filter to incorporate the map constraints (e.g., path edges and
 //! walls). We also detect more landmarks (e.g., turns, doors and
-//! signatures) [12] for calibration." 300 particles are maintained per step;
+//! signatures) \[12\] for calibration." 300 particles are maintained per step;
 //! particles whose step crosses a wall die; a recognized landmark reweights
 //! the cloud around the landmark's known position, resetting accumulated
 //! drift (which is why the error model's `beta_1` is *distance from the

@@ -1,4 +1,4 @@
-//! The WiFi RSSI fingerprinting scheme (RADAR [1]).
+//! The WiFi RSSI fingerprinting scheme (RADAR \[1\]).
 //!
 //! "We calculate the Euclidean distances between an online measured RSSI
 //! vector and all offline fingerprints, and find the location with the

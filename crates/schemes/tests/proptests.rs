@@ -7,7 +7,6 @@ use uniloc_geom::Point;
 use uniloc_rng::check::Checker;
 use uniloc_rng::{require, require_eq, Rng};
 use uniloc_schemes::fingerprint::FingerprintDb;
-use uniloc_schemes::LocationEstimate;
 use uniloc_schemes::{Oracle, RadioMapBuilder, SchemeId};
 use uniloc_sensors::WifiScan;
 
@@ -156,19 +155,16 @@ fn oracle_is_a_lower_bound() {
                 SchemeId::Motion,
                 SchemeId::Fusion,
             ];
-            let inputs: Vec<(SchemeId, Option<LocationEstimate>)> = est
+            let inputs: Vec<(SchemeId, Option<f64>)> = est
                 .iter()
                 .enumerate()
-                .map(|(i, e)| {
-                    (ids[i], e.map(|(x, y)| LocationEstimate::at(Point::new(x, y))))
-                })
+                .map(|(i, e)| (ids[i], e.map(|(x, y)| Point::new(x, y).distance(*truth))))
                 .collect();
-            match Oracle::select(&inputs, *truth) {
-                Some((_, _, best)) => {
-                    for (_, e) in &inputs {
-                        if let Some(e) = e {
-                            require!(best <= e.position.distance(*truth) + 1e-9);
-                        }
+            match Oracle::select(&inputs) {
+                Some((id, best)) => {
+                    require!(inputs.contains(&(id, Some(best))));
+                    for e in inputs.iter().filter_map(|(_, e)| *e) {
+                        require!(best <= e);
                     }
                 }
                 None => require!(inputs.iter().all(|(_, e)| e.is_none())),

@@ -1,7 +1,7 @@
 //! Online RSSI offset calibration across heterogeneous devices.
 //!
 //! The fingerprint database is collected with one phone; a user with a
-//! different phone sees shifted RSSIs. The paper follows [38]: learn an
+//! different phone sees shifted RSSIs. The paper follows \[38\]: learn an
 //! affine transfer `rssi_ref = alpha * rssi_dev + delta` online from paired
 //! observations (the device's reading vs. the best-matching fingerprint
 //! reading) and apply it before matching. Fig. 8d shows this recovering most

@@ -618,7 +618,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 }
 
 /// Extracts and converts an object field — the building block used by
-/// [`impl_json_struct!`].
+/// [`impl_json_struct!`](crate::impl_json_struct).
 pub fn field<T: FromJson>(json: &Json, name: &str) -> Result<T, JsonError> {
     field_with(json, name, T::from_json)
 }

@@ -58,6 +58,10 @@ echo "==> cargo test -q --workspace (offline)"
 cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets (offline, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc resolves every intra-doc link: a renamed or deleted item cannot
+# leave a dangling link behind, and a paper citation is written `\[N\]`.
+echo "==> cargo doc --workspace --no-deps (offline, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The examples are the public API's only in-repo callers outside the
 # tests, and `cargo test` builds them without running them.

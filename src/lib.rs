@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`core`] | `uniloc-core` | error modeling, confidence, UniLoc1/UniLoc2 engines, pipeline, energy & response models |
 //! | [`schemes`] | `uniloc-schemes` | GPS, WiFi/cellular fingerprinting, PDR, fusion, oracle |
-//! | [`env`] | `uniloc-env` | simulated venues, radio propagation, walker trajectories |
+//! | [`mod@env`] | `uniloc-env` | simulated venues, radio propagation, walker trajectories |
 //! | [`sensors`] | `uniloc-sensors` | device profiles, scans, GPS fixes, IMU pipeline |
 //! | [`filters`] | `uniloc-filters` | particle filter, Kalman filter, 2nd-order HMM |
 //! | [`faults`] | `uniloc-faults` | deterministic fault injection: scripted sensor-fault schedules |
