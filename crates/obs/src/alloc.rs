@@ -439,20 +439,34 @@ mod tests {
     }
 
     #[test]
-    fn every_stage_round_trips_and_hangs_off_a_root() {
-        for (i, &(stage, histogram, parent)) in STAGE_TABLE.iter().enumerate() {
+    fn stage_names_round_trip_and_unknown_names_match_none() {
+        for (i, &(stage, histogram, _)) in STAGE_TABLE.iter().enumerate() {
             assert_eq!(stage as usize, i, "the table is in discriminant order");
             assert_eq!(Stage::named(stage.name()), Some(stage));
             assert_eq!(histogram, format!("span.{}", stage.name()));
+        }
+        // There is no catch-all stage: per-id custom names and the old
+        // `other` bucket are outside the table.
+        assert_eq!(Stage::named("scheme.estimate.custom3"), None);
+        assert_eq!(Stage::named("other"), None);
+        assert_eq!(Stage::named(""), None);
+    }
+
+    #[test]
+    fn span_parents_follow_the_stage_table() {
+        assert_eq!(Stage::EngineUpdate.parent(), None);
+        assert_eq!(Stage::EngineFuse.parent(), Some(Stage::EngineUpdate));
+        assert_eq!(Stage::EstimateWifi.parent(), Some(Stage::EngineUpdate));
+        // Every custom scheme's estimate opens inside the update scope too.
+        assert_eq!(Stage::EstimateCustom.parent(), Some(Stage::EngineUpdate));
+        assert_eq!(Stage::PipelineRunWalk.parent(), None);
+        // Every parent is itself a root stage.
+        for &(stage, _, parent) in &STAGE_TABLE {
             assert_eq!(stage.parent(), parent);
             if let Some(parent) = parent {
                 assert_eq!(parent.parent(), None, "{} nests too deep", stage.name());
             }
         }
-        assert_eq!(Stage::EstimateWifi.parent(), Some(Stage::EngineUpdate));
-        assert_eq!(Stage::named("scheme.estimate.custom3"), None);
-        assert_eq!(Stage::named("other"), None);
-        assert_eq!(Stage::named(""), None);
     }
 
     #[test]
