@@ -20,10 +20,11 @@
 //! holds this at jobs ∈ {1, 2, 4, 8}).
 
 use uniloc_core::error_model::ErrorModelSet;
-use uniloc_core::parallel::{run_observed, MergedObs};
+use uniloc_core::parallel::run_observed;
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_env::{campus, venues, Scenario};
 use uniloc_faults::{FaultInjector, FaultPlan};
+use uniloc_obs::SessionCapture;
 use uniloc_stats::json::{float, Json, ToJson};
 
 /// Resolves the CLI scenario vocabulary (`path1`..`path8`, `mall`,
@@ -141,7 +142,7 @@ impl ChaosReport {
 pub struct ChaosSweep {
     pub reports: Vec<ChaosReport>,
     pub violations: Vec<String>,
-    pub obs: MergedObs,
+    pub obs: SessionCapture,
 }
 
 /// Per-scenario output of phase A: the frame stream every cell replays and
@@ -204,7 +205,7 @@ pub fn run_sweep(
     });
 
     let mut obs = obs_a;
-    obs.absorb(&obs_b).map_err(|e| format!("observability merge failed: {e}"))?;
+    obs.merge(&obs_b).map_err(|e| format!("observability merge failed: {e}"))?;
 
     // Assemble reports and the violation list in canonical cell order.
     let mut outcomes = outcomes.into_iter();

@@ -693,9 +693,9 @@ pub fn run_fleet_durable(
     }
     // The dump cap is per-run: earlier runs in this process (another fleet
     // round, a solo walk, a test) must not starve this fleet's postmortem
-    // budget on the process-wide recorder. (Session postmortems budget on
-    // each walker's own isolated recorder, so this cannot perturb
-    // resume byte-identity.)
+    // budget on the process session's recorder. (Session postmortems
+    // budget on each walker's own isolated recorder, so this cannot
+    // perturb resume byte-identity.)
     uniloc_obs::process_flight().rearm_dumps();
     let resident_cap = if cfg.resident == 0 { 64 } else { cfg.resident };
     let mut scheduler = FleetScheduler::new(cfg.jobs, base.epoch_interval, resident_cap);

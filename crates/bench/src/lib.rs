@@ -14,20 +14,22 @@ use std::sync::Arc;
 use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_env::Scenario;
-use uniloc_obs::{StderrSubscriber, TraceLevel};
+use uniloc_obs::{MonotonicClock, ObsSession, StderrSubscriber, TraceLevel};
 use uniloc_schemes::SchemeId;
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
 use uniloc_stats::{percentile, Ecdf};
 
-/// Installs a stderr progress subscriber at `Info` so the regenerators'
-/// `uniloc_obs::info!` progress lines are visible; set `UNILOC_QUIET=1` to
-/// suppress them. Every `src/bin/` regenerator calls this first.
+/// Sets the process obs session to one that prints progress to stderr at
+/// `Info`, so the regenerators' `uniloc_obs::info!` lines are visible; set
+/// `UNILOC_QUIET=1` to suppress them. Every `src/bin/` regenerator calls
+/// this first.
 pub fn init_obs() {
     if std::env::var_os("UNILOC_QUIET").is_some_and(|v| v == "1") {
         return;
     }
-    uniloc_obs::global()
-        .set_subscriber(Some(Arc::new(StderrSubscriber::new(TraceLevel::Info))));
+    let progress = Arc::new(StderrSubscriber::new(TraceLevel::Info));
+    let session = ObsSession::streaming(None, Some(progress), Arc::new(MonotonicClock::new()));
+    uniloc_obs::session::set_process(session);
 }
 
 /// Worker count for the regenerators: `UNILOC_JOBS` when set (≥ 1), else
@@ -45,7 +47,7 @@ pub fn jobs_from_env() -> usize {
 /// Runs one [`pipeline::run_walk`] per `(scenario, cfg, seed)` triple on
 /// up to [`jobs_from_env`] workers, returning records in input order.
 /// Each walk executes under an isolated observability session, so worker
-/// telemetry never lands in the process registry.
+/// telemetry never lands in the process session.
 pub fn run_walks_parallel(
     walks: &[(Scenario, PipelineConfig, u64)],
     models: &ErrorModelSet,

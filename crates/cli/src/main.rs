@@ -29,7 +29,8 @@ use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::pipeline::{self, PipelineConfig};
 use uniloc_iodetect::IoState;
 use uniloc_obs::{
-    JsonlExporter, MultiSubscriber, StderrSubscriber, Subscriber, TraceLevel, VirtualClock,
+    Clock, JsonlExporter, MonotonicClock, ObsSession, StderrSubscriber, Subscriber, TraceLevel,
+    VirtualClock,
 };
 use uniloc_schemes::SchemeId;
 use uniloc_sensors::DeviceProfile;
@@ -119,13 +120,12 @@ const COMMANDS: &[(&str, &[&str])] = &[
 /// ([`init_obs`]).
 const GLOBAL_FLAGS: &[&str] = &["quiet", "metrics", "trace-level", "virtual-clock"];
 
-/// Configures the global `uniloc-obs` dispatcher from the flags: a stderr
-/// progress printer (unless `--quiet`), a JSONL exporter when `--metrics
-/// FILE` is given (returned so `cmd_run` can append the metrics snapshot),
-/// the flight recorder (whose postmortems go to the same exporter), and a
+/// Sets the trace level and the process obs session from the flags: a
+/// stderr progress printer (unless `--quiet`), a JSONL exporter when
+/// `--metrics FILE` is given (returned so `cmd_run` can append the metrics
+/// snapshot; the session's flight postmortems go to it too), and a
 /// deterministic [`VirtualClock`] under `--virtual-clock`.
 fn init_obs(flags: &BTreeMap<String, String>) -> Result<Option<Arc<JsonlExporter>>, String> {
-    let quiet = flags.contains_key("quiet");
     let exporter = match flags.get("metrics") {
         Some(path) => Some(Arc::new(
             JsonlExporter::to_file(path).map_err(|e| format!("create {path}: {e}"))?,
@@ -138,28 +138,15 @@ fn init_obs(flags: &BTreeMap<String, String>) -> Result<Option<Arc<JsonlExporter
         None if exporter.is_some() => Some(TraceLevel::Span),
         None => Some(TraceLevel::Info),
     };
-    let mut subs: Vec<Arc<dyn Subscriber>> = Vec::new();
-    if !quiet {
-        subs.push(Arc::new(StderrSubscriber::new(TraceLevel::Info)));
-    }
-    if let Some(e) = &exporter {
-        subs.push(Arc::clone(e) as Arc<dyn Subscriber>);
-    }
-    // The flight recorder rides the subscriber chain so its ring always
-    // holds the recent window; postmortems land in the metrics sidecar.
-    let flight = uniloc_obs::global_flight();
-    flight.set_sink(exporter.clone());
-    subs.push(Arc::clone(&flight) as Arc<dyn Subscriber>);
-    let d = uniloc_obs::global();
-    d.set_level(level);
-    d.set_subscriber(match subs.len() {
-        0 => None,
-        1 => Some(subs.pop().expect("one subscriber")),
-        _ => Some(Arc::new(MultiSubscriber::new(subs))),
-    });
-    if flags.contains_key("virtual-clock") {
-        d.set_clock(Arc::new(VirtualClock::new()));
-    }
+    let progress = (!flags.contains_key("quiet"))
+        .then(|| Arc::new(StderrSubscriber::new(TraceLevel::Info)) as Arc<dyn Subscriber>);
+    let clock: Arc<dyn Clock> = if flags.contains_key("virtual-clock") {
+        Arc::new(VirtualClock::new())
+    } else {
+        Arc::new(MonotonicClock::new())
+    };
+    uniloc_obs::global().set_level(level);
+    uniloc_obs::session::set_process(ObsSession::streaming(exporter.clone(), progress, clock));
     Ok(exporter)
 }
 

@@ -152,12 +152,8 @@ struct EpochScratch {
     nonfinite: Vec<bool>,
     /// Predictions of available, participating schemes (adaptive tau).
     usable: Vec<ErrorPrediction>,
-    /// Non-GPS `(id, has_features)` pairs, index-aligned with `feats`.
-    prelim: Vec<(SchemeId, bool)>,
-    /// Non-GPS feature vectors, index-aligned with `prelim`.
-    feats: Vec<Vec<f64>>,
-    /// GPS feature vector.
-    gps_feats: Vec<f64>,
+    /// The feature vector of the scheme being predicted.
+    feats: Vec<f64>,
     /// Fingerprint-lookup scratch for feature extraction.
     matches: Vec<uniloc_schemes::FingerprintMatch>,
 }
@@ -436,50 +432,32 @@ impl UniLocEngine {
         self.last_io = io;
         self.extractor.begin_epoch(frame);
 
-        // GPS duty cycling: predict GPS error without the receiver and
-        // compare with every other scheme's prediction.
+        // Predict every scheme's error before any scheme runs, into the
+        // epoch's reports. GPS duty cycling: predict GPS error without the
+        // receiver and compare with every other scheme's prediction. The
+        // reports are reserved first, so their growth is `engine.update`'s.
+        let mut reports = std::mem::take(&mut self.reports_pool);
+        reports.clear();
+        reports.reserve(self.schemes.len());
         let predict_span = obs.span(Stage::EnginePredict);
-        let has_gps_feats = self.extractor.features_into(
-            &self.ctx,
-            SchemeId::Gps,
-            io,
-            frame,
-            None,
-            &mut scratch.matches,
-            &mut scratch.gps_feats,
-        );
-        let gps_prediction = if has_gps_feats {
-            self.models.predict(SchemeId::Gps, io, &scratch.gps_feats)
-        } else {
-            None
+        let mut predict = |id: SchemeId| {
+            let (matches, feats) = (&mut scratch.matches, &mut scratch.feats);
+            let has = self.extractor.features_into(&self.ctx, id, io, frame, None, matches, feats);
+            if has {
+                self.models.predict(id, io, feats)
+            } else {
+                None
+            }
         };
+        let gps_prediction = predict(SchemeId::Gps);
         let mut non_gps_best = f64::INFINITY;
-        scratch.prelim.clear();
-        let mut j = 0usize;
         for s in &self.schemes {
             let id = s.id();
-            if id == SchemeId::Gps {
-                continue;
+            let prediction = if id == SchemeId::Gps { gps_prediction } else { predict(id) };
+            if id != SchemeId::Gps {
+                non_gps_best = prediction.map_or(non_gps_best, |p| non_gps_best.min(p.mean));
             }
-            if scratch.feats.len() <= j {
-                scratch.feats.push(Vec::new());
-            }
-            let has = self.extractor.features_into(
-                &self.ctx,
-                id,
-                io,
-                frame,
-                None,
-                &mut scratch.matches,
-                &mut scratch.feats[j],
-            );
-            if has {
-                if let Some(p) = self.models.predict(id, io, &scratch.feats[j]) {
-                    non_gps_best = non_gps_best.min(p.mean);
-                }
-            }
-            scratch.prelim.push((id, has));
-            j += 1;
+            reports.push(SchemeReport { id, estimate: None, prediction, confidence: 0.0, weight: 0.0 });
         }
         let gps_enabled = match gps_prediction {
             Some(p) => p.mean <= non_gps_best || !non_gps_best.is_finite(),
@@ -488,19 +466,15 @@ impl UniLocEngine {
         drop(predict_span);
 
         // Run every scheme on the full frame (schemes execute
-        // independently, as in the paper's Section II) and assemble
-        // (estimate, prediction). The duty-cycling policy governs only
-        // whether *UniLoc* powers the receiver and lets GPS participate in
-        // the ensemble; the standalone scheme's output is still reported
-        // for evaluation.
-        let mut reports = std::mem::take(&mut self.reports_pool);
-        reports.clear();
-        reports.reserve(self.schemes.len());
+        // independently, as in the paper's Section II) and fill in each
+        // report's estimate. The duty-cycling policy governs only whether
+        // *UniLoc* powers the receiver and lets GPS participate in the
+        // ensemble; the standalone scheme's output is still reported for
+        // evaluation.
         scratch.posterior_means.clear();
         scratch.nonfinite.clear();
         scratch.nonfinite.resize(self.schemes.len(), false);
         for (idx, s) in self.schemes.iter_mut().enumerate() {
-            let id = s.id();
             let estimate = {
                 let _s = obs.span(self.names[idx].estimate_span);
                 s.update(frame)
@@ -535,22 +509,7 @@ impl UniLocEngine {
             scratch
                 .posterior_means
                 .push(if estimate.is_some() { s.posterior_mean() } else { None });
-            let prediction = if id == SchemeId::Gps {
-                gps_prediction
-            } else {
-                scratch
-                    .prelim
-                    .iter()
-                    .position(|&(pid, _)| pid == id)
-                    .and_then(|k| {
-                        if scratch.prelim[k].1 {
-                            self.models.predict(id, io, &scratch.feats[k])
-                        } else {
-                            None
-                        }
-                    })
-            };
-            reports.push(SchemeReport { id, estimate, prediction, confidence: 0.0, weight: 0.0 });
+            reports[idx].estimate = estimate;
         }
         let participates = |r: &SchemeReport| {
             (r.id != SchemeId::Gps || gps_enabled) && !excluded_now.contains(&r.id)
@@ -787,25 +746,23 @@ impl UniLocEngine {
                     frozen = true;
                     metrics.counter("engine.watchdog.frozen").inc();
                     if self.frozen_streak == trip::FROZEN_EPOCHS {
-                        flight.trigger(
-                            "watchdog_frozen",
+                        flight.trigger("watchdog_frozen", || {
                             vec![
                                 ("t".to_owned(), frame.t.into()),
                                 ("epochs".to_owned(), i64::from(self.frozen_streak).into()),
-                            ],
-                        );
+                            ]
+                        });
                     }
                 }
                 let dt = frame.t - pt;
                 if dt > 1e-3 && moved / dt > trip::FUSED_TELEPORT_SPEED_M_S {
                     metrics.counter("engine.watchdog.teleport").inc();
-                    flight.trigger(
-                        "watchdog_teleport",
+                    flight.trigger("watchdog_teleport", || {
                         vec![
                             ("t".to_owned(), frame.t.into()),
                             ("speed_m_s".to_owned(), (moved / dt).into()),
-                        ],
-                    );
+                        ]
+                    });
                 }
             }
             self.prev_fused = Some((frame.t, f));

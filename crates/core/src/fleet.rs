@@ -538,7 +538,7 @@ impl Active {
                 name: format!("lane{:05}", self.lane),
                 epochs: 0,
                 records: Vec::new(),
-                capture: ObsSession::isolated().capture(),
+                capture: SessionCapture::default(),
                 poisoned: Some(failure),
             },
         }

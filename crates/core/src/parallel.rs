@@ -12,8 +12,8 @@
 //!   inline on the caller's thread with no pool at all, preserving the
 //!   historical single-threaded code path bit for bit.
 //! * [`run_observed`] — same, but each job runs under an isolated
-//!   [`ObsSession`] whose metrics/calibration/flight captures are folded
-//!   into one [`MergedObs`] in ascending job order. Sessions are
+//!   [`ObsSession`] whose metrics/calibration/flight captures merge into
+//!   one [`SessionCapture`] in ascending job order. Sessions are
 //!   installed at *every* job count (including 1) so the merged sidecar
 //!   is invariant in the worker count by construction.
 //! * [`run_ordered_mut`] — the one scoped worker pool: jobs own and mutate
@@ -33,8 +33,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use uniloc_obs::calib::CalibrationSnapshot;
-use uniloc_obs::metrics::MetricsSnapshot;
 use uniloc_obs::session::{self, ObsSession, SessionCapture};
 
 /// Which pool-boundary invariant broke.
@@ -117,39 +115,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 
 fn pool_invariant(job: usize, phase: &'static str, kind: PoolErrorKind) -> ! {
     panic!("{}", PoolError { job, lane: None, phase, kind })
-}
-
-/// Observability output of a parallel sweep, folded in job order.
-///
-/// Merge semantics (all deterministic in job order, never arrival order):
-/// counters add; gauges take the *latest job's* value; histograms merge
-/// bucket-wise; calibration cells merge count-weighted; flight-recorder
-/// dump lines concatenate.
-#[derive(Debug, Clone, Default)]
-pub struct MergedObs {
-    pub metrics: MetricsSnapshot,
-    pub calibration: CalibrationSnapshot,
-    pub flight_lines: Vec<String>,
-}
-
-impl MergedObs {
-    /// Fold `cap` (the capture of the *next* job in canonical order) into
-    /// this accumulator.
-    pub fn fold(&mut self, cap: &SessionCapture) -> Result<(), String> {
-        self.metrics = self.metrics.merge(&cap.metrics)?;
-        self.calibration = self.calibration.merge(&cap.calibration)?;
-        self.flight_lines.extend(cap.flight_lines.iter().cloned());
-        Ok(())
-    }
-
-    /// Fold another already-merged accumulator (e.g. a later sweep
-    /// phase's output) after this one.
-    pub fn absorb(&mut self, later: &MergedObs) -> Result<(), String> {
-        self.metrics = self.metrics.merge(&later.metrics)?;
-        self.calibration = self.calibration.merge(&later.calibration)?;
-        self.flight_lines.extend(later.flight_lines.iter().cloned());
-        Ok(())
-    }
 }
 
 /// Execute `f(index, item)` for every item, on up to `jobs` worker
@@ -282,13 +247,14 @@ where
 
 /// Like [`run_ordered`], but each job runs under an isolated
 /// [`ObsSession`]: its metrics, calibration feed and flight-recorder
-/// output land in per-job private state instead of the process globals,
-/// then merge into one [`MergedObs`] in ascending job order.
+/// output land in per-job private state instead of the process session,
+/// then merge into one [`SessionCapture`] in ascending job order
+/// ([`SessionCapture::merge`]).
 ///
 /// The session is installed for every job at every worker count, so the
 /// merged sidecar is a pure function of the job list — independent of
 /// `jobs` — by construction.
-pub fn run_observed<I, T, F>(items: &[I], jobs: usize, f: F) -> (Vec<T>, MergedObs)
+pub fn run_observed<I, T, F>(items: &[I], jobs: usize, f: F) -> (Vec<T>, SessionCapture)
 where
     I: Sync,
     T: Send,
@@ -303,10 +269,10 @@ where
         (out, cap)
     });
     let mut results = Vec::with_capacity(wrapped.len());
-    let mut merged = MergedObs::default();
+    let mut merged = SessionCapture::default();
     for (out, cap) in wrapped {
         merged
-            .fold(&cap)
+            .merge(&cap)
             .unwrap_or_else(|e| panic!("observability merge failed: {e}"));
         results.push(out);
     }
@@ -408,7 +374,8 @@ mod tests {
 
     #[test]
     fn run_observed_keeps_worker_metrics_out_of_process_registry() {
-        let before = uniloc_obs::process_metrics()
+        let before = session::process()
+            .metrics
             .snapshot()
             .counters
             .iter()
@@ -419,7 +386,8 @@ mod tests {
         let (_, obs) = run_observed(&items, 3, |_, _| {
             uniloc_obs::global_metrics().counter("par.test.leak").inc();
         });
-        let after = uniloc_obs::process_metrics()
+        let after = session::process()
+            .metrics
             .snapshot()
             .counters
             .iter()

@@ -24,10 +24,10 @@
 //! `Session::step` is a verbatim extraction of the historical loop body:
 //! for the same engine state and frame it performs the same engine update,
 //! the same metric/calibration/flight calls in the same order, and returns
-//! the same [`EpochRecord`]. The observability handles are resolved
-//! per-step through the `uniloc_obs::global_*` accessors, so the effects
-//! land wherever the *calling thread* points — the process singletons on
-//! the legacy path, the session's private
+//! the same [`EpochRecord`]. The observability session is resolved
+//! once per step ([`uniloc_obs::session::current`]), so the effects land
+//! wherever the *calling thread* points — the process session on the
+//! legacy path, the session's private
 //! [`ObsSession`](uniloc_obs::ObsSession) under the fleet scheduler. The
 //! names they carry are built once, so a steady step allocates its record.
 
@@ -125,13 +125,11 @@ impl Session {
     /// record. This is the historical `run_walk_on_frames` loop body,
     /// verbatim — see the module docs.
     pub fn step(&mut self, frame: &uniloc_sensors::SensorFrame) -> EpochRecord {
-        let obs = uniloc_obs::global();
-        let metrics = uniloc_obs::global_metrics();
-        let calib = uniloc_obs::global_calibration();
-        let flight = uniloc_obs::global_flight();
+        let obs = uniloc_obs::session::current();
+        let (metrics, calib, flight) = (&obs.metrics, &obs.calibration, &obs.flight);
         // Under a VirtualClock the sidecar's timestamps follow simulation
         // time; under the default MonotonicClock this is a no-op.
-        obs.sync_virtual_clock(frame.t);
+        uniloc_obs::global().sync_virtual_clock(frame.t);
         // Tell the allocation observatory which epoch this is *before* any
         // span opens: epochs past the warmup window count toward the
         // steady-state allocs-per-epoch meter. A no-op unless the calling
@@ -153,13 +151,12 @@ impl Session {
             let run = if r.estimate.is_some() { 0 } else { track.unavailable_run + 1 };
             track.unavailable_run = run;
             if run == UNAVAILABLE_THRESHOLD {
-                flight.trigger(
-                    "scheme_unavailable",
+                flight.trigger("scheme_unavailable", || {
                     vec![
                         ("scheme".to_owned(), track.name.as_str().into()),
                         ("t".to_owned(), frame.t.into()),
-                    ],
-                );
+                    ]
+                });
             }
             if let (Some(p), Some(e)) = (r.prediction, r.estimate) {
                 let realized = e.position.distance(truth);
@@ -169,16 +166,15 @@ impl Session {
                 if let Some(alarm) =
                     calib.observe(&track.name, out.io.as_str(), p.mean, p.sigma, realized)
                 {
-                    flight.trigger(
-                        "calibration_drift",
+                    flight.trigger("calibration_drift", || {
                         vec![
                             ("scheme".to_owned(), alarm.scheme.into()),
                             ("io".to_owned(), alarm.io.into()),
                             ("direction".to_owned(), alarm.direction.into()),
                             ("statistic".to_owned(), alarm.statistic.into()),
                             ("t".to_owned(), frame.t.into()),
-                        ],
-                    );
+                        ]
+                    });
                 }
             }
         }
@@ -189,7 +185,7 @@ impl Session {
             .flatten()
             .any(|p| !p.x.is_finite() || !p.y.is_finite())
         {
-            flight.trigger("non_finite_estimate", vec![("t".to_owned(), frame.t.into())]);
+            flight.trigger("non_finite_estimate", || vec![("t".to_owned(), frame.t.into())]);
         }
         let estimates: Vec<(SchemeId, Option<Point>)> = out
             .reports

@@ -15,8 +15,11 @@
 //! observatory's pause guard, so [`uniloc_obs::alloc::thread_allocs`]
 //! counts everything `Session::step` allocates on its thread around each
 //! call. A steady step allocates exactly the four vectors of its
-//! [`EpochRecord`](uniloc_core::pipeline::EpochRecord), under full and
-//! under stubbed observability alike.
+//! [`EpochRecord`](uniloc_core::pipeline::EpochRecord): every steady step
+//! under stubbed observability, whose disabled flight recorder never
+//! builds a trigger's fields, and the median steady step under full
+//! observability, where an epoch that dumps a postmortem also allocates
+//! the dump.
 //!
 //! This is a regression tripwire, not a benchmark: a new `Vec`, `format!`
 //! or `clone()` inside a span shows up as a nonzero steady count with its
@@ -123,10 +126,9 @@ fn steady_state_epoch_loop_is_allocation_free() {
 #[test]
 fn stubbed_step_allocates_only_its_record() {
     let per_step = walk(&Arc::new(ObsSession::stubbed()));
-    let median = steady_median(&per_step);
-    assert_eq!(
-        median, RECORD_ALLOCS,
-        "a steady step under stubbed obs allocated {median} time(s), not just its record; \
-         per step: {per_step:?}"
+    let steady = &per_step[STEADY_WARMUP_EPOCHS as usize..];
+    assert!(
+        steady.iter().all(|&n| n == RECORD_ALLOCS),
+        "a steady step under stubbed obs allocated more than its record; per step: {per_step:?}"
     );
 }

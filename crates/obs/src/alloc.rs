@@ -20,7 +20,8 @@
 //! thread-local depth check. `Dispatcher::span` pushes its [`Stage`] at
 //! span open and snapshots that stage's slots; `SpanGuard::drop`
 //! pops, computes deltas and flushes them into `alloc.*` counters in the
-//! active metrics registry — self (exclusive) accounting, since a nested
+//! registry of the session the span opened in — self (exclusive)
+//! accounting, since a nested
 //! span's allocations land in the nested stage's slots, not the parent's.
 //!
 //! Tracking is opted into per
@@ -52,7 +53,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use crate::metrics::global_metrics;
+use crate::metrics::MetricsRegistry;
 
 /// Epochs a session must serve before its allocations count as steady
 /// state. Warmup epochs grow caches, ring buffers and per-session state;
@@ -214,10 +215,10 @@ pub fn span_open(stage: Stage) -> Option<SpanToken> {
 }
 
 /// Closes an attribution frame: pops the stack and flushes this frame's
-/// exact deltas into `alloc.*` counters in the active metrics registry
-/// (which is the installed session's registry inside a fleet worker).
-/// Callers hold a [`pause`] guard across the call.
-pub fn span_close(token: SpanToken) {
+/// exact deltas into `alloc.*` counters in `metrics` (the registry of the
+/// session the span opened in). Callers hold a [`pause`] guard across the
+/// call.
+pub fn span_close(token: SpanToken, metrics: &MetricsRegistry) {
     let flush = TLS.try_with(|t| {
         let depth = t.depth.get();
         t.depth.set(depth.saturating_sub(1));
@@ -229,12 +230,11 @@ pub fn span_close(token: SpanToken) {
     if delta == [0; SLOTS_PER_STAGE] {
         return;
     }
-    let m = global_metrics();
     for (column, n) in ALLOC_COLUMNS.into_iter().zip(delta).filter(|&(_, n)| n > 0) {
-        m.counter(&format!("alloc.{column}.{}", token.stage.name())).add(n);
+        metrics.counter(&format!("alloc.{column}.{}", token.stage.name())).add(n);
     }
     if steady && delta[0] > 0 {
-        m.counter("alloc.steady.allocs").add(delta[0]);
+        metrics.counter("alloc.steady.allocs").add(delta[0]);
     }
 }
 
@@ -243,14 +243,15 @@ pub fn span_close(token: SpanToken) {
 /// into `alloc.steady_epochs`. A no-op unless the installed session opts
 /// into tracking.
 pub fn epoch_phase(epoch_index: u64) {
-    if !crate::session::current().is_some_and(|s| s.alloc_tracking) {
+    let session = crate::session::current();
+    if !session.alloc_tracking {
         return;
     }
     let steady = epoch_index >= STEADY_WARMUP_EPOCHS;
     let _ = TLS.try_with(|t| t.steady.set(steady));
     if steady {
         let _pause = pause();
-        global_metrics().counter("alloc.steady_epochs").inc();
+        session.metrics.counter("alloc.steady_epochs").inc();
     }
 }
 

@@ -32,7 +32,7 @@
 //! `uniloc_stats::json`.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::metrics::global_metrics;
 use crate::trace::{FieldValue, TraceLevel};
@@ -279,8 +279,8 @@ pub struct CalibrationMonitor {
     z_quantiles: Vec<f64>,
     /// Sorted by `(scheme, io)`: a lookup borrows the key, never copies it.
     cells: Mutex<Vec<((String, String), Cell)>>,
-    /// Obs-stub switch: a disabled monitor ignores observations entirely.
-    disabled: std::sync::atomic::AtomicBool,
+    /// The obs-stub mode: a disabled monitor ignores observations entirely.
+    disabled: bool,
 }
 
 impl Default for CalibrationMonitor {
@@ -289,16 +289,16 @@ impl Default for CalibrationMonitor {
         CalibrationMonitor {
             z_quantiles: QUANTILES.iter().map(|&q| std.quantile(q)).collect(),
             cells: Mutex::new(Vec::new()),
-            disabled: std::sync::atomic::AtomicBool::new(false),
+            disabled: false,
         }
     }
 }
 
 impl CalibrationMonitor {
-    /// Disables (or re-enables) the monitor: observations become no-ops
-    /// and never alarm. The obs-stub mode's switch.
-    pub fn set_disabled(&self, disabled: bool) {
-        self.disabled.store(disabled, std::sync::atomic::Ordering::Relaxed);
+    /// A disabled monitor: observations are no-ops and never alarm. The
+    /// obs-stub mode's monitor.
+    pub(crate) fn disabled() -> Self {
+        CalibrationMonitor { disabled: true, ..CalibrationMonitor::default() }
     }
 
     /// Absorbs one observation: scheme `scheme` in environment `io`
@@ -317,7 +317,7 @@ impl CalibrationMonitor {
         predicted_sigma: f64,
         realized: f64,
     ) -> Option<DriftAlarm> {
-        if self.disabled.load(std::sync::atomic::Ordering::Relaxed) {
+        if self.disabled {
             return None;
         }
         let mut cells = self.cells.lock().expect("calibration mutex");
@@ -425,27 +425,12 @@ impl CalibrationMonitor {
                 .collect(),
         }
     }
-
-    /// Drops every cell (test isolation / fresh runs in one process).
-    pub fn reset(&self) {
-        self.cells.lock().expect("calibration mutex").clear();
-    }
 }
 
 /// The calibration monitor the evaluation harness feeds: the current
-/// thread's [`ObsSession`](crate::session::ObsSession)'s monitor when one
-/// is installed, otherwise the process-wide monitor.
+/// [`ObsSession`](crate::session::ObsSession)'s.
 pub fn global_calibration() -> Arc<CalibrationMonitor> {
-    if let Some(session) = crate::session::current() {
-        return Arc::clone(&session.calibration);
-    }
-    process_calibration()
-}
-
-/// The process-wide calibration monitor, bypassing any installed session.
-pub fn process_calibration() -> Arc<CalibrationMonitor> {
-    static GLOBAL: OnceLock<Arc<CalibrationMonitor>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(CalibrationMonitor::default())))
+    crate::session::with_current(|s| Arc::clone(&s.calibration))
 }
 
 #[cfg(test)]
@@ -632,11 +617,4 @@ mod tests {
         assert!(a.snapshot().merge(&odd).is_err());
     }
 
-    #[test]
-    fn reset_clears_cells() {
-        let m = CalibrationMonitor::default();
-        m.observe("wifi", "indoor", 3.0, 1.0, 3.0);
-        m.reset();
-        assert!(m.snapshot().cells.is_empty());
-    }
 }

@@ -12,16 +12,18 @@
 //! JSON line on the metrics sidecar, where `uniloc inspect` finds it
 //! next to the ordinary metric lines.
 //!
-//! The recorder is a passive [`Subscriber`]: install it in the dispatcher
-//! chain and every dispatched event lands in its ring. Triggering reads
-//! observability state only (ring, metrics registry, clock) and writes
-//! only the sidecar, so pipeline output is untouched — and under a
+//! The recorder is a passive [`Subscriber`]: every
+//! [`ObsSession`](crate::session::ObsSession) that records a trace puts
+//! its own recorder last in its subscriber chain, so every dispatched
+//! event lands in the ring. Triggering reads observability state only
+//! (ring, metrics registry, clock) and writes only the sidecar, so
+//! pipeline output is untouched — and under a
 //! [`VirtualClock`](crate::clock::VirtualClock) the dump itself is
 //! byte-stable across same-seed runs.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::metrics::global_metrics;
 use crate::trace::{FieldValue, JsonlExporter, RingCollector, Subscriber, TraceEvent, TraceLevel};
@@ -36,56 +38,54 @@ pub const UNAVAILABLE_THRESHOLD: u64 = 25;
 /// Cap on dumps per recorder *arming*: postmortems are for the
 /// first few anomalies; a persistently sick run would otherwise flood the
 /// sidecar. The cap is not meant to span unrelated runs in one process —
-/// a fleet run calls [`FlightRecorder::rearm_dumps`] on its process-wide
-/// recorder up front so an earlier run's dumps don't starve it, and every
-/// suppressed postmortem is counted in the `flight.dropped` metric rather
-/// than vanishing.
+/// a fleet run calls [`FlightRecorder::rearm_dumps`] on the process
+/// session's recorder up front so an earlier run's dumps don't starve it,
+/// and every suppressed postmortem is counted in the `flight.dropped`
+/// metric rather than vanishing.
 pub const MAX_DUMPS: u64 = 16;
 
-/// The flight recorder. One lives per process (see [`global_flight`]);
-/// private instances serve tests.
+/// The flight recorder. Each [`ObsSession`](crate::session::ObsSession)
+/// owns one (see [`global_flight`]); private instances serve tests.
 pub struct FlightRecorder {
     ring: RingCollector,
-    sink: RwLock<Option<Arc<JsonlExporter>>>,
+    /// Where postmortems go. Dumps with no sink still count and still
+    /// emit the `flight.dump` warn event.
+    sink: Option<Arc<JsonlExporter>>,
     dumps: AtomicU64,
-    disabled: AtomicBool,
-    /// Counter values at the previous dump (or reset); dumps report the
-    /// delta since then so consecutive postmortems don't repeat totals.
+    /// The obs-stub mode: triggers and ring writes are no-ops.
+    disabled: bool,
+    /// Counter values at the previous dump; dumps report the delta since
+    /// then so consecutive postmortems don't repeat totals.
     baseline: Mutex<BTreeMap<String, u64>>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder whose ring holds `capacity` events.
+    /// Creates a recorder whose ring holds `capacity` events and whose
+    /// postmortems go to `sink`.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, sink: Option<Arc<JsonlExporter>>) -> Self {
         FlightRecorder {
             ring: RingCollector::new(capacity),
-            sink: RwLock::new(None),
+            sink,
             dumps: AtomicU64::new(0),
-            disabled: AtomicBool::new(false),
+            disabled: false,
             baseline: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Installs (or removes, with `None`) the postmortem sink. Dumps with
-    /// no sink still count and still emit the `flight.dump` warn event.
-    pub fn set_sink(&self, sink: Option<Arc<JsonlExporter>>) {
-        *self.sink.write().expect("flight sink lock") = sink;
+    /// A disabled recorder: triggers and ring writes are no-ops. This is
+    /// the obs-stub mode's recorder — it measures the layer's cost without
+    /// changing any pipeline behavior.
+    pub(crate) fn disabled() -> Self {
+        FlightRecorder { disabled: true, ..FlightRecorder::new(1, None) }
     }
 
     /// Number of postmortems dumped so far.
     pub fn dumps(&self) -> u64 {
         self.dumps.load(Ordering::Relaxed)
-    }
-
-    /// Disables (or re-enables) the recorder entirely: triggers and ring
-    /// writes become no-ops. This is the obs-stub mode's switch — it
-    /// measures the layer's cost without changing any pipeline behavior.
-    pub fn set_disabled(&self, disabled: bool) {
-        self.disabled.store(disabled, Ordering::Relaxed);
     }
 
     /// Re-arms only the dump budget, leaving the ring and counter baseline
@@ -99,12 +99,18 @@ impl FlightRecorder {
 
     /// Freezes the current window into a postmortem: writes one
     /// `"kind":"flight"` JSON line to the sink, bumps `flight.dumps`, and
-    /// emits a `flight.dump` warn event. Returns `false` when the dump cap
-    /// suppressed it — `flight.dumps_suppressed` and `flight.dropped` both
-    /// count those (`dropped` is the fleet health plane's loss metric;
+    /// emits a `flight.dump` warn event carrying the trigger's `fields`.
+    /// `fields` runs only for a dump that happens. Returns `false` when
+    /// the recorder is disabled or the dump cap suppressed it —
+    /// `flight.dumps_suppressed` and `flight.dropped` both count those
+    /// (`dropped` is the fleet health plane's loss metric;
     /// `dumps_suppressed` stays for sidecar compatibility).
-    pub fn trigger(&self, reason: &str, fields: Vec<(String, FieldValue)>) -> bool {
-        if self.disabled.load(Ordering::Relaxed) {
+    pub fn trigger(
+        &self,
+        reason: &str,
+        fields: impl FnOnce() -> Vec<(String, FieldValue)>,
+    ) -> bool {
+        if self.disabled {
             return false;
         }
         if self.dumps.load(Ordering::Relaxed) >= MAX_DUMPS {
@@ -113,47 +119,9 @@ impl FlightRecorder {
             return false;
         }
         let seq = self.dumps.fetch_add(1, Ordering::Relaxed);
-
-        let snap = global_metrics().snapshot();
-        let mut baseline = self.baseline.lock().expect("flight baseline lock");
-        let counters_delta: Vec<Json> = snap
-            .counters
-            .iter()
-            .filter_map(|(name, v)| {
-                let delta = v.saturating_sub(baseline.get(name).copied().unwrap_or(0));
-                (delta > 0).then(|| Json::Arr(vec![Json::Str(name.clone()), delta.to_json()]))
-            })
-            .collect();
-        *baseline = snap.counters.iter().cloned().collect();
-        drop(baseline);
-
-        let events: Vec<Json> = self.ring.events().iter().map(TraceEvent::to_json).collect();
-        let doc = Json::Obj(vec![
-            ("kind".to_owned(), Json::Str("flight".to_owned())),
-            ("seq".to_owned(), seq.to_json()),
-            ("reason".to_owned(), Json::Str(reason.to_owned())),
-            ("t_ns".to_owned(), crate::trace::global().now_ns().to_json()),
-            (
-                "fields".to_owned(),
-                Json::Obj(fields.iter().map(|(k, v)| (k.clone(), v.to_json())).collect()),
-            ),
-            ("ring_dropped".to_owned(), self.ring.dropped().to_json()),
-            ("events".to_owned(), Json::Arr(events)),
-            ("counters_delta".to_owned(), Json::Arr(counters_delta)),
-            (
-                "gauges".to_owned(),
-                Json::Arr(
-                    snap.gauges
-                        .iter()
-                        .map(|(name, v)| {
-                            Json::Arr(vec![Json::Str(name.clone()), v.to_json()])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        if let Some(sink) = self.sink.read().expect("flight sink lock").as_ref() {
-            sink.write_json(&doc);
+        let fields = fields();
+        if let Some(sink) = &self.sink {
+            sink.write_json(&self.postmortem(seq, reason, &fields));
             sink.flush();
         }
         global_metrics().counter("flight.dumps").inc();
@@ -166,40 +134,66 @@ impl FlightRecorder {
         true
     }
 
-    /// Clears every buffer and arms the recorder afresh (test isolation /
-    /// back-to-back runs in one process).
-    pub fn reset(&self) {
-        self.ring.reset();
-        self.baseline.lock().expect("flight baseline lock").clear();
-        self.dumps.store(0, Ordering::Relaxed);
+    /// The postmortem document of dump `seq`; advances the counter
+    /// baseline.
+    fn postmortem(&self, seq: u64, reason: &str, fields: &[(String, FieldValue)]) -> Json {
+        let snap = global_metrics().snapshot();
+        let mut baseline = self.baseline.lock().expect("flight baseline lock");
+        let counters_delta: Vec<Json> = snap
+            .counters
+            .iter()
+            .filter_map(|(name, v)| {
+                let delta = v.saturating_sub(baseline.get(name).copied().unwrap_or(0));
+                (delta > 0).then(|| Json::Arr(vec![Json::Str(name.clone()), delta.to_json()]))
+            })
+            .collect();
+        *baseline = snap.counters.iter().cloned().collect();
+        drop(baseline);
+        Json::Obj(vec![
+            ("kind".to_owned(), Json::Str("flight".to_owned())),
+            ("seq".to_owned(), seq.to_json()),
+            ("reason".to_owned(), Json::Str(reason.to_owned())),
+            ("t_ns".to_owned(), crate::trace::global().now_ns().to_json()),
+            (
+                "fields".to_owned(),
+                Json::Obj(fields.iter().map(|(k, v)| (k.clone(), v.to_json())).collect()),
+            ),
+            ("ring_dropped".to_owned(), self.ring.dropped().to_json()),
+            ("events".to_owned(), self.ring.to_json()),
+            ("counters_delta".to_owned(), Json::Arr(counters_delta)),
+            (
+                "gauges".to_owned(),
+                Json::Arr(
+                    snap.gauges
+                        .iter()
+                        .map(|(name, v)| {
+                            Json::Arr(vec![Json::Str(name.clone()), v.to_json()])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
     }
 }
 
 impl Subscriber for FlightRecorder {
     fn event(&self, event: &TraceEvent) {
-        if self.disabled.load(Ordering::Relaxed) {
-            return;
+        if !self.disabled {
+            self.ring.event(event);
         }
-        self.ring.event(event);
     }
 }
 
-/// The flight recorder anomaly triggers should reach: the current
-/// thread's [`ObsSession`](crate::session::ObsSession)'s recorder when one
-/// is installed, otherwise the process-wide recorder (install that one in
-/// the dispatcher's subscriber chain and wire its sink to the metrics
-/// exporter).
+/// The current [`ObsSession`](crate::session::ObsSession)'s flight
+/// recorder: the one anomaly triggers should reach.
 pub fn global_flight() -> Arc<FlightRecorder> {
-    if let Some(session) = crate::session::current() {
-        return Arc::clone(&session.flight);
-    }
-    process_flight()
+    crate::session::with_current(|s| Arc::clone(&s.flight))
 }
 
-/// The process-wide flight recorder, bypassing any installed session.
+/// The process session's flight recorder, whatever session the calling
+/// thread has installed.
 pub fn process_flight() -> Arc<FlightRecorder> {
-    static GLOBAL: OnceLock<Arc<FlightRecorder>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(FlightRecorder::new(DEFAULT_RING_CAPACITY))))
+    Arc::clone(&crate::session::process().flight)
 }
 
 #[cfg(test)]
@@ -238,13 +232,12 @@ mod tests {
 
     #[test]
     fn dump_reflects_exactly_the_last_n_window() {
-        let fr = FlightRecorder::new(4);
         let (exporter, buf) = sink();
-        fr.set_sink(Some(exporter));
+        let fr = FlightRecorder::new(4, Some(exporter));
         for i in 0..10u64 {
             fr.event(&event(&format!("e{i}"), i));
         }
-        assert!(fr.trigger("test_window", vec![]));
+        assert!(fr.trigger("test_window", Vec::new));
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let doc = Json::parse(text.lines().next().unwrap()).unwrap();
         assert_eq!(doc.get("kind").unwrap().as_str().unwrap(), "flight");
@@ -264,11 +257,11 @@ mod tests {
 
     #[test]
     fn dump_cap_suppresses_floods() {
-        let fr = FlightRecorder::new(4);
+        let fr = FlightRecorder::new(4, None);
         for i in 0..MAX_DUMPS {
-            assert!(fr.trigger("a", vec![]), "dump {i} is under the cap");
+            assert!(fr.trigger("a", Vec::new), "dump {i} is under the cap");
         }
-        assert!(!fr.trigger("c", vec![]), "over the cap");
+        assert!(!fr.trigger("c", Vec::new), "over the cap");
         assert_eq!(fr.dumps(), MAX_DUMPS);
     }
 
@@ -278,12 +271,12 @@ mod tests {
         // without races against other tests' global registry traffic.
         let session = Arc::new(crate::session::ObsSession::isolated());
         let _g = crate::session::install(Arc::clone(&session));
-        let fr = FlightRecorder::new(4);
+        let fr = FlightRecorder::new(4, None);
         for _ in 0..MAX_DUMPS {
-            assert!(fr.trigger("a", vec![]));
+            assert!(fr.trigger("a", Vec::new));
         }
-        assert!(!fr.trigger("b", vec![]));
-        assert!(!fr.trigger("c", vec![]));
+        assert!(!fr.trigger("b", Vec::new));
+        assert!(!fr.trigger("c", Vec::new));
         let dropped = session
             .capture()
             .metrics
@@ -295,32 +288,29 @@ mod tests {
         // Re-arming only the dump budget: the next trigger dumps again.
         fr.rearm_dumps();
         assert_eq!(fr.dumps(), 0);
-        assert!(fr.trigger("d", vec![]), "budget is per-run, not per-process");
+        assert!(fr.trigger("d", Vec::new), "budget is per-run, not per-process");
     }
 
     #[test]
     fn disabled_recorder_is_a_no_op() {
-        let fr = FlightRecorder::new(4);
-        fr.set_disabled(true);
+        let fr = FlightRecorder::disabled();
         fr.event(&event("x", 0));
         assert!(fr.ring.is_empty(), "ring writes are dropped");
-        assert!(!fr.trigger("a", vec![]), "triggers never dump");
+        let fields = || -> Vec<(String, FieldValue)> { unreachable!("fields of a dump") };
+        assert!(!fr.trigger("a", fields), "triggers never dump");
         assert_eq!(fr.dumps(), 0);
-        fr.set_disabled(false);
-        assert!(fr.trigger("b", vec![]), "re-enabling restores dumps");
     }
 
     #[test]
     fn counters_delta_is_since_previous_dump() {
-        let fr = FlightRecorder::new(4);
         let (exporter, buf) = sink();
-        fr.set_sink(Some(exporter));
+        let fr = FlightRecorder::new(4, Some(exporter));
         // Unique counter name: the global registry is shared across tests.
         let name = "flight.test.delta_counter";
         global_metrics().counter(name).add(5);
-        assert!(fr.trigger("first", vec![]));
+        assert!(fr.trigger("first", Vec::new));
         global_metrics().counter(name).add(2);
-        assert!(fr.trigger("second", vec![]));
+        assert!(fr.trigger("second", Vec::new));
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -333,19 +323,5 @@ mod tests {
         };
         assert!(delta_of(lines[0]).unwrap() >= 5);
         assert_eq!(delta_of(lines[1]), Some(2));
-    }
-
-    #[test]
-    fn reset_rearms_everything() {
-        let fr = FlightRecorder::new(4);
-        fr.event(&event("x", 0));
-        for _ in 0..MAX_DUMPS {
-            assert!(fr.trigger("a", vec![]));
-        }
-        assert!(!fr.trigger("b", vec![]));
-        fr.reset();
-        assert_eq!(fr.dumps(), 0);
-        assert!(fr.ring.is_empty());
-        assert!(fr.trigger("c", vec![]), "dump budget restored");
     }
 }

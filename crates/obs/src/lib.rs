@@ -17,7 +17,7 @@
 //! * [`trace`] — structured spans with key/value fields, a thread-safe
 //!   [`Subscriber`] trait, a bounded [`RingCollector`], a [`JsonlExporter`]
 //!   over `uniloc_stats`' byte-stable JSON writer, and a process-wide
-//!   [`Dispatcher`] (see [`trace::global`]).
+//!   [`Dispatcher`] that holds the trace level (see [`trace::global`]).
 //! * [`metrics`] — named counters, gauges and fixed-bucket histograms with
 //!   cheap atomic updates and a [`MetricsRegistry::snapshot`] that is
 //!   deterministic in content ordering (see [`metrics::global_metrics`]).
@@ -37,10 +37,14 @@
 //!   profile tree (call counts in `PROF_fleet.*`, heap operations in
 //!   `PROF_alloc.*`), and the SLO health plane behind `FLEET_HEALTH.json`
 //!   and `uniloc inspect`.
-//! * [`session`] — per-thread observability sessions for parallel sweeps:
-//!   installing an [`ObsSession`] redirects every `global_*` accessor on
-//!   the current thread to private state that can be captured and merged
-//!   deterministically in job order afterward.
+//! * [`session`] — the one home of observability state. An
+//!   [`ObsSession`] owns a registry, a calibration monitor, a flight
+//!   recorder, a clock and a subscriber chain, built whole and never
+//!   reconfigured. Every `global_*` accessor and the dispatcher resolve to
+//!   the session installed on the calling thread, else the process
+//!   session a binary sets once at start-up ([`session::set_process`]).
+//!   Parallel sweeps install one session per job and merge the captures
+//!   deterministically in job order ([`SessionCapture::merge`]).
 //!
 //! # Determinism contract
 //!
@@ -56,17 +60,18 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use uniloc_obs::{RingCollector, Stage, Subscriber, TraceLevel};
+//! use uniloc_obs::{MonotonicClock, ObsSession, RingCollector, Stage, Subscriber, TraceLevel};
 //!
-//! // Collect spans in memory through the global dispatcher.
+//! // Collect spans in memory: a session streaming its trace into a ring.
 //! let ring = Arc::new(RingCollector::new(128));
+//! let progress = Some(ring.clone() as Arc<dyn Subscriber>);
+//! let session = ObsSession::streaming(None, progress, Arc::new(MonotonicClock::new()));
 //! let d = uniloc_obs::trace::global();
-//! d.set_subscriber(Some(ring.clone() as Arc<dyn Subscriber>));
 //! d.set_level(Some(TraceLevel::Span));
 //! {
+//!     let _guard = uniloc_obs::session::install(Arc::new(session));
 //!     let _span = d.span(Stage::EngineFuse).field("items", 3usize);
 //! }
-//! d.set_subscriber(None);
 //! assert!(ring.events().iter().any(|e| e.name == "engine.fuse"));
 //!
 //! // Metrics: counters / gauges / histograms with a deterministic snapshot.
@@ -88,8 +93,7 @@ pub mod trace;
 
 pub use alloc::{CountingAlloc, Stage, STEADY_WARMUP_EPOCHS};
 pub use calib::{
-    global_calibration, process_calibration, CalibrationCell, CalibrationMonitor,
-    CalibrationSnapshot, DriftAlarm,
+    global_calibration, CalibrationCell, CalibrationMonitor, CalibrationSnapshot, DriftAlarm,
 };
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use fleet::{
@@ -99,8 +103,8 @@ pub use fleet::{
 };
 pub use flight::{global_flight, process_flight, FlightRecorder};
 pub use metrics::{
-    global_metrics, process_metrics, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot, DURATION_BUCKETS_NS, RESIDUAL_BUCKETS_M,
+    global_metrics, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    MetricsSnapshot, DURATION_BUCKETS_NS, RESIDUAL_BUCKETS_M,
 };
 pub use session::{ObsSession, SessionCapture, SessionGuard};
 pub use trace::{

@@ -20,7 +20,7 @@
 //! poisoning the sum.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use uniloc_stats::impl_json_struct;
@@ -398,7 +398,7 @@ pub struct MetricsRegistry {
     /// Sink mode: lookups hand out shared scratch handles that are never
     /// registered, and snapshots come back empty. The obs-stub fleet mode
     /// uses this to measure the layer's cost with the same call sites.
-    sink: AtomicBool,
+    sink: bool,
     scratch_counter: OnceLock<Arc<Counter>>,
     scratch_gauge: OnceLock<Arc<Gauge>>,
     scratch_histogram: OnceLock<Arc<Histogram>>,
@@ -414,15 +414,13 @@ impl MetricsRegistry {
     /// (kept out of every snapshot), so instrument sites run unchanged
     /// while the registry remembers nothing.
     pub fn sink() -> Self {
-        let reg = MetricsRegistry::default();
-        reg.sink.store(true, Ordering::Relaxed);
-        reg
+        MetricsRegistry { sink: true, ..MetricsRegistry::default() }
     }
 
     /// Whether this is a [`sink`](Self::sink) registry. Spans under a
     /// session whose registry is a sink are not timed at all.
     pub(crate) fn is_sink(&self) -> bool {
-        self.sink.load(Ordering::Relaxed)
+        self.sink
     }
 
     /// The metric named `name` in `map`, made by `make` on first use. A
@@ -495,30 +493,12 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-
-    /// Drops every registered metric (test isolation; cached handles keep
-    /// their atomics but detach from future snapshots).
-    pub fn reset(&self) {
-        self.counters.lock().expect("metrics mutex").clear();
-        self.gauges.lock().expect("metrics mutex").clear();
-        self.histograms.lock().expect("metrics mutex").clear();
-    }
 }
 
-/// The registry the instrumentation writes to: the current thread's
-/// [`ObsSession`](crate::session::ObsSession) when one is installed,
-/// otherwise the process-wide registry.
+/// The registry the instrumentation writes to: the current
+/// [`ObsSession`](crate::session::ObsSession)'s.
 pub fn global_metrics() -> Arc<MetricsRegistry> {
-    if let Some(session) = crate::session::current() {
-        return Arc::clone(&session.metrics);
-    }
-    process_metrics()
-}
-
-/// The process-wide registry, bypassing any installed session.
-pub fn process_metrics() -> Arc<MetricsRegistry> {
-    static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new())))
+    crate::session::with_current(|s| Arc::clone(&s.metrics))
 }
 
 #[cfg(test)]
@@ -683,11 +663,4 @@ mod tests {
         assert!(a.snapshot().merge(&c.snapshot()).is_err());
     }
 
-    #[test]
-    fn registry_reset_clears() {
-        let reg = MetricsRegistry::new();
-        reg.counter("x").inc();
-        reg.reset();
-        assert!(reg.snapshot().counters.is_empty());
-    }
 }

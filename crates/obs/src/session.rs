@@ -1,22 +1,28 @@
-//! Per-thread observability sessions for parallel sweeps.
+//! Observability sessions: the one home of observability state.
 //!
-//! The process-wide singletons ([`global_metrics`](crate::global_metrics),
+//! An [`ObsSession`] owns a metrics registry, a calibration monitor, a
+//! flight recorder, a clock and the subscriber chain its trace reaches.
+//! Every `global_*` accessor ([`global_metrics`](crate::global_metrics),
 //! [`global_calibration`](crate::global_calibration),
-//! [`global_flight`](crate::global_flight) and the
-//! [`Dispatcher`](crate::trace::Dispatcher)'s subscriber/clock) are the
-//! right model for one walk at a time, but a parallel sweep interleaves
-//! many walks: counters from different jobs would mix nondeterministically
-//! and span timings would race. An [`ObsSession`] gives one job its own
-//! registry, calibration monitor, flight recorder and clock; installing it
-//! ([`install`]) redirects every `global_*` accessor *on the current
-//! thread* to the session for the lifetime of the returned guard.
+//! [`global_flight`](crate::global_flight)) and the
+//! [`Dispatcher`](crate::trace::Dispatcher)'s clock and subscriber resolve
+//! to [`current`]: the innermost session installed on the calling thread
+//! ([`install`]), else the [`process`] session. The dispatcher itself
+//! keeps only the process-wide trace level.
 //!
-//! The sweep engine (`uniloc-core::parallel`) installs one isolated
-//! session per job — at every worker count, including one — then merges
-//! the captured snapshots in canonical job order, which is what makes the
-//! merged sidecar byte-identical regardless of `--jobs N`. Code that
-//! never installs a session (the CLI main thread, the golden-trace tests)
-//! sees the process-wide singletons exactly as before.
+//! The process session is an `ObsSession` too. A binary builds it once at
+//! start-up and hands it to [`set_process`] (the CLI from its global
+//! flags, the regenerators for their progress output); until then, and in
+//! binaries that never set one, it has fresh state, a monotonic clock and
+//! no subscriber. Every session is built whole and never reconfigured.
+//!
+//! A parallel sweep interleaves many walks, whose counters would mix
+//! nondeterministically and whose span timings would race on one session.
+//! The sweep engine (`uniloc-core::parallel`) therefore installs one
+//! isolated session per job — at every worker count, including one — and
+//! merges the captures in canonical job order ([`SessionCapture::merge`]),
+//! which is what makes the merged sidecar byte-identical regardless of
+//! `--jobs N`.
 //!
 //! Sessions are a thread-local *stack*: nested installs shadow outer ones
 //! and the guard restores the previous state on drop. The guard is
@@ -25,17 +31,19 @@
 use std::cell::RefCell;
 use std::io::Write;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::calib::{CalibrationMonitor, CalibrationSnapshot};
-use crate::clock::{Clock, VirtualClock};
+use crate::clock::{Clock, MonotonicClock, VirtualClock};
 use crate::flight::{FlightRecorder, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::trace::{JsonlExporter, Subscriber};
+use crate::trace::{JsonlExporter, MultiSubscriber, Subscriber};
 
 thread_local! {
     static STACK: RefCell<Vec<Arc<ObsSession>>> = const { RefCell::new(Vec::new()) };
 }
+
+static PROCESS: OnceLock<Arc<ObsSession>> = OnceLock::new();
 
 /// A `Write` that appends into a shared in-memory buffer, so a session's
 /// flight-recorder dumps can be captured and re-emitted in job order.
@@ -51,24 +59,22 @@ impl Write for SharedBuf {
     }
 }
 
-/// One job's private observability state. See the module docs.
+/// One session's observability state. See the module docs.
 pub struct ObsSession {
     /// The session's metrics registry (what `global_metrics` resolves to
-    /// while the session is installed).
+    /// while the session is current).
     pub metrics: Arc<MetricsRegistry>,
     /// The session's calibration monitor.
     pub calibration: Arc<CalibrationMonitor>,
-    /// The session's flight recorder; its dumps land in an in-memory
-    /// buffer readable via [`ObsSession::capture`].
+    /// The session's flight recorder.
     pub flight: Arc<FlightRecorder>,
-    /// Clock override; `None` falls through to the dispatcher's clock.
-    pub clock: Option<Arc<dyn Clock>>,
-    /// Subscriber override. While a session is installed this *replaces*
-    /// the dispatcher's subscriber — `None` means events are dropped
-    /// (worker progress output would interleave nondeterministically).
+    /// The clock the session's events and spans are timestamped by.
+    pub clock: Arc<dyn Clock>,
+    /// Where the session's trace goes; `None` drops every event (worker
+    /// progress output would interleave nondeterministically).
     pub subscriber: Option<Arc<dyn Subscriber>>,
     /// Opt-in for span-attributed allocation tracking (see
-    /// [`crate::alloc`]): while this session is installed, timed spans
+    /// [`crate::alloc`]): while this session is current, timed spans
     /// open attribution frames and flush `alloc.*` counters into the
     /// session's registry. Off by default, and nothing outside a session
     /// turns it on, so sessions that did not ask for heap profiles never
@@ -88,27 +94,70 @@ pub struct SessionCapture {
     pub flight_lines: Vec<String>,
 }
 
+impl SessionCapture {
+    /// Folds `later` (the capture of the *next* job in canonical order, or
+    /// a later sweep phase's merge) into this one. Deterministic in job
+    /// order, never arrival order: counters add; gauges take the later
+    /// value; histograms merge bucket-wise; calibration cells merge
+    /// count-weighted; flight-recorder lines concatenate.
+    pub fn merge(&mut self, later: &SessionCapture) -> Result<(), String> {
+        self.metrics = self.metrics.merge(&later.metrics)?;
+        self.calibration = self.calibration.merge(&later.calibration)?;
+        self.flight_lines.extend(later.flight_lines.iter().cloned());
+        Ok(())
+    }
+}
+
 impl ObsSession {
+    /// A session that streams its trace to `progress` (a stderr printer),
+    /// then to `sidecar`, then to its own flight recorder, whose
+    /// postmortems also land in `sidecar`. This is the process session of
+    /// `uniloc --metrics FILE` and of the regenerators; tests build the
+    /// same one over an in-memory sidecar.
+    pub fn streaming(
+        sidecar: Option<Arc<JsonlExporter>>,
+        progress: Option<Arc<dyn Subscriber>>,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let chain =
+            progress.into_iter().chain(sidecar.clone().map(|s| s as Arc<dyn Subscriber>)).collect();
+        ObsSession::recording(chain, sidecar, clock)
+    }
+
+    /// Fresh state whose trace reaches `chain` and then the session's own
+    /// flight recorder, which dumps into `sink`.
+    fn recording(
+        mut chain: Vec<Arc<dyn Subscriber>>,
+        sink: Option<Arc<JsonlExporter>>,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let flight = Arc::new(FlightRecorder::new(DEFAULT_RING_CAPACITY, sink));
+        chain.push(Arc::clone(&flight) as Arc<dyn Subscriber>);
+        let subscriber: Arc<dyn Subscriber> = match chain.len() {
+            1 => chain.pop().expect("one subscriber"),
+            _ => Arc::new(MultiSubscriber::new(chain)),
+        };
+        ObsSession {
+            metrics: Arc::new(MetricsRegistry::new()),
+            calibration: Arc::new(CalibrationMonitor::default()),
+            flight,
+            clock,
+            subscriber: Some(subscriber),
+            alloc_tracking: false,
+            flight_buf: Arc::default(),
+        }
+    }
+
     /// A fully isolated session: fresh registries, a fresh flight recorder
     /// whose dumps buffer in memory, a [`VirtualClock`] (so span durations
     /// are simulation-time deltas, deterministic across runs and worker
     /// counts), and the flight recorder as the sole subscriber (so its
-    /// ring sees the job's trace window, as the process-wide chain does).
+    /// ring sees the job's trace window).
     pub fn isolated() -> Self {
-        let flight = Arc::new(FlightRecorder::new(DEFAULT_RING_CAPACITY));
-        let flight_buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        flight.set_sink(Some(Arc::new(JsonlExporter::new(Box::new(SharedBuf(Arc::clone(
-            &flight_buf,
-        )))))));
-        ObsSession {
-            metrics: Arc::new(MetricsRegistry::new()),
-            calibration: Arc::new(CalibrationMonitor::default()),
-            subscriber: Some(Arc::clone(&flight) as Arc<dyn Subscriber>),
-            flight,
-            clock: Some(Arc::new(VirtualClock::new())),
-            alloc_tracking: false,
-            flight_buf,
-        }
+        let flight_buf: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let sink = JsonlExporter::new(Box::new(SharedBuf(Arc::clone(&flight_buf))));
+        let clock = Arc::new(VirtualClock::new());
+        ObsSession { flight_buf, ..ObsSession::recording(Vec::new(), Some(Arc::new(sink)), clock) }
     }
 
     /// A stubbed session: every instrument site still runs, but metrics
@@ -120,18 +169,14 @@ impl ObsSession {
     /// epochs/s delta against [`isolated`](Self::isolated) sessions is the
     /// layer's true cost.
     pub fn stubbed() -> Self {
-        let flight = Arc::new(FlightRecorder::new(DEFAULT_RING_CAPACITY));
-        flight.set_disabled(true);
-        let calibration = Arc::new(CalibrationMonitor::default());
-        calibration.set_disabled(true);
         ObsSession {
             metrics: Arc::new(MetricsRegistry::sink()),
-            calibration,
+            calibration: Arc::new(CalibrationMonitor::disabled()),
+            flight: Arc::new(FlightRecorder::disabled()),
+            clock: Arc::new(VirtualClock::new()),
             subscriber: None,
-            flight,
-            clock: Some(Arc::new(VirtualClock::new())),
             alloc_tracking: false,
-            flight_buf: Arc::new(Mutex::new(Vec::new())),
+            flight_buf: Arc::default(),
         }
     }
 
@@ -169,9 +214,41 @@ pub fn install(session: Arc<ObsSession>) -> SessionGuard {
     SessionGuard { _not_send: PhantomData }
 }
 
-/// The innermost session installed on this thread, if any.
-pub fn current() -> Option<Arc<ObsSession>> {
-    STACK.with(|s| s.borrow().last().cloned())
+/// Makes `session` the process session: what every thread with no
+/// installed session records into. A binary calls this once, at
+/// start-up, before anything records.
+///
+/// # Panics
+///
+/// Panics when the process session is already in use: set before, or
+/// read (by anything recording) before this call.
+pub fn set_process(session: ObsSession) {
+    let fresh = PROCESS.set(Arc::new(session)).is_ok();
+    assert!(fresh, "the process obs session is set once, at start-up, before anything records");
+}
+
+/// The process session: the one [`set_process`] set, else fresh state
+/// with a monotonic clock, a flight recorder that writes nowhere, and no
+/// subscriber.
+pub fn process() -> &'static Arc<ObsSession> {
+    PROCESS.get_or_init(|| {
+        let unset = ObsSession::recording(Vec::new(), None, Arc::new(MonotonicClock::new()));
+        Arc::new(ObsSession { subscriber: None, ..unset })
+    })
+}
+
+/// The session the calling thread records into: the innermost installed
+/// one, else the [`process`] session.
+pub fn current() -> Arc<ObsSession> {
+    STACK.with(|s| s.borrow().last().cloned()).unwrap_or_else(|| Arc::clone(process()))
+}
+
+/// Runs `f` on the [`current`] session without cloning its handle.
+pub(crate) fn with_current<R>(f: impl FnOnce(&ObsSession) -> R) -> R {
+    STACK.with(|s| match s.borrow().last() {
+        Some(session) => f(session),
+        None => f(process()),
+    })
 }
 
 #[cfg(test)]
@@ -181,21 +258,21 @@ mod tests {
 
     #[test]
     fn install_redirects_and_guard_restores() {
-        assert!(current().is_none());
+        assert!(Arc::ptr_eq(&current(), process()));
         let session = Arc::new(ObsSession::isolated());
         {
             let _g = install(Arc::clone(&session));
-            assert!(current().is_some());
+            assert!(Arc::ptr_eq(&current(), &session));
             global_metrics().counter("session.test.counter").add(3);
         }
-        assert!(current().is_none());
+        assert!(Arc::ptr_eq(&current(), process()));
         // The increment landed in the session, not the process registry.
         let snap = session.capture();
         assert_eq!(
             snap.metrics.counters,
             vec![("session.test.counter".to_owned(), 3)]
         );
-        let process = crate::metrics::process_metrics().snapshot();
+        let process = process().metrics.snapshot();
         assert!(
             !process.counters.iter().any(|(n, _)| n == "session.test.counter"),
             "process registry must not see session counters"
@@ -222,7 +299,7 @@ mod tests {
         let session = Arc::new(ObsSession::isolated());
         {
             let _g = install(Arc::clone(&session));
-            session.flight.trigger("session_test", vec![]);
+            session.flight.trigger("session_test", Vec::new);
         }
         let capture = session.capture();
         assert_eq!(capture.flight_lines.len(), 1);
@@ -248,7 +325,7 @@ mod tests {
                     .is_none(),
                 "disabled monitor never alarms"
             );
-            assert!(!session.flight.trigger("stub_test", vec![]));
+            assert!(!session.flight.trigger("stub_test", || unreachable!("a disabled recorder dumps nothing")));
         }
         let capture = session.capture();
         assert_eq!(capture, SessionCapture::default(), "capture is empty");

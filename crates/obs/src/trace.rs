@@ -4,11 +4,13 @@
 //!
 //! The facade is intentionally tiny (the hermetic-build policy forbids the
 //! `tracing` crate) but keeps its shape: instrumentation sites open a
-//! [`SpanGuard`] (or emit a log event), a process-wide [`Dispatcher`]
-//! filters by [`TraceLevel`] and forwards to at most one installed
-//! [`Subscriber`] chain. When no subscriber is installed the facade is
+//! [`SpanGuard`] (or emit a log event), the process-wide [`Dispatcher`]
+//! filters by [`TraceLevel`], and the current [`ObsSession`] timestamps
+//! the record with its clock and forwards it to its [`Subscriber`] chain,
+//! if it has one. A span resolves its session once, at open, and records
+//! into that session when it drops. With no subscriber the facade is
 //! nearly free: a span open/close is an atomic load plus one clock read
-//! and one histogram record into the global
+//! and one histogram record into the session's
 //! [`MetricsRegistry`](crate::metrics::MetricsRegistry) — which is how
 //! every `span.*` latency histogram in the metrics snapshot is populated
 //! without any subscriber at all. Only a session whose registry is a sink
@@ -23,11 +25,11 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::alloc::Stage;
-use crate::clock::{Clock, MonotonicClock};
-use crate::metrics::{global_metrics, DURATION_BUCKETS_NS};
+use crate::metrics::DURATION_BUCKETS_NS;
+use crate::session::{self, ObsSession};
 use uniloc_stats::json::{Json, ToJson};
 
 /// Event verbosity, coarsest first. `Span` is the most verbose level:
@@ -243,18 +245,16 @@ impl RingCollector {
         self.buf.lock().expect("ring mutex").iter().cloned().collect()
     }
 
-    /// Drains the buffered events, oldest first. The eviction counter
-    /// ([`dropped`](Self::dropped)) keeps its lifetime total; use
-    /// [`reset`](Self::reset) to zero it too.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        self.buf.lock().expect("ring mutex").drain(..).collect()
+    /// The buffered events as one JSON array, oldest first, rendered in
+    /// place (no event is copied).
+    pub(crate) fn to_json(&self) -> Json {
+        Json::Arr(self.buf.lock().expect("ring mutex").iter().map(TraceEvent::to_json).collect())
     }
 
-    /// Clears the buffer AND the eviction counter — a factory-fresh ring,
-    /// for back-to-back runs that must reproduce identical output.
-    pub fn reset(&self) {
-        self.buf.lock().expect("ring mutex").clear();
-        *self.dropped.lock().expect("ring mutex") = 0;
+    /// Drains the buffered events, oldest first. The eviction counter
+    /// ([`dropped`](Self::dropped)) keeps its lifetime total.
+    pub fn take(&self) -> Vec<TraceEvent> {
+        self.buf.lock().expect("ring mutex").drain(..).collect()
     }
 }
 
@@ -370,55 +370,23 @@ impl Subscriber for MultiSubscriber {
 
 /// Threshold encoding for the dispatcher's atomic level: 0 = off,
 /// 1..=5 = emit up to Error..Span.
-fn threshold(level: Option<TraceLevel>) -> u8 {
+const fn threshold(level: Option<TraceLevel>) -> u8 {
     match level {
         None => 0,
         Some(l) => l as u8 + 1,
     }
 }
 
-/// Routes events from instrumentation sites to the installed subscriber,
-/// filtered by level, timestamped by the installed clock.
+/// Filters events from instrumentation sites by the process-wide trace
+/// level; the current [`ObsSession`] timestamps them with its clock and
+/// receives them through its subscriber.
 pub struct Dispatcher {
     level: AtomicU8,
-    subscriber: RwLock<Option<Arc<dyn Subscriber>>>,
-    clock: RwLock<Arc<dyn Clock>>,
 }
 
 impl Dispatcher {
-    fn new() -> Self {
-        Dispatcher {
-            level: AtomicU8::new(threshold(Some(TraceLevel::Info))),
-            subscriber: RwLock::new(None),
-            clock: RwLock::new(Arc::new(MonotonicClock::new())),
-        }
-    }
-
-    /// Installs (or removes, with `None`) the subscriber.
-    pub fn set_subscriber(&self, s: Option<Arc<dyn Subscriber>>) {
-        *self.subscriber.write().expect("subscriber lock") = s;
-    }
-
-    /// The subscriber events should reach right now: the current thread's
-    /// [`ObsSession`](crate::session::ObsSession) override when one is
-    /// installed (its `None` means "drop events"), otherwise the
-    /// process-wide subscriber.
-    fn active_subscriber(&self) -> Option<Arc<dyn Subscriber>> {
-        if let Some(session) = crate::session::current() {
-            return session.subscriber.clone();
-        }
-        self.subscriber.read().expect("subscriber lock").clone()
-    }
-
-    /// The clock timestamps should come from: the session clock when the
-    /// current thread's session sets one, otherwise the installed clock.
-    fn active_clock(&self) -> Arc<dyn Clock> {
-        if let Some(session) = crate::session::current() {
-            if let Some(clock) = &session.clock {
-                return Arc::clone(clock);
-            }
-        }
-        Arc::clone(&*self.clock.read().expect("clock lock"))
+    const fn new() -> Self {
+        Dispatcher { level: AtomicU8::new(threshold(Some(TraceLevel::Info))) }
     }
 
     /// Sets the verbosity threshold; `None` means off.
@@ -426,42 +394,44 @@ impl Dispatcher {
         self.level.store(threshold(level), Ordering::Relaxed);
     }
 
+    /// Whether the trace level lets `level` through.
+    fn passes(&self, level: TraceLevel) -> bool {
+        (level as u8) < self.level.load(Ordering::Relaxed)
+    }
+
     /// Whether events at `level` would currently be dispatched to a
     /// subscriber.
     pub fn enabled(&self, level: TraceLevel) -> bool {
-        (level as u8) < self.level.load(Ordering::Relaxed) && self.active_subscriber().is_some()
+        self.passes(level) && session::with_current(|s| s.subscriber.is_some())
     }
 
-    /// Installs the clock used to timestamp events and measure spans.
-    pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *self.clock.write().expect("clock lock") = clock;
-    }
-
-    /// Current clock time, ns.
+    /// Current time on the current session's clock, ns.
     pub fn now_ns(&self) -> u64 {
-        self.active_clock().now_ns()
+        session::with_current(|s| s.clock.now_ns())
     }
 
-    /// Drives an installed [`VirtualClock`](crate::clock::VirtualClock) to
-    /// simulation time `t` seconds; a no-op under a monotonic clock. The
-    /// pipeline calls this once per epoch.
+    /// Drives the current session's clock to simulation time `t` seconds
+    /// when it is a [`VirtualClock`](crate::clock::VirtualClock); a no-op
+    /// under a monotonic clock. The pipeline calls this once per epoch.
     pub fn sync_virtual_clock(&self, t: f64) {
-        let clock = self.active_clock();
-        if let Some(v) = clock.as_virtual() {
-            v.set_seconds(t);
-        }
+        session::with_current(|s| {
+            if let Some(v) = s.clock.as_virtual() {
+                v.set_seconds(t);
+            }
+        });
     }
 
     /// Emits an instantaneous event.
     pub fn event(&self, level: TraceLevel, name: &str, fields: Vec<(String, FieldValue)>) {
-        if (level as u8) >= self.level.load(Ordering::Relaxed) {
+        if !self.passes(level) {
             return;
         }
-        if let Some(sub) = self.active_subscriber() {
+        let session = session::current();
+        if let Some(sub) = &session.subscriber {
             sub.event(&TraceEvent {
                 level,
                 name: name.to_owned(),
-                t_ns: self.now_ns(),
+                t_ns: session.clock.now_ns(),
                 duration_ns: None,
                 fields,
             });
@@ -473,54 +443,51 @@ impl Dispatcher {
         self.event(level, "log", vec![("message".to_owned(), FieldValue::Str(message))]);
     }
 
-    /// Opens a span for `stage`; the returned guard emits a span record
-    /// (and a `span.<name>` duration sample) when dropped. The installed
-    /// [`ObsSession`](crate::session::ObsSession) decides the rest: spans
-    /// are timed unless its registry is a sink (the obs-stub mode), and a
-    /// timed span opens an allocation-attribution frame exactly when it
-    /// opts into tracking (see [`crate::alloc`]). Opening allocates
+    /// Opens a span for `stage` in the current session; the returned
+    /// guard records into that session when dropped: a span record (when
+    /// the trace level admits spans and the session has a subscriber) and
+    /// a `span.<name>` duration sample. The session decides the rest:
+    /// spans are timed unless its registry is a sink (the obs-stub mode),
+    /// and a timed span opens an allocation-attribution frame exactly when
+    /// it opts into tracking (see [`crate::alloc`]). Opening allocates
     /// nothing; the guard's teardown runs under an attribution pause so
     /// observability overhead stays out of the heap profile.
-    pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
-        let session = crate::session::current();
-        let emit = self.enabled(TraceLevel::Span);
-        let time = session.as_ref().is_none_or(|s| !s.metrics.is_sink());
-        let track = session.is_some_and(|s| s.alloc_tracking);
+    pub fn span(&self, stage: Stage) -> SpanGuard {
+        let session = session::current();
+        let emit = self.passes(TraceLevel::Span) && session.subscriber.is_some();
+        let time = !session.metrics.is_sink();
         SpanGuard {
-            dispatcher: self,
             stage,
-            start_ns: if emit || time { self.now_ns() } else { 0 },
+            start_ns: if emit || time { session.clock.now_ns() } else { 0 },
             fields: Vec::new(),
             emit,
             time,
-            track,
-            alloc: if time && track { crate::alloc::span_open(stage) } else { None },
+            alloc: if time && session.alloc_tracking { crate::alloc::span_open(stage) } else { None },
+            session,
         }
     }
 
-    /// Flushes the active subscriber.
+    /// Flushes the current session's subscriber.
     pub fn flush(&self) {
-        if let Some(sub) = self.active_subscriber() {
+        if let Some(sub) = &session::current().subscriber {
             sub.flush();
         }
     }
 }
 
-/// An open span; closes (and reports) on drop.
+/// An open span; closes (and reports into its session) on drop.
 #[must_use = "a span measures the scope it lives in"]
-pub struct SpanGuard<'a> {
-    dispatcher: &'a Dispatcher,
+pub struct SpanGuard {
+    session: Arc<ObsSession>,
     stage: Stage,
     start_ns: u64,
     fields: Vec<(String, FieldValue)>,
     emit: bool,
     time: bool,
-    /// Allocation tracking was on at open: teardown runs paused.
-    track: bool,
     alloc: Option<crate::alloc::SpanToken>,
 }
 
-impl SpanGuard<'_> {
+impl SpanGuard {
     /// Attaches a key/value field to the span record.
     pub fn field(mut self, key: &str, value: impl Into<FieldValue>) -> Self {
         if self.emit {
@@ -530,44 +497,43 @@ impl SpanGuard<'_> {
     }
 }
 
-impl Drop for SpanGuard<'_> {
+impl Drop for SpanGuard {
     fn drop(&mut self) {
         // Close the allocation-attribution frame first, and keep the
         // guard's own teardown (a first histogram insert, the emitted
         // record) out of the enclosing span's heap profile.
-        let _pause = self.track.then(crate::alloc::pause);
+        let session = &self.session;
+        let _pause = session.alloc_tracking.then(crate::alloc::pause);
         if let Some(token) = self.alloc.take() {
-            crate::alloc::span_close(token);
+            crate::alloc::span_close(token, &session.metrics);
         }
         if !self.emit && !self.time {
             return;
         }
-        let d = self.dispatcher;
-        let end_ns = d.now_ns();
+        let end_ns = session.clock.now_ns();
         let duration_ns = end_ns.saturating_sub(self.start_ns);
         if self.time {
-            global_metrics()
+            session
+                .metrics
                 .histogram(self.stage.histogram_name(), DURATION_BUCKETS_NS)
                 .record_ns(duration_ns);
         }
-        if self.emit {
-            if let Some(sub) = d.active_subscriber() {
-                sub.event(&TraceEvent {
-                    level: TraceLevel::Span,
-                    name: self.stage.name().to_owned(),
-                    t_ns: end_ns,
-                    duration_ns: Some(duration_ns),
-                    fields: std::mem::take(&mut self.fields),
-                });
-            }
+        if let (true, Some(sub)) = (self.emit, &session.subscriber) {
+            sub.event(&TraceEvent {
+                level: TraceLevel::Span,
+                name: self.stage.name().to_owned(),
+                t_ns: end_ns,
+                duration_ns: Some(duration_ns),
+                fields: std::mem::take(&mut self.fields),
+            });
         }
     }
 }
 
 /// The process-wide dispatcher every instrumentation site reports to.
 pub fn global() -> &'static Dispatcher {
-    static GLOBAL: OnceLock<Dispatcher> = OnceLock::new();
-    GLOBAL.get_or_init(Dispatcher::new)
+    static GLOBAL: Dispatcher = Dispatcher::new();
+    &GLOBAL
 }
 
 /// Formats and emits an `Info` progress message through the global
@@ -591,6 +557,8 @@ macro_rules! warn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{Clock, MonotonicClock, VirtualClock};
+    use crate::metrics::global_metrics;
 
     fn event(level: TraceLevel, name: &str) -> TraceEvent {
         TraceEvent {
@@ -664,13 +632,18 @@ mod tests {
         assert_eq!(second.get("duration_ns").unwrap().as_i64().unwrap(), 3);
     }
 
+    /// A session streaming its trace into `ring`, on `clock`.
+    fn ring_session(ring: &Arc<RingCollector>, clock: Arc<dyn Clock>) -> Arc<ObsSession> {
+        Arc::new(ObsSession::streaming(None, Some(ring.clone() as Arc<dyn Subscriber>), clock))
+    }
+
     #[test]
     fn dispatcher_filters_by_level() {
         // A private dispatcher (not the global one) keeps this test
-        // independent of other tests mutating global state.
+        // independent of other tests mutating the global level.
         let d = Dispatcher::new();
         let ring = Arc::new(RingCollector::new(16));
-        d.set_subscriber(Some(ring.clone() as Arc<dyn Subscriber>));
+        let _g = session::install(ring_session(&ring, Arc::new(MonotonicClock::new())));
         d.set_level(Some(TraceLevel::Info));
         d.event(TraceLevel::Info, "kept", vec![]);
         d.event(TraceLevel::Debug, "filtered", vec![]);
@@ -720,7 +693,6 @@ mod tests {
 
     #[test]
     fn session_spans_stay_in_the_session_and_timing_returns_after_drop() {
-        use crate::session::ObsSession;
         // An installed session's span timings land in its own registry.
         let session = Arc::new(ObsSession::isolated());
         {
@@ -748,7 +720,6 @@ mod tests {
 
     #[test]
     fn stubbed_session_suppresses_timing_without_racing_global_state() {
-        use crate::session::ObsSession;
         // A stubbed session's sink registry turns timing off for that
         // session alone: there is no process-wide switch to race on, and
         // the sample lands nowhere.
@@ -769,11 +740,9 @@ mod tests {
     #[test]
     fn virtual_clock_makes_span_timestamps_deterministic() {
         let d = Dispatcher::new();
-        let clock = Arc::new(crate::clock::VirtualClock::new());
-        d.set_clock(clock.clone());
         d.set_level(Some(TraceLevel::Span));
         let ring = Arc::new(RingCollector::new(8));
-        d.set_subscriber(Some(ring.clone() as Arc<dyn Subscriber>));
+        let _g = session::install(ring_session(&ring, Arc::new(VirtualClock::new())));
         d.sync_virtual_clock(2.0);
         d.event(TraceLevel::Info, "tick", vec![]);
         let e = &ring.events()[0];

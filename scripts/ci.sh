@@ -350,6 +350,23 @@ if ! grep -qF '"poisoned_sessions": 1' "$smoke/fleet-poison/FLEET.json"; then
 fi
 echo "    ok: one panicking session poisoned itself; the fleet completed"
 
+# The committed fleet artifacts are what the README's 10k fleet writes,
+# byte for byte. Re-run that fleet (about 400k epochs) into the smoke
+# directory and diff every committed file it produces; re-bless with the
+# same command and `--out results`, then commit only these five files
+# (FLEET.json is not committed).
+echo "==> committed fleet artifacts (uniloc fleet --sessions 10000, diffed against results/)"
+target/release/uniloc fleet --sessions 10000 --quiet --out "$smoke/fleet10k"
+for artifact in FLEET_HEALTH.json PROF_fleet.json PROF_fleet.folded \
+                PROF_alloc.json PROF_alloc.folded; do
+    if ! diff "results/$artifact" "$smoke/fleet10k/$artifact" > /dev/null; then
+        echo "ERROR: results/$artifact differs from what the 10k fleet writes:" >&2
+        diff "results/$artifact" "$smoke/fleet10k/$artifact" | head -20 >&2 || true
+        exit 1
+    fi
+done
+echo "    ok: results/ holds exactly what the 10k fleet writes"
+
 # --- 6. fleet benchmark ---------------------------------------------------
 # benchmark/ (described by BENCHMARK.json) is its own Cargo package outside
 # the root workspace, so the builds above never compile it. Its test suite

@@ -2,22 +2,19 @@
 //! calibration cells in the metrics sidecar; a deliberately stale model set
 //! trips the CUSUM drift detector and produces a `calibration_drift` flight
 //! postmortem; and the whole sidecar is byte-stable across same-seed runs
-//! under the virtual clock.
-//!
-//! Everything here goes through process-global observability state (the
-//! dispatcher, metrics registry, calibration monitor and flight recorder),
-//! so the scenarios run sequentially inside ONE `#[test]` — splitting them
-//! into parallel test functions would interleave their globals.
+//! under the virtual clock. Each run records into its own streaming
+//! session, so runs on different threads share nothing but the trace
+//! level.
 
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
 use uniloc::core::error_model::ErrorModelSet;
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::env::venues;
 use uniloc::iodetect::IoState;
 use uniloc::obs::{
-    CalibrationSnapshot, JsonlExporter, MultiSubscriber, Subscriber, TraceLevel, VirtualClock,
+    CalibrationSnapshot, JsonlExporter, ObsSession, Subscriber, TraceLevel, VirtualClock,
 };
 use uniloc::stats::json::Json;
 
@@ -43,8 +40,18 @@ impl Write for SharedBuf {
     }
 }
 
-fn trained_models(seed: u64) -> ErrorModelSet {
-    pipeline::train_standard_models(seed).expect("training venues produce enough samples")
+/// Honestly trained models.
+fn models() -> &'static ErrorModelSet {
+    static MODELS: OnceLock<ErrorModelSet> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        pipeline::train_standard_models(5).expect("training venues produce enough samples")
+    })
+}
+
+/// [`models`], staled.
+fn stale_models() -> &'static ErrorModelSet {
+    static STALE: OnceLock<ErrorModelSet> = OnceLock::new();
+    STALE.get_or_init(|| staled(models()))
 }
 
 /// Makes every model wildly optimistic — predictions and spread shrunk to
@@ -68,44 +75,29 @@ fn staled(models: &ErrorModelSet) -> ErrorModelSet {
     out
 }
 
-/// Replays the CLI's `run --metrics … --virtual-clock` wiring in-process
-/// and returns the sidecar bytes: fresh virtual clock, reset globals, an
-/// exporter + flight recorder subscriber chain, one walk, then the metrics
-/// and calibration snapshots appended.
+/// Runs a walk under the session the CLI's `run --metrics …
+/// --virtual-clock` builds (over an in-memory sidecar, with no progress
+/// printer) and returns the sidecar bytes: the walk's trace events and
+/// flight postmortems, then the metrics and calibration snapshots.
 fn observed_run(models: &ErrorModelSet, seed: u64) -> String {
-    let d = uniloc::obs::global();
-    // A fresh clock per run: the virtual clock only saturates forward, so
-    // reusing the previous run's instance would shift every timestamp.
-    d.set_clock(Arc::new(VirtualClock::new()));
-    d.set_level(Some(TraceLevel::Span));
-    uniloc::obs::global_metrics().reset();
-    uniloc::obs::global_calibration().reset();
-    let flight = uniloc::obs::global_flight();
-    flight.reset();
-
+    uniloc::obs::global().set_level(Some(TraceLevel::Span));
     let buf = SharedBuf::default();
     let exporter = Arc::new(JsonlExporter::new(Box::new(buf.clone())));
-    flight.set_sink(Some(Arc::clone(&exporter)));
-    d.set_subscriber(Some(Arc::new(MultiSubscriber::new(vec![
-        Arc::clone(&exporter) as Arc<dyn Subscriber>,
-        Arc::clone(&flight) as Arc<dyn Subscriber>,
-    ]))));
-
-    let scenario = venues::office("observatory-office", seed, 50.0, 18.0);
-    let cfg = PipelineConfig::default();
-    let records = pipeline::run_walk(&scenario, models, &cfg, seed + 100);
-    assert!(!records.is_empty(), "walk produced no epochs");
-
-    for line in uniloc::obs::global_metrics().snapshot().jsonl_lines() {
+    let clock = Arc::new(VirtualClock::new());
+    let session = Arc::new(ObsSession::streaming(Some(Arc::clone(&exporter)), None, clock));
+    {
+        let _guard = uniloc::obs::session::install(Arc::clone(&session));
+        let scenario = venues::office("observatory-office", seed, 50.0, 18.0);
+        let records = pipeline::run_walk(&scenario, models, &PipelineConfig::default(), seed + 100);
+        assert!(!records.is_empty(), "walk produced no epochs");
+    }
+    for line in session.metrics.snapshot().jsonl_lines() {
         exporter.write_line(&line);
     }
-    for line in uniloc::obs::global_calibration().snapshot().jsonl_lines() {
+    for line in session.calibration.snapshot().jsonl_lines() {
         exporter.write_line(&line);
     }
     exporter.flush();
-
-    d.set_subscriber(None);
-    flight.set_sink(None);
     buf.contents()
 }
 
@@ -132,10 +124,8 @@ fn digest(sidecar: &str) -> (CalibrationSnapshot, u64, Vec<String>) {
 
 #[test]
 fn observatory_tracks_calibration_and_flags_stale_models() {
-    let models = trained_models(5);
-
     // --- Healthy run: calibration cells populated with sane summaries. ---
-    let healthy = observed_run(&models, 9);
+    let healthy = observed_run(models(), 9);
     let (snap, healthy_alarms, _) = digest(&healthy);
     assert!(!snap.cells.is_empty(), "walk produced no calibration cells");
     for cell in &snap.cells {
@@ -150,8 +140,7 @@ fn observatory_tracks_calibration_and_flags_stale_models() {
     // --- Stale run: shrunken models must trip the drift detector and leave
     // a calibration_drift postmortem; honestly-trained models must not alarm
     // more than the stale ones. ---
-    let stale_models = staled(&models);
-    let stale = observed_run(&stale_models, 9);
+    let stale = observed_run(stale_models(), 9);
     let (stale_snap, stale_alarms, reasons) = digest(&stale);
     assert!(
         stale_alarms > healthy_alarms,
@@ -168,6 +157,30 @@ fn observatory_tracks_calibration_and_flags_stale_models() {
 
     // --- Byte stability: the stale run repeated under the same seed must
     // reproduce the sidecar exactly, flight postmortems included. ---
-    let stale_again = observed_run(&stale_models, 9);
+    let stale_again = observed_run(stale_models(), 9);
     assert!(stale == stale_again, "same-seed stale runs produced different sidecar bytes");
+}
+
+/// Two sidecar sessions walking at the same time on two threads write
+/// exactly what each writes alone: nothing of one session reaches the
+/// other's metrics, calibration cells, flight ring, postmortems or clock.
+#[test]
+fn concurrent_sidecar_sessions_match_their_sequential_twins() {
+    let healthy = observed_run(models(), 9);
+    let stale = observed_run(stale_models(), 9);
+    // Both walks start only once both threads are up, so they overlap.
+    let start = Barrier::new(2);
+    let (healthy_beside, stale_beside) = std::thread::scope(|scope| {
+        let h = scope.spawn(|| {
+            start.wait();
+            observed_run(models(), 9)
+        });
+        let s = scope.spawn(|| {
+            start.wait();
+            observed_run(stale_models(), 9)
+        });
+        (h.join().expect("healthy walk"), s.join().expect("stale walk"))
+    });
+    assert!(healthy_beside == healthy, "the healthy sidecar changed beside a stale walk");
+    assert!(stale_beside == stale, "the stale sidecar changed beside a healthy walk");
 }
