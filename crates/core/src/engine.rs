@@ -32,15 +32,6 @@ use uniloc_obs::Stage;
 use uniloc_schemes::{LocalizationScheme, LocationEstimate, SchemeId};
 use uniloc_sensors::SensorFrame;
 
-/// Which combination rule produces the headline position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionMode {
-    /// UniLoc1: select the most-confident scheme.
-    BestSelection,
-    /// UniLoc2: locally-weighted Bayesian model averaging.
-    BayesianAveraging,
-}
-
 /// Per-scheme diagnostics for one epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeReport {
@@ -69,8 +60,8 @@ pub struct UniLocOutput {
     /// if any scheme delivered.
     pub bayesian_average: Option<Point>,
     /// UniLoc2 position computed over the schemes' full posteriors (the
-    /// literal Eqs. 3-4: each scheme contributes `P(l | M_n, s_t)` as
-    /// weighted candidates; point-only schemes contribute a point mass).
+    /// literal Eqs. 3-4: each scheme contributes the mean of its
+    /// `P(l | M_n, s_t)`; point-only schemes contribute a point mass).
     pub mixture_average: Option<Point>,
     /// IODetector's verdict this epoch.
     pub io: IoState,
@@ -86,16 +77,6 @@ pub struct UniLocOutput {
     /// Schemes excluded from this epoch's fusion by the quarantine
     /// machine (trips detected this epoch take effect next epoch).
     pub quarantined: Vec<SchemeId>,
-}
-
-impl UniLocOutput {
-    /// The headline position under a chosen mode.
-    pub fn position(&self, mode: FusionMode) -> Option<Point> {
-        match mode {
-            FusionMode::BestSelection => self.best_selection,
-            FusionMode::BayesianAveraging => self.bayesian_average,
-        }
-    }
 }
 
 /// Pre-rendered per-scheme metric names and estimate stage: the per-epoch
@@ -502,10 +483,7 @@ impl UniLocEngine {
                 })
                 .inc();
             // The posterior mean of P(l | M_n, s_t) — the component mean
-            // the literal Eq. 4 integrates. `posterior_mean` is the
-            // allocation-free form of the historical "materialize
-            // `posterior()`, then average" computation (same arithmetic,
-            // same order — see the trait contract).
+            // the literal Eq. 4 integrates.
             scratch
                 .posterior_means
                 .push(if estimate.is_some() { s.posterior_mean() } else { None });
@@ -1043,10 +1021,10 @@ mod tests {
             fn update(&mut self, _f: &SensorFrame) -> Option<LocationEstimate> {
                 Some(LocationEstimate::at(Point::new(0.0, 0.0)))
             }
-            fn posterior(&self) -> Option<Vec<(Point, f64)>> {
+            fn posterior_mean(&self) -> Option<Point> {
                 // Posterior mass sits at x = 4 even though the point
                 // estimate says x = 0.
-                Some(vec![(Point::new(4.0, 0.0), 1.0)])
+                Some(Point::new(4.0, 0.0))
             }
         }
         let mut models = ErrorModelSet::default();

@@ -27,7 +27,8 @@ use std::sync::Arc;
 use uniloc_filters::{Hmm2Predictor, Kalman2D};
 use uniloc_geom::{FloorPlan, Point};
 use uniloc_iodetect::IoState;
-use uniloc_schemes::{CellFingerprintDb, SchemeId, WifiFingerprintDb};
+use uniloc_schemes::fingerprint::{FingerprintDb, RssiLike, TOP_K};
+use uniloc_schemes::{CellFingerprintDb, FingerprintMatch, SchemeId, WifiFingerprintDb};
 use uniloc_sensors::SensorFrame;
 
 /// A user-supplied feature extractor for a custom scheme: given the shared
@@ -52,9 +53,6 @@ pub const OUTDOOR_WIDTH_FALLBACK_M: f64 = 15.0;
 
 /// Path width (m) assumed indoors when no corridor is mapped.
 pub const INDOOR_WIDTH_FALLBACK_M: f64 = 3.0;
-
-/// Candidates considered for the RSSI distance deviation (paper: k = 3).
-pub const TOP_K: usize = 3;
 
 /// Immutable per-venue inputs to feature extraction: the offline fingerprint
 /// databases and the public map.
@@ -249,7 +247,7 @@ impl FeatureExtractor {
         io: IoState,
         frame: &SensorFrame,
         location_hint: Option<Point>,
-        matches: &mut Vec<uniloc_schemes::FingerprintMatch>,
+        matches: &mut Vec<FingerprintMatch>,
         out: &mut Vec<f64>,
     ) -> bool {
         out.clear();
@@ -261,34 +259,18 @@ impl FeatureExtractor {
                 // the receiver.
                 io == IoState::Outdoor
             }
+            // "When the number of audible APs is less than 3, it is unlikely
+            // for the RSSI fingerprinting scheme to provide a meaningful
+            // result" — below that, WiFi counts as unavailable (and the
+            // scheme itself is gated identically).
             SchemeId::Wifi => {
-                let Some(scan) = frame.wifi.as_ref() else { return false };
-                // "When the number of audible APs is less than 3, it is
-                // unlikely for the RSSI fingerprinting scheme to provide a
-                // meaningful result" — below that, WiFi counts as
-                // unavailable (and the scheme itself is gated identically).
-                if scan.len() < 3 {
-                    return false;
-                }
-                ctx.wifi_db.match_scan_into(scan, TOP_K, matches);
-                if matches.is_empty() {
-                    return false;
-                }
-                out.push(self.density(&ctx.wifi_db, loc));
-                out.push(match_deviation(matches.iter().map(|m| m.distance)));
-                true
+                self.radar_features(&ctx.wifi_db, frame, loc, 3, matches, out).is_some()
             }
             SchemeId::Cellular => {
-                let Some(scan) = frame.cell.as_ref() else { return false };
-                if scan.is_empty() {
+                let Some(scan) = self.radar_features(&ctx.cell_db, frame, loc, 1, matches, out)
+                else {
                     return false;
-                }
-                ctx.cell_db.match_scan_into(scan, TOP_K, matches);
-                if matches.is_empty() {
-                    return false;
-                }
-                out.push(self.density(&ctx.cell_db, loc));
-                out.push(match_deviation(matches.iter().map(|m| m.distance)));
+                };
                 out.push(scan.len() as f64);
                 true
             }
@@ -318,11 +300,30 @@ impl FeatureExtractor {
         }
     }
 
-    fn density<S: uniloc_schemes::fingerprint::RssiLike>(
+    /// The RADAR schemes' shared features: fingerprint density and the
+    /// top-k RSSI distance deviation, pushed onto `out`. Returns the
+    /// frame's scan, or `None` (the scheme is unavailable) when the frame
+    /// carries fewer than `min_heard` readings or nothing in `db` matches.
+    fn radar_features<'f, S: RssiLike>(
         &self,
-        db: &uniloc_schemes::fingerprint::FingerprintDb<S>,
+        db: &FingerprintDb<S>,
+        frame: &'f SensorFrame,
         loc: Option<Point>,
-    ) -> f64 {
+        min_heard: usize,
+        matches: &mut Vec<FingerprintMatch>,
+        out: &mut Vec<f64>,
+    ) -> Option<&'f S> {
+        let scan = S::in_frame(frame).filter(|s| s.reading_count() >= min_heard)?;
+        db.match_scan_into(scan, TOP_K, matches);
+        if matches.is_empty() {
+            return None;
+        }
+        out.push(self.density(db, loc));
+        out.push(match_deviation(matches.iter().map(|m| m.distance)));
+        Some(scan)
+    }
+
+    fn density<S: RssiLike>(&self, db: &FingerprintDb<S>, loc: Option<Point>) -> f64 {
         loc.and_then(|p| db.local_density(p, DENSITY_RADIUS_M))
             .unwrap_or(DENSITY_FALLBACK_M)
     }

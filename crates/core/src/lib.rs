@@ -68,7 +68,7 @@ pub mod session;
 pub use aloc::ALocSelector;
 pub use confidence::{adaptive_tau, confidence};
 pub use energy::{EnergyReport, PowerProfile};
-pub use engine::{FusionMode, SchemeReport, UniLocEngine, UniLocOutput};
+pub use engine::{SchemeReport, UniLocEngine, UniLocOutput};
 pub use guard::{scrub_frame, FrameGate, GateVerdict, ScrubReport};
 pub use quarantine::{DegradationLadder, QuarantineMachine, SchemeVerdict};
 pub use error_model::{ErrorModelSet, ErrorPrediction, LinearErrorModel, TrainingSample};

@@ -26,6 +26,11 @@
 //! stage name attached; one anywhere else in the step (a metric name, a
 //! calibration key, a trigger's bookkeeping) moves the per-step count off
 //! four.
+//!
+//! Building a session shares its venue's radio map instead of copying it:
+//! the context, the fingerprint schemes and fusion read one survey, so
+//! `Session::from_context` allocates a fixed amount however many
+//! fingerprints the venue has.
 
 use std::sync::{Arc, OnceLock};
 
@@ -73,6 +78,21 @@ fn walk(obs: &Arc<ObsSession>) -> Vec<u64> {
         drop(record);
     }
     per_step
+}
+
+/// What `Session::from_context` allocates on this thread over an
+/// already-surveyed `scenario`, and the survey's WiFi fingerprint count.
+fn session_build(scenario: uniloc_env::Scenario, seed: u64) -> (u64, u64) {
+    let cfg = PipelineConfig::default();
+    let models = models();
+    let ctx = pipeline::build_context(&scenario, &cfg, seed);
+    let fingerprints = ctx.wifi_db.len() as u64;
+    let scenario = Arc::new(scenario);
+    let before = thread_allocs();
+    let session = Session::from_context(scenario, ctx, models, &cfg, seed);
+    let allocs = thread_allocs() - before;
+    drop(session);
+    (allocs, fingerprints)
 }
 
 /// The median of the steady epochs' per-step allocation counts.
@@ -131,4 +151,20 @@ fn stubbed_step_allocates_only_its_record() {
         steady.iter().all(|&n| n == RECORD_ALLOCS),
         "a steady step under stubbed obs allocated more than its record; per step: {per_step:?}"
     );
+}
+
+#[test]
+fn session_build_shares_the_radio_map() {
+    let _guard = install(Arc::new(ObsSession::stubbed()));
+    let office = venues::office("zero-alloc", 21, 40.0, 15.0);
+    let mall = venues::shopping_mall(5, 1).swap_remove(0);
+    for (venue, (allocs, fingerprints)) in
+        [("office", session_build(office, 23)), ("mall", session_build(mall, 6))]
+    {
+        assert!(
+            allocs < fingerprints,
+            "building a {venue} session allocated {allocs} time(s) over its \
+             {fingerprints} WiFi fingerprints: something copies the radio map"
+        );
+    }
 }

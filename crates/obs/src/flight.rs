@@ -137,7 +137,7 @@ impl FlightRecorder {
     /// The postmortem document of dump `seq`; advances the counter
     /// baseline.
     fn postmortem(&self, seq: u64, reason: &str, fields: &[(String, FieldValue)]) -> Json {
-        let snap = global_metrics().snapshot();
+        let snap = global_metrics().scalar_snapshot();
         let mut baseline = self.baseline.lock().expect("flight baseline lock");
         let counters_delta: Vec<Json> = snap
             .counters

@@ -466,6 +466,22 @@ impl MetricsRegistry {
     /// A deterministic snapshot: metrics sorted by name within each kind.
     /// A sink registry snapshots empty.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.scalar_snapshot();
+        if !self.is_sink() {
+            snap.histograms = self
+                .histograms
+                .lock()
+                .expect("metrics mutex")
+                .iter()
+                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .collect();
+        }
+        snap
+    }
+
+    /// [`snapshot`](Self::snapshot) without the histograms: the counters
+    /// and gauges a flight postmortem writes, with no bucket copied.
+    pub(crate) fn scalar_snapshot(&self) -> MetricsSnapshot {
         if self.is_sink() {
             return MetricsSnapshot::default();
         }
@@ -484,13 +500,7 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("metrics mutex")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            histograms: Vec::new(),
         }
     }
 }

@@ -127,7 +127,7 @@ impl RadioMapBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wifi::WifiFingerprintScheme;
+    use crate::radar::WifiFingerprintScheme;
     use crate::LocalizationScheme;
     use uniloc_rng::Rng;
     use uniloc_env::{venues, GaitProfile, Walker};

@@ -86,42 +86,17 @@ pub trait LocalizationScheme: Send {
     /// Which scheme this is.
     fn id(&self) -> SchemeId;
 
-    /// Human-readable name (defaults to the id).
-    fn name(&self) -> String {
-        self.id().to_string()
-    }
-
     /// Consumes one epoch of sensor data and produces an estimate if the
     /// scheme is currently available.
     fn update(&mut self, frame: &SensorFrame) -> Option<LocationEstimate>;
 
-    /// The scheme's posterior over locations for its *latest* estimate, as
-    /// weighted candidates — `P(l = l_i | M_n, s_t)` in the paper's Eq. 3.
-    /// Schemes that only produce a point (like GPS) return `None`; the
-    /// ensemble then treats the estimate as a point mass. Weights need not
-    /// be normalized.
-    fn posterior(&self) -> Option<Vec<(Point, f64)>> {
-        None
-    }
-
-    /// The weighted mean of [`posterior`](Self::posterior), or `None` when
-    /// there is no posterior (or its total weight is not positive). The
-    /// ensemble consumes this instead of materializing the candidate list
-    /// every epoch; schemes that can compute the mean without building the
-    /// list override it (the default allocates via `posterior()`).
-    ///
-    /// Overrides must be *bit-identical* to this default: sum the weights,
-    /// then the weighted x's, then the weighted y's, in candidate order.
+    /// The mean of the scheme's posterior over locations for its *latest*
+    /// estimate, `P(l = l_i | M_n, s_t)` in the paper's Eq. 3 — the
+    /// component mean Eq. 4's mixture integrates. `None` for schemes that
+    /// only produce a point (like GPS), or when the posterior's total
+    /// weight is not positive; the ensemble then uses the point estimate.
     fn posterior_mean(&self) -> Option<Point> {
-        let cand = self.posterior()?;
-        let w: f64 = cand.iter().map(|(_, w)| w).sum();
-        if w > 0.0 {
-            let x = cand.iter().map(|(p, cw)| cw * p.x).sum::<f64>() / w;
-            let y = cand.iter().map(|(p, cw)| cw * p.y).sum::<f64>() / w;
-            Some(Point::new(x, y))
-        } else {
-            None
-        }
+        None
     }
 
     /// Resets internal state (new walk).

@@ -6,16 +6,28 @@
 //! fingerprint has one sample from each audible AP". The same machinery
 //! serves the cellular scheme over tower RSSIs.
 
+use std::sync::Arc;
+
+use crate::estimate::SchemeId;
 use crate::index::SignalIndex;
 use uniloc_geom::Point;
-use uniloc_sensors::{CellScan, SensorHub, WifiScan};
+use uniloc_sensors::{CellScan, RssiCalibration, SensorFrame, SensorHub, WifiScan};
 
 /// Default penalty (dB) charged per AP audible in only one of two compared
 /// scans.
 pub const DEFAULT_MISSING_PENALTY_DBM: f64 = 12.0;
 
-/// Scans that support the RSSI fingerprint distance.
-pub trait RssiLike: Clone {
+/// Candidates a RADAR match keeps: the fingerprint scheme's spread and
+/// posterior, and the RSSI distance deviation feature (the paper sets
+/// `k = 3`).
+pub const TOP_K: usize = 3;
+
+/// One radio's scans, which support the RSSI fingerprint distance.
+pub trait RssiLike: Clone + Default + Send + Sync {
+    /// The scheme that fingerprints this radio.
+    const SCHEME: SchemeId;
+    /// This radio's scan in `frame`, if the frame carries one.
+    fn in_frame(frame: &SensorFrame) -> Option<&Self>;
     /// Fingerprint (Euclidean) distance; `None` when no APs are shared.
     fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64>;
     /// Whether nothing was audible.
@@ -27,39 +39,51 @@ pub trait RssiLike: Clone {
     /// (true for `ApId`/`TowerId` newtypes over `u32`), so the flat index
     /// slabs reproduce the typed merge bit-for-bit.
     fn reading(&self, i: usize) -> (u32, f64);
+    /// Writes this scan, every RSSI mapped through `calibration`, into
+    /// `out`, reusing its buffer.
+    fn calibrated_into(&self, calibration: RssiCalibration, out: &mut Self);
 }
 
-impl RssiLike for WifiScan {
-    fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64> {
-        self.distance(other, missing_penalty)
-    }
-    fn no_signal(&self) -> bool {
-        self.is_empty()
-    }
-    fn reading_count(&self) -> usize {
-        self.readings.len()
-    }
-    fn reading(&self, i: usize) -> (u32, f64) {
-        let (id, r) = self.readings[i];
-        (id.0, r)
-    }
+/// [`RssiLike`] for a scan type of `(id newtype over u32, RSSI)` readings
+/// that `$scheme` fingerprints and a frame carries in `$field`.
+macro_rules! impl_rssi_like {
+    ($scan:ty, $scheme:expr, $field:ident) => {
+        impl RssiLike for $scan {
+            const SCHEME: SchemeId = $scheme;
+            fn in_frame(frame: &SensorFrame) -> Option<&Self> {
+                frame.$field.as_ref()
+            }
+            fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64> {
+                self.distance(other, missing_penalty)
+            }
+            fn no_signal(&self) -> bool {
+                self.is_empty()
+            }
+            fn reading_count(&self) -> usize {
+                self.readings.len()
+            }
+            fn reading(&self, i: usize) -> (u32, f64) {
+                let (id, r) = self.readings[i];
+                (id.0, r)
+            }
+            fn calibrated_into(&self, calibration: RssiCalibration, out: &mut Self) {
+                {
+                    // Capacity growth is a warmup artifact (the buffer's
+                    // high-water mark), not per-epoch work — keep it off
+                    // the allocation meter.
+                    let _pause = uniloc_obs::alloc::pause();
+                    out.readings.clear();
+                    out.readings.reserve(self.readings.len());
+                }
+                out.readings
+                    .extend(self.readings.iter().map(|&(id, r)| (id, calibration.apply(r))));
+            }
+        }
+    };
 }
 
-impl RssiLike for CellScan {
-    fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64> {
-        self.distance(other, missing_penalty)
-    }
-    fn no_signal(&self) -> bool {
-        self.is_empty()
-    }
-    fn reading_count(&self) -> usize {
-        self.readings.len()
-    }
-    fn reading(&self, i: usize) -> (u32, f64) {
-        let (id, r) = self.readings[i];
-        (id.0, r)
-    }
-}
+impl_rssi_like!(WifiScan, SchemeId::Wifi, wifi);
+impl_rssi_like!(CellScan, SchemeId::Cellular, cell);
 
 /// One match candidate from a fingerprint lookup.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,8 +103,17 @@ pub struct FingerprintMatch {
 /// table-driven kernels — with output bit-identical to the retained
 /// linear references (see the `index` module docs and
 /// `tests/index_differential.rs`).
+///
+/// Clones share one survey: a session's context, its fingerprint schemes
+/// and its fusion scheme all read the same entries and index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintDb<S> {
+    survey: Arc<Survey<S>>,
+}
+
+/// What every clone of a [`FingerprintDb`] shares.
+#[derive(Debug, Clone, PartialEq)]
+struct Survey<S> {
     entries: Vec<(Point, S)>,
     missing_penalty: f64,
     index: SignalIndex,
@@ -107,33 +140,38 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// signal index is always built from exactly the stored entries.
     fn with_entries(entries: Vec<(Point, S)>, missing_penalty: f64) -> Self {
         let index = SignalIndex::build(&entries);
-        FingerprintDb { entries, missing_penalty, index }
+        FingerprintDb { survey: Arc::new(Survey { entries, missing_penalty, index }) }
     }
 
     /// Overrides the missing-AP penalty.
     pub fn with_missing_penalty(mut self, penalty: f64) -> Self {
-        self.missing_penalty = penalty;
+        Arc::make_mut(&mut self.survey).missing_penalty = penalty;
         self
     }
 
     /// Number of usable fingerprints.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.survey.entries.len()
     }
 
     /// Whether the survey produced no usable fingerprints.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.survey.entries.is_empty()
     }
 
     /// Survey positions of all fingerprints.
     pub fn positions(&self) -> impl Iterator<Item = Point> + '_ {
-        self.entries.iter().map(|(p, _)| *p)
+        self.survey.entries.iter().map(|(p, _)| *p)
     }
 
     /// All `(position, fingerprint)` entries.
     pub fn entries(&self) -> impl Iterator<Item = (Point, &S)> + '_ {
-        self.entries.iter().map(|(p, s)| (*p, s))
+        self.survey.entries.iter().map(|(p, s)| (*p, s))
+    }
+
+    /// The `i`-th fingerprint, in entry order.
+    pub fn scan(&self, i: usize) -> &S {
+        &self.survey.entries[i].1
     }
 
     /// The `k` fingerprints closest (in RSSI space) to an online scan,
@@ -148,7 +186,7 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// [`match_scan`](Self::match_scan) into a caller-owned buffer — the
     /// hot-path form the per-epoch loop uses to stay allocation-free.
     pub fn match_scan_into(&self, scan: &S, k: usize, out: &mut Vec<FingerprintMatch>) {
-        self.index.match_into(scan, k, self.missing_penalty, out);
+        self.survey.index.match_into(scan, k, self.survey.missing_penalty, out);
     }
 
     /// Whether some fingerprint hears an AP (tower) id of `scan`. For a
@@ -157,7 +195,7 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// `!match_scan(scan, k).is_empty()` for any `k >= 1`, without scoring
     /// anything — the fusion scheme's emptiness test.
     pub fn hears_any(&self, scan: &S) -> bool {
-        self.index.hears_any(scan)
+        self.survey.index.hears_any(scan)
     }
 
     /// The retained linear-scan reference implementation of
@@ -170,11 +208,10 @@ impl<S: RssiLike> FingerprintDb<S> {
             return Vec::new();
         }
         let mut matches: Vec<FingerprintMatch> = self
-            .entries
-            .iter()
+            .entries()
             .filter_map(|(p, fp)| {
-                scan.fingerprint_distance(fp, self.missing_penalty)
-                    .map(|d| FingerprintMatch { position: *p, distance: d })
+                scan.fingerprint_distance(fp, self.survey.missing_penalty)
+                    .map(|d| FingerprintMatch { position: p, distance: d })
             })
             .collect();
         // `total_cmp` instead of `partial_cmp(..).expect(..)`: a NaN
@@ -193,7 +230,7 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// within `radius` of `p`. Returns `None` when fewer than two
     /// fingerprints are in range (density undefined — treat as very sparse).
     pub fn local_density(&self, p: Point, radius: f64) -> Option<f64> {
-        self.index.local_density(p, radius)
+        self.survey.index.local_density(p, radius)
     }
 
     /// The retained reference implementation of
@@ -233,12 +270,12 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// downsample the fine-grained fingerprint data").
     pub fn downsampled(&self, min_spacing: f64) -> Self {
         let mut kept: Vec<(Point, S)> = Vec::new();
-        for (p, s) in &self.entries {
-            if kept.iter().all(|(q, _)| q.distance(*p) >= min_spacing) {
-                kept.push((*p, s.clone()));
+        for (p, s) in self.entries() {
+            if kept.iter().all(|(q, _)| q.distance(p) >= min_spacing) {
+                kept.push((p, s.clone()));
             }
         }
-        Self::with_entries(kept, self.missing_penalty)
+        Self::with_entries(kept, self.survey.missing_penalty)
     }
 }
 
@@ -290,7 +327,7 @@ mod tests {
     fn empty_scan_matches_nothing() {
         let db = synthetic_db();
         assert!(db.match_scan(&WifiScan::default(), 3).is_empty());
-        assert!(db.match_scan(&synthetic_db().entries[0].1.clone(), 0).is_empty());
+        assert!(db.match_scan(db.scan(0), 0).is_empty());
     }
 
     #[test]

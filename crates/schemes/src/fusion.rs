@@ -15,7 +15,7 @@
 //! not the baseline's.
 
 use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
-use crate::fingerprint::WifiFingerprintDb;
+use crate::fingerprint::{WifiFingerprintDb, DEFAULT_MISSING_PENALTY_DBM};
 use crate::index::SpatialGrid;
 use crate::pdr::{PdrConfig, PdrCore};
 use uniloc_geom::{FloorPlan, Point};
@@ -37,8 +37,9 @@ const RSSI_SIGMA_DB: f64 = 8.0;
 pub struct FusionScheme {
     core: PdrCore,
     db: WifiFingerprintDb,
+    /// Nearest-fingerprint lookup over the database's positions, in entry
+    /// order.
     index: SpatialGrid,
-    fingerprints: Vec<WifiScan>,
     /// Per-fingerprint likelihoods of the scan being reweighted.
     memo: LikelihoodMemo,
 }
@@ -89,21 +90,13 @@ impl FusionScheme {
         db: WifiFingerprintDb,
         seed: u64,
     ) -> Self {
-        let (positions, fingerprints): (Vec<Point>, Vec<WifiScan>) =
-            db.entries().map(|(p, s)| (p, s.clone())).unzip();
-        let index = SpatialGrid::build(positions, GRID_CELL_M);
+        let index = SpatialGrid::build(db.positions().collect(), GRID_CELL_M);
         FusionScheme {
             core: PdrCore::new(plan, start, config, seed),
             db,
             index,
-            fingerprints,
             memo: LikelihoodMemo::default(),
         }
-    }
-
-    /// The offline database (shared with UniLoc's feature extractor).
-    pub fn db(&self) -> &WifiFingerprintDb {
-        &self.db
     }
 
     /// Reweights particles by the RSSI likelihood of the online scan
@@ -144,14 +137,16 @@ impl FusionScheme {
         // so each fingerprint's is computed once per call and memoized.
         let two_sigma2 = 2.0 * RSSI_SIGMA_DB * RSSI_SIGMA_DB;
         let index = &self.index;
-        let fingerprints = &self.fingerprints;
+        let db = &self.db;
         let memo = &mut self.memo;
-        memo.begin(fingerprints.len());
+        memo.begin(db.len());
         let _ = self.core.pf.reweight(|p| {
             let l = match index.nearest(p.pos) {
-                Some(i) => memo.get(i, || match scan.distance(&fingerprints[i], 12.0) {
-                    Some(d) => (-d * d / two_sigma2).exp(),
-                    None => 0.0,
+                Some(i) => memo.get(i, || {
+                    match scan.distance(db.scan(i), DEFAULT_MISSING_PENALTY_DBM) {
+                        Some(d) => (-d * d / two_sigma2).exp(),
+                        None => 0.0,
+                    }
                 }),
                 None => 0.0,
             };
@@ -181,10 +176,6 @@ impl LocalizationScheme for FusionScheme {
             .gauge("fusion.particle_filter.ess")
             .set(self.core.pf.effective_sample_size());
         Some(self.core.estimate())
-    }
-
-    fn posterior(&self) -> Option<Vec<(Point, f64)>> {
-        Some(self.core.posterior())
     }
 
     fn posterior_mean(&self) -> Option<Point> {
@@ -341,10 +332,10 @@ mod tests {
             }
             let mut reference = fusion.core.pf.clone();
             let index = &fusion.index;
-            let fingerprints = &fusion.fingerprints;
+            let db = &fusion.db;
             reference.reweight(|p| {
                 let l = match index.nearest(p.pos) {
-                    Some(i) => match scan.distance(&fingerprints[i], 12.0) {
+                    Some(i) => match scan.distance(db.scan(i), 12.0) {
                         Some(d) => (-d * d / two_sigma2).exp(),
                         None => 0.0,
                     },

@@ -186,10 +186,6 @@ impl LocalizationScheme for HorusScheme {
         HORUS_SCHEME_ID
     }
 
-    fn name(&self) -> String {
-        "horus".to_owned()
-    }
-
     fn update(&mut self, frame: &SensorFrame) -> Option<LocationEstimate> {
         let scan = frame.wifi.as_ref()?;
         if scan.len() < self.min_aps {
@@ -302,7 +298,6 @@ mod tests {
         let (_, db) = survey_db(2, 135);
         let s = HorusScheme::new(db);
         assert_eq!(s.id(), HORUS_SCHEME_ID);
-        assert_eq!(s.name(), "horus");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! | Scheme | Paper reference | Module |
 //! |---|---|---|
 //! | GPS | phone GPS module | [`gps`] |
-//! | WiFi RSSI fingerprinting | RADAR \[1\] | [`wifi`] |
-//! | Cellular RSSI fingerprinting | Otsason et al. \[22\] | [`cell`] |
+//! | WiFi RSSI fingerprinting | RADAR \[1\] | [`radar`] |
+//! | Cellular RSSI fingerprinting | RADAR on GSM (Otsason et al. \[22\]) | [`radar`] |
 //! | Motion-based PDR | Li et al. \[7\] + UnLoc \[12\] landmarks | [`pdr`] |
 //! | Sensor-data fusion | Travi-Navi \[11\] | [`fusion`] |
 //!
@@ -16,7 +16,6 @@
 //!
 //! [`SensorFrame`]: uniloc_sensors::SensorFrame
 
-pub mod cell;
 pub mod crowdsource;
 pub mod estimate;
 pub mod fingerprint;
@@ -26,9 +25,8 @@ pub mod horus;
 pub mod index;
 pub mod oracle;
 pub mod pdr;
-pub mod wifi;
+pub mod radar;
 
-pub use cell::CellFingerprintScheme;
 pub use crowdsource::RadioMapBuilder;
 pub use estimate::{LocalizationScheme, LocationEstimate, SchemeId};
 pub use horus::{HorusScheme, ProbFingerprintDb};
@@ -38,4 +36,4 @@ pub use fusion::FusionScheme;
 pub use gps::GpsScheme;
 pub use oracle::Oracle;
 pub use pdr::{PdrConfig, PdrScheme};
-pub use wifi::WifiFingerprintScheme;
+pub use radar::{CellFingerprintScheme, FingerprintScheme, WifiFingerprintScheme};

@@ -190,22 +190,10 @@ impl PdrCore {
         self.pf.maybe_resample(self.config.resample_frac, &mut self.rng);
     }
 
-    /// A subsampled particle-cloud posterior (up to 32 representatives).
-    pub fn posterior(&self) -> Vec<(Point, f64)> {
-        let n = self.pf.len();
-        let step = (n / 32).max(1);
-        self.pf
-            .particles()
-            .iter()
-            .step_by(step)
-            .map(|p| (p.state.pos, p.weight.max(1e-12)))
-            .collect()
-    }
-
-    /// The weighted mean of [`posterior`](Self::posterior) without
-    /// materializing the candidate list — bit-identical to summing the
-    /// subsampled candidates' weights, weighted x's, and weighted y's in
-    /// order (the `LocalizationScheme::posterior_mean` contract).
+    /// The weighted mean of a subsampled particle-cloud posterior (up to
+    /// 32 representatives, each weighing at least `1e-12`): the weights
+    /// are summed, then the weighted x's, then the weighted y's, in
+    /// particle order.
     pub fn posterior_mean(&self) -> Option<Point> {
         let n = self.pf.len();
         let step = (n / 32).max(1);
@@ -292,10 +280,6 @@ impl LocalizationScheme for PdrScheme {
             .gauge("pdr.particle_filter.ess")
             .set(self.core.pf.effective_sample_size());
         Some(self.core.estimate())
-    }
-
-    fn posterior(&self) -> Option<Vec<(Point, f64)>> {
-        Some(self.core.posterior())
     }
 
     fn posterior_mean(&self) -> Option<Point> {

@@ -6,9 +6,10 @@
 //! * [`device`] — phone models with the RSSI heterogeneity the paper
 //!   measures between the Google Nexus 5X and LG G3
 //!   (`rssi_A = alpha * rssi_B + delta`, Section III-B).
-//! * [`scans`] — [`WifiScan`], [`CellScan`] and [`GpsFix`] (coordinate,
-//!   HDOP, visible satellites — exactly what "the GPS module of current
-//!   smartphones" reports).
+//! * [`scans`] — [`WifiScan`] and [`CellScan`] (one [`Scan`] type over
+//!   AP or tower ids) and [`GpsFix`] (coordinate, HDOP, visible
+//!   satellites — exactly what "the GPS module of current smartphones"
+//!   reports).
 //! * [`hub`] — the [`SensorHub`] samples a whole walk into per-epoch
 //!   [`SensorFrame`]s, evolving IMU heading drift along the way.
 //! * [`calibrate`] — online RSSI offset calibration between heterogeneous
@@ -42,4 +43,4 @@ pub mod scans;
 pub use calibrate::RssiCalibration;
 pub use device::{DeviceModel, DeviceProfile};
 pub use hub::{LandmarkObservation, SensorFrame, SensorHub, StepMeasurement};
-pub use scans::{merge_distance, CellScan, GpsFix, WifiScan};
+pub use scans::{merge_distance, CellScan, GpsFix, Scan, WifiScan};

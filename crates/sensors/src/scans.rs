@@ -46,65 +46,51 @@ pub fn merge_distance<K: Ord + Copy>(
     Some((sum_sq / (common + missing) as f64).sqrt())
 }
 
-/// A WiFi scan: RSSI per audible access point, in dBm, as measured by the
-/// scanning device (device offset already applied).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WifiScan {
-    /// `(AP id, RSSI dBm)` pairs, in AP-id order.
-    pub readings: Vec<(ApId, f64)>,
+/// One radio's scan: RSSI per audible transmitter (a WiFi access point
+/// or a cell tower), in dBm, as measured by the scanning device (device
+/// offset already applied).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scan<K> {
+    /// `(transmitter id, RSSI dBm)` pairs, in id order.
+    pub readings: Vec<(K, f64)>,
 }
 
-impl WifiScan {
-    /// Number of audible APs.
+/// A WiFi scan: RSSI per audible access point.
+pub type WifiScan = Scan<ApId>;
+
+/// A cellular scan: RSSI per audible tower.
+pub type CellScan = Scan<TowerId>;
+
+impl<K> Default for Scan<K> {
+    fn default() -> Self {
+        Scan { readings: Vec::new() }
+    }
+}
+
+impl<K: Ord + Copy> Scan<K> {
+    /// Number of audible transmitters.
     pub fn len(&self) -> usize {
         self.readings.len()
     }
 
-    /// Whether no AP was audible.
+    /// Whether no transmitter was audible.
     pub fn is_empty(&self) -> bool {
         self.readings.is_empty()
     }
 
-    /// RSSI for a particular AP, if audible.
-    pub fn rssi(&self, id: ApId) -> Option<f64> {
+    /// RSSI for a particular transmitter, if audible.
+    pub fn rssi(&self, id: K) -> Option<f64> {
         self.readings.iter().find(|(a, _)| *a == id).map(|(_, r)| *r)
     }
 
-    /// Euclidean distance between two scans over their common APs, the
-    /// core metric of RADAR-style fingerprinting. APs audible in only one
-    /// scan contribute a penalty of `(missing_penalty_dbm)` each, so having
-    /// disjoint AP sets costs more than sharing weak links.
+    /// Euclidean distance between two scans over their common
+    /// transmitters, the core metric of RADAR-style fingerprinting.
+    /// Transmitters audible in only one scan contribute a penalty of
+    /// `(missing_penalty_dbm)` each, so having disjoint sets costs more
+    /// than sharing weak links.
     ///
-    /// Returns `None` when the scans share no APs at all.
-    pub fn distance(&self, other: &WifiScan, missing_penalty_dbm: f64) -> Option<f64> {
-        merge_distance(&self.readings, &other.readings, missing_penalty_dbm)
-    }
-}
-
-/// A cellular scan: RSSI per audible tower, in dBm.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CellScan {
-    /// `(tower id, RSSI dBm)` pairs, in tower-id order.
-    pub readings: Vec<(TowerId, f64)>,
-}
-
-impl CellScan {
-    /// Number of audible towers.
-    pub fn len(&self) -> usize {
-        self.readings.len()
-    }
-
-    /// Whether no tower was audible.
-    pub fn is_empty(&self) -> bool {
-        self.readings.is_empty()
-    }
-
-    /// Same fingerprint distance as [`WifiScan::distance`]. `TowerId`
-    /// orders exactly like its inner `u32` (as `ApId` does), so running
-    /// the shared merge directly over tower readings is bit-identical to
-    /// the former remap-through-`WifiScan` path — without allocating two
-    /// temporary scans per comparison.
-    pub fn distance(&self, other: &CellScan, missing_penalty_dbm: f64) -> Option<f64> {
+    /// Returns `None` when the scans share no transmitter at all.
+    pub fn distance(&self, other: &Self, missing_penalty_dbm: f64) -> Option<f64> {
         merge_distance(&self.readings, &other.readings, missing_penalty_dbm)
     }
 }

@@ -63,6 +63,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps (offline, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+
 # The examples are the public API's only in-repo callers outside the
 # tests, and `cargo test` builds them without running them.
 echo "==> examples (each run once, release)"
@@ -75,13 +78,26 @@ for example in examples/*.rs; do
 done
 echo "    ok: every example ran to completion"
 
+# Three committed paper files are exactly what their regenerators print
+# (the other nine are stale, or carry a wall-clock line; ROADMAP item 1).
+# Between them they walk every built-in scheme and the training features,
+# so a change to any scheme's output or to feature extraction fails here.
+echo "==> paper regenerators (stdout diffed against results/)"
+for bin in fig2_motivation fig4_paths table2_error_models; do
+    UNILOC_QUIET=1 target/release/"$bin" > "$smoke/$bin.txt"
+    if ! diff "results/$bin.txt" "$smoke/$bin.txt" > /dev/null; then
+        echo "ERROR: target/release/$bin no longer prints results/$bin.txt:" >&2
+        diff "results/$bin.txt" "$smoke/$bin.txt" | head -20 >&2 || true
+        exit 1
+    fi
+done
+echo "    ok: fig2_motivation, fig4_paths and table2_error_models match results/"
+
 # --- 3. metrics smoke ----------------------------------------------------
 # Run a short scenario with the observability sidecar enabled, then assert
 # the JSONL parses with the in-repo reader (via `uniloc inspect`) and
 # carries the expected metric names.
 echo "==> metrics smoke (uniloc run --metrics)"
-smoke=$(mktemp -d)
-trap 'rm -rf "$smoke"' EXIT
 target/release/uniloc train --seed 1 --out "$smoke/models.json" --quiet
 target/release/uniloc run --models "$smoke/models.json" --scenario office \
     --seed 3 --metrics "$smoke/metrics.jsonl" --virtual-clock --quiet >/dev/null

@@ -35,10 +35,6 @@ impl LocalizationScheme for SmoothedCellular {
         SchemeId::Custom(1)
     }
 
-    fn name(&self) -> String {
-        "kalman-cellular".to_owned()
-    }
-
     fn update(&mut self, frame: &SensorFrame) -> Option<LocationEstimate> {
         let raw = self.inner.update(frame)?;
         let dt = (frame.t - self.last_t).max(0.1);
