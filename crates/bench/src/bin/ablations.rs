@@ -26,7 +26,7 @@
 use uniloc_bench::{mean_defined, system_errors, trained_models};
 use uniloc_core::aloc::ALocSelector;
 use uniloc_core::confidence::confidence;
-use uniloc_core::energy::PowerProfile;
+use uniloc_core::energy::scheme_power_mw;
 use uniloc_core::error_model::{ErrorModelSet, ErrorPrediction};
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_env::{campus, venues};
@@ -160,7 +160,7 @@ fn main() {
         let density = db
             .local_density(Point::new(28.0, 10.0), 20.0)
             .unwrap_or(f64::NAN);
-        let mut scheme = WifiFingerprintScheme::new(db).with_min_aps(3);
+        let mut scheme = WifiFingerprintScheme::new(db);
         let errs: Vec<f64> = frames
             .iter()
             .filter_map(|f| scheme.update(f).map(|e| e.position.distance(f.true_position)))
@@ -175,7 +175,7 @@ fn main() {
     // ---- 5. Horus vs RADAR: the sample-count trade-off -----------------
     println!("\n== ablation 5: Horus vs RADAR (probabilistic fingerprints) ==");
     let radar_err = {
-        let mut scheme = WifiFingerprintScheme::new(full_db.clone()).with_min_aps(3);
+        let mut scheme = WifiFingerprintScheme::new(full_db.clone());
         let errs: Vec<f64> = frames
             .iter()
             .filter_map(|f| scheme.update(f).map(|e| e.position.distance(f.true_position)))
@@ -199,7 +199,6 @@ fn main() {
 
     // ---- 6. A-Loc selection vs UniLoc ----------------------------------
     println!("\n== ablation 6: A-Loc-style selection vs UniLoc (daily path) ==");
-    let power = PowerProfile::default();
     for requirement in [3.0, 6.0, 12.0] {
         let aloc = ALocSelector::new(requirement);
         let mut errors = Vec::new();
@@ -225,7 +224,7 @@ fn main() {
                     .and_then(|(_, e)| *e)
                 {
                     errors.push(e);
-                    power_sum += power.scheme_power_mw(choice);
+                    power_sum += scheme_power_mw(choice);
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release -p uniloc-bench --bin table4_energy`
 
 use uniloc_bench::trained_models;
-use uniloc_core::energy::PowerProfile;
+use uniloc_core::energy;
 use uniloc_core::pipeline::{self, PipelineConfig};
 use uniloc_env::campus;
 use uniloc_schemes::SchemeId;
@@ -16,12 +16,11 @@ fn main() {
     uniloc_bench::init_obs();
     let cfg = PipelineConfig::default();
     let models = trained_models(1);
-    let profile = PowerProfile::default();
 
     println!("Table IV — power/energy along daily path 1 (Galaxy S2 power profile)");
     let scenario = campus::daily_path(3);
     let records = pipeline::run_walk(&scenario, &models, &cfg, 12);
-    let rows = profile.tabulate(&records);
+    let rows = energy::tabulate(&records);
     println!("{:<16}{:>12}{:>10}{:>12}", "system", "power (mW)", "time (s)", "energy (J)");
     for r in &rows {
         println!(
@@ -30,9 +29,9 @@ fn main() {
         );
     }
 
-    let motion = profile.scheme_power_mw(SchemeId::Motion);
+    let motion = energy::scheme_power_mw(SchemeId::Motion);
     let duty = records.iter().filter(|r| r.gps_enabled).count() as f64 / records.len() as f64;
-    let uniloc = profile.uniloc_power_mw(duty);
+    let uniloc = energy::uniloc_power_mw(duty);
     println!(
         "\nUniLoc overhead vs motion PDR: {:+.1}%   (paper: +14%)",
         (uniloc / motion - 1.0) * 100.0

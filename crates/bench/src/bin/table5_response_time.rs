@@ -5,11 +5,13 @@
 //! prediction 6.0 ms + BMA 0.1 ms); transmissions are ~73% of the total.
 //!
 //! This binary also *measures* the two UniLoc-added stages on this machine
-//! by timing the real implementations, and prints the model both with the
-//! paper's constants and with the measured values.
+//! by timing the real implementations. Stdout carries only the model with
+//! the paper's constants, so it is the same on every machine; the model
+//! with the measured values, and the measurements, go to stderr.
 //!
 //! Run with: `cargo run --release -p uniloc-bench --bin table5_response_time`
 
+use std::io::{self, Write};
 use std::time::Instant;
 use uniloc_bench::trained_models;
 use uniloc_core::confidence::{adaptive_tau, confidence};
@@ -18,25 +20,26 @@ use uniloc_core::response::ResponseTimeModel;
 use uniloc_iodetect::IoState;
 use uniloc_schemes::SchemeId;
 
-fn print_model(title: &str, model: &ResponseTimeModel) {
+fn print_model(out: &mut dyn Write, title: &str, model: &ResponseTimeModel) -> io::Result<()> {
     let r = model.report();
-    println!("\n-- {title} --");
-    println!("  phone sensing + preprocess : {:7.2} ms", model.phone_ms);
-    println!("  upload                     : {:7.2} ms", model.upload_ms);
+    writeln!(out, "\n-- {title} --")?;
+    writeln!(out, "  phone sensing + preprocess : {:7.2} ms", model.phone_ms)?;
+    writeln!(out, "  upload                     : {:7.2} ms", model.upload_ms)?;
     for (id, ms) in &model.scheme_ms {
-        println!("  server compute {id:<10}  : {ms:7.2} ms (parallel)");
+        writeln!(out, "  server compute {id:<10}  : {ms:7.2} ms (parallel)")?;
     }
-    println!("  error prediction           : {:7.3} ms", model.error_prediction_ms);
-    println!("  BMA                        : {:7.3} ms", model.bma_ms);
-    println!("  download                   : {:7.2} ms", model.download_ms);
-    println!("  ------------------------------------");
-    println!("  slowest scheme             : {:7.2} ms", r.slowest_scheme_ms);
-    println!("  total                      : {:7.2} ms", r.total_ms);
-    println!("  transmissions              : {:6.1}% of total", r.transmission_fraction * 100.0);
-    println!("  UniLoc-added computation   : {:7.3} ms", model.uniloc_added_ms());
+    writeln!(out, "  error prediction           : {:7.3} ms", model.error_prediction_ms)?;
+    writeln!(out, "  BMA                        : {:7.3} ms", model.bma_ms)?;
+    writeln!(out, "  download                   : {:7.2} ms", model.download_ms)?;
+    writeln!(out, "  ------------------------------------")?;
+    writeln!(out, "  slowest scheme             : {:7.2} ms", r.slowest_scheme_ms)?;
+    writeln!(out, "  total                      : {:7.2} ms", r.total_ms)?;
+    let transmissions = r.transmission_fraction * 100.0;
+    writeln!(out, "  transmissions              : {transmissions:6.1}% of total")?;
+    writeln!(out, "  UniLoc-added computation   : {:7.3} ms", model.uniloc_added_ms())
 }
 
-fn main() {
+fn main() -> io::Result<()> {
     uniloc_bench::init_obs();
     println!("Table V — response time for one location estimate");
 
@@ -89,12 +92,12 @@ fn main() {
     // Keep the optimizer honest.
     assert!(acc.is_finite() && sink.is_finite());
 
-    print_model("paper-calibrated constants", &ResponseTimeModel::default());
-    print_model(
-        "with UniLoc stages measured on this machine",
-        &ResponseTimeModel::default().with_measured(errpred_ms, bma_ms),
-    );
-    println!("\nmeasured: error prediction {errpred_ms:.4} ms, BMA {bma_ms:.4} ms per fix");
-    println!("paper: error prediction 6.0 ms, BMA 0.1 ms on their workstation; both are");
+    print_model(&mut io::stdout(), "paper-calibrated constants", &ResponseTimeModel::default())?;
+    // Wall-clock readings vary run to run: stderr, out of the committed file.
+    let measured = ResponseTimeModel::default().with_measured(errpred_ms, bma_ms);
+    print_model(&mut io::stderr(), "with UniLoc stages measured on this machine", &measured)?;
+    eprintln!("\nmeasured: error prediction {errpred_ms:.4} ms, BMA {bma_ms:.4} ms per fix");
+    println!("\npaper: error prediction 6.0 ms, BMA 0.1 ms on their workstation; both are");
     println!("'light-weight, as they only involve simple linear calculation'.");
+    Ok(())
 }

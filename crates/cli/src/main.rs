@@ -87,16 +87,18 @@ const USAGE: &str = "usage:
   uniloc train [--seed N] [--out FILE]
   uniloc run --models FILE [--scenario NAME] [--seed N] [--device nexus5x|lgg3] [--json]
   uniloc inspect --file FILE [--json] [--full] [--strict]
-  uniloc chaos [--models FILE] [--scenarios a,b] [--plans smoke|full|p1,p2] [--seed N]
-               [--out DIR] [--strict] [--jobs N]
-  uniloc fleet [--models FILE] [--sessions N] [--scenarios a,b] [--seed N] [--jobs N]
-               [--resident N] [--max-epochs N] [--chaos-every N] [--out DIR]
+  uniloc chaos --out DIR [--models FILE] [--scenarios a,b] [--plans smoke|full|p1,p2]
+               [--seed N] [--strict] [--jobs N]
+  uniloc fleet --out DIR [--models FILE] [--sessions N] [--scenarios a,b] [--seed N]
+               [--jobs N] [--resident N] [--max-epochs N] [--chaos-every N]
                [--strict] [--alloc-budget N] [--obs-overhead] [--overhead-budget X]
                [--checkpoint-every N] [--checkpoint FILE] [--resume FILE]
                [--crash-after-rounds N] [--panic-lane N] [--panic-epoch N]
   uniloc scenarios
 global flags, accepted by every command:
   [--quiet] [--metrics FILE] [--trace-level off|error|warn|info|debug|span] [--virtual-clock]
+out: chaos and fleet require it and write their artifacts only there
+  (fleet --obs-overhead writes nothing and takes no --out)
 jobs: worker threads for chaos and fleet (default: available cores);
   artifacts are byte-identical at any value, and 1 runs inline";
 
@@ -180,6 +182,16 @@ fn parse_flags(
         }
     }
     Ok(flags)
+}
+
+/// `--out DIR`, which `chaos` and `fleet` require: with a default
+/// directory, an exploratory run from the repository root would overwrite
+/// the committed `results/` artifacts.
+fn out_flag(flags: &BTreeMap<String, String>) -> Result<&str, String> {
+    flags
+        .get("out")
+        .map(String::as_str)
+        .ok_or_else(|| "--out DIR is required: name the directory to write the artifacts to".into())
 }
 
 fn seed_flag(flags: &BTreeMap<String, String>) -> Result<u64, String> {
@@ -457,8 +469,8 @@ fn inspect_sidecar(path: &str, text: &str, flags: &BTreeMap<String, String>) -> 
 /// `uniloc chaos`: sweeps a scenario × fault-plan matrix deterministically
 /// on up to `--jobs N` worker threads (default: the machine's available
 /// cores) and writes one resilience report per scenario to `--out DIR`
-/// (default `results/`) as `CHAOS_<scenario>.json`. The sweep itself lives
-/// in [`uniloc_bench::chaos`]; results merge in canonical cell order, so
+/// (required) as `CHAOS_<scenario>.json`. The sweep itself lives in
+/// [`uniloc_bench::chaos`]; results merge in canonical cell order, so
 /// the artifacts are byte-identical at any `--jobs` value and `--jobs 1`
 /// runs the historical single-threaded path. `--strict` turns the
 /// resilience contract into an exit code: a terminal `lost` ladder state,
@@ -471,7 +483,7 @@ fn cmd_chaos(flags: &BTreeMap<String, String>, exporter: Option<&JsonlExporter>)
 
     let seed = seed_flag(flags)?;
     let jobs = jobs_flag(flags)?;
-    let out_dir = flags.get("out").map(String::as_str).unwrap_or("results");
+    let out_dir = out_flag(flags)?;
     let strict = flags.contains_key("strict");
     let cfg = PipelineConfig::default();
 
@@ -609,12 +621,12 @@ const FLEET_MODE_FLAGS: &[(&str, bool)] = &[
 /// [`uniloc_core::fleet::FleetScheduler`] on `--jobs N` workers with at
 /// most `--resident N` sessions live at once. Writes `FLEET.json` plus
 /// the fleet-observatory artifacts (`FLEET_HEALTH.json`, `PROF_fleet.*`,
-/// `PROF_alloc.*`; see [`uniloc_bench::fleet::artifacts`]) to `--out DIR`:
-/// all six are byte-identical at any `--jobs`/`--resident` value and
-/// contain no wall-clock numbers, so the CI smoke gate diffs the whole
-/// directory across worker counts. `--obs-overhead` instead runs the
+/// `PROF_alloc.*`; see [`uniloc_bench::fleet::artifacts`]) to `--out DIR`
+/// (required): all six are byte-identical at any `--jobs`/`--resident`
+/// value and contain no wall-clock numbers, so the CI smoke gate diffs the
+/// whole directory across worker counts. `--obs-overhead` instead runs the
 /// fleet [`OVERHEAD_PASSES`] times each with full and stubbed
-/// observability and fails if the epochs/s cost exceeds
+/// observability, writes nothing, and fails if the epochs/s cost exceeds
 /// `--overhead-budget` (default 5%). `--strict` fails on any resilience
 /// violation (a non-finite fused estimate, or a clean walker that got
 /// quarantined).
@@ -643,17 +655,12 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let seed = seed_flag(flags)?;
     let jobs = jobs_flag(flags)?;
     let resident = positive_flag(flags, "resident", 64)?;
-    let out_dir = flags.get("out").map(String::as_str).unwrap_or("results");
     let strict = flags.contains_key("strict");
     let cfg = PipelineConfig::default();
     let checkpoint_every = usize_flag(flags, "checkpoint-every", 0)? as u64;
     if flags.contains_key("checkpoint") && checkpoint_every == 0 {
         return Err("--checkpoint needs --checkpoint-every N (N > 0) to cut one".to_owned());
     }
-    let checkpoint_path = flags
-        .get("checkpoint")
-        .cloned()
-        .or_else(|| (checkpoint_every > 0).then(|| format!("{out_dir}/FLEET.ckpt.json")));
     let crash_after_rounds = flags
         .get("crash-after-rounds")
         .map(|_| usize_flag(flags, "crash-after-rounds", 0))
@@ -667,6 +674,12 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         let with = if overhead { "with" } else { "without" };
         return Err(format!("--{flag} would change nothing {with} --obs-overhead"));
     }
+    // Every run but the obs-overhead gate writes into `--out`.
+    let out_dir = if overhead { None } else { Some(out_flag(flags)?) };
+    let checkpoint_path = flags.get("checkpoint").cloned().or_else(|| {
+        let dir = out_dir.filter(|_| checkpoint_every > 0)?;
+        Some(format!("{dir}/FLEET.ckpt.json"))
+    });
 
     let (fleet_cfg, resume) = match flags.get("resume") {
         // Resuming: the checkpoint pins every artifact-shaping knob (the
@@ -729,7 +742,8 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     };
     let models = Arc::new(models_or_train(flags, fleet_cfg.seed)?);
 
-    if overhead {
+    // The obs-overhead gate times the fleet and writes nothing.
+    let Some(out_dir) = out_dir else {
         let o = measure_obs_overhead(&models, &cfg, &fleet_cfg, OVERHEAD_PASSES)?;
         println!(
             "obs_overhead_frac {:.4} budget {:.4} obs_epochs_per_sec {:.0} stub_epochs_per_sec {:.0}",
@@ -749,7 +763,7 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
             );
             Ok(())
         };
-    }
+    };
 
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {out_dir}: {e}"))?;
     let outcome = run_fleet_durable(
@@ -1141,9 +1155,24 @@ mod tests {
             fleet_rejects(&["--resume", "x.ckpt.json", flag, value], flag);
         }
         // Execution knobs stay free: this resume gets as far as its checkpoint.
-        let v = ["--resume", "x.ckpt.json", "--resident", "9"];
+        let v = ["--resume", "x.ckpt.json", "--resident", "9", "--out", "no-such-dir"];
         let err = cmd_fleet(&parse("fleet", &v).unwrap()).unwrap_err();
         assert!(err.starts_with("read checkpoint x.ckpt.json"), "{err}");
+    }
+
+    /// `chaos` and `fleet` write only into a directory they are given:
+    /// without `--out` each fails before it loads any models, naming it.
+    #[test]
+    fn chaos_and_fleet_require_an_out_directory() {
+        let v = ["--models", "no-such-models.json", "--scenarios", "office"];
+        let err = cmd_chaos(&parse("chaos", &v).unwrap(), None).unwrap_err();
+        assert!(err.starts_with("--out DIR is required"), "{err}");
+        let v = ["--models", "no-such-models.json", "--sessions", "2"];
+        let err = cmd_fleet(&parse("fleet", &v).unwrap()).unwrap_err();
+        assert!(err.starts_with("--out DIR is required"), "{err}");
+        let resume = ["--models", "no-such-models.json", "--resume", "x.ckpt.json"];
+        let err = cmd_fleet(&parse("fleet", &resume).unwrap()).unwrap_err();
+        assert!(err.starts_with("--out DIR is required"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The `ablations` bench compares A-Loc selection against UniLoc1/UniLoc2
 //! on both accuracy and the energy of the scheme it keeps running.
 
-use crate::energy::PowerProfile;
+use crate::energy::scheme_power_mw;
 use crate::engine::SchemeReport;
 use uniloc_schemes::SchemeId;
 
@@ -21,8 +21,6 @@ use uniloc_schemes::SchemeId;
 pub struct ALocSelector {
     /// The application's accuracy requirement (m).
     pub accuracy_requirement_m: f64,
-    /// Power model used to rank scheme cost.
-    pub power: PowerProfile,
 }
 
 impl ALocSelector {
@@ -33,13 +31,14 @@ impl ALocSelector {
     /// Panics when the requirement is not positive.
     pub fn new(accuracy_requirement_m: f64) -> Self {
         assert!(accuracy_requirement_m > 0.0, "accuracy requirement must be positive");
-        ALocSelector { accuracy_requirement_m, power: PowerProfile::default() }
+        ALocSelector { accuracy_requirement_m }
     }
 
     /// Selects from one epoch's scheme reports: the *cheapest* available
-    /// scheme whose predicted error meets the requirement; if none
-    /// qualifies, the available scheme with the smallest predicted error
-    /// (graceful degradation). Returns `None` when nothing is available.
+    /// scheme ([`scheme_power_mw`]) whose predicted error meets the
+    /// requirement; if none qualifies, the available scheme with the
+    /// smallest predicted error (graceful degradation). Returns `None` when
+    /// nothing is available.
     pub fn select(&self, reports: &[SchemeReport]) -> Option<SchemeId> {
         let candidates: Vec<&SchemeReport> = reports
             .iter()
@@ -56,11 +55,7 @@ impl ALocSelector {
         let qualifying = candidates
             .iter()
             .filter(|r| predicted_mean(r) <= self.accuracy_requirement_m)
-            .min_by(|a, b| {
-                self.power
-                    .scheme_power_mw(a.id)
-                    .total_cmp(&self.power.scheme_power_mw(b.id))
-            });
+            .min_by(|a, b| scheme_power_mw(a.id).total_cmp(&scheme_power_mw(b.id)));
         match qualifying {
             Some(r) => Some(r.id),
             None => candidates

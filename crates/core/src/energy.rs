@@ -17,37 +17,22 @@
 use crate::pipeline::EpochRecord;
 use uniloc_schemes::SchemeId;
 
-/// Whole-phone power-state model (milliwatts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerProfile {
-    /// Screen + OS + always-on cellular modem.
-    pub baseline_mw: f64,
-    /// Inertial sensing at 50 Hz + on-phone step pre-processing.
-    pub imu_mw: f64,
-    /// Periodic WiFi scanning.
-    pub wifi_scan_mw: f64,
-    /// Active cellular RSSI logging (on top of the idle modem).
-    pub cell_scan_mw: f64,
-    /// GPS receiver while enabled.
-    pub gps_mw: f64,
-    /// Offload transmissions (averaged over the duty cycle).
-    pub offload_tx_mw: f64,
-}
+// Whole-phone power states (mW): Galaxy-S2-era constants chosen so the
+// accounting reproduces Table IV's shape: PDR is the cheapest scheme and
+// UniLoc sits ~14% above it.
 
-impl Default for PowerProfile {
-    /// Galaxy-S2-era constants chosen so the accounting reproduces Table
-    /// IV's shape: PDR is the cheapest scheme and UniLoc sits ~14% above it.
-    fn default() -> Self {
-        PowerProfile {
-            baseline_mw: 1150.0,
-            imu_mw: 30.0,
-            wifi_scan_mw: 90.0,
-            cell_scan_mw: 45.0,
-            gps_mw: 350.0,
-            offload_tx_mw: 10.0,
-        }
-    }
-}
+/// Screen + OS + always-on cellular modem.
+const BASELINE_MW: f64 = 1150.0;
+/// Inertial sensing at 50 Hz + on-phone step pre-processing.
+const IMU_MW: f64 = 30.0;
+/// Periodic WiFi scanning.
+const WIFI_SCAN_MW: f64 = 90.0;
+/// Active cellular RSSI logging (on top of the idle modem).
+const CELL_SCAN_MW: f64 = 45.0;
+/// GPS receiver while enabled.
+const GPS_MW: f64 = 350.0;
+/// Offload transmissions (averaged over the duty cycle).
+const OFFLOAD_TX_MW: f64 = 10.0;
 
 /// One row of Table IV.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,55 +58,44 @@ impl EnergyReport {
     }
 }
 
-impl PowerProfile {
-    /// Average power of one standalone scheme (mW). The GPS scheme keeps
-    /// its receiver on for the whole walk (stock behaviour: the phone keeps
-    /// searching indoors).
-    pub fn scheme_power_mw(&self, id: SchemeId) -> f64 {
-        self.baseline_mw
-            + match id {
-                SchemeId::Gps => self.gps_mw,
-                SchemeId::Wifi => self.wifi_scan_mw,
-                SchemeId::Cellular => self.cell_scan_mw,
-                SchemeId::Motion => self.imu_mw + self.offload_tx_mw,
-                SchemeId::Fusion => self.imu_mw + self.wifi_scan_mw + self.offload_tx_mw,
-                _ => 0.0,
-            }
-    }
+/// Average power of one standalone scheme (mW). The GPS scheme keeps its
+/// receiver on for the whole walk (stock behaviour: the phone keeps
+/// searching indoors).
+pub fn scheme_power_mw(id: SchemeId) -> f64 {
+    BASELINE_MW
+        + match id {
+            SchemeId::Gps => GPS_MW,
+            SchemeId::Wifi => WIFI_SCAN_MW,
+            SchemeId::Cellular => CELL_SCAN_MW,
+            SchemeId::Motion => IMU_MW + OFFLOAD_TX_MW,
+            SchemeId::Fusion => IMU_MW + WIFI_SCAN_MW + OFFLOAD_TX_MW,
+            _ => 0.0,
+        }
+}
 
-    /// Average power of the full UniLoc system (mW). `gps_duty` is the
-    /// fraction of walk time the duty-cycling policy kept the receiver on;
-    /// pass 0 for the "without GPS" row.
-    pub fn uniloc_power_mw(&self, gps_duty: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&gps_duty), "duty must be a fraction");
-        self.baseline_mw
-            + self.imu_mw
-            + self.wifi_scan_mw
-            + self.cell_scan_mw
-            + self.offload_tx_mw
-            + self.gps_mw * gps_duty
-    }
+/// Average power of the full UniLoc system (mW). `gps_duty` is the
+/// fraction of walk time the duty-cycling policy kept the receiver on;
+/// pass 0 for the "without GPS" row.
+pub fn uniloc_power_mw(gps_duty: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&gps_duty), "duty must be a fraction");
+    BASELINE_MW + IMU_MW + WIFI_SCAN_MW + CELL_SCAN_MW + OFFLOAD_TX_MW + GPS_MW * gps_duty
+}
 
-    /// Builds the full Table IV from a walk's records.
-    pub fn tabulate(&self, records: &[EpochRecord]) -> Vec<EnergyReport> {
-        let time_s = records.last().map_or(0.0, |r| r.t);
-        let gps_duty = if records.is_empty() {
-            0.0
-        } else {
-            records.iter().filter(|r| r.gps_enabled).count() as f64 / records.len() as f64
-        };
-        let mut rows: Vec<EnergyReport> = SchemeId::BUILTIN
-            .iter()
-            .map(|&id| EnergyReport::new(id.to_string(), self.scheme_power_mw(id), time_s))
-            .collect();
-        rows.push(EnergyReport::new("uniloc w/o gps", self.uniloc_power_mw(0.0), time_s));
-        rows.push(EnergyReport::new(
-            "uniloc w/ gps",
-            self.uniloc_power_mw(gps_duty),
-            time_s,
-        ));
-        rows
-    }
+/// Builds the full Table IV from a walk's records.
+pub fn tabulate(records: &[EpochRecord]) -> Vec<EnergyReport> {
+    let time_s = records.last().map_or(0.0, |r| r.t);
+    let gps_duty = if records.is_empty() {
+        0.0
+    } else {
+        records.iter().filter(|r| r.gps_enabled).count() as f64 / records.len() as f64
+    };
+    let mut rows: Vec<EnergyReport> = SchemeId::BUILTIN
+        .iter()
+        .map(|&id| EnergyReport::new(id.to_string(), scheme_power_mw(id), time_s))
+        .collect();
+    rows.push(EnergyReport::new("uniloc w/o gps", uniloc_power_mw(0.0), time_s));
+    rows.push(EnergyReport::new("uniloc w/ gps", uniloc_power_mw(gps_duty), time_s));
+    rows
 }
 
 #[cfg(test)]
@@ -156,24 +130,19 @@ mod tests {
 
     #[test]
     fn motion_is_cheapest_scheme() {
-        let p = PowerProfile::default();
-        let motion = p.scheme_power_mw(SchemeId::Motion);
+        let motion = scheme_power_mw(SchemeId::Motion);
         for id in SchemeId::BUILTIN {
-            assert!(
-                p.scheme_power_mw(id) >= motion,
-                "{id} cheaper than motion"
-            );
+            assert!(scheme_power_mw(id) >= motion, "{id} cheaper than motion");
         }
-        assert!(p.scheme_power_mw(SchemeId::Gps) > p.scheme_power_mw(SchemeId::Wifi));
+        assert!(scheme_power_mw(SchemeId::Gps) > scheme_power_mw(SchemeId::Wifi));
     }
 
     #[test]
     fn uniloc_overhead_is_about_14_percent() {
-        let p = PowerProfile::default();
-        let motion = p.scheme_power_mw(SchemeId::Motion);
+        let motion = scheme_power_mw(SchemeId::Motion);
         // With the GPS duty cycle observed in the paper's regime (~10% of
         // walk time), the overhead lands near +14%.
-        let uniloc = p.uniloc_power_mw(0.10);
+        let uniloc = uniloc_power_mw(0.10);
         let overhead = uniloc / motion - 1.0;
         assert!(
             (0.10..0.20).contains(&overhead),
@@ -183,11 +152,10 @@ mod tests {
 
     #[test]
     fn tabulate_produces_seven_rows() {
-        let p = PowerProfile::default();
         let records: Vec<EpochRecord> = (0..100)
             .map(|i| record(i as f64 * 0.5, i < 70, i >= 70 && i % 2 == 0))
             .collect();
-        let rows = p.tabulate(&records);
+        let rows = tabulate(&records);
         assert_eq!(rows.len(), 7);
         // Energy = power x time.
         for row in &rows {
@@ -200,6 +168,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "duty must be a fraction")]
     fn duty_validated() {
-        PowerProfile::default().uniloc_power_mw(1.5);
+        uniloc_power_mw(1.5);
     }
 }

@@ -259,16 +259,14 @@ impl FeatureExtractor {
                 // the receiver.
                 io == IoState::Outdoor
             }
-            // "When the number of audible APs is less than 3, it is unlikely
-            // for the RSSI fingerprinting scheme to provide a meaningful
-            // result" — below that, WiFi counts as unavailable (and the
-            // scheme itself is gated identically).
-            SchemeId::Wifi => {
-                self.radar_features(&ctx.wifi_db, frame, loc, 3, matches, out).is_some()
-            }
+            // Below a radio's `RssiLike::MIN_READINGS` (3 WiFi APs: "when
+            // the number of audible APs is less than 3, it is unlikely for
+            // the RSSI fingerprinting scheme to provide a meaningful
+            // result") the scheme counts as unavailable, exactly as the
+            // scheme itself gates.
+            SchemeId::Wifi => self.radar_features(&ctx.wifi_db, frame, loc, matches, out).is_some(),
             SchemeId::Cellular => {
-                let Some(scan) = self.radar_features(&ctx.cell_db, frame, loc, 1, matches, out)
-                else {
+                let Some(scan) = self.radar_features(&ctx.cell_db, frame, loc, matches, out) else {
                     return false;
                 };
                 out.push(scan.len() as f64);
@@ -303,17 +301,17 @@ impl FeatureExtractor {
     /// The RADAR schemes' shared features: fingerprint density and the
     /// top-k RSSI distance deviation, pushed onto `out`. Returns the
     /// frame's scan, or `None` (the scheme is unavailable) when the frame
-    /// carries fewer than `min_heard` readings or nothing in `db` matches.
+    /// carries fewer than [`RssiLike::MIN_READINGS`] readings or nothing
+    /// in `db` matches.
     fn radar_features<'f, S: RssiLike>(
         &self,
         db: &FingerprintDb<S>,
         frame: &'f SensorFrame,
         loc: Option<Point>,
-        min_heard: usize,
         matches: &mut Vec<FingerprintMatch>,
         out: &mut Vec<f64>,
     ) -> Option<&'f S> {
-        let scan = S::in_frame(frame).filter(|s| s.reading_count() >= min_heard)?;
+        let scan = S::in_frame(frame).filter(|s| s.reading_count() >= S::MIN_READINGS)?;
         db.match_scan_into(scan, TOP_K, matches);
         if matches.is_empty() {
             return None;
@@ -417,6 +415,7 @@ fn match_deviation(distances: impl Iterator<Item = f64> + Clone) -> f64 {
 mod tests {
     use super::*;
     use uniloc_rng::Rng;
+    use uniloc_schemes::{FingerprintScheme, LocalizationScheme};
     use uniloc_env::{campus, GaitProfile, Walker};
     use uniloc_sensors::{DeviceProfile, SensorHub};
 
@@ -528,6 +527,38 @@ mod tests {
             0
         );
         assert!(fx.features(&ctx, SchemeId::Gps, IoState::Indoor, f, hint).is_none());
+    }
+
+    /// The paper requires a RADAR scheme and its features to agree on
+    /// availability: one scan fewer than the radio's `MIN_READINGS` gets
+    /// `None` from both, exactly `MIN_READINGS` gets `Some` from both.
+    #[test]
+    fn scheme_gate_and_feature_gate_agree() {
+        fn check<S: RssiLike>(
+            ctx: &SharedContext,
+            db: &FingerprintDb<S>,
+            frame: &SensorFrame,
+            keep: impl Fn(&mut SensorFrame, usize),
+        ) {
+            let fx = FeatureExtractor::new(ctx);
+            for (n, available) in [(S::MIN_READINGS - 1, false), (S::MIN_READINGS, true)] {
+                let mut f = frame.clone();
+                keep(&mut f, n);
+                assert_eq!(S::in_frame(&f).map(RssiLike::reading_count), Some(n));
+                let hint = Some(f.true_position);
+                let scheme = FingerprintScheme::new(db.clone()).update(&f);
+                let features = fx.features(ctx, S::SCHEME, IoState::Indoor, &f, hint);
+                let id = S::SCHEME;
+                assert_eq!(scheme.is_some(), available, "{id} scheme with {n} readings");
+                assert_eq!(features.is_some(), available, "{id} features with {n} readings");
+            }
+        }
+        let scenario = campus::daily_path(107);
+        let ctx = context(&scenario, 108);
+        let all = frames(&scenario, 109);
+        let f = &all[20]; // office: hears more than 3 APs and a tower
+        check(&ctx, &ctx.wifi_db, f, |f, n| f.wifi.as_mut().unwrap().readings.truncate(n));
+        check(&ctx, &ctx.cell_db, f, |f, n| f.cell.as_mut().unwrap().readings.truncate(n));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod session;
 
 pub use aloc::ALocSelector;
 pub use confidence::{adaptive_tau, confidence};
-pub use energy::{EnergyReport, PowerProfile};
+pub use energy::EnergyReport;
 pub use engine::{SchemeReport, UniLocEngine, UniLocOutput};
 pub use guard::{scrub_frame, FrameGate, GateVerdict, ScrubReport};
 pub use quarantine::{DegradationLadder, QuarantineMachine, SchemeVerdict};

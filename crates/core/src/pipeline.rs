@@ -18,7 +18,7 @@ use uniloc_geom::Point;
 use uniloc_iodetect::IoState;
 use uniloc_schemes::{
     CellFingerprintDb, CellFingerprintScheme, FusionScheme, GpsScheme, LocalizationScheme,
-    PdrConfig, PdrScheme, SchemeId, WifiFingerprintDb, WifiFingerprintScheme,
+    PdrScheme, SchemeId, WifiFingerprintDb, WifiFingerprintScheme,
 };
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
 use uniloc_rng::Rng;
@@ -33,8 +33,6 @@ pub struct PipelineConfig {
     pub indoor_spacing: f64,
     /// Fingerprint spacing outdoors (m); the paper's open spaces use 12 m.
     pub outdoor_spacing: f64,
-    /// PDR particle filter configuration (300 particles by default).
-    pub pdr: PdrConfig,
     /// The phone running online localization.
     pub device: DeviceProfile,
     /// Online device calibration toward the survey device, if any.
@@ -51,7 +49,6 @@ impl Default for PipelineConfig {
             epoch_interval: 0.5,
             indoor_spacing: 1.5,
             outdoor_spacing: 12.0,
-            pdr: PdrConfig::default(),
             device: DeviceProfile::nexus_5x(),
             calibration: None,
             gait: GaitProfile::average(),
@@ -61,23 +58,14 @@ impl Default for PipelineConfig {
 }
 
 /// Why a [`PipelineConfig`] cannot be used. Raised by
-/// [`PipelineConfig::validate`] at the harness entry points, so a zero
-/// particle count or a negative epoch interval fails *here*, with the
-/// field named, instead of deep inside the particle filter or the survey
-/// grid.
+/// [`PipelineConfig::validate`] at the harness entry points, so a negative
+/// epoch interval or a zero survey spacing fails *here*, with the field
+/// named, instead of deep inside the epoch loop or the survey grid.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// A rate/size/spacing field that must be strictly positive and
-    /// finite was not; `(field, value)`.
+    /// A rate/spacing field that must be strictly positive and finite was
+    /// not; `(field, value)`.
     NonPositive(&'static str, f64),
-    /// A noise/sigma field that must be finite and non-negative was not;
-    /// `(field, value)`.
-    BadSigma(&'static str, f64),
-    /// A fraction field that must lie in `(0, 1]` did not; `(field,
-    /// value)`.
-    BadFraction(&'static str, f64),
-    /// The particle count is zero.
-    NoParticles,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -86,13 +74,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositive(field, v) => {
                 write!(f, "`{field}` must be positive and finite, got {v}")
             }
-            ConfigError::BadSigma(field, v) => {
-                write!(f, "`{field}` must be finite and >= 0, got {v}")
-            }
-            ConfigError::BadFraction(field, v) => {
-                write!(f, "`{field}` must lie in (0, 1], got {v}")
-            }
-            ConfigError::NoParticles => f.write_str("`pdr.num_particles` must be > 0"),
         }
     }
 }
@@ -112,33 +93,9 @@ impl PipelineConfig {
                 Err(ConfigError::NonPositive(field, v))
             }
         };
-        let sigma = |field, v: f64| {
-            if v.is_finite() && v >= 0.0 {
-                Ok(())
-            } else {
-                Err(ConfigError::BadSigma(field, v))
-            }
-        };
         positive("epoch_interval", self.epoch_interval)?;
         positive("indoor_spacing", self.indoor_spacing)?;
-        positive("outdoor_spacing", self.outdoor_spacing)?;
-        if self.pdr.num_particles == 0 {
-            return Err(ConfigError::NoParticles);
-        }
-        sigma("pdr.step_length_noise", self.pdr.step_length_noise)?;
-        sigma("pdr.heading_noise", self.pdr.heading_noise)?;
-        sigma("pdr.init_spread", self.pdr.init_spread)?;
-        positive("pdr.landmark_sigma", self.pdr.landmark_sigma)?;
-        if !(self.pdr.resample_frac.is_finite()
-            && self.pdr.resample_frac > 0.0
-            && self.pdr.resample_frac <= 1.0)
-        {
-            return Err(ConfigError::BadFraction(
-                "pdr.resample_frac",
-                self.pdr.resample_frac,
-            ));
-        }
-        Ok(())
+        positive("outdoor_spacing", self.outdoor_spacing)
     }
 }
 
@@ -238,7 +195,7 @@ pub fn build_schemes(
     seed: u64,
 ) -> Vec<Box<dyn LocalizationScheme>> {
     let start = scenario.route.start();
-    let mut wifi = WifiFingerprintScheme::new(ctx.wifi_db.clone()).with_min_aps(3);
+    let mut wifi = WifiFingerprintScheme::new(ctx.wifi_db.clone());
     if let Some(cal) = cfg.calibration {
         wifi = wifi.with_calibration(cal);
     }
@@ -246,14 +203,8 @@ pub fn build_schemes(
         Box::new(GpsScheme::new(*scenario.world.geo_frame())),
         Box::new(wifi),
         Box::new(CellFingerprintScheme::new(ctx.cell_db.clone())),
-        Box::new(PdrScheme::new(ctx.plan.clone(), start, cfg.pdr, seed)),
-        Box::new(FusionScheme::new(
-            ctx.plan.clone(),
-            start,
-            cfg.pdr,
-            ctx.wifi_db.clone(),
-            seed + 1,
-        )),
+        Box::new(PdrScheme::new(ctx.plan.clone(), start, seed)),
+        Box::new(FusionScheme::new(ctx.plan.clone(), start, ctx.wifi_db.clone(), seed + 1)),
     ]
 }
 
@@ -522,31 +473,18 @@ mod tests {
         assert!(uniloc2 < 10.0, "UniLoc2 error {uniloc2}");
     }
 
-    /// `validate` at the exact edges of every constraint: the open and
-    /// closed interval ends, signed zero, and subnormals.
+    /// `validate` at the exact edges of every constraint: the open lower
+    /// end, the closed upper end, and subnormals.
     #[test]
     fn validate_accepts_boundary_values() {
         // Strictly-positive fields: the smallest subnormal is positive
         // and finite, so it passes; f64::MAX is the closed top end.
-        let mut cfg = PipelineConfig {
+        let cfg = PipelineConfig {
             epoch_interval: 5e-324,
             indoor_spacing: f64::MIN_POSITIVE,
             outdoor_spacing: f64::MAX,
             ..PipelineConfig::default()
         };
-        cfg.pdr.landmark_sigma = 5e-324;
-        // Sigma fields are non-negative: exact zero and negative zero
-        // both mean "no noise", not "negative noise".
-        cfg.pdr.step_length_noise = 0.0;
-        cfg.pdr.heading_noise = -0.0;
-        cfg.pdr.init_spread = 0.0;
-        // The fraction's closed upper bound.
-        cfg.pdr.resample_frac = 1.0;
-        assert_eq!(cfg.validate(), Ok(()));
-        // The fraction's open lower bound: any positive value passes.
-        cfg.pdr.resample_frac = 5e-324;
-        assert_eq!(cfg.validate(), Ok(()));
-        cfg.pdr.num_particles = 1;
         assert_eq!(cfg.validate(), Ok(()));
     }
 
@@ -567,42 +505,8 @@ mod tests {
         let cfg = PipelineConfig { outdoor_spacing: f64::NEG_INFINITY, ..base.clone() };
         assert!(matches!(cfg.validate(), Err(ConfigError::NonPositive("outdoor_spacing", _))));
 
-        let mut cfg = base.clone();
-        cfg.pdr.num_particles = 0;
-        assert_eq!(cfg.validate(), Err(ConfigError::NoParticles));
-
-        // Sigmas reject anything below zero — even the tiniest subnormal
-        // step below — and non-finite values.
-        let mut cfg = base.clone();
-        cfg.pdr.step_length_noise = -5e-324;
-        assert!(
-            matches!(cfg.validate(), Err(ConfigError::BadSigma("pdr.step_length_noise", _))),
-            "a negative subnormal is still negative"
-        );
-        let mut cfg = base.clone();
-        cfg.pdr.heading_noise = f64::NAN;
-        assert!(matches!(cfg.validate(), Err(ConfigError::BadSigma("pdr.heading_noise", _))));
-
-        // landmark_sigma is strictly positive (a zero-width landmark
-        // likelihood would degenerate), unlike the other sigmas.
-        let mut cfg = base.clone();
-        cfg.pdr.landmark_sigma = 0.0;
-        assert!(matches!(cfg.validate(), Err(ConfigError::NonPositive("pdr.landmark_sigma", _))));
-
-        // The fraction's edges: 0.0 and -0.0 sit outside the open lower
-        // bound, the next float above 1.0 outside the closed upper one.
-        for bad in [0.0, -0.0, 1.0 + f64::EPSILON, -1.0, f64::NAN, f64::INFINITY] {
-            let mut cfg = base.clone();
-            cfg.pdr.resample_frac = bad;
-            assert!(
-                matches!(cfg.validate(), Err(ConfigError::BadFraction("pdr.resample_frac", _))),
-                "resample_frac = {bad}"
-            );
-        }
-
         // The first failing field wins, in declaration order.
-        let mut cfg = PipelineConfig { epoch_interval: f64::NAN, ..base.clone() };
-        cfg.pdr.num_particles = 0;
+        let cfg = PipelineConfig { epoch_interval: f64::NAN, outdoor_spacing: 0.0, ..base };
         assert!(matches!(cfg.validate(), Err(ConfigError::NonPositive("epoch_interval", _))));
     }
 

@@ -14,7 +14,6 @@
 //! walls, landmarks (turns at corners, doors at segment boundaries,
 //! signatures every ~40 m indoors) and access points at per-kind spacing.
 
-use crate::radio::PropagationConfig;
 use crate::world::{World, WorldBuilder};
 use crate::zone::EnvKind;
 use uniloc_geom::{
@@ -274,7 +273,7 @@ pub fn build_path(name: &str, seed: u64, specs: &[PathSpec]) -> Scenario {
         builder = builder.cell_tower(t);
     }
 
-    let world = builder.floorplan(plan).propagation(PropagationConfig::default()).build();
+    let world = builder.floorplan(plan).build();
     let route = Polyline::new(vertices).expect("specs produce a valid route");
     Scenario { name: name.to_owned(), world, route, segments }
 }

@@ -51,7 +51,7 @@ pub mod zone;
 
 pub use campus::Scenario;
 pub use noise::SpatialNoise;
-pub use radio::{AccessPoint, ApId, CellTower, PropagationConfig, TowerId};
+pub use radio::{AccessPoint, ApId, CellTower, TowerId};
 pub use walker::{GaitProfile, StepEvent, Trajectory, Walker};
 pub use world::{ShadowMemo, World, WorldBuilder};
 pub use zone::{EnvKind, Zone};

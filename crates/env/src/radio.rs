@@ -32,112 +32,88 @@ impl std::fmt::Display for TowerId {
     }
 }
 
-/// A WiFi access point.
+/// A WiFi access point, transmitting at [`AP_TX_POWER_DBM`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessPoint {
     /// Stable identifier (the BSSID stand-in).
     pub id: ApId,
     /// Position on the local map.
     pub position: Point,
-    /// Transmit power in dBm.
-    pub tx_power_dbm: f64,
 }
 
 impl AccessPoint {
-    /// Creates an access point with the default 20 dBm transmit power.
+    /// Creates an access point.
     pub fn new(id: ApId, position: Point) -> Self {
-        AccessPoint { id, position, tx_power_dbm: 20.0 }
+        AccessPoint { id, position }
     }
 }
 
-/// A cellular (GSM) tower.
+/// A cellular (GSM) tower, transmitting at [`TOWER_TX_POWER_DBM`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellTower {
     /// Stable identifier (the cell-id stand-in).
     pub id: TowerId,
     /// Position on the local map (towers sit hundreds of meters away).
     pub position: Point,
-    /// Transmit power in dBm (macro cells are ~43 dBm).
-    pub tx_power_dbm: f64,
 }
 
 impl CellTower {
-    /// Creates a tower with the default 43 dBm transmit power.
+    /// Creates a tower.
     pub fn new(id: TowerId, position: Point) -> Self {
-        CellTower { id, position, tx_power_dbm: 43.0 }
+        CellTower { id, position }
     }
 }
 
-/// Channel parameters for the simulated world.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PropagationConfig {
-    /// Path-loss exponent for WiFi links (indoor-ish, ~3).
-    pub wifi_exponent: f64,
-    /// Reference path loss at 1 m for WiFi (dB).
-    pub wifi_ref_loss_db: f64,
-    /// Per-wall attenuation (dB) for WiFi links.
-    pub wall_loss_db: f64,
-    /// Cap on total wall attenuation (dB) — beyond a few walls, diffraction
-    /// dominates.
-    pub max_wall_loss_db: f64,
-    /// WiFi receiver sensitivity floor (dBm).
-    pub wifi_floor_dbm: f64,
-    /// Lognormal shadowing sigma for WiFi (dB).
-    pub wifi_shadowing_sigma_db: f64,
-    /// Fast temporal fading sigma for WiFi indoors (dB), fresh per
-    /// measurement.
-    pub wifi_temporal_sigma_db: f64,
-    /// Fast temporal fading sigma for WiFi outdoors (dB) — multipath from
-    /// people and vehicles makes outdoor links flutter harder.
-    pub wifi_temporal_outdoor_sigma_db: f64,
-    /// Path-loss exponent for cellular links.
-    pub cell_exponent: f64,
-    /// Reference path loss at 1 m for cellular (dB).
-    pub cell_ref_loss_db: f64,
-    /// Cellular receiver sensitivity floor (dBm).
-    pub cell_floor_dbm: f64,
-    /// Lognormal shadowing sigma for cellular (dB).
-    pub cell_shadowing_sigma_db: f64,
-    /// Fast temporal fading sigma for cellular (dB).
-    pub cell_temporal_sigma_db: f64,
+// The channel every venue shares: one log-distance path-loss model per
+// radio, with lognormal shadowing and fresh temporal fading.
+
+/// Access-point transmit power (dBm).
+pub const AP_TX_POWER_DBM: f64 = 20.0;
+/// Tower transmit power (dBm; macro cells are ~43 dBm).
+pub const TOWER_TX_POWER_DBM: f64 = 43.0;
+/// Path-loss exponent for WiFi links (indoor-ish, ~3).
+pub const WIFI_EXPONENT: f64 = 3.0;
+/// Reference path loss at 1 m for WiFi (dB).
+pub const WIFI_REF_LOSS_DB: f64 = 40.0;
+/// Per-wall attenuation (dB) for WiFi links.
+pub const WALL_LOSS_DB: f64 = 5.0;
+/// Cap on total wall attenuation (dB) — beyond a few walls, diffraction
+/// dominates.
+pub const MAX_WALL_LOSS_DB: f64 = 20.0;
+/// WiFi receiver sensitivity floor (dBm).
+pub const WIFI_FLOOR_DBM: f64 = -90.0;
+/// Lognormal shadowing sigma for WiFi (dB).
+pub const WIFI_SHADOWING_SIGMA_DB: f64 = 4.5;
+/// Fast temporal fading sigma for WiFi indoors (dB), fresh per
+/// measurement.
+pub const WIFI_TEMPORAL_SIGMA_DB: f64 = 2.5;
+/// Fast temporal fading sigma for WiFi outdoors (dB) — multipath from
+/// people and vehicles makes outdoor links flutter harder.
+pub const WIFI_TEMPORAL_OUTDOOR_SIGMA_DB: f64 = 5.0;
+/// Path-loss exponent for cellular links.
+pub const CELL_EXPONENT: f64 = 3.5;
+/// Reference path loss at 1 m for cellular (dB).
+pub const CELL_REF_LOSS_DB: f64 = 32.0;
+/// Cellular receiver sensitivity floor (dBm).
+pub const CELL_FLOOR_DBM: f64 = -112.0;
+/// Lognormal shadowing sigma for cellular (dB).
+pub const CELL_SHADOWING_SIGMA_DB: f64 = 8.0;
+/// Fast temporal fading sigma for cellular (dB).
+pub const CELL_TEMPORAL_SIGMA_DB: f64 = 2.0;
+
+/// Deterministic mean WiFi RSS at distance `d` meters from an access point
+/// through `walls` walls (before shadowing/fading), in dBm.
+pub fn wifi_mean_rss(d: f64, walls: usize) -> f64 {
+    let d = d.max(1.0);
+    let wall_loss = (walls as f64 * WALL_LOSS_DB).min(MAX_WALL_LOSS_DB);
+    AP_TX_POWER_DBM - WIFI_REF_LOSS_DB - 10.0 * WIFI_EXPONENT * d.log10() - wall_loss
 }
 
-impl Default for PropagationConfig {
-    fn default() -> Self {
-        PropagationConfig {
-            wifi_exponent: 3.0,
-            wifi_ref_loss_db: 40.0,
-            wall_loss_db: 5.0,
-            max_wall_loss_db: 20.0,
-            wifi_floor_dbm: -90.0,
-            wifi_shadowing_sigma_db: 4.5,
-            wifi_temporal_sigma_db: 2.5,
-            wifi_temporal_outdoor_sigma_db: 5.0,
-            cell_exponent: 3.5,
-            cell_ref_loss_db: 32.0,
-            cell_floor_dbm: -112.0,
-            cell_shadowing_sigma_db: 8.0,
-            cell_temporal_sigma_db: 2.0,
-        }
-    }
-}
-
-impl PropagationConfig {
-    /// Deterministic mean WiFi RSS at distance `d` meters through `walls`
-    /// walls (before shadowing/fading), in dBm.
-    pub fn wifi_mean_rss(&self, tx_power_dbm: f64, d: f64, walls: usize) -> f64 {
-        let d = d.max(1.0);
-        let wall_loss = (walls as f64 * self.wall_loss_db).min(self.max_wall_loss_db);
-        tx_power_dbm - self.wifi_ref_loss_db - 10.0 * self.wifi_exponent * d.log10() - wall_loss
-    }
-
-    /// Deterministic mean cellular RSS at distance `d` meters with
-    /// `penetration_db` building penetration loss, in dBm.
-    pub fn cell_mean_rss(&self, tx_power_dbm: f64, d: f64, penetration_db: f64) -> f64 {
-        let d = d.max(1.0);
-        tx_power_dbm - self.cell_ref_loss_db - 10.0 * self.cell_exponent * d.log10()
-            - penetration_db
-    }
+/// Deterministic mean cellular RSS at distance `d` meters from a tower with
+/// `penetration_db` building penetration loss, in dBm.
+pub fn cell_mean_rss(d: f64, penetration_db: f64) -> f64 {
+    let d = d.max(1.0);
+    TOWER_TX_POWER_DBM - CELL_REF_LOSS_DB - 10.0 * CELL_EXPONENT * d.log10() - penetration_db
 }
 
 impl uniloc_stats::ToJson for ApId {
@@ -170,10 +146,9 @@ mod tests {
 
     #[test]
     fn wifi_rss_decreases_with_distance() {
-        let c = PropagationConfig::default();
-        let r1 = c.wifi_mean_rss(20.0, 1.0, 0);
-        let r10 = c.wifi_mean_rss(20.0, 10.0, 0);
-        let r100 = c.wifi_mean_rss(20.0, 100.0, 0);
+        let r1 = wifi_mean_rss(1.0, 0);
+        let r10 = wifi_mean_rss(10.0, 0);
+        let r100 = wifi_mean_rss(100.0, 0);
         assert!(r1 > r10 && r10 > r100);
         // Log-distance: each decade costs 10 * n dB.
         assert!((r1 - r10 - 30.0).abs() < 1e-9);
@@ -182,52 +157,40 @@ mod tests {
 
     #[test]
     fn wifi_rss_at_reference_distance() {
-        let c = PropagationConfig::default();
-        assert_eq!(c.wifi_mean_rss(20.0, 1.0, 0), -20.0);
+        assert_eq!(wifi_mean_rss(1.0, 0), -20.0);
         // Distances below 1 m are clamped.
-        assert_eq!(c.wifi_mean_rss(20.0, 0.1, 0), -20.0);
+        assert_eq!(wifi_mean_rss(0.1, 0), -20.0);
     }
 
     #[test]
     fn wall_attenuation_caps() {
-        let c = PropagationConfig::default();
-        let none = c.wifi_mean_rss(20.0, 10.0, 0);
-        let two = c.wifi_mean_rss(20.0, 10.0, 2);
-        let ten = c.wifi_mean_rss(20.0, 10.0, 10);
+        let none = wifi_mean_rss(10.0, 0);
+        let two = wifi_mean_rss(10.0, 2);
+        let ten = wifi_mean_rss(10.0, 10);
         assert_eq!(none - two, 10.0);
-        assert_eq!(none - ten, c.max_wall_loss_db);
+        assert_eq!(none - ten, MAX_WALL_LOSS_DB);
     }
 
     #[test]
     fn cell_rss_with_penetration() {
-        let c = PropagationConfig::default();
-        let outdoor = c.cell_mean_rss(43.0, 500.0, 0.0);
-        let basement = c.cell_mean_rss(43.0, 500.0, 32.0);
+        let outdoor = cell_mean_rss(500.0, 0.0);
+        let basement = cell_mean_rss(500.0, 32.0);
         assert_eq!(outdoor - basement, 32.0);
         // A 500 m macro link is audible outdoors...
-        assert!(outdoor > c.cell_floor_dbm);
+        assert!(outdoor > CELL_FLOOR_DBM);
     }
 
     #[test]
     fn typical_links_against_floor() {
-        let c = PropagationConfig::default();
         // A WiFi AP 30 m away through 2 walls is audible...
-        assert!(c.wifi_mean_rss(20.0, 30.0, 2) > c.wifi_floor_dbm);
+        assert!(wifi_mean_rss(30.0, 2) > WIFI_FLOOR_DBM);
         // ...but not at 200 m through many walls.
-        assert!(c.wifi_mean_rss(20.0, 200.0, 6) < c.wifi_floor_dbm);
+        assert!(wifi_mean_rss(200.0, 6) < WIFI_FLOOR_DBM);
     }
 
     #[test]
     fn id_display() {
         assert_eq!(ApId(3).to_string(), "ap3");
         assert_eq!(TowerId(1).to_string(), "cell1");
-    }
-
-    #[test]
-    fn constructors_use_default_power() {
-        let ap = AccessPoint::new(ApId(0), Point::origin());
-        assert_eq!(ap.tx_power_dbm, 20.0);
-        let tower = CellTower::new(TowerId(0), Point::origin());
-        assert_eq!(tower.tx_power_dbm, 43.0);
     }
 }

@@ -6,7 +6,7 @@
 //! IMU drift) are layered on top by `uniloc-sensors`.
 
 use crate::noise::{NoiseMemo, SpatialNoise};
-use crate::radio::{AccessPoint, ApId, CellTower, PropagationConfig, TowerId};
+use crate::radio::{self, AccessPoint, ApId, CellTower, TowerId};
 use crate::zone::{EnvKind, Zone};
 use uniloc_rng::Rng;
 use uniloc_geom::{FloorPlan, GeoCoord, GeoFrame, Point, Rect, Segment};
@@ -42,7 +42,6 @@ pub struct World {
     floorplan: FloorPlan,
     aps: Vec<AccessPoint>,
     towers: Vec<CellTower>,
-    propagation: PropagationConfig,
     shadowing: SpatialNoise,
     /// Macro-cell shadowing varies over tens of meters (much longer
     /// correlation than WiFi's room-scale fading).
@@ -67,11 +66,6 @@ impl World {
     /// The floor plan (walls / corridors / landmarks).
     pub fn floorplan(&self) -> &FloorPlan {
         &self.floorplan
-    }
-
-    /// Channel parameters.
-    pub fn propagation(&self) -> &PropagationConfig {
-        &self.propagation
     }
 
     /// The geographic frame anchoring this map.
@@ -152,20 +146,20 @@ impl World {
         // Indoor shadowing decorrelates at room scale (walls, furniture);
         // outdoor shadowing varies over tens of meters.
         let (lattice, temporal) = if kind.is_roofed() {
-            (&mut memo.fine, self.propagation.wifi_temporal_sigma_db)
+            (&mut memo.fine, radio::WIFI_TEMPORAL_SIGMA_DB)
         } else {
-            (&mut memo.coarse, self.propagation.wifi_temporal_outdoor_sigma_db)
+            (&mut memo.coarse, radio::WIFI_TEMPORAL_OUTDOOR_SIGMA_DB)
         };
-        let scale = self.propagation.wifi_shadowing_sigma_db / lattice.field().sigma().max(1e-9);
+        let scale = radio::WIFI_SHADOWING_SIGMA_DB / lattice.field().sigma().max(1e-9);
         let mut out = Vec::new();
         for (i, ap) in self.aps.iter().enumerate() {
             let d = ap.position.distance(p);
             let walls = self.wall_crossings(ap.position, p);
-            let mean = self.propagation.wifi_mean_rss(ap.tx_power_dbm, d, walls) - extra;
+            let mean = radio::wifi_mean_rss(d, walls) - extra;
             let shadow = lattice.sample(i, p) * scale;
             let fading = gauss(rng) * temporal;
             let rss = mean + shadow + fading;
-            if rss >= self.propagation.wifi_floor_dbm {
+            if rss >= radio::WIFI_FLOOR_DBM {
                 out.push((ap.id, rss));
             }
         }
@@ -182,16 +176,15 @@ impl World {
         assert!(self.owns(memo), "shadow memo from another world");
         let kind = self.kind_at(p);
         let pen = kind.cellular_penetration_loss_db();
-        let scale =
-            self.propagation.cell_shadowing_sigma_db / self.cell_shadowing.sigma().max(1e-9);
+        let scale = radio::CELL_SHADOWING_SIGMA_DB / self.cell_shadowing.sigma().max(1e-9);
         let mut out = Vec::new();
         for (j, tower) in self.towers.iter().enumerate() {
             let d = tower.position.distance(p);
-            let mean = self.propagation.cell_mean_rss(tower.tx_power_dbm, d, pen);
+            let mean = radio::cell_mean_rss(d, pen);
             let shadow = memo.coarse.sample(self.aps.len() + j, p) * scale;
-            let fading = gauss(rng) * self.propagation.cell_temporal_sigma_db;
+            let fading = gauss(rng) * radio::CELL_TEMPORAL_SIGMA_DB;
             let rss = mean + shadow + fading;
-            if rss >= self.propagation.cell_floor_dbm {
+            if rss >= radio::CELL_FLOOR_DBM {
                 out.push((tower.id, rss));
             }
         }
@@ -262,7 +255,6 @@ pub struct WorldBuilder {
     floorplan: FloorPlan,
     aps: Vec<AccessPoint>,
     towers: Vec<CellTower>,
-    propagation: PropagationConfig,
     geo_origin: GeoCoord,
     default_kind: EnvKind,
     next_ap: u32,
@@ -279,7 +271,6 @@ impl WorldBuilder {
             floorplan: FloorPlan::new(),
             aps: Vec::new(),
             towers: Vec::new(),
-            propagation: PropagationConfig::default(),
             geo_origin: GeoCoord::new(1.3483, 103.6831).expect("valid NTU anchor"),
             default_kind: EnvKind::OpenSpace,
             next_ap: 0,
@@ -315,12 +306,6 @@ impl WorldBuilder {
     pub fn cell_tower(mut self, position: Point) -> Self {
         self.towers.push(CellTower::new(TowerId(self.next_tower), position));
         self.next_tower += 1;
-        self
-    }
-
-    /// Overrides channel parameters.
-    pub fn propagation(mut self, cfg: PropagationConfig) -> Self {
-        self.propagation = cfg;
         self
     }
 
@@ -365,7 +350,6 @@ impl WorldBuilder {
             floorplan: self.floorplan,
             aps: self.aps,
             towers: self.towers,
-            propagation: self.propagation,
             // Unit-sigma fields, scaled per-use by each channel's sigma.
             // WiFi shadowing decorrelates at room scale; macro-cell
             // shadowing at block scale.
@@ -446,7 +430,7 @@ mod tests {
             assert_eq!(a.0, b.0);
             // Shadowing is identical; only temporal fading differs.
             assert!(
-                (a.1 - b.1).abs() < 6.0 * w.propagation().wifi_temporal_sigma_db,
+                (a.1 - b.1).abs() < 6.0 * radio::WIFI_TEMPORAL_SIGMA_DB,
                 "revisit RSS differs too much: {} vs {}",
                 a.1,
                 b.1

@@ -2,7 +2,7 @@
 //! [`uniloc_rng::check`] harness.
 
 use uniloc_env::campus::{build_path, PathSpec};
-use uniloc_env::{EnvKind, SpatialNoise};
+use uniloc_env::{radio, EnvKind, SpatialNoise};
 use uniloc_geom::Point;
 use uniloc_rng::check::Checker;
 use uniloc_rng::{require, require_eq, Rng};
@@ -156,11 +156,11 @@ fn observations_respect_floors() {
             let mut rng = Rng::seed_from_u64(rng_seed);
             let mut memo = s.world.shadow_memo();
             for (_, rss) in s.world.wifi_observation(p, &mut memo, &mut rng) {
-                require!(rss >= s.world.propagation().wifi_floor_dbm);
+                require!(rss >= radio::WIFI_FLOOR_DBM);
                 require!(rss < 30.0, "implausibly strong WiFi: {rss}");
             }
             for (_, rss) in s.world.cell_observation(p, &mut memo, &mut rng) {
-                require!(rss >= s.world.propagation().cell_floor_dbm);
+                require!(rss >= radio::CELL_FLOOR_DBM);
                 require!(rss < 0.0, "implausibly strong cellular: {rss}");
             }
             let sats = s.world.visible_satellites(p, &mut memo, &mut rng);

@@ -73,40 +73,24 @@ struct Vote {
     confidence: f64,
 }
 
-/// Tunable thresholds for the three sub-detectors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IoDetectorConfig {
-    /// Light above this (lux) votes outdoor strongly.
-    pub outdoor_lux: f64,
-    /// Light below this votes indoor strongly.
-    pub indoor_lux: f64,
-    /// Magnetic variance above this votes indoor.
-    pub magnetic_indoor: f64,
-    /// Magnetic variance below this votes outdoor.
-    pub magnetic_outdoor: f64,
-    /// Cellular level shift (dB) against the baseline that votes indoor.
-    pub cell_drop_db: f64,
-    /// Smoothing factor for the cellular baseline EMA.
-    pub cell_ema: f64,
-}
+// The three sub-detectors' thresholds.
 
-impl Default for IoDetectorConfig {
-    fn default() -> Self {
-        IoDetectorConfig {
-            outdoor_lux: 5_000.0,
-            indoor_lux: 1_000.0,
-            magnetic_indoor: 0.45,
-            magnetic_outdoor: 0.25,
-            cell_drop_db: 8.0,
-            cell_ema: 0.15,
-        }
-    }
-}
+/// Light above this (lux) votes outdoor strongly.
+const OUTDOOR_LUX: f64 = 5_000.0;
+/// Light below this votes indoor strongly.
+const INDOOR_LUX: f64 = 1_000.0;
+/// Magnetic variance above this votes indoor.
+const MAGNETIC_INDOOR: f64 = 0.45;
+/// Magnetic variance below this votes outdoor.
+const MAGNETIC_OUTDOOR: f64 = 0.25;
+/// Cellular level shift (dB) against the baseline that votes indoor.
+const CELL_DROP_DB: f64 = 8.0;
+/// Smoothing factor for the cellular baseline EMA.
+const CELL_EMA: f64 = 0.15;
 
 /// Streaming indoor/outdoor detector with hysteresis.
 #[derive(Debug, Clone)]
 pub struct IoDetector {
-    config: IoDetectorConfig,
     state: IoState,
     /// Consecutive epochs contradicting the held state.
     contradictions: u32,
@@ -115,15 +99,10 @@ pub struct IoDetector {
 }
 
 impl IoDetector {
-    /// Creates a detector with default thresholds, initially assuming
-    /// indoor (the paper's walks start in an office).
+    /// Creates a detector, initially assuming indoor (the paper's walks
+    /// start in an office).
     pub fn new() -> Self {
-        IoDetector::with_config(IoDetectorConfig::default())
-    }
-
-    /// Creates a detector with custom thresholds.
-    pub fn with_config(config: IoDetectorConfig) -> Self {
-        IoDetector { config, state: IoState::Indoor, contradictions: 0, cell_baseline: None }
+        IoDetector { state: IoState::Indoor, contradictions: 0, cell_baseline: None }
     }
 
     /// The currently held state.
@@ -139,28 +118,27 @@ impl IoDetector {
         // every epoch, so the vote set lives on the stack.
         let mut votes: [Option<Vote>; 3] = [None; 3];
         // Light sub-detector.
-        if light_lux >= self.config.outdoor_lux {
+        if light_lux >= OUTDOOR_LUX {
             votes[0] = Some(Vote { state: IoState::Outdoor, confidence: 0.9 });
-        } else if light_lux <= self.config.indoor_lux {
+        } else if light_lux <= INDOOR_LUX {
             votes[0] = Some(Vote { state: IoState::Indoor, confidence: 0.7 });
         }
         // Magnetism sub-detector.
-        if magnetic >= self.config.magnetic_indoor {
+        if magnetic >= MAGNETIC_INDOOR {
             votes[1] = Some(Vote { state: IoState::Indoor, confidence: 0.5 });
-        } else if magnetic <= self.config.magnetic_outdoor {
+        } else if magnetic <= MAGNETIC_OUTDOOR {
             votes[1] = Some(Vote { state: IoState::Outdoor, confidence: 0.4 });
         }
         // Cellular sub-detector: level shift vs. baseline.
         if let Some(rssi) = mean_cell_dbm {
             if let Some(base) = self.cell_baseline {
                 let delta = rssi - base;
-                if delta <= -self.config.cell_drop_db {
+                if delta <= -CELL_DROP_DB {
                     votes[2] = Some(Vote { state: IoState::Indoor, confidence: 0.5 });
-                } else if delta >= self.config.cell_drop_db {
+                } else if delta >= CELL_DROP_DB {
                     votes[2] = Some(Vote { state: IoState::Outdoor, confidence: 0.5 });
                 }
-                self.cell_baseline =
-                    Some(base + self.config.cell_ema * (rssi - base));
+                self.cell_baseline = Some(base + CELL_EMA * (rssi - base));
             } else {
                 self.cell_baseline = Some(rssi);
             }

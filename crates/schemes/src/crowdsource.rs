@@ -212,8 +212,8 @@ mod tests {
             &scenario.survey_points(3.0, 12.0),
         );
 
-        let mut crowd_scheme = WifiFingerprintScheme::new(crowd_db).with_min_aps(3);
-        let mut surveyed_scheme = WifiFingerprintScheme::new(surveyed).with_min_aps(3);
+        let mut crowd_scheme = WifiFingerprintScheme::new(crowd_db);
+        let mut surveyed_scheme = WifiFingerprintScheme::new(surveyed);
         let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(161));
         let walk = walker.walk(&scenario.route);
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 162);

@@ -13,9 +13,10 @@ use crate::index::SignalIndex;
 use uniloc_geom::Point;
 use uniloc_sensors::{CellScan, RssiCalibration, SensorFrame, SensorHub, WifiScan};
 
-/// Default penalty (dB) charged per AP audible in only one of two compared
-/// scans.
-pub const DEFAULT_MISSING_PENALTY_DBM: f64 = 12.0;
+/// Penalty (dB) charged per AP audible in only one of two compared scans:
+/// the signal index, the linear reference and fusion's reweight all charge
+/// it.
+pub const MISSING_PENALTY_DBM: f64 = 12.0;
 
 /// Candidates a RADAR match keeps: the fingerprint scheme's spread and
 /// posterior, and the RSSI distance deviation feature (the paper sets
@@ -26,10 +27,15 @@ pub const TOP_K: usize = 3;
 pub trait RssiLike: Clone + Default + Send + Sync {
     /// The scheme that fingerprints this radio.
     const SCHEME: SchemeId;
+    /// Fewest readings a scan needs for a meaningful match. The RADAR
+    /// scheme, Horus and the feature extractor's RADAR features all gate
+    /// on it, so a scheme and its features agree on availability.
+    const MIN_READINGS: usize;
     /// This radio's scan in `frame`, if the frame carries one.
     fn in_frame(frame: &SensorFrame) -> Option<&Self>;
-    /// Fingerprint (Euclidean) distance; `None` when no APs are shared.
-    fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64>;
+    /// Fingerprint (Euclidean) distance, charging [`MISSING_PENALTY_DBM`]
+    /// per unshared AP; `None` when no APs are shared.
+    fn fingerprint_distance(&self, other: &Self) -> Option<f64>;
     /// Whether nothing was audible.
     fn no_signal(&self) -> bool;
     /// Number of raw `(id, RSSI)` readings in the scan.
@@ -45,16 +51,18 @@ pub trait RssiLike: Clone + Default + Send + Sync {
 }
 
 /// [`RssiLike`] for a scan type of `(id newtype over u32, RSSI)` readings
-/// that `$scheme` fingerprints and a frame carries in `$field`.
+/// that `$scheme` fingerprints from at least `$min` readings and a frame
+/// carries in `$field`.
 macro_rules! impl_rssi_like {
-    ($scan:ty, $scheme:expr, $field:ident) => {
+    ($scan:ty, $scheme:expr, $min:expr, $field:ident) => {
         impl RssiLike for $scan {
             const SCHEME: SchemeId = $scheme;
+            const MIN_READINGS: usize = $min;
             fn in_frame(frame: &SensorFrame) -> Option<&Self> {
                 frame.$field.as_ref()
             }
-            fn fingerprint_distance(&self, other: &Self, missing_penalty: f64) -> Option<f64> {
-                self.distance(other, missing_penalty)
+            fn fingerprint_distance(&self, other: &Self) -> Option<f64> {
+                self.distance(other, MISSING_PENALTY_DBM)
             }
             fn no_signal(&self) -> bool {
                 self.is_empty()
@@ -82,8 +90,12 @@ macro_rules! impl_rssi_like {
     };
 }
 
-impl_rssi_like!(WifiScan, SchemeId::Wifi, wifi);
-impl_rssi_like!(CellScan, SchemeId::Cellular, cell);
+// "When the number of audible APs is less than 3, it is unlikely for the
+// RSSI fingerprinting scheme to provide a meaningful result." Cellular
+// gates at one tower: the basement, where it is the scheme that still
+// works, hears about two.
+impl_rssi_like!(WifiScan, SchemeId::Wifi, 3, wifi);
+impl_rssi_like!(CellScan, SchemeId::Cellular, 1, cell);
 
 /// One match candidate from a fingerprint lookup.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,7 +127,6 @@ pub struct FingerprintDb<S> {
 #[derive(Debug, Clone, PartialEq)]
 struct Survey<S> {
     entries: Vec<(Point, S)>,
-    missing_penalty: f64,
     index: SignalIndex,
 }
 
@@ -133,20 +144,14 @@ impl<S: RssiLike> FingerprintDb<S> {
             .into_iter()
             .filter(|(_, s)| !s.no_signal())
             .collect();
-        Self::with_entries(entries, DEFAULT_MISSING_PENALTY_DBM)
+        Self::with_entries(entries)
     }
 
     /// Internal constructor: every database goes through here so the
     /// signal index is always built from exactly the stored entries.
-    fn with_entries(entries: Vec<(Point, S)>, missing_penalty: f64) -> Self {
+    fn with_entries(entries: Vec<(Point, S)>) -> Self {
         let index = SignalIndex::build(&entries);
-        FingerprintDb { survey: Arc::new(Survey { entries, missing_penalty, index }) }
-    }
-
-    /// Overrides the missing-AP penalty.
-    pub fn with_missing_penalty(mut self, penalty: f64) -> Self {
-        Arc::make_mut(&mut self.survey).missing_penalty = penalty;
-        self
+        FingerprintDb { survey: Arc::new(Survey { entries, index }) }
     }
 
     /// Number of usable fingerprints.
@@ -186,7 +191,7 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// [`match_scan`](Self::match_scan) into a caller-owned buffer — the
     /// hot-path form the per-epoch loop uses to stay allocation-free.
     pub fn match_scan_into(&self, scan: &S, k: usize, out: &mut Vec<FingerprintMatch>) {
-        self.survey.index.match_into(scan, k, self.survey.missing_penalty, out);
+        self.survey.index.match_into(scan, k, out);
     }
 
     /// Whether some fingerprint hears an AP (tower) id of `scan`. For a
@@ -210,8 +215,7 @@ impl<S: RssiLike> FingerprintDb<S> {
         let mut matches: Vec<FingerprintMatch> = self
             .entries()
             .filter_map(|(p, fp)| {
-                scan.fingerprint_distance(fp, self.survey.missing_penalty)
-                    .map(|d| FingerprintMatch { position: p, distance: d })
+                scan.fingerprint_distance(fp).map(|d| FingerprintMatch { position: p, distance: d })
             })
             .collect();
         // `total_cmp` instead of `partial_cmp(..).expect(..)`: a NaN
@@ -275,7 +279,7 @@ impl<S: RssiLike> FingerprintDb<S> {
                 kept.push((p, s.clone()));
             }
         }
-        Self::with_entries(kept, self.survey.missing_penalty)
+        Self::with_entries(kept)
     }
 }
 

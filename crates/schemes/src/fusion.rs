@@ -15,9 +15,9 @@
 //! not the baseline's.
 
 use crate::estimate::{LocalizationScheme, LocationEstimate, SchemeId};
-use crate::fingerprint::{WifiFingerprintDb, DEFAULT_MISSING_PENALTY_DBM};
+use crate::fingerprint::{RssiLike, WifiFingerprintDb};
 use crate::index::SpatialGrid;
-use crate::pdr::{PdrConfig, PdrCore};
+use crate::pdr::{PdrCore, RESAMPLE_FRAC};
 use uniloc_geom::{FloorPlan, Point};
 use uniloc_sensors::{SensorFrame, WifiScan};
 
@@ -83,16 +83,10 @@ impl LikelihoodMemo {
 impl FusionScheme {
     /// Creates the scheme: PDR core plus the offline WiFi fingerprint
     /// database used for particle reweighting.
-    pub fn new(
-        plan: FloorPlan,
-        start: Point,
-        config: PdrConfig,
-        db: WifiFingerprintDb,
-        seed: u64,
-    ) -> Self {
+    pub fn new(plan: FloorPlan, start: Point, db: WifiFingerprintDb, seed: u64) -> Self {
         let index = SpatialGrid::build(db.positions().collect(), GRID_CELL_M);
         FusionScheme {
-            core: PdrCore::new(plan, start, config, seed),
+            core: PdrCore::new(plan, start, seed),
             db,
             index,
             memo: LikelihoodMemo::default(),
@@ -113,9 +107,7 @@ impl FusionScheme {
             return;
         }
         self.reweight_particles(scan);
-        self.core
-            .pf
-            .maybe_resample(self.core.config.resample_frac, &mut self.core.rng);
+        self.core.pf.maybe_resample(RESAMPLE_FRAC, &mut self.core.rng);
     }
 
     /// The likelihood pass of [`rssi_reweight`](Self::rssi_reweight).
@@ -142,11 +134,9 @@ impl FusionScheme {
         memo.begin(db.len());
         let _ = self.core.pf.reweight(|p| {
             let l = match index.nearest(p.pos) {
-                Some(i) => memo.get(i, || {
-                    match scan.distance(db.scan(i), DEFAULT_MISSING_PENALTY_DBM) {
-                        Some(d) => (-d * d / two_sigma2).exp(),
-                        None => 0.0,
-                    }
+                Some(i) => memo.get(i, || match scan.fingerprint_distance(db.scan(i)) {
+                    Some(d) => (-d * d / two_sigma2).exp(),
+                    None => 0.0,
                 }),
                 None => 0.0,
             };
@@ -199,13 +189,7 @@ mod tests {
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), seed);
         let points = scenario.survey_points(3.0, 12.0);
         let db = WifiFingerprintDb::survey_wifi(&mut hub, &points);
-        FusionScheme::new(
-            scenario.world.floorplan().clone(),
-            scenario.route.start(),
-            PdrConfig::default(),
-            db,
-            seed + 1,
-        )
+        FusionScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), db, seed + 1)
     }
 
     fn mean_error<S: LocalizationScheme>(
@@ -228,12 +212,8 @@ mod tests {
     fn fusion_beats_plain_pdr_indoors() {
         let scenario = venues::training_office(91);
         let mut fusion = build_fusion(&scenario, 92);
-        let mut pdr = PdrScheme::new(
-            scenario.world.floorplan().clone(),
-            scenario.route.start(),
-            PdrConfig::default(),
-            93,
-        );
+        let mut pdr =
+            PdrScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), 93);
         let fusion_err = mean_error(&scenario, &mut fusion, 94);
         let pdr_err = mean_error(&scenario, &mut pdr, 94);
         assert!(
@@ -250,12 +230,8 @@ mod tests {
         // the same outdoor error model).
         let scenario = campus::daily_path(99);
         let mut fusion = build_fusion(&scenario, 100);
-        let mut pdr = PdrScheme::new(
-            scenario.world.floorplan().clone(),
-            scenario.route.start(),
-            PdrConfig::default(),
-            101,
-        );
+        let mut pdr =
+            PdrScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), 101);
         let fusion_err = mean_error(&scenario, &mut fusion, 102);
         let pdr_err = mean_error(&scenario, &mut pdr, 102);
         assert!(

@@ -84,7 +84,7 @@
 
 use std::cell::RefCell;
 
-use crate::fingerprint::{FingerprintMatch, RssiLike};
+use crate::fingerprint::{FingerprintMatch, RssiLike, MISSING_PENALTY_DBM};
 use uniloc_geom::Point;
 
 /// Probes of the density estimate: the in-radius fingerprints closest to
@@ -231,7 +231,7 @@ impl SignalIndex {
     /// Exact RADAR distance between the buffered scan and slab entry `e`
     /// — the same merge, arithmetic and operation order as
     /// [`uniloc_sensors::merge_distance`] with the scan on the left.
-    fn entry_distance(&self, scan: &[(u32, f64)], e: usize, missing_penalty_dbm: f64) -> Option<f64> {
+    fn entry_distance(&self, scan: &[(u32, f64)], e: usize) -> Option<f64> {
         let lo = self.offsets[e] as usize;
         let hi = self.offsets[e + 1] as usize;
         let ids = &self.ids[lo..hi];
@@ -265,7 +265,7 @@ impl SignalIndex {
         if common == 0 {
             return None;
         }
-        sum_sq += missing as f64 * missing_penalty_dbm * missing_penalty_dbm;
+        sum_sq += missing as f64 * MISSING_PENALTY_DBM * MISSING_PENALTY_DBM;
         Some((sum_sq / (common + missing) as f64).sqrt())
     }
 
@@ -290,13 +290,7 @@ impl SignalIndex {
 
     /// Fills `out` with the `k` best matches of `scan`, byte-identical to
     /// the linear reference (module docs).
-    pub fn match_into<S: RssiLike>(
-        &self,
-        scan: &S,
-        k: usize,
-        missing_penalty_dbm: f64,
-        out: &mut Vec<FingerprintMatch>,
-    ) {
+    pub fn match_into<S: RssiLike>(&self, scan: &S, k: usize, out: &mut Vec<FingerprintMatch>) {
         out.clear();
         if scan.no_signal() || k == 0 || self.is_empty() {
             return;
@@ -307,7 +301,7 @@ impl SignalIndex {
             reserve_scratch(scored, self.len());
             scan_buf.extend((0..scan.reading_count()).map(|i| scan.reading(i)));
             for e in 0..self.len() {
-                if let Some(d) = self.entry_distance(scan_buf, e, missing_penalty_dbm) {
+                if let Some(d) = self.entry_distance(scan_buf, e) {
                     scored.push((e as u32, d));
                 }
             }
@@ -634,11 +628,11 @@ mod tests {
         let idx = SignalIndex::build(&e);
         let online = scan(&[(0, -52.0), (1, -55.0)]);
         let mut out = Vec::new();
-        idx.match_into(&online, 3, 12.0, &mut out);
+        idx.match_into(&online, 3, &mut out);
         let mut linear: Vec<FingerprintMatch> = e
             .iter()
             .filter_map(|(p, fp)| {
-                crate::fingerprint::RssiLike::fingerprint_distance(&online, fp, 12.0)
+                crate::fingerprint::RssiLike::fingerprint_distance(&online, fp)
                     .map(|d| FingerprintMatch { position: *p, distance: d })
             })
             .collect();
@@ -654,11 +648,11 @@ mod tests {
         let idx = SignalIndex::build(&e);
         let online = scan(&[(1, -55.0)]);
         let mut out = Vec::new();
-        idx.match_into(&online, 5, 12.0, &mut out);
+        idx.match_into(&online, 5, &mut out);
         let mut linear: Vec<FingerprintMatch> = e
             .iter()
             .filter_map(|(p, fp)| {
-                crate::fingerprint::RssiLike::fingerprint_distance(&online, fp, 12.0)
+                crate::fingerprint::RssiLike::fingerprint_distance(&online, fp)
                     .map(|d| FingerprintMatch { position: *p, distance: d })
             })
             .collect();
@@ -675,9 +669,9 @@ mod tests {
     fn empty_scan_and_zero_k_match_nothing() {
         let idx = SignalIndex::build(&entries());
         let mut out = vec![FingerprintMatch { position: Point::origin(), distance: 0.0 }];
-        idx.match_into(&WifiScan::default(), 3, 12.0, &mut out);
+        idx.match_into(&WifiScan::default(), 3, &mut out);
         assert!(out.is_empty());
-        idx.match_into(&scan(&[(0, -50.0)]), 0, 12.0, &mut out);
+        idx.match_into(&scan(&[(0, -50.0)]), 0, &mut out);
         assert!(out.is_empty());
     }
 

@@ -35,5 +35,5 @@ pub use index::{SignalIndex, SpatialGrid};
 pub use fusion::FusionScheme;
 pub use gps::GpsScheme;
 pub use oracle::Oracle;
-pub use pdr::{PdrConfig, PdrScheme};
+pub use pdr::PdrScheme;
 pub use radar::{CellFingerprintScheme, FingerprintScheme, WifiFingerprintScheme};

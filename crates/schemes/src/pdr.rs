@@ -16,35 +16,23 @@ use uniloc_filters::ParticleFilter;
 use uniloc_geom::{FloorPlan, Point, Vector2};
 use uniloc_sensors::{SensorFrame, StepMeasurement};
 
-/// Tuning knobs for the PDR particle filter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PdrConfig {
-    /// Particles maintained every step (the paper uses 300).
-    pub num_particles: usize,
-    /// Per-step multiplicative step-length noise (standard deviation).
-    pub step_length_noise: f64,
-    /// Per-step additive heading noise (radians, standard deviation).
-    pub heading_noise: f64,
-    /// Initial cloud spread around the start position (m).
-    pub init_spread: f64,
-    /// Gaussian kernel width for landmark calibration (m).
-    pub landmark_sigma: f64,
-    /// Resample when ESS drops below this fraction of the cloud.
-    pub resample_frac: f64,
-}
+/// Particles maintained every step (the paper uses 300).
+const NUM_PARTICLES: usize = 300;
 
-impl Default for PdrConfig {
-    fn default() -> Self {
-        PdrConfig {
-            num_particles: 300,
-            step_length_noise: 0.08,
-            heading_noise: 0.05,
-            init_spread: 1.0,
-            landmark_sigma: 3.5,
-            resample_frac: 0.5,
-        }
-    }
-}
+/// Per-step multiplicative step-length noise (standard deviation).
+const STEP_LENGTH_NOISE: f64 = 0.08;
+
+/// Per-step additive heading noise (radians, standard deviation).
+const HEADING_NOISE: f64 = 0.05;
+
+/// Initial cloud spread around the start position (m).
+const INIT_SPREAD: f64 = 1.0;
+
+/// Gaussian kernel width for landmark calibration (m).
+const LANDMARK_SIGMA: f64 = 3.5;
+
+/// Resample when ESS drops below this fraction of the cloud.
+pub(crate) const RESAMPLE_FRAC: f64 = 0.5;
 
 /// One PDR particle: position plus per-particle gait personalisation
 /// (step-length scale and heading offset hypotheses).
@@ -59,7 +47,6 @@ pub(crate) struct PdrParticle {
 /// schemes.
 #[derive(Debug, Clone)]
 pub(crate) struct PdrCore {
-    pub config: PdrConfig,
     pub plan: FloorPlan,
     pub pf: ParticleFilter<PdrParticle>,
     pub rng: Rng,
@@ -71,32 +58,23 @@ pub(crate) struct PdrCore {
 }
 
 impl PdrCore {
-    pub fn new(plan: FloorPlan, start: Point, config: PdrConfig, seed: u64) -> Self {
-        assert!(config.num_particles > 0, "need at least one particle");
+    pub fn new(plan: FloorPlan, start: Point, seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
-        let pf = ParticleFilter::new(Self::spawn_cloud(&mut rng, &plan, start, &config));
-        let penalty_scratch = Vec::with_capacity(config.num_particles);
-        PdrCore { config, plan, pf, rng, start, penalty_scratch }
+        let pf = ParticleFilter::new(Self::spawn_cloud(&mut rng, &plan, start));
+        let penalty_scratch = Vec::with_capacity(NUM_PARTICLES);
+        PdrCore { plan, pf, rng, start, penalty_scratch }
     }
 
     /// Spawns a cloud around `center`, rejecting positions separated from
     /// the center by a wall (you cannot be on the other side of a wall from
     /// where you know you are).
-    fn spawn_cloud(
-        rng: &mut Rng,
-        plan: &FloorPlan,
-        center: Point,
-        config: &PdrConfig,
-    ) -> Vec<PdrParticle> {
-        (0..config.num_particles)
+    fn spawn_cloud(rng: &mut Rng, plan: &FloorPlan, center: Point) -> Vec<PdrParticle> {
+        (0..NUM_PARTICLES)
             .map(|_| {
                 let mut pos = center;
                 for _ in 0..8 {
-                    let cand = center
-                        + Vector2::new(
-                            gauss(rng) * config.init_spread,
-                            gauss(rng) * config.init_spread,
-                        );
+                    let cand =
+                        center + Vector2::new(gauss(rng) * INIT_SPREAD, gauss(rng) * INIT_SPREAD);
                     if !plan.blocks(center, cand) {
                         pos = cand;
                         break;
@@ -112,7 +90,7 @@ impl PdrCore {
     }
 
     pub fn reset(&mut self) {
-        let cloud = Self::spawn_cloud(&mut self.rng, &self.plan, self.start, &self.config);
+        let cloud = Self::spawn_cloud(&mut self.rng, &self.plan, self.start);
         self.pf.reinitialize(cloud);
     }
 
@@ -121,15 +99,14 @@ impl PdrCore {
     /// map-constrained PDR behaviour) and is down-weighted; a particle that
     /// cannot even slide stays put and is penalized harder.
     pub fn advance_step(&mut self, step: &StepMeasurement) {
-        let cfg = self.config;
         let mut penalties = std::mem::take(&mut self.penalty_scratch);
         penalties.clear();
         penalties.reserve(self.pf.len());
         let plan = &self.plan;
         self.pf.predict(&mut self.rng, |p, rng| {
-            let heading = step.heading_est + p.heading_offset + cfg.heading_noise * gauss(rng);
+            let heading = step.heading_est + p.heading_offset + HEADING_NOISE * gauss(rng);
             let length =
-                (step.length_est * p.length_scale * (1.0 + cfg.step_length_noise * gauss(rng)))
+                (step.length_est * p.length_scale * (1.0 + STEP_LENGTH_NOISE * gauss(rng)))
                     .max(0.0);
             let old = p.pos;
             let delta = Vector2::from_heading(heading, length);
@@ -163,7 +140,7 @@ impl PdrCore {
         });
         debug_assert!(survived, "penalties are always positive");
         self.penalty_scratch = penalties;
-        self.pf.maybe_resample(self.config.resample_frac, &mut self.rng);
+        self.pf.maybe_resample(RESAMPLE_FRAC, &mut self.rng);
     }
 
     /// Landmark calibration: reweight the cloud around the landmark's known
@@ -174,20 +151,20 @@ impl PdrCore {
     /// recognized door/signature physically justifies).
     pub fn calibrate_landmark(&mut self, landmark_pos: Point) {
         let est = self.estimate().position;
-        if est.distance(landmark_pos) > 3.0 * self.config.landmark_sigma {
-            let cloud = Self::spawn_cloud(&mut self.rng, &self.plan, landmark_pos, &self.config);
+        if est.distance(landmark_pos) > 3.0 * LANDMARK_SIGMA {
+            let cloud = Self::spawn_cloud(&mut self.rng, &self.plan, landmark_pos);
             self.pf.reinitialize(cloud);
             return;
         }
-        let sigma2 = 2.0 * self.config.landmark_sigma * self.config.landmark_sigma;
+        let sigma2 = 2.0 * LANDMARK_SIGMA * LANDMARK_SIGMA;
         let ok = self
             .pf
             .reweight(|p| (-p.pos.distance_sq(landmark_pos) / sigma2).exp());
         if !ok {
-            let cloud = Self::spawn_cloud(&mut self.rng, &self.plan, landmark_pos, &self.config);
+            let cloud = Self::spawn_cloud(&mut self.rng, &self.plan, landmark_pos);
             self.pf.reinitialize(cloud);
         }
-        self.pf.maybe_resample(self.config.resample_frac, &mut self.rng);
+        self.pf.maybe_resample(RESAMPLE_FRAC, &mut self.rng);
     }
 
     /// The weighted mean of a subsampled particle-cloud posterior (up to
@@ -239,15 +216,11 @@ fn gauss(rng: &mut Rng) -> f64 {
 ///
 /// ```no_run
 /// use uniloc_env::campus;
-/// use uniloc_schemes::{PdrConfig, PdrScheme};
+/// use uniloc_schemes::PdrScheme;
 ///
 /// let scenario = campus::daily_path(1);
-/// let scheme = PdrScheme::new(
-///     scenario.world.floorplan().clone(),
-///     scenario.route.start(),
-///     PdrConfig::default(),
-///     7,
-/// );
+/// let scheme =
+///     PdrScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PdrScheme {
@@ -258,8 +231,8 @@ impl PdrScheme {
     /// Creates the scheme with the venue floor plan and the walk's start
     /// position (PDR is a relative scheme; like the original systems it is
     /// anchored at a known start, e.g. the building entrance).
-    pub fn new(plan: FloorPlan, start: Point, config: PdrConfig, seed: u64) -> Self {
-        PdrScheme { core: PdrCore::new(plan, start, config, seed) }
+    pub fn new(plan: FloorPlan, start: Point, seed: u64) -> Self {
+        PdrScheme { core: PdrCore::new(plan, start, seed) }
     }
 }
 
@@ -302,12 +275,8 @@ mod tests {
         let walk = walker.walk(&scenario.route);
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), seed + 1);
         let frames = hub.sample_walk(&walk, 0.5);
-        let mut scheme = PdrScheme::new(
-            scenario.world.floorplan().clone(),
-            scenario.route.start(),
-            PdrConfig::default(),
-            seed + 2,
-        );
+        let mut scheme =
+            PdrScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), seed + 2);
         frames
             .iter()
             .filter_map(|f| {
@@ -360,19 +329,15 @@ mod tests {
         let walk = walker.walk(&scenario.route);
         let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 77);
         let frames = hub.sample_walk(&walk, 0.5);
-        let mut scheme = PdrScheme::new(
-            scenario.world.floorplan().clone(),
-            scenario.route.start(),
-            PdrConfig::default(),
-            78,
-        );
+        let mut scheme =
+            PdrScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), 78);
         assert!(frames.iter().all(|f| scheme.update(f).is_some()));
     }
 
     #[test]
     fn landmark_calibration_pulls_cloud() {
         let plan = FloorPlan::new();
-        let mut core = PdrCore::new(plan, Point::origin(), PdrConfig::default(), 79);
+        let mut core = PdrCore::new(plan, Point::origin(), 79);
         // Drift the cloud artificially.
         core.pf.predict(&mut Rng::seed_from_u64(1), |p, _| {
             p.pos += Vector2::new(10.0, 0.0);
@@ -391,12 +356,8 @@ mod tests {
     #[test]
     fn reset_returns_to_start() {
         let scenario = venues::training_office(80);
-        let mut scheme = PdrScheme::new(
-            scenario.world.floorplan().clone(),
-            scenario.route.start(),
-            PdrConfig::default(),
-            81,
-        );
+        let mut scheme =
+            PdrScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), 81);
         // Walk a bit.
         let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(82));
         let walk = walker.walk(&scenario.route);
@@ -417,7 +378,7 @@ mod tests {
         plan.add_wall(Point::new(-6.0, 1.5), Point::new(60.0, 1.5));
         plan.add_wall(Point::new(-6.0, -1.5), Point::new(60.0, -1.5));
         plan.add_wall(Point::new(-6.0, -1.5), Point::new(-6.0, 1.5));
-        let mut core = PdrCore::new(plan, Point::origin(), PdrConfig::default(), 84);
+        let mut core = PdrCore::new(plan, Point::origin(), 84);
         // 40 steps east with a strong northward heading bias.
         for i in 0..40 {
             let step = StepMeasurement {

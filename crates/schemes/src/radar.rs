@@ -35,10 +35,6 @@ pub struct FingerprintScheme<S> {
     db: FingerprintDb<S>,
     /// The device calibration, when one is set.
     calibration: Option<RssiCalibration>,
-    /// Minimum audible transmitters for a meaningful result ("when the
-    /// number of audible APs is less than 3, it is unlikely [...] to
-    /// provide a meaningful result").
-    min_aps: usize,
     /// Top-k candidates of the latest match, for the posterior mean.
     last_matches: Vec<FingerprintMatch>,
     /// Calibrated-scan scratch, recycled across epochs so steady-state
@@ -53,22 +49,16 @@ pub type WifiFingerprintScheme = FingerprintScheme<WifiScan>;
 pub type CellFingerprintScheme = FingerprintScheme<CellScan>;
 
 impl<S: RssiLike> FingerprintScheme<S> {
-    /// Creates the scheme over an offline fingerprint database.
+    /// Creates the scheme over an offline fingerprint database. It
+    /// answers only scans with at least [`RssiLike::MIN_READINGS`]
+    /// readings (3 WiFi APs, 1 cell tower).
     pub fn new(db: FingerprintDb<S>) -> Self {
         FingerprintScheme {
             db,
             calibration: None,
-            min_aps: 1,
             last_matches: Vec::new(),
             calibrated: S::default(),
         }
-    }
-
-    /// Requires at least `n` audible transmitters before producing an
-    /// estimate.
-    pub fn with_min_aps(mut self, n: usize) -> Self {
-        self.min_aps = n;
-        self
     }
 }
 
@@ -89,7 +79,7 @@ impl<S: RssiLike> LocalizationScheme for FingerprintScheme<S> {
     fn update(&mut self, frame: &SensorFrame) -> Option<LocationEstimate> {
         self.last_matches.clear();
         let scan = S::in_frame(frame)?;
-        if scan.reading_count() < self.min_aps {
+        if scan.reading_count() < S::MIN_READINGS {
             return None;
         }
         let scan = match self.calibration {
@@ -286,15 +276,6 @@ mod tests {
         }
         assert!(estimates > frames.len() / 2, "the walk must exercise the match");
         assert!(plain.update(frames.last().unwrap()).is_some(), "the -0.0 frame must match");
-    }
-
-    #[test]
-    fn min_aps_gate() {
-        let scenario = venues::training_office(55);
-        let scheme = scheme_for(&scenario, 56);
-        let mut gated = scheme.with_min_aps(100); // impossible requirement
-        let results = run_and_measure(&scenario, &mut gated, DeviceProfile::nexus_5x(), 57);
-        assert!(results.iter().all(|r| r.1.is_none()));
     }
 
     #[test]

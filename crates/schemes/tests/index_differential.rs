@@ -12,9 +12,9 @@
 //! equality:
 //!
 //! * matching against `match_scan_linear`: random databases × random
-//!   scans × random `k` × random missing-AP penalties; empty scans, scans
-//!   over a disjoint AP universe, duplicated survey positions and
-//!   duplicated fingerprints (distance ties), `k = 0`, `k > len`;
+//!   scans × random `k`; empty scans, scans over a disjoint AP universe,
+//!   duplicated survey positions and duplicated fingerprints (distance
+//!   ties), `k = 0`, `k > len`;
 //!   non-finite RSSIs (NaN, ±inf) in the online scan and in the stored
 //!   fingerprints — both paths must rank them identically via `total_cmp`
 //!   tie-breaking, not panic; build determinism and scratch reuse;
@@ -92,12 +92,7 @@ fn gen_entries(rng: &mut Rng, scale: f64) -> Vec<(Point, WifiScan)> {
 }
 
 fn gen_db(rng: &mut Rng, scale: f64) -> FingerprintDb<WifiScan> {
-    let db = FingerprintDb::from_entries(gen_entries(rng, scale));
-    match rng.gen_range(0..3u32) {
-        0 => db,
-        1 => db.with_missing_penalty(rng.gen_range(0.0..30.0)),
-        _ => db.with_missing_penalty(rng.gen_range(-5.0..5.0)),
-    }
+    FingerprintDb::from_entries(gen_entries(rng, scale))
 }
 
 /// An online scan that overlaps the database's AP universe fully,
@@ -129,9 +124,8 @@ fn require_identical(
     Ok(())
 }
 
-/// The core differential property: for every database, scan, `k` and
-/// penalty, the indexed path returns exactly what scoring every entry
-/// returns.
+/// The core differential property: for every database, scan and `k`, the
+/// indexed path returns exactly what scoring every entry returns.
 #[test]
 fn indexed_match_equals_linear_scan() {
     checker("indexed_match_equals_linear_scan").run(

@@ -13,8 +13,7 @@
 use uniloc_rng::Rng;
 use uniloc::env::{venues, GaitProfile, Walker};
 use uniloc::schemes::{
-    LocalizationScheme, PdrConfig, PdrScheme, RadioMapBuilder, WifiFingerprintDb,
-    WifiFingerprintScheme,
+    LocalizationScheme, PdrScheme, RadioMapBuilder, WifiFingerprintDb, WifiFingerprintScheme,
 };
 use uniloc::sensors::{DeviceProfile, SensorHub};
 
@@ -30,12 +29,8 @@ fn main() {
         let walk = walker.walk(&venue.route);
         let mut hub =
             SensorHub::new(&venue.world, DeviceProfile::nexus_5x(), 210 + i as u64);
-        let mut pdr = PdrScheme::new(
-            venue.world.floorplan().clone(),
-            venue.route.start(),
-            PdrConfig::default(),
-            220 + i as u64,
-        );
+        let mut pdr =
+            PdrScheme::new(venue.world.floorplan().clone(), venue.route.start(), 220 + i as u64);
         let mut since_landmark = 0.0f64;
         for frame in hub.sample_walk(&walk, 0.5) {
             for s in &frame.steps {
@@ -68,7 +63,7 @@ fn main() {
     let mut hub = SensorHub::new(&venue.world, DeviceProfile::nexus_5x(), 241);
     let frames = hub.sample_walk(&walk, 0.5);
     for (label, db) in [("crowdsourced", crowd_db), ("surveyed", surveyed)] {
-        let mut scheme = WifiFingerprintScheme::new(db).with_min_aps(3);
+        let mut scheme = WifiFingerprintScheme::new(db);
         let errs: Vec<f64> = frames
             .iter()
             .filter_map(|f| scheme.update(f).map(|e| e.position.distance(f.true_position)))

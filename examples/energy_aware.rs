@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example energy_aware`
 
-use uniloc::core::energy::PowerProfile;
+use uniloc::core::energy;
 use uniloc::core::error_model::train;
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::core::response::ResponseTimeModel;
@@ -30,22 +30,21 @@ fn main() {
     println!("walking {} ({} m) ...", scenario.name, scenario.route.length());
     let records = pipeline::run_walk(&scenario, &models, &cfg, 12);
 
-    let profile = PowerProfile::default();
     println!("\nwhole-phone power while localizing:");
     println!("{:<16}{:>12}{:>10}{:>12}", "system", "power (mW)", "time (s)", "energy (J)");
-    for row in profile.tabulate(&records) {
+    for row in energy::tabulate(&records) {
         println!(
             "{:<16}{:>12.0}{:>10.1}{:>12.1}",
             row.system, row.power_mw, row.time_s, row.energy_j
         );
     }
-    let motion = profile.scheme_power_mw(SchemeId::Motion);
+    let motion = energy::scheme_power_mw(SchemeId::Motion);
     let duty =
         records.iter().filter(|r| r.gps_enabled).count() as f64 / records.len() as f64;
     println!(
         "\nUniLoc runs {} schemes for {:+.1}% over the cheapest one (GPS duty {:.1}%).",
         SchemeId::BUILTIN.len(),
-        (profile.uniloc_power_mw(duty) / motion - 1.0) * 100.0,
+        (energy::uniloc_power_mw(duty) / motion - 1.0) * 100.0,
         duty * 100.0
     );
 

@@ -78,12 +78,13 @@ for example in examples/*.rs; do
 done
 echo "    ok: every example ran to completion"
 
-# Three committed paper files are exactly what their regenerators print
-# (the other nine are stale, or carry a wall-clock line; ROADMAP item 1).
-# Between them they walk every built-in scheme and the training features,
-# so a change to any scheme's output or to feature extraction fails here.
+# Four committed paper files are exactly what their regenerators print on
+# stdout (the other eight are stale; ROADMAP item 1). Between them they
+# walk every built-in scheme and the training features, so a change to any
+# scheme's output or to feature extraction fails here. table5 prints its
+# wall-clock measurements on stderr, so its stdout is machine-independent.
 echo "==> paper regenerators (stdout diffed against results/)"
-for bin in fig2_motivation fig4_paths table2_error_models; do
+for bin in fig2_motivation fig4_paths table2_error_models table5_response_time; do
     UNILOC_QUIET=1 target/release/"$bin" > "$smoke/$bin.txt"
     if ! diff "results/$bin.txt" "$smoke/$bin.txt" > /dev/null; then
         echo "ERROR: target/release/$bin no longer prints results/$bin.txt:" >&2
@@ -91,7 +92,8 @@ for bin in fig2_motivation fig4_paths table2_error_models; do
         exit 1
     fi
 done
-echo "    ok: fig2_motivation, fig4_paths and table2_error_models match results/"
+echo "    ok: fig2_motivation, fig4_paths, table2_error_models and table5_response_time" \
+    "match results/"
 
 # --- 3. metrics smoke ----------------------------------------------------
 # Run a short scenario with the observability sidecar enabled, then assert
@@ -129,7 +131,8 @@ echo "    ok: calibration cells and flight postmortems inspect cleanly"
 
 # Each command accepts only its own flags and the global ones: a typo or
 # a retired flag must exit non-zero and name the flag, never run with a
-# silent default (`--out` keeps a run that wrongly starts out of results/).
+# silent default. (`chaos` and `fleet` also require `--out`, so no run can
+# write into results/ unless told to.)
 # The crash-recovery smoke below adds the resume case: a flag the
 # checkpoint pins is an error too.
 echo "==> unknown-flag smoke (uniloc fleet --sesions, uniloc scenarios --bogus)"
@@ -180,6 +183,20 @@ for needle in '"worst_ladder"' '"nonfinite_fused": 0' '"recovered": true'; do
     fi
 done
 echo "    ok: fault sweep stayed finite, recovered, and is --jobs invariant"
+
+# The committed chaos reports are exactly what the README's sweep writes
+# (full plan set, seed 7, models trained in-process on the same seed).
+echo "==> committed chaos reports (uniloc chaos --plans full --seed 7, diffed against results/)"
+target/release/uniloc chaos --scenarios office,path1 --plans full --seed 7 \
+    --out "$smoke/chaos7" --quiet
+for report in CHAOS_cli-office.json CHAOS_path1.json; do
+    if ! diff "results/$report" "$smoke/chaos7/$report" > /dev/null; then
+        echo "ERROR: results/$report differs from what the README's chaos sweep writes:" >&2
+        diff "results/$report" "$smoke/chaos7/$report" | head -20 >&2 || true
+        exit 1
+    fi
+done
+echo "    ok: results/ holds exactly what the seed-7 full chaos sweep writes"
 
 # --- 5. fleet smoke -------------------------------------------------------
 # Serve a 200-walker fleet (two venues, every 10th walker under a fault
