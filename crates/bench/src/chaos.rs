@@ -31,7 +31,6 @@ use uniloc_stats::json::{float, Json, ToJson};
 /// `open-space`, `office`) to a concrete [`Scenario`].
 pub fn scenario_by_name(name: &str, seed: u64) -> Result<Scenario, String> {
     match name {
-        "daily" => Ok(campus::path(1, seed)),
         "path1" | "path2" | "path3" | "path4" | "path5" | "path6" | "path7" | "path8" => {
             Ok(campus::path(name[4..].parse().expect("digit-suffixed name"), seed))
         }
@@ -107,6 +106,18 @@ pub fn error_stats(records: &[EpochRecord]) -> (Option<f64>, Option<f64>, Option
         Some(errs.iter().sum::<f64>() / errs.len() as f64)
     };
     (mean, percentile(&errs, 0.5), percentile(&errs, 0.9))
+}
+
+/// The schemes a walk ever quarantined, in first-seen order.
+pub fn quarantined_schemes(records: &[EpochRecord]) -> Vec<String> {
+    let mut schemes: Vec<String> = Vec::new();
+    for id in records.iter().flat_map(|r| &r.quarantined) {
+        let s = id.to_string();
+        if !schemes.contains(&s) {
+            schemes.push(s);
+        }
+    }
+    schemes
 }
 
 /// Sweep parameters, fully determining the output artifacts.
@@ -289,15 +300,7 @@ fn run_cell(
     let worst = records.iter().map(|r| r.ladder).max().unwrap_or_default();
     let final_ladder = records.last().map(|r| r.ladder).unwrap_or_default();
     let quarantined_epochs = records.iter().filter(|r| !r.quarantined.is_empty()).count();
-    let mut schemes_quarantined: Vec<String> = Vec::new();
-    for r in &records {
-        for id in &r.quarantined {
-            let s = id.to_string();
-            if !schemes_quarantined.contains(&s) {
-                schemes_quarantined.push(s);
-            }
-        }
-    }
+    let schemes_quarantined = quarantined_schemes(&records);
     // Recovery: epochs past the last fault window until the quarantine
     // set empties and stays empty through the end.
     let window_end =

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::chaos::{error_stats, fused_error, scenario_by_name};
+use crate::chaos::{error_stats, fused_error, quarantined_schemes, scenario_by_name};
 use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::fleet::{
     check_checkpoint_version, CheckpointError, FinishedSession, FleetEvent,
@@ -380,22 +380,13 @@ fn summarize(spec: SessionSpec, finished: &FinishedSession) -> SessionSummary {
     let (mean_error, _, _) = error_stats(&finished.records);
     let nonfinite_fused =
         finished.records.iter().filter_map(fused_error).filter(|e| !e.is_finite()).count();
-    let mut quarantined: Vec<String> = Vec::new();
-    for r in &finished.records {
-        for id in &r.quarantined {
-            let s = id.to_string();
-            if !quarantined.contains(&s) {
-                quarantined.push(s);
-            }
-        }
-    }
     SessionSummary {
         spec,
         epochs: finished.epochs,
         digest: records_digest(&finished.records),
         mean_error,
         nonfinite_fused,
-        quarantined,
+        quarantined: quarantined_schemes(&finished.records),
         flight_lines: finished.capture.flight_lines.len(),
         poisoned: finished.poisoned.as_ref().map(std::string::ToString::to_string),
     }
@@ -687,6 +678,7 @@ pub fn run_fleet_durable(
     let specs = fleet_specs(cfg)?;
     if let Some(ckpt) = &opts.resume_from {
         ckpt.check_config(cfg)?;
+        check_lanes(ckpt, &specs)?;
     }
     if opts.checkpoint_every > 0 && opts.checkpoint_path.is_none() {
         return Err("checkpoint cadence set but no checkpoint path".to_owned());
@@ -747,10 +739,6 @@ pub fn run_fleet_durable(
             }),
         }
     }
-    if !restored.is_empty() {
-        let lanes: Vec<u64> = restored.keys().copied().collect();
-        return Err(format!("checkpoint resident lane(s) {lanes:?} missing from the spec mix"));
-    }
     uniloc_obs::info!(
         "fleet: {} session(s) over {} scenario(s), resident cap {resident_cap}, {} resumed row(s)",
         admitted,
@@ -789,11 +777,7 @@ pub fn run_fleet_durable(
             // fold is associative and commutative, so folding them here
             // and later in their own shard lands on the same snapshot).
             let mut rows = summaries.clone();
-            let mut snap = match (&base_snap, &agg) {
-                (Some(b), Some(a)) => Some(b.merge(&a.snapshot())),
-                (None, Some(a)) => Some(a.snapshot()),
-                (b, None) => b.clone(),
-            };
+            let mut snap = fleet_snapshot(base_snap.as_ref(), agg.as_ref());
             for finished in unflushed {
                 let spec = spec_by_lane
                     .get(&finished.lane)
@@ -878,14 +862,7 @@ pub fn run_fleet_durable(
     }
 
     let report = fleet_report(cfg, &summaries);
-    // A resumed run's aggregate: the checkpoint's fold ⊕ this run's fold.
-    // Both operands use the same exact merge algebra, so this equals the
-    // uninterrupted fold byte for byte.
-    let snapshot = match (base_snap, agg) {
-        (Some(b), Some(a)) => Some(b.merge(&a.snapshot())),
-        (None, Some(a)) => Some(a.snapshot()),
-        (b, None) => b,
-    };
+    let snapshot = fleet_snapshot(base_snap.as_ref(), agg.as_ref());
     Ok(FleetOutcome::Completed(Box::new(FleetResult {
         report,
         summaries,
@@ -893,6 +870,69 @@ pub fn run_fleet_durable(
         violations,
         snapshot,
     })))
+}
+
+/// Checks every lane of a checkpoint against `specs`, the spec mix its
+/// config echo regenerates: each lane appears at most once across the
+/// retired rows and the resident walkers, lies inside the mix and carries
+/// the mix's recipe, and the snapshot covers exactly the retired rows. A
+/// checkpoint that loads yet fails here would write foreign rows into the
+/// resumed fleet's artifacts.
+///
+/// # Errors
+///
+/// Names the first offending lane and, for a foreign recipe, the first key
+/// that differs.
+fn check_lanes(ckpt: &FleetCheckpoint, specs: &[SessionSpec]) -> Result<(), String> {
+    let retired = ckpt.retired.iter().map(|row| (row.spec.lane, flattened(&row.spec), None));
+    let resident = ckpt.resident.iter().map(|entry| {
+        let c = &entry.checkpoint;
+        (c.lane, flattened(c), Some(c.cursor as usize))
+    });
+    let mut seen = std::collections::BTreeSet::new();
+    for (lane, recipe, cursor) in retired.chain(resident) {
+        if !seen.insert(lane) {
+            return Err(format!("checkpoint lane {lane} is listed twice"));
+        }
+        let Some(spec) = usize::try_from(lane).ok().and_then(|i| specs.get(i)) else {
+            return Err(format!(
+                "checkpoint lane {lane} lies outside the fleet's lanes 0..{}",
+                specs.len()
+            ));
+        };
+        let want = match cursor {
+            Some(cursor) => flattened(&spec.checkpoint(cursor)),
+            None => flattened(spec),
+        };
+        if let Some(((key, was), (_, now))) = recipe.iter().zip(&want).find(|(a, b)| a != b) {
+            return Err(format!(
+                "checkpoint lane {lane} is not this fleet's walker: its {key} is {was}, \
+                 the spec mix has {now}"
+            ));
+        }
+    }
+    match &ckpt.snapshot {
+        Some(snap) if snap.sessions != ckpt.retired.len() as u64 => Err(format!(
+            "checkpoint snapshot covers {} session(s), but {} row(s) retired",
+            snap.sessions,
+            ckpt.retired.len()
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// A resumed run's aggregate: the checkpoint's fold ⊕ this run's fold.
+/// Both operands use the same exact merge algebra, so this equals the
+/// uninterrupted fold byte for byte.
+fn fleet_snapshot(
+    base: Option<&FleetSnapshot>,
+    agg: Option<&FleetAggregator>,
+) -> Option<FleetSnapshot> {
+    match (base, agg) {
+        (Some(b), Some(a)) => Some(b.merge(&a.snapshot())),
+        (None, Some(a)) => Some(a.snapshot()),
+        (b, None) => b.cloned(),
+    }
 }
 
 /// The obs layer's measured cost: one fleet served twice per pass — obs

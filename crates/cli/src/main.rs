@@ -91,7 +91,7 @@ const USAGE: &str = "usage:
                [--seed N] [--strict] [--jobs N]
   uniloc fleet --out DIR [--models FILE] [--sessions N] [--scenarios a,b] [--seed N]
                [--jobs N] [--resident N] [--max-epochs N] [--chaos-every N]
-               [--strict] [--alloc-budget N] [--obs-overhead] [--overhead-budget X]
+               [--strict] [--alloc-budget N] [--obs-overhead]
                [--checkpoint-every N] [--checkpoint FILE] [--resume FILE]
                [--crash-after-rounds N] [--panic-lane N] [--panic-epoch N]
   uniloc scenarios
@@ -111,9 +111,8 @@ const COMMANDS: &[(&str, &[&str])] = &[
     ("chaos", &["models", "scenarios", "plans", "seed", "out", "strict", "jobs"]),
     ("fleet", &[
         "models", "sessions", "scenarios", "seed", "jobs", "resident", "max-epochs",
-        "chaos-every", "out", "strict", "alloc-budget", "obs-overhead", "overhead-budget",
-        "checkpoint-every", "checkpoint", "resume", "crash-after-rounds", "panic-lane",
-        "panic-epoch",
+        "chaos-every", "out", "strict", "alloc-budget", "obs-overhead", "checkpoint-every",
+        "checkpoint", "resume", "crash-after-rounds", "panic-lane", "panic-epoch",
     ]),
     ("scenarios", &[]),
 ];
@@ -607,12 +606,15 @@ fn budget_flag(flags: &BTreeMap<String, String>, key: &str) -> Result<Option<f64
 /// mode keeps its best.
 const OVERHEAD_PASSES: usize = 2;
 
-/// `uniloc fleet` flags that only one of its modes reads, each with
-/// whether that mode is `--obs-overhead`: the other mode would ignore it.
-const FLEET_MODE_FLAGS: &[(&str, bool)] = &[
-    ("overhead-budget", true), ("out", false), ("strict", false), ("alloc-budget", false),
-    ("checkpoint-every", false), ("checkpoint", false), ("resume", false),
-    ("crash-after-rounds", false),
+/// The most epochs/s that `uniloc fleet --obs-overhead` lets full
+/// observability cost against the obs-stubbed fleet.
+const OVERHEAD_BUDGET: f64 = 0.05;
+
+/// `uniloc fleet` flags that `--obs-overhead` would ignore: only a fleet
+/// that writes its artifacts reads them.
+const FLEET_MODE_FLAGS: &[&str] = &[
+    "out", "strict", "alloc-budget", "checkpoint-every", "checkpoint", "resume",
+    "crash-after-rounds",
 ];
 
 /// `uniloc fleet`: the fleet-scale load generator — `--sessions N` seeded
@@ -627,7 +629,7 @@ const FLEET_MODE_FLAGS: &[(&str, bool)] = &[
 /// whole directory across worker counts. `--obs-overhead` instead runs the
 /// fleet [`OVERHEAD_PASSES`] times each with full and stubbed
 /// observability, writes nothing, and fails if the epochs/s cost exceeds
-/// `--overhead-budget` (default 5%). `--strict` fails on any resilience
+/// [`OVERHEAD_BUDGET`] (5%). `--strict` fails on any resilience
 /// violation (a non-finite fused estimate, or a clean walker that got
 /// quarantined).
 ///
@@ -640,8 +642,9 @@ const FLEET_MODE_FLAGS: &[(&str, bool)] = &[
 /// `--resident`, `--out` and the gate flags still apply). Every flag is
 /// checked before any model is loaded or trained, and a flag that would
 /// change nothing (`--panic-epoch` without a lane or past `--max-epochs`,
-/// a lane past the fleet, `--checkpoint` without a cadence, any of
-/// [`FLEET_MODE_FLAGS`] in the other mode) is an error, never ignored.
+/// a lane past the fleet, `--checkpoint` or `--crash-after-rounds` without
+/// a cadence, any of [`FLEET_MODE_FLAGS`] with `--obs-overhead`) is an
+/// error, never ignored.
 /// `--crash-after-rounds N` simulates a `kill -9` between rounds N and
 /// N+1 (the crash-injection harness), and `--panic-lane L --panic-epoch E`
 /// arms a process-level panic fault in lane L at epoch E to exercise the
@@ -661,18 +664,20 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     if flags.contains_key("checkpoint") && checkpoint_every == 0 {
         return Err("--checkpoint needs --checkpoint-every N (N > 0) to cut one".to_owned());
     }
+    if flags.contains_key("crash-after-rounds") && checkpoint_every == 0 {
+        return Err("--crash-after-rounds leaves nothing to resume without \
+                    --checkpoint-every N (N > 0)"
+            .to_owned());
+    }
     let crash_after_rounds = flags
         .get("crash-after-rounds")
         .map(|_| usize_flag(flags, "crash-after-rounds", 0))
         .transpose()?
         .map(|r| r as u64);
     let alloc_budget = budget_flag(flags, "alloc-budget")?;
-    let overhead_budget = budget_flag(flags, "overhead-budget")?.unwrap_or(0.05);
     let overhead = flags.contains_key("obs-overhead");
-    let mode = |&&(flag, gate): &&(&str, bool)| gate != overhead && flags.contains_key(flag);
-    if let Some((flag, _)) = FLEET_MODE_FLAGS.iter().find(mode) {
-        let with = if overhead { "with" } else { "without" };
-        return Err(format!("--{flag} would change nothing {with} --obs-overhead"));
+    if let Some(flag) = FLEET_MODE_FLAGS.iter().find(|f| overhead && flags.contains_key(**f)) {
+        return Err(format!("--{flag} would change nothing with --obs-overhead"));
     }
     // Every run but the obs-overhead gate writes into `--out`.
     let out_dir = if overhead { None } else { Some(out_flag(flags)?) };
@@ -747,19 +752,19 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         let o = measure_obs_overhead(&models, &cfg, &fleet_cfg, OVERHEAD_PASSES)?;
         println!(
             "obs_overhead_frac {:.4} budget {:.4} obs_epochs_per_sec {:.0} stub_epochs_per_sec {:.0}",
-            o.overhead_frac, overhead_budget, o.epochs_per_sec_obs, o.epochs_per_sec_stub
+            o.overhead_frac, OVERHEAD_BUDGET, o.epochs_per_sec_obs, o.epochs_per_sec_stub
         );
-        return if o.overhead_frac > overhead_budget {
+        return if o.overhead_frac > OVERHEAD_BUDGET {
             Err(format!(
                 "obs overhead {:.2}% exceeds budget {:.2}%",
                 o.overhead_frac * 100.0,
-                overhead_budget * 100.0
+                OVERHEAD_BUDGET * 100.0
             ))
         } else {
             uniloc_obs::info!(
                 "obs overhead {:.2}% within budget {:.2}%",
                 o.overhead_frac * 100.0,
-                overhead_budget * 100.0
+                OVERHEAD_BUDGET * 100.0
             );
             Ok(())
         };
@@ -780,7 +785,7 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let result = match outcome {
         FleetOutcome::Completed(result) => *result,
         FleetOutcome::Crashed { rounds } => {
-            let at = checkpoint_path.as_deref().unwrap_or("<no checkpoint written>");
+            let at = checkpoint_path.expect("a crash is only armed with a checkpoint cadence");
             println!(
                 "fleet crashed (simulated) after {rounds} round(s); \
                  resume with: uniloc fleet --resume {at}"
@@ -1033,12 +1038,20 @@ fn inspect_alloc(path: &str, doc: &Json, _: &BTreeMap<String, String>) -> Result
     Ok(())
 }
 
+/// The scenario vocabulary `uniloc scenarios` prints: names (a range as
+/// `first .. last`) and what each walks.
+const SCENARIOS: &[(&str, &str)] = &[
+    ("path1 .. path8", "the eight daily campus paths (path1 = the 320 m daily path)"),
+    ("mall", "shopping-mall floor, ~300 m trajectory"),
+    ("open-space", "urban open space"),
+    ("office", "a 50 x 18 m office floor"),
+];
+
 fn cmd_scenarios() -> Result<(), String> {
     println!("available scenarios:");
-    println!("  path1 .. path8   the eight daily campus paths (path1 = the 320 m daily path)");
-    println!("  mall             shopping-mall floor, ~300 m trajectory");
-    println!("  open-space       urban open space");
-    println!("  office           a 50 x 18 m office floor");
+    for (names, what) in SCENARIOS {
+        println!("  {names:<16} {what}");
+    }
     Ok(())
 }
 
@@ -1094,6 +1107,7 @@ mod tests {
             ("fleet", &["--shards", "4"], "--shards"),
             ("fleet", &["--top-k", "3"], "--top-k"),
             ("fleet", &["--obs-stub", "--overhead-passes", "3"], "--obs-stub"),
+            ("fleet", &["--obs-overhead", "--overhead-budget", "0.05"], "--overhead-budget"),
             ("train", &["--file", "x"], "--file"),
         ] {
             let err = parse(command, line).unwrap_err();
@@ -1212,7 +1226,6 @@ mod tests {
     /// A flag only the other mode reads is an error naming it.
     #[test]
     fn fleet_rejects_the_flags_of_the_mode_it_does_not_run() {
-        fleet_rejects(&["--overhead-budget", "0.01"], "--overhead-budget");
         for (flag, value) in [
             ("--out", Some("dir")),
             ("--strict", None),
@@ -1236,6 +1249,17 @@ mod tests {
         fleet_rejects(&zero_cadence, "--checkpoint-every");
     }
 
+    /// A simulated crash with no checkpoint cadence would leave nothing
+    /// to resume: it fails before any model is loaded, naming both flags.
+    #[test]
+    fn fleet_rejects_a_crash_without_a_cadence() {
+        let zero_cadence = ["--crash-after-rounds", "3", "--checkpoint-every", "0"];
+        for line in [&["--crash-after-rounds", "3"][..], &zero_cadence] {
+            fleet_rejects(line, "--crash-after-rounds");
+            fleet_rejects(line, "--checkpoint-every");
+        }
+    }
+
     #[test]
     fn fleet_rejects_a_zero_resident_cap() {
         fleet_rejects(&["--resident", "0"], "--resident");
@@ -1244,8 +1268,32 @@ mod tests {
     #[test]
     fn fleet_rejects_negative_budgets() {
         fleet_rejects(&["--alloc-budget", "-1"], "--alloc-budget");
-        let gate = ["--obs-overhead", "--overhead-budget", "-1"];
-        fleet_rejects(&gate, "--overhead-budget");
+    }
+
+    /// Every name `uniloc scenarios` prints resolves, and a name it does
+    /// not print (`daily`, which the docs use for path1's walk, or a
+    /// typo) fails with the hint to run it.
+    #[test]
+    fn the_scenarios_command_lists_exactly_the_vocabulary() {
+        let mut names = Vec::new();
+        for (entry, _) in SCENARIOS {
+            match entry.split_once(" .. ") {
+                Some((first, last)) => {
+                    let digit = |name: &str| name.trim_start_matches("path").parse::<u32>();
+                    let (a, b) = (digit(first).unwrap(), digit(last).unwrap());
+                    names.extend((a..=b).map(|i| format!("path{i}")));
+                }
+                None => names.push(entry.to_string()),
+            }
+        }
+        assert_eq!(names.len(), 11, "{names:?}");
+        for name in &names {
+            assert!(scenario_by_name(name, 1).is_ok(), "`{name}` is printed but does not resolve");
+        }
+        for name in ["daily", "offfice"] {
+            let err = scenario_by_name(name, 1).expect_err("not in the vocabulary");
+            assert!(err.contains(&format!("`{name}`")) && err.contains("try `uniloc scenarios`"));
+        }
     }
 
     #[test]

@@ -275,30 +275,6 @@ impl UniLocEngine {
         self.extractor.register_custom(id, f);
     }
 
-    /// Resets per-walk state (schemes, feature extractor, IODetector,
-    /// frame gate, quarantine and watchdog).
-    pub fn reset(&mut self) {
-        for s in &mut self.schemes {
-            s.reset();
-        }
-        self.extractor.reset(&self.ctx);
-        self.iodetector = IoDetector::new();
-        self.gate.reset();
-        self.quarantine.reset();
-        self.prev_scheme.fill(None);
-        self.teleport_streak.fill(0);
-        self.diverge_streak.fill(0);
-        self.prev_fused = None;
-        self.frozen_streak = 0;
-        self.last_io = IoState::Outdoor;
-    }
-
-    /// The schemes currently excluded from fusion by the quarantine
-    /// machine.
-    pub fn quarantined(&self) -> Vec<SchemeId> {
-        self.quarantine.excluded()
-    }
-
     /// Every scheme's full quarantine standing (sentence remainder,
     /// probation countdown, strikes) — see
     /// [`QuarantineMachine::standings`](crate::quarantine::QuarantineMachine::standings).

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use uniloc_iodetect::IoState;
 use uniloc_schemes::SchemeId;
-use uniloc_stats::{Normal, OlsBuilder, StatsError};
+use uniloc_stats::{ols, Normal, StatsError};
 
 /// Minimum predicted error (m) — regressions with negative coefficients can
 /// extrapolate below zero; a localization error is never smaller than this.
@@ -247,7 +247,7 @@ pub fn train(samples: &[TrainingSample]) -> Result<ErrorModelSet, StatsError> {
         } else {
             let xs: Vec<&[f64]> = group.iter().map(|s| s.features.as_slice()).collect();
             let ys: Vec<f64> = group.iter().map(|s| s.error).collect();
-            match OlsBuilder::new().intercept(false).fit(&xs, &ys) {
+            match ols::fit(&xs, &ys) {
                 Ok(fit) => LinearErrorModel {
                     intercept: 0.0,
                     coefficients: fit.coefficients().to_vec(),

@@ -87,7 +87,7 @@ pub enum PredictorKind {
 #[derive(Debug, Clone)]
 enum Predictor {
     Hmm2(Option<Hmm2Predictor>),
-    Kalman { filter: Option<Kalman2D>, last_t: f64 },
+    Kalman(Option<Kalman2D>),
     LastEstimate,
 }
 
@@ -136,7 +136,7 @@ impl FeatureExtractor {
                 let states = hmm_states(ctx.wifi_db.positions().collect(), &cell);
                 Predictor::Hmm2(Hmm2Predictor::new(states, 2.5, 5.0).ok())
             }
-            PredictorKind::Kalman => Predictor::Kalman { filter: None, last_t: 0.0 },
+            PredictorKind::Kalman => Predictor::Kalman(None),
             PredictorKind::LastEstimate => Predictor::LastEstimate,
         };
         FeatureExtractor {
@@ -180,7 +180,7 @@ impl FeatureExtractor {
                 .as_ref()
                 .and_then(Hmm2Predictor::predict_next)
                 .or(self.last_estimate),
-            Predictor::Kalman { filter, .. } => {
+            Predictor::Kalman(filter) => {
                 filter.as_ref().map(Kalman2D::position).or(self.last_estimate)
             }
             Predictor::LastEstimate => self.last_estimate,
@@ -196,22 +196,14 @@ impl FeatureExtractor {
                     h.observe(p);
                 }
             }
-            Predictor::Kalman { filter, last_t } => {
+            Predictor::Kalman(filter) => {
                 let kf = filter.get_or_insert_with(|| Kalman2D::new(p, 0.5, 9.0));
-                *last_t += 0.5;
                 kf.predict(0.5);
                 kf.update(p);
             }
             Predictor::LastEstimate => {}
         }
         self.last_estimate = Some(p);
-    }
-
-    /// Resets per-walk state (custom registrations are preserved).
-    pub fn reset(&mut self, ctx: &SharedContext) {
-        let custom = std::mem::take(&mut self.custom);
-        *self = FeatureExtractor::new(ctx);
-        self.custom = custom;
     }
 
     /// Computes the feature vector for one scheme this epoch.

@@ -371,44 +371,40 @@ pub struct FleetRunStats {
     pub aborted: bool,
 }
 
+/// Panics a session may throw before it is poisoned.
+const MAX_STRIKES: u32 = 3;
+/// Rounds a session waits before its first retry.
+const BACKOFF_BASE_ROUNDS: u64 = 2;
+/// Retry backoff cap, in rounds.
+const BACKOFF_CAP_ROUNDS: u64 = 32;
+
 /// How the scheduler treats a session whose step panicked (the panic is
 /// caught at the pool boundary — [`run_supervised_mut`]).
 ///
-/// Backoff is measured in scheduler *rounds*, not wall time, so retry
-/// scheduling is deterministic. A session that exhausts `max_strikes` is
-/// *poisoned*: retired early (lane-ordered like any retirement, so
-/// artifacts stay deterministic) with [`FinishedSession::poisoned`] set
-/// and the `fleet.poisoned` / `parallel.retries` counters emitted into
-/// its own capture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisionPolicy {
-    /// Panics tolerated before the session is poisoned.
-    pub max_strikes: u32,
-    /// Rounds to wait before the first retry.
-    pub backoff_base_rounds: u64,
-    /// Retry backoff cap, in rounds.
-    pub backoff_cap_rounds: u64,
-}
+/// There is one policy. A panicking session is retried after a backoff
+/// that doubles per strike from 2 rounds up to 32; backoff is measured
+/// in scheduler *rounds*, not wall time, so retry scheduling is
+/// deterministic. A session that panics 3 times is *poisoned*: retired
+/// early (lane-ordered like any retirement, so artifacts stay
+/// deterministic) with [`FinishedSession::poisoned`] set and the
+/// `fleet.poisoned` / `parallel.retries` counters emitted into its own
+/// capture. The type has nothing to set; callers pass
+/// `SupervisionPolicy::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct SupervisionPolicy {}
 
-impl Default for SupervisionPolicy {
-    fn default() -> Self {
-        SupervisionPolicy { max_strikes: 3, backoff_base_rounds: 2, backoff_cap_rounds: 32 }
-    }
-}
-
-impl SupervisionPolicy {
-    /// Rounds to wait before the retry after the `strikes`-th failure:
-    /// bounded exponential (`base * 2^(strikes-1)`, capped), at least 1.
-    pub fn backoff_rounds(&self, strikes: u32) -> u64 {
-        let mut rounds = self.backoff_base_rounds.max(1);
-        for _ in 1..strikes {
-            rounds = rounds.saturating_mul(2).min(self.backoff_cap_rounds.max(1));
-            if rounds >= self.backoff_cap_rounds.max(1) {
-                break;
-            }
+/// Rounds to wait before the retry after the `strikes`-th failure:
+/// bounded exponential (`base * 2^(strikes-1)`, capped).
+fn backoff_rounds(strikes: u32) -> u64 {
+    let mut rounds = BACKOFF_BASE_ROUNDS;
+    for _ in 1..strikes {
+        rounds = rounds.saturating_mul(2).min(BACKOFF_CAP_ROUNDS);
+        if rounds >= BACKOFF_CAP_ROUNDS {
+            break;
         }
-        rounds.min(self.backoff_cap_rounds.max(1))
     }
+    rounds
 }
 
 /// Checkpoint/crash knobs for [`FleetScheduler::run_supervised`].
@@ -597,11 +593,6 @@ impl FleetScheduler {
         self.pending.push(Pending { lane, strikes, backoff_rounds, build: Box::new(build) });
     }
 
-    /// Sessions queued and not yet run.
-    pub fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Drives every admitted session to completion. `on_finish` receives
     /// each retired session strictly in lane order. Runs under the default
     /// [`SupervisionPolicy`] with checkpoints and crash injection off.
@@ -617,14 +608,15 @@ impl FleetScheduler {
         })
     }
 
-    /// [`run`](Self::run) with the crash-safety machinery exposed: a
-    /// caller-chosen [`SupervisionPolicy`], periodic
+    /// [`run`](Self::run) with the crash-safety machinery exposed: the
+    /// [`SupervisionPolicy`], periodic
     /// [`FleetEvent::Checkpoint`] boundaries and the simulated-crash stop
     /// ([`RunControl`]). Panicking jobs are caught at the pool boundary
     /// ([`run_supervised_mut`]), retried with bounded exponential backoff
     /// in scheduler rounds, and poisoned (retired early, still strictly
-    /// in lane order) after `max_strikes` failures — one bad session
-    /// never aborts the fleet.
+    /// in lane order) after 3 failures — one bad session
+    /// never aborts the fleet. `SupervisionPolicy` has nothing to set, so
+    /// the policy argument only names the one policy.
     ///
     /// # Panics
     ///
@@ -632,7 +624,7 @@ impl FleetScheduler {
     /// are lost on a non-aborted run (a scheduler bug, not a job panic).
     pub fn run_supervised(
         &mut self,
-        policy: &SupervisionPolicy,
+        _policy: &SupervisionPolicy,
         control: &RunControl,
         mut on_event: impl FnMut(FleetEvent),
     ) -> FleetRunStats {
@@ -719,8 +711,8 @@ impl FleetScheduler {
                             // A builder that panicked mid-materialization
                             // consumed its recipe — nothing left to retry.
                             let retryable = matches!(slot.state, ActiveState::Live(_));
-                            if retryable && slot.strikes < policy.max_strikes {
-                                slot.retry_at = round + policy.backoff_rounds(slot.strikes);
+                            if retryable && slot.strikes < MAX_STRIKES {
+                                slot.retry_at = round + backoff_rounds(slot.strikes);
                                 active[i] = Some(slot);
                             } else {
                                 let fin = slot.poison(failure);
@@ -840,16 +832,11 @@ mod tests {
 
     #[test]
     fn backoff_rounds_grow_exponentially_and_cap() {
-        let p = SupervisionPolicy { max_strikes: 5, backoff_base_rounds: 2, backoff_cap_rounds: 12 };
-        assert_eq!(p.backoff_rounds(1), 2);
-        assert_eq!(p.backoff_rounds(2), 4);
-        assert_eq!(p.backoff_rounds(3), 8);
-        assert_eq!(p.backoff_rounds(4), 12);
-        assert_eq!(p.backoff_rounds(9), 12);
-        // Degenerate bases still wait at least one round.
-        let z = SupervisionPolicy { max_strikes: 3, backoff_base_rounds: 0, backoff_cap_rounds: 0 };
-        assert_eq!(z.backoff_rounds(1), 1);
-        assert_eq!(z.backoff_rounds(3), 1);
+        assert_eq!(backoff_rounds(1), 2);
+        assert_eq!(backoff_rounds(2), 4);
+        assert_eq!(backoff_rounds(3), 8);
+        assert_eq!(backoff_rounds(5), 32);
+        assert_eq!(backoff_rounds(9), BACKOFF_CAP_ROUNDS);
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub enum GateVerdict {
 }
 
 /// Stateful frame-stream gate: duplicate / time-regression / bad-clock
-/// detection. One instance per walk; [`FrameGate::reset`] between walks.
+/// detection. One instance per walk.
 #[derive(Debug, Clone, Default)]
 pub struct FrameGate {
     last_t: Option<f64>,
@@ -178,11 +178,6 @@ impl FrameGate {
                 GateVerdict::Fresh
             }
         }
-    }
-
-    /// Forgets the stream (new walk).
-    pub fn reset(&mut self) {
-        self.last_t = None;
     }
 }
 
@@ -341,7 +336,5 @@ mod tests {
         assert_eq!(gate.admit(1.4), GateVerdict::TimeRegression);
         assert_eq!(gate.admit(2.0), GateVerdict::Fresh);
         assert_eq!(gate.admit(f64::NAN), GateVerdict::Rejected);
-        gate.reset();
-        assert_eq!(gate.admit(0.1), GateVerdict::Fresh);
     }
 }

@@ -35,46 +35,6 @@ use std::sync::{Arc, Mutex};
 
 use uniloc_obs::session::{self, ObsSession, SessionCapture};
 
-/// Which pool-boundary invariant broke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolErrorKind {
-    /// A claimed job never wrote its result slot.
-    NoResult,
-    /// An ownership-passing job never returned its item.
-    LostItem,
-}
-
-/// A broken invariant at the worker-pool boundary. Unlike a panic string,
-/// the error names the job index, the lane the caller attached to it (when
-/// the pool ran supervised) and the phase label, so a failure deep in a
-/// 10k-session fleet is diagnosable from the message alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolError {
-    /// Index of the job in the batch (canonical input order).
-    pub job: usize,
-    /// The caller-attached lane, when the pool ran supervised.
-    pub lane: Option<u64>,
-    /// The caller's phase label (e.g. `fleet.step`).
-    pub phase: &'static str,
-    pub kind: PoolErrorKind,
-}
-
-impl fmt::Display for PoolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let what = match self.kind {
-            PoolErrorKind::NoResult => "produced no result",
-            PoolErrorKind::LostItem => "lost its item",
-        };
-        write!(f, "parallel job {} (phase {}", self.job, self.phase)?;
-        if let Some(lane) = self.lane {
-            write!(f, ", lane {lane}")?;
-        }
-        write!(f, ") {what}")
-    }
-}
-
-impl std::error::Error for PoolError {}
-
 /// A supervised job that panicked: the panic was caught at the pool
 /// boundary ([`run_supervised_mut`]) and converted into this typed
 /// failure instead of unwinding through the scheduler.
@@ -111,10 +71,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-fn pool_invariant(job: usize, phase: &'static str, kind: PoolErrorKind) -> ! {
-    panic!("{}", PoolError { job, lane: None, phase, kind })
 }
 
 /// Execute `f(index, item)` for every item, on up to `jobs` worker
@@ -187,9 +143,9 @@ where
         .into_iter()
         .enumerate()
         .map(|(i, slot)| {
-            slot.into_inner().expect("parallel item lock poisoned").unwrap_or_else(|| {
-                pool_invariant(i, "run_ordered_mut", PoolErrorKind::LostItem)
-            })
+            slot.into_inner()
+                .expect("parallel item lock poisoned")
+                .unwrap_or_else(|| panic!("parallel job {i} (phase run_ordered_mut) lost its item"))
         })
         .collect();
     let results = results
@@ -199,7 +155,7 @@ where
         .enumerate()
         .map(|(i, slot)| {
             slot.unwrap_or_else(|| {
-                pool_invariant(i, "run_ordered_mut", PoolErrorKind::NoResult)
+                panic!("parallel job {i} (phase run_ordered_mut) produced no result")
             })
         })
         .collect();
@@ -436,13 +392,9 @@ mod tests {
 
     #[test]
     fn pool_errors_name_job_lane_and_phase() {
-        let e = PoolError {
-            job: 7,
-            lane: Some(42),
-            phase: "fleet.step",
-            kind: PoolErrorKind::NoResult,
-        };
-        assert_eq!(e.to_string(), "parallel job 7 (phase fleet.step, lane 42) produced no result");
+        let e =
+            JobFailure { job: 7, lane: Some(42), phase: "fleet.step", panic: "boom".to_owned() };
+        assert_eq!(e.to_string(), "parallel job 7 (phase fleet.step, lane 42) panicked: boom");
         let f = JobFailure {
             job: 3,
             lane: None,

@@ -176,31 +176,10 @@ pub enum SchemeVerdict {
     Absent,
 }
 
-/// Where a scheme stands in the quarantine lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Standing {
-    /// Participating normally.
-    Active,
-    /// Serving a sentence; excluded from fusion.
-    Quarantined {
-        /// Epochs left to serve.
-        remaining: u32,
-        /// Offenses so far (drives the backoff).
-        strikes: u32,
-    },
-    /// Sentence served; still excluded, but earning re-admission.
-    Probation {
-        /// Consecutive sane epochs so far.
-        sane: u32,
-        /// Offenses so far.
-        strikes: u32,
-    },
-}
-
 /// The per-scheme quarantine state machine.
 #[derive(Debug, Clone)]
 pub struct QuarantineMachine {
-    entries: Vec<(SchemeId, Standing)>,
+    entries: Vec<(SchemeId, QuarantineStanding)>,
 }
 
 /// A state transition worth reporting (metrics / tests).
@@ -227,17 +206,8 @@ impl QuarantineMachine {
     /// A machine tracking the given schemes, all initially active.
     pub fn new(schemes: &[SchemeId]) -> Self {
         QuarantineMachine {
-            entries: schemes.iter().map(|&id| (id, Standing::Active)).collect(),
+            entries: schemes.iter().map(|&id| (id, QuarantineStanding::Active)).collect(),
         }
-    }
-
-    /// Whether the scheme is currently excluded from fusion (serving a
-    /// sentence or on probation).
-    pub fn is_excluded(&self, id: SchemeId) -> bool {
-        self.entries
-            .iter()
-            .find(|(e, _)| *e == id)
-            .is_some_and(|(_, s)| !matches!(s, Standing::Active))
     }
 
     /// The schemes currently excluded, in engine order.
@@ -254,7 +224,7 @@ impl QuarantineMachine {
         out.extend(
             self.entries
                 .iter()
-                .filter(|(_, s)| !matches!(s, Standing::Active))
+                .filter(|(_, s)| !matches!(s, QuarantineStanding::Active))
                 .map(|(id, _)| *id),
         );
     }
@@ -263,10 +233,10 @@ impl QuarantineMachine {
     /// whose sentence expires moves to probation.
     pub fn begin_epoch(&mut self) {
         for (_, standing) in &mut self.entries {
-            if let Standing::Quarantined { remaining, strikes } = standing {
+            if let QuarantineStanding::Quarantined { remaining, strikes } = standing {
                 *remaining = remaining.saturating_sub(1);
                 if *remaining == 0 {
-                    *standing = Standing::Probation { sane: 0, strikes: *strikes };
+                    *standing = QuarantineStanding::Probation { sane: 0, strikes: *strikes };
                 }
             }
         }
@@ -285,22 +255,23 @@ impl QuarantineMachine {
             .find(|(e, _)| *e == id)
             .map(|(_, s)| s)?;
         match (*standing, verdict) {
-            (Standing::Active, SchemeVerdict::Strike) => {
-                *standing = Standing::Quarantined { remaining: backoff(1), strikes: 1 };
+            (QuarantineStanding::Active, SchemeVerdict::Strike) => {
+                *standing = QuarantineStanding::Quarantined { remaining: backoff(1), strikes: 1 };
                 Some(QuarantineTransition::Tripped(id, 1))
             }
-            (Standing::Probation { strikes, .. }, SchemeVerdict::Strike) => {
+            (QuarantineStanding::Probation { strikes, .. }, SchemeVerdict::Strike) => {
                 let strikes = strikes + 1;
-                *standing = Standing::Quarantined { remaining: backoff(strikes), strikes };
+                let remaining = backoff(strikes);
+                *standing = QuarantineStanding::Quarantined { remaining, strikes };
                 Some(QuarantineTransition::Tripped(id, strikes))
             }
-            (Standing::Probation { sane, strikes }, SchemeVerdict::Sane) => {
+            (QuarantineStanding::Probation { sane, strikes }, SchemeVerdict::Sane) => {
                 let sane = sane + 1;
                 if sane >= READMIT_SANE_EPOCHS {
-                    *standing = Standing::Active;
+                    *standing = QuarantineStanding::Active;
                     Some(QuarantineTransition::Readmitted(id))
                 } else {
-                    *standing = Standing::Probation { sane, strikes };
+                    *standing = QuarantineStanding::Probation { sane, strikes };
                     None
                 }
             }
@@ -309,47 +280,27 @@ impl QuarantineMachine {
         }
     }
 
-    /// Resets every scheme to active (new walk).
-    pub fn reset(&mut self) {
-        for (_, standing) in &mut self.entries {
-            *standing = Standing::Active;
-        }
-    }
-
     /// Every scheme's standing, in engine order — the introspection the
     /// checkpoint/resume equivalence tests compare: a restored session
     /// must land on the same sentence remainders, probation countdowns
     /// and strike counts as the uninterrupted one.
     pub fn standings(&self) -> Vec<(SchemeId, QuarantineStanding)> {
-        self.entries
-            .iter()
-            .map(|&(id, s)| {
-                let standing = match s {
-                    Standing::Active => QuarantineStanding::Active,
-                    Standing::Quarantined { remaining, strikes } => {
-                        QuarantineStanding::Quarantined { remaining, strikes }
-                    }
-                    Standing::Probation { sane, strikes } => {
-                        QuarantineStanding::Probation { sane, strikes }
-                    }
-                };
-                (id, standing)
-            })
-            .collect()
+        self.entries.clone()
     }
 }
 
-/// A scheme's standing in the quarantine lifecycle, as
-/// [`QuarantineMachine::standings`] reports it. A public mirror of the
-/// machine's private state — the machine stays the only writer, but
-/// checkpoint/resume equivalence tests need to *read* mid-sentence state.
+/// Where a scheme stands in the quarantine lifecycle: the machine's own
+/// state, which [`QuarantineMachine::standings`] reports so that
+/// checkpoint/resume equivalence tests can read mid-sentence state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuarantineStanding {
     /// Participating normally.
     Active,
-    /// Serving a sentence: `remaining` epochs left, `strikes` offenses.
+    /// Serving a sentence (excluded from fusion): `remaining` epochs left,
+    /// `strikes` offenses so far (drives the backoff).
     Quarantined { remaining: u32, strikes: u32 },
-    /// Earning re-admission: `sane` consecutive sane epochs so far.
+    /// Sentence served; still excluded, but earning re-admission: `sane`
+    /// consecutive sane epochs so far.
     Probation { sane: u32, strikes: u32 },
 }
 
@@ -363,11 +314,17 @@ mod tests {
         QuarantineMachine::new(&[SchemeId::Gps, SchemeId::Wifi, SchemeId::Motion])
     }
 
+    /// Whether `ID` is excluded from fusion (serving a sentence or on
+    /// probation).
+    fn is_excluded(m: &QuarantineMachine) -> bool {
+        m.excluded().contains(&ID)
+    }
+
     /// Drives the machine to the next probation window, returning the
     /// number of epochs served.
     fn serve_sentence(m: &mut QuarantineMachine) -> u32 {
         let mut epochs = 0;
-        while m.is_excluded(ID) {
+        while is_excluded(m) {
             m.begin_epoch();
             epochs += 1;
             if m.observe(ID, SchemeVerdict::Sane)
@@ -383,15 +340,15 @@ mod tests {
     #[test]
     fn trip_excludes_and_readmission_requires_consecutive_sanity() {
         let mut m = machine();
-        assert!(!m.is_excluded(ID));
+        assert!(!is_excluded(&m));
         assert_eq!(
             m.observe(ID, SchemeVerdict::Strike),
             Some(QuarantineTransition::Tripped(ID, 1))
         );
-        assert!(m.is_excluded(ID));
+        assert!(is_excluded(&m));
         assert_eq!(m.excluded(), vec![ID]);
         let served = serve_sentence(&mut m);
-        assert!(!m.is_excluded(ID));
+        assert!(!is_excluded(&m));
         // Sentence (8) + probation (4); the sentence's final epoch doubles
         // as the first probation observation.
         assert_eq!(served, BACKOFF_BASE_EPOCHS + READMIT_SANE_EPOCHS - 1);
@@ -414,7 +371,7 @@ mod tests {
         for _ in 0..BACKOFF_BASE_EPOCHS {
             m.begin_epoch();
         }
-        assert!(m.is_excluded(ID));
+        assert!(is_excluded(&m));
         // Misbehave again during probation: 16-epoch sentence.
         assert_eq!(
             m.observe(ID, SchemeVerdict::Strike),
@@ -449,12 +406,12 @@ mod tests {
             assert_eq!(m.observe(ID, SchemeVerdict::Sane), None);
         }
         assert_eq!(m.observe(ID, SchemeVerdict::Absent), None);
-        assert!(m.is_excluded(ID));
+        assert!(is_excluded(&m));
         assert_eq!(
             m.observe(ID, SchemeVerdict::Sane),
             Some(QuarantineTransition::Readmitted(ID))
         );
-        assert!(!m.is_excluded(ID));
+        assert!(!is_excluded(&m));
     }
 
     #[test]
@@ -468,7 +425,7 @@ mod tests {
         // the next one — exactly at the threshold — readmits.
         for i in 0..READMIT_SANE_EPOCHS - 1 {
             assert_eq!(m.observe(ID, SchemeVerdict::Sane), None, "epoch {i}");
-            assert!(m.is_excluded(ID), "still on probation after {} sane", i + 1);
+            assert!(is_excluded(&m), "still on probation after {} sane", i + 1);
         }
         assert_eq!(
             m.observe(ID, SchemeVerdict::Sane),
@@ -481,7 +438,7 @@ mod tests {
         let mut m = machine();
         m.observe(ID, SchemeVerdict::Strike);
         serve_sentence(&mut m);
-        assert!(!m.is_excluded(ID));
+        assert!(!is_excluded(&m));
         // A fresh offense after full readmission starts over at strike 1
         // with the base sentence, not the escalated one.
         assert_eq!(
@@ -497,22 +454,13 @@ mod tests {
         let mut m = machine();
         assert_eq!(m.observe(ID, SchemeVerdict::Sane), None);
         assert_eq!(m.observe(ID, SchemeVerdict::Absent), None);
-        assert!(!m.is_excluded(ID));
+        assert!(!is_excluded(&m));
     }
 
     #[test]
     fn strikes_on_active_unknown_scheme_are_ignored() {
         let mut m = machine();
         assert_eq!(m.observe(SchemeId::Custom(9), SchemeVerdict::Strike), None);
-        assert!(m.excluded().is_empty());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = machine();
-        m.observe(ID, SchemeVerdict::Strike);
-        m.observe(SchemeId::Gps, SchemeVerdict::Strike);
-        m.reset();
         assert!(m.excluded().is_empty());
     }
 

@@ -167,11 +167,6 @@ impl Walker {
         Walker { gait, rng }
     }
 
-    /// The walker's gait profile.
-    pub fn gait(&self) -> &GaitProfile {
-        &self.gait
-    }
-
     /// Walks the full route, returning the ground-truth trajectory.
     pub fn walk(&mut self, route: &Polyline) -> Trajectory {
         let mut steps = Vec::new();

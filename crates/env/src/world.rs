@@ -16,6 +16,13 @@ const WIFI_SALT: u64 = 0x5749_4649; // "WIFI"
 const CELL_SALT: u64 = 0x4345_4C4C; // "CELL"
 const SAT_SALT: u64 = 0x5341_5400; // "SAT"
 
+/// Environment kind assumed outside every zone.
+const DEFAULT_KIND: EnvKind = EnvKind::OpenSpace;
+
+/// Geographic coordinate (latitude, longitude) of every map's origin: the
+/// paper's NTU campus.
+const GEO_ORIGIN: (f64, f64) = (1.3483, 103.6831);
+
 /// A complete simulated venue.
 ///
 /// Build one with [`WorldBuilder`] or use the prebuilt scenarios in
@@ -48,8 +55,6 @@ pub struct World {
     cell_shadowing: SpatialNoise,
     geo_frame: GeoFrame,
     bounds: Rect,
-    /// Environment kind assumed outside every zone.
-    default_kind: EnvKind,
 }
 
 impl World {
@@ -86,10 +91,10 @@ impl World {
             .max_by_key(|z| z.priority())
     }
 
-    /// Environment kind at `p` (the builder's default kind outside all
+    /// Environment kind at `p` ([`EnvKind::OpenSpace`] outside all
     /// zones).
     pub fn kind_at(&self, p: Point) -> EnvKind {
-        self.zone_at(p).map_or(self.default_kind, Zone::kind)
+        self.zone_at(p).map_or(DEFAULT_KIND, Zone::kind)
     }
 
     /// Ground-truth indoor/outdoor flag ("all the places with roofs" are
@@ -255,8 +260,6 @@ pub struct WorldBuilder {
     floorplan: FloorPlan,
     aps: Vec<AccessPoint>,
     towers: Vec<CellTower>,
-    geo_origin: GeoCoord,
-    default_kind: EnvKind,
     next_ap: u32,
     next_tower: u32,
 }
@@ -271,8 +274,6 @@ impl WorldBuilder {
             floorplan: FloorPlan::new(),
             aps: Vec::new(),
             towers: Vec::new(),
-            geo_origin: GeoCoord::new(1.3483, 103.6831).expect("valid NTU anchor"),
-            default_kind: EnvKind::OpenSpace,
             next_ap: 0,
             next_tower: 0,
         }
@@ -309,19 +310,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Sets the environment kind outside all zones (default:
-    /// [`EnvKind::OpenSpace`]).
-    pub fn default_kind(mut self, kind: EnvKind) -> Self {
-        self.default_kind = kind;
-        self
-    }
-
-    /// Sets the geographic coordinate of the map origin.
-    pub fn geo_origin(mut self, origin: GeoCoord) -> Self {
-        self.geo_origin = origin;
-        self
-    }
-
     /// Finalizes the world.
     pub fn build(self) -> World {
         // Bounds cover zones, APs and a margin.
@@ -344,6 +332,7 @@ impl WorldBuilder {
             grow(&mut min, &mut max, Point::new(100.0, 100.0));
         }
         let bounds = Rect::new(min, max).expect("finite bounds").expanded(20.0);
+        let geo_origin = GeoCoord::new(GEO_ORIGIN.0, GEO_ORIGIN.1).expect("valid NTU anchor");
         World {
             name: self.name,
             zones: self.zones,
@@ -355,9 +344,8 @@ impl WorldBuilder {
             // shadowing at block scale.
             shadowing: SpatialNoise::new(self.seed, 4.0, 1.0),
             cell_shadowing: SpatialNoise::new(self.seed.wrapping_add(0xCE11), 22.0, 1.0),
-            geo_frame: GeoFrame::new(self.geo_origin, Point::origin()),
+            geo_frame: GeoFrame::new(geo_origin, Point::origin()),
             bounds,
-            default_kind: self.default_kind,
         }
     }
 }

@@ -14,7 +14,6 @@ use crate::plan::{FaultClause, FaultKind, FaultPlan};
 use uniloc_geom::{GeoCoord, GeoFrame, Vector2};
 use uniloc_rng::Rng;
 use uniloc_sensors::SensorFrame;
-use uniloc_stats::json::{Json, ToJson};
 
 /// One applied fault, as recorded in the injector's schedule log.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,21 +295,6 @@ fn flat_earth_offset(c: GeoCoord, jump: Vector2) -> GeoCoord {
     let lon = c.lon + jump.x / (M_PER_DEG_LAT * c.lat.to_radians().cos().max(1e-6));
     GeoCoord::new(lat.clamp(-90.0, 90.0), lon.clamp(-180.0, 180.0))
         .unwrap_or(c)
-}
-
-/// Summary of a schedule: how many events of each kind were applied. Keys
-/// are [`FaultKind::name`]s in sorted order.
-pub fn schedule_summary(events: &[FaultEvent]) -> Json {
-    let mut counts: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for e in events {
-        *counts.entry(e.fault.as_str()).or_default() += 1;
-    }
-    Json::Obj(
-        counts
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), (v as i64).to_json()))
-            .collect(),
-    )
 }
 
 #[cfg(test)]

@@ -32,6 +32,6 @@ pub mod inject;
 pub mod plan;
 pub mod process;
 
-pub use inject::{schedule_summary, FaultEvent, FaultInjector};
+pub use inject::{FaultEvent, FaultInjector};
 pub use plan::{FaultClause, FaultKind, FaultPlan};
 pub use process::CrashPoint;

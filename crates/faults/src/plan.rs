@@ -11,8 +11,6 @@
 //! [`FaultInjector`](crate::inject::FaultInjector)'s job, and that
 //! application is byte-reproducible from the `(seed, plan)` pair.
 
-use uniloc_stats::json::{FromJson, Json, JsonError, ToJson};
-
 /// One class of sensor-level fault the injector can apply.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -325,102 +323,6 @@ impl FaultPlan {
     }
 }
 
-impl ToJson for FaultKind {
-    fn to_json(&self) -> Json {
-        let obj = |fields: Vec<(&str, Json)>| {
-            Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        };
-        let mut fields = vec![("kind", Json::Str(self.name().to_owned()))];
-        match *self {
-            FaultKind::RadioBlackout { wifi, cell, gps } => {
-                fields.push(("wifi", wifi.to_json()));
-                fields.push(("cell", cell.to_json()));
-                fields.push(("gps", gps.to_json()));
-            }
-            FaultKind::ApChurn { fraction } => fields.push(("fraction", fraction.to_json())),
-            FaultKind::CellNlosBias { bias_db } => fields.push(("bias_db", bias_db.to_json())),
-            FaultKind::GpsMultipathJump { magnitude_m, prob } => {
-                fields.push(("magnitude_m", magnitude_m.to_json()));
-                fields.push(("prob", prob.to_json()));
-            }
-            FaultKind::GpsStarvation | FaultKind::ImuStuckAxis => {}
-            FaultKind::ImuBiasRamp { rate_rad_per_s } => {
-                fields.push(("rate_rad_per_s", rate_rad_per_s.to_json()));
-            }
-            FaultKind::NanCorruption { prob } | FaultKind::DuplicateFrame { prob } => {
-                fields.push(("prob", prob.to_json()));
-            }
-            FaultKind::TimeRegression { offset_s, prob } => {
-                fields.push(("offset_s", offset_s.to_json()));
-                fields.push(("prob", prob.to_json()));
-            }
-            FaultKind::ClockJitter { sigma_s } => fields.push(("sigma_s", sigma_s.to_json())),
-            FaultKind::ProcessPanic { epoch } => {
-                fields.push(("epoch", Json::Int(epoch as i64)));
-            }
-        }
-        obj(fields)
-    }
-}
-
-impl FromJson for FaultKind {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let kind = json
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::new("FaultKind object needs a `kind` string"))?;
-        let f = |name: &str| -> Result<f64, JsonError> {
-            json.get(name)
-                .ok_or_else(|| JsonError::new(format!("FaultKind `{kind}` needs `{name}`")))
-                .and_then(FromJson::from_json)
-        };
-        let b = |name: &str| -> Result<bool, JsonError> {
-            json.get(name)
-                .ok_or_else(|| JsonError::new(format!("FaultKind `{kind}` needs `{name}`")))
-                .and_then(FromJson::from_json)
-        };
-        match kind {
-            "radio_blackout" => Ok(FaultKind::RadioBlackout {
-                wifi: b("wifi")?,
-                cell: b("cell")?,
-                gps: b("gps")?,
-            }),
-            "ap_churn" => Ok(FaultKind::ApChurn { fraction: f("fraction")? }),
-            "cell_nlos_bias" => Ok(FaultKind::CellNlosBias { bias_db: f("bias_db")? }),
-            "gps_multipath_jump" => Ok(FaultKind::GpsMultipathJump {
-                magnitude_m: f("magnitude_m")?,
-                prob: f("prob")?,
-            }),
-            "gps_starvation" => Ok(FaultKind::GpsStarvation),
-            "imu_bias_ramp" => {
-                Ok(FaultKind::ImuBiasRamp { rate_rad_per_s: f("rate_rad_per_s")? })
-            }
-            "imu_stuck_axis" => Ok(FaultKind::ImuStuckAxis),
-            "nan_corruption" => Ok(FaultKind::NanCorruption { prob: f("prob")? }),
-            "duplicate_frame" => Ok(FaultKind::DuplicateFrame { prob: f("prob")? }),
-            "time_regression" => Ok(FaultKind::TimeRegression {
-                offset_s: f("offset_s")?,
-                prob: f("prob")?,
-            }),
-            "clock_jitter" => Ok(FaultKind::ClockJitter { sigma_s: f("sigma_s")? }),
-            "process_panic" => {
-                let epoch = json
-                    .get("epoch")
-                    .and_then(Json::as_i64)
-                    .and_then(|e| u64::try_from(e).ok())
-                    .ok_or_else(|| {
-                        JsonError::new("FaultKind `process_panic` needs a non-negative `epoch`")
-                    })?;
-                Ok(FaultKind::ProcessPanic { epoch })
-            }
-            other => Err(JsonError::new(format!("unknown FaultKind `{other}`"))),
-        }
-    }
-}
-
-uniloc_stats::impl_json_struct!(FaultClause { start, end, kind });
-uniloc_stats::impl_json_struct!(FaultPlan { name, clauses });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,15 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn plans_round_trip_through_json() {
-        for p in FaultPlan::library() {
-            let json = uniloc_stats::json::to_string(&p);
-            let back: FaultPlan = uniloc_stats::json::from_str(&json).expect("parse plan");
-            assert_eq!(back, p, "{} did not round-trip", p.name);
-        }
-    }
-
-    #[test]
     fn panic_plans_resolve_by_name_and_stay_out_of_the_library() {
         let p = FaultPlan::panic_at_epoch(7);
         assert_eq!(p.name, "panic_at_epoch_7");
@@ -499,8 +392,5 @@ mod tests {
         // plan in `library()` would kill every unsupervised chaos harness.
         assert!(FaultPlan::library().iter().all(|l| l.panic_epoch().is_none()));
         assert!(FaultPlan::smoke_library().iter().all(|l| l.panic_epoch().is_none()));
-        let json = uniloc_stats::json::to_string(&p);
-        let back: FaultPlan = uniloc_stats::json::from_str(&json).expect("parse panic plan");
-        assert_eq!(back, p);
     }
 }

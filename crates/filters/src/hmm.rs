@@ -76,11 +76,6 @@ impl Hmm2Predictor {
         })
     }
 
-    /// The candidate states.
-    pub fn states(&self) -> &[Point] {
-        &self.states
-    }
-
     /// Current belief over the states (sums to one).
     pub fn belief(&self) -> &[f64] {
         &self.belief

@@ -50,11 +50,6 @@ impl Corridor {
         Ok(Corridor { centerline, width })
     }
 
-    /// The corridor centerline.
-    pub fn centerline(&self) -> &Polyline {
-        &self.centerline
-    }
-
     /// The corridor width in meters.
     pub fn width(&self) -> f64 {
         self.width

@@ -84,11 +84,6 @@ impl GeoFrame {
         self.origin_geo
     }
 
-    /// The map anchor.
-    pub fn origin_map(&self) -> Point {
-        self.origin_map
-    }
-
     /// Converts a geographic coordinate to local map meters.
     pub fn to_local(&self, g: GeoCoord) -> Point {
         Point::new(

@@ -147,12 +147,6 @@ impl Vector2 {
         }
     }
 
-    /// Rotates the vector by `angle` radians counter-clockwise.
-    pub fn rotated(self, angle: f64) -> Vector2 {
-        let (s, c) = angle.sin_cos();
-        Vector2 { x: c * self.x - s * self.y, y: s * self.x + c * self.y }
-    }
-
     /// The perpendicular vector (rotated 90 degrees counter-clockwise).
     pub fn perp(self) -> Vector2 {
         Vector2 { x: -self.y, y: self.x }
@@ -301,9 +295,6 @@ mod tests {
 
     #[test]
     fn rotation_quarter_turn() {
-        let v = Vector2::new(1.0, 0.0).rotated(FRAC_PI_2);
-        assert!((v.x).abs() < 1e-12);
-        assert!((v.y - 1.0).abs() < 1e-12);
         let p = Vector2::new(1.0, 0.0).perp();
         assert_eq!(p, Vector2::new(0.0, 1.0));
     }

@@ -258,12 +258,6 @@ impl Polygon {
         &self.vertices
     }
 
-    /// Edges as segments (closing edge included).
-    pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
-        let n = self.vertices.len();
-        (0..n).map(move |i| Segment::new(self.vertices[i], self.vertices[(i + 1) % n]))
-    }
-
     /// Signed area (positive for counter-clockwise winding).
     pub fn signed_area(&self) -> f64 {
         let n = self.vertices.len();
@@ -279,16 +273,6 @@ impl Polygon {
     /// Absolute area.
     pub fn area(&self) -> f64 {
         self.signed_area().abs()
-    }
-
-    /// Vertex centroid (arithmetic mean of the vertices).
-    pub fn centroid(&self) -> Point {
-        let n = self.vertices.len() as f64;
-        let (sx, sy) = self
-            .vertices
-            .iter()
-            .fold((0.0, 0.0), |(sx, sy), p| (sx + p.x, sy + p.y));
-        Point::new(sx / n, sy / n)
     }
 
     /// Even-odd point-in-polygon test (boundary points count as inside for
@@ -461,9 +445,8 @@ mod tests {
     }
 
     #[test]
-    fn polygon_centroid_and_bbox() {
+    fn polygon_bounding_rect() {
         let sq = Rect::new(Point::origin(), Point::new(2.0, 2.0)).unwrap().to_polygon();
-        assert_eq!(sq.centroid(), Point::new(1.0, 1.0));
         let bb = sq.bounding_rect();
         assert_eq!(bb.min(), Point::origin());
         assert_eq!(bb.max(), Point::new(2.0, 2.0));
@@ -480,11 +463,5 @@ mod tests {
         let moved = tri.translated(Vector2::new(10.0, 5.0));
         assert_eq!(moved.vertices()[0], Point::new(10.0, 5.0));
         assert_eq!(moved.area(), tri.area());
-    }
-
-    #[test]
-    fn polygon_edge_count() {
-        let sq = Rect::new(Point::origin(), Point::new(1.0, 1.0)).unwrap().to_polygon();
-        assert_eq!(sq.edges().count(), 4);
     }
 }

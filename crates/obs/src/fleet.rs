@@ -539,53 +539,37 @@ impl FleetAggregator {
 // SLO health plane
 // ---------------------------------------------------------------------------
 
-/// Declared fleet SLO targets. `min_availability` rows are lower bounds on
-/// a scheme's available-epoch fraction; the `max_*` rows are budgets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloTargets {
-    /// Scheme → minimum available-epoch fraction.
-    pub min_availability: Vec<(String, f64)>,
-    /// Maximum fraction of sessions that quarantine any scheme.
-    pub max_quarantined_frac: f64,
-    /// Maximum calibration drift alarms per 1000 epochs.
-    pub max_drift_alarms_per_kepoch: f64,
-    /// Maximum fraction of flight postmortems lost to the dump cap
-    /// (`flight.dropped / (flight.dumps + flight.dropped)`).
-    pub max_flight_drop_frac: f64,
-    /// Maximum non-finite fused estimates (the defense stack's contract
-    /// is zero).
-    pub max_nonfinite: u64,
-    /// Maximum steady-state heap allocations per epoch
-    /// ([`FleetSnapshot::allocs_per_epoch`]) — the budget the zero-alloc
-    /// roadmap work ratchets down.
-    pub max_allocs_per_epoch: f64,
-}
+/// Minimum available-epoch fraction per scheme, in row order. GPS is
+/// legitimately dark indoors; the indoor schemes carry.
+const MIN_AVAILABILITY: [(&str, f64); 5] =
+    [("cellular", 0.75), ("fusion", 0.75), ("gps", 0.05), ("motion", 0.85), ("wifi", 0.75)];
+/// Maximum fraction of sessions that quarantine any scheme.
+const MAX_QUARANTINED_FRAC: f64 = 0.25;
+/// Maximum calibration drift alarms per 1000 epochs.
+const MAX_DRIFT_ALARMS_PER_KEPOCH: f64 = 50.0;
+/// Maximum fraction of flight postmortems lost to the dump cap
+/// (`flight.dropped / (flight.dumps + flight.dropped)`).
+const MAX_FLIGHT_DROP_FRAC: f64 = 0.5;
+/// Maximum non-finite fused estimates (the defense stack's contract is
+/// zero).
+const MAX_NONFINITE: u64 = 0;
+/// Maximum steady-state heap allocations per epoch
+/// ([`FleetSnapshot::allocs_per_epoch`]). The epoch loop is
+/// allocation-free once warm (indexed matching + scratch reuse; see
+/// core/tests/zero_alloc.rs), so steady state is ~0.07 allocs/epoch — all
+/// chaos-driven rare paths. The SLO holds a small ceiling above that (CI
+/// pins the tight line via `--alloc-budget 0.5`): one real per-epoch
+/// allocation adds >= 1/epoch and trips both.
+const MAX_ALLOCS_PER_EPOCH: f64 = 2.0;
 
-impl Default for SloTargets {
-    fn default() -> Self {
-        SloTargets {
-            // GPS is legitimately dark indoors; the indoor schemes carry.
-            min_availability: vec![
-                ("cellular".to_owned(), 0.75),
-                ("fusion".to_owned(), 0.75),
-                ("gps".to_owned(), 0.05),
-                ("motion".to_owned(), 0.85),
-                ("wifi".to_owned(), 0.75),
-            ],
-            max_quarantined_frac: 0.25,
-            max_drift_alarms_per_kepoch: 50.0,
-            max_flight_drop_frac: 0.5,
-            max_nonfinite: 0,
-            // The epoch loop is allocation-free once warm (indexed
-            // matching + scratch reuse; see core/tests/zero_alloc.rs), so
-            // steady state is ~0.07 allocs/epoch — all chaos-driven rare
-            // paths. The SLO holds a small ceiling above that (CI pins the
-            // tight line via `--alloc-budget 0.5`): one real per-epoch
-            // allocation adds >= 1/epoch and trips both.
-            max_allocs_per_epoch: 2.0,
-        }
-    }
-}
+/// The fleet's declared SLO targets: per-scheme availability floors and
+/// five budgets (quarantined sessions, drift alarms, lost flight dumps,
+/// non-finite fused estimates, allocations per epoch). There is one set
+/// of targets, so the type has nothing to set; callers pass
+/// `SloTargets::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct SloTargets {}
 
 /// One evaluated SLO row.
 #[derive(Debug, Clone, PartialEq)]
@@ -619,14 +603,14 @@ fn max_row(name: &str, target: f64, observed: f64) -> SloRow {
     }
 }
 
-/// Evaluates the snapshot against the targets. Every observed value is a
-/// ratio of integers from the snapshot, so the rows are deterministic at
-/// any worker/shard count.
-pub fn evaluate_slos(snap: &FleetSnapshot, targets: &SloTargets) -> Vec<SloRow> {
+/// Evaluates the snapshot against the [`SloTargets`]. Every observed value
+/// is a ratio of integers from the snapshot, so the rows are deterministic
+/// at any worker/shard count.
+pub fn evaluate_slos(snap: &FleetSnapshot) -> Vec<SloRow> {
     let mut rows = Vec::new();
     let avail = snap.availability();
-    for (scheme, target) in &targets.min_availability {
-        let observed = avail.get(scheme).map_or(0.0, |(_, f)| *f);
+    for (scheme, target) in &MIN_AVAILABILITY {
+        let observed = avail.get(*scheme).map_or(0.0, |(_, f)| *f);
         let budget = 1.0 - target;
         let burn = if budget > 0.0 { (1.0 - observed) / budget } else { 1.0 - observed };
         rows.push(SloRow {
@@ -641,30 +625,22 @@ pub fn evaluate_slos(snap: &FleetSnapshot, targets: &SloTargets) -> Vec<SloRow> 
     let sessions = snap.sessions.max(1) as f64;
     rows.push(max_row(
         "quarantined_sessions",
-        targets.max_quarantined_frac,
+        MAX_QUARANTINED_FRAC,
         snap.quarantined_sessions as f64 / sessions,
     ));
     let kepochs = snap.epochs.max(1) as f64 / 1000.0;
     rows.push(max_row(
         "drift_alarms_per_kepoch",
-        targets.max_drift_alarms_per_kepoch,
+        MAX_DRIFT_ALARMS_PER_KEPOCH,
         snap.counter("calib.drift_alarms") as f64 / kepochs,
     ));
     let dumps = snap.counter("flight.dumps");
     let dropped = snap.counter("flight.dropped");
     let drop_frac =
         if dumps + dropped > 0 { dropped as f64 / (dumps + dropped) as f64 } else { 0.0 };
-    rows.push(max_row("flight_drop_frac", targets.max_flight_drop_frac, drop_frac));
-    rows.push(max_row(
-        "nonfinite_fused",
-        targets.max_nonfinite as f64,
-        snap.nonfinite as f64,
-    ));
-    rows.push(max_row(
-        "allocs_per_epoch",
-        targets.max_allocs_per_epoch,
-        snap.allocs_per_epoch(),
-    ));
+    rows.push(max_row("flight_drop_frac", MAX_FLIGHT_DROP_FRAC, drop_frac));
+    rows.push(max_row("nonfinite_fused", MAX_NONFINITE as f64, snap.nonfinite as f64));
+    rows.push(max_row("allocs_per_epoch", MAX_ALLOCS_PER_EPOCH, snap.allocs_per_epoch()));
     rows
 }
 
@@ -673,9 +649,10 @@ pub fn evaluate_slos(snap: &FleetSnapshot, targets: &SloTargets) -> Vec<SloRow> 
 /// distribution, exemplars and flight/calibration totals. Deliberately
 /// excludes every wall-clock number — byte-identical at any
 /// `--jobs`/`--resident`/shard value (wall-clock latency is measured by
-/// the fleet benchmark in `benchmark/`).
-pub fn health_report(snap: &FleetSnapshot, targets: &SloTargets) -> Json {
-    let slo_rows = evaluate_slos(snap, targets).to_json();
+/// the fleet benchmark in `benchmark/`). [`SloTargets`] has nothing to
+/// set, so the targets argument only names the one set of targets.
+pub fn health_report(snap: &FleetSnapshot, _targets: &SloTargets) -> Json {
+    let slo_rows = evaluate_slos(snap).to_json();
     let schemes: Vec<(String, Json)> = snap
         .availability()
         .iter()
@@ -1081,7 +1058,7 @@ mod tests {
         let avail = snap.availability();
         assert_eq!(avail["wifi"].0, 36);
         assert!((avail["wifi"].1 - 0.9).abs() < 1e-12);
-        let rows = evaluate_slos(&snap, &SloTargets::default());
+        let rows = evaluate_slos(&snap);
         let wifi = rows.iter().find(|r| r.name == "availability.wifi").unwrap();
         assert!(wifi.ok && wifi.kind == "min");
         let nf = rows.iter().find(|r| r.name == "nonfinite_fused").unwrap();
@@ -1206,7 +1183,7 @@ mod tests {
         );
         // The SLO plane sees the meter too — and 5 allocs/epoch breaches
         // the zero-alloc era's 2.0 ceiling.
-        let rows = evaluate_slos(&snap, &SloTargets::default());
+        let rows = evaluate_slos(&snap);
         let row = rows.iter().find(|r| r.name == "allocs_per_epoch").unwrap();
         assert!(!row.ok && row.kind == "max" && (row.observed - 5.0).abs() < 1e-12);
     }

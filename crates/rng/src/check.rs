@@ -74,12 +74,6 @@ impl Checker {
         self
     }
 
-    /// Overrides the base seed (default: a hash of the name).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the regressions file. Recorded failures for this property
     /// replay before fresh cases, and new shrunk failures are appended.
     pub fn regressions(mut self, path: impl Into<PathBuf>) -> Self {

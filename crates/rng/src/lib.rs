@@ -9,16 +9,16 @@
 //! The design is the textbook pairing used by reference implementations:
 //!
 //! * **SplitMix64** expands a 64-bit seed into generator state (and hashes
-//!   salts when forking sub-streams). Its output is equidistributed and
+//!   salts into child seeds). Its output is equidistributed and
 //!   avalanche-complete, so correlated user seeds (1, 2, 3, ...) still
 //!   produce decorrelated streams.
 //! * **xoshiro256++** generates the stream: 256 bits of state, period
 //!   `2^256 - 1`, passes BigCrush, and needs only shifts/rotates/xors.
 //!
-//! Streams are *forkable by salt* ([`Rng::fork`]): a parent stream derives
-//! an independent child without disturbing its own sequence, which is how
-//! per-subsystem noise (WiFi vs. GPS vs. gait) stays decoupled — consuming
-//! one more GPS sample must never shift every subsequent WiFi scan.
+//! Sub-streams are *seeded, not drawn*: [`mix64`] and [`split_seed`] hash a
+//! root seed with a salt or lane into a child seed, so per-subsystem noise
+//! (WiFi vs. GPS vs. gait) stays decoupled — consuming one more GPS sample
+//! must never shift every subsequent WiFi scan.
 //!
 //! # Examples
 //!
@@ -34,13 +34,10 @@
 //! let mut b = Rng::seed_from_u64(42);
 //! assert_eq!(a.next_u64(), b.next_u64());
 //!
-//! // Forked children are independent of the parent's future draws.
-//! let mut parent = Rng::seed_from_u64(1);
-//! let mut child = parent.fork(0x57494649); // "WIFI"
-//! let first = child.next_u64();
-//! let mut parent2 = Rng::seed_from_u64(1);
-//! let mut child2 = parent2.fork(0x57494649);
-//! assert_eq!(first, child2.next_u64());
+//! // Child streams derive from the root seed, not from its draws.
+//! let lane = |k| Rng::from_seed(uniloc_rng::split_seed(1, k)).next_u64();
+//! assert_eq!(lane(3), lane(3));
+//! assert_ne!(lane(3), lane(4));
 //! ```
 
 pub mod check;
@@ -68,7 +65,7 @@ pub fn mix64(a: u64, b: u64) -> u64 {
 }
 
 /// Domain-separation constant for [`split_seed`], so lane seeds never
-/// collide with salts used by [`Rng::fork`] on the same root.
+/// collide with plain [`mix64`] salts of the same root.
 const STREAM_SPLIT_SALT: u64 = 0x5354_5245_414D_5F53; // "STREAM_S"
 
 /// Derives the seed for lane `lane` of a family of sibling work streams
@@ -87,7 +84,7 @@ pub fn split_seed(root: u64, lane: u64) -> u64 {
     mix64(mix64(root, STREAM_SPLIT_SALT), lane)
 }
 
-/// A seedable, forkable deterministic generator (xoshiro256++ stream,
+/// A seedable deterministic generator (xoshiro256++ stream,
 /// SplitMix64 seeding).
 ///
 /// This is the only random source in the workspace. The API mirrors the
@@ -173,18 +170,6 @@ impl Rng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    #[inline]
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
-    }
-
-    /// Derives an independent child stream keyed by `salt`, advancing this
-    /// stream by exactly one draw. Equal salts at equal parent positions
-    /// yield equal children; different salts yield decorrelated children.
-    pub fn fork(&mut self, salt: u64) -> Rng {
-        Rng::from_seed(mix64(self.next_u64(), salt))
-    }
 }
 
 /// A range a [`Rng`] can sample uniformly. Implemented for the range shapes
@@ -352,23 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut p1 = Rng::from_seed(11);
-        let mut p2 = Rng::from_seed(11);
-        let mut c1 = p1.fork(0xAA);
-        let mut c2 = p2.fork(0xAA);
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
-        // A different salt gives a different child.
-        let mut p3 = Rng::from_seed(11);
-        let mut c3 = p3.fork(0xBB);
-        assert_ne!(c1.next_u64(), c3.next_u64());
-        // Forking advanced the parent identically in both cases.
-        assert_eq!(p1.next_u64(), p3.next_u64());
-    }
-
-    #[test]
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         Rng::from_seed(1).gen_range(1.0..1.0);
@@ -392,7 +360,7 @@ mod tests {
     fn split_seed_decorrelates_from_root_and_fork() {
         // The lane-0 seed must not echo the root (a sweep rooted at seed S
         // must not replay the sequential walk at seed S), and it must not
-        // coincide with fork() salts of the same root.
+        // coincide with a plain mix64 salt of the same root.
         for root in [0u64, 1, 7, u64::MAX] {
             assert_ne!(split_seed(root, 0), root);
             assert_ne!(split_seed(root, 0), mix64(root, 0));

@@ -98,9 +98,6 @@ pub trait LocalizationScheme: Send {
     fn posterior_mean(&self) -> Option<Point> {
         None
     }
-
-    /// Resets internal state (new walk).
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

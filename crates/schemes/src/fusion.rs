@@ -171,10 +171,6 @@ impl LocalizationScheme for FusionScheme {
     fn posterior_mean(&self) -> Option<Point> {
         self.core.posterior_mean()
     }
-
-    fn reset(&mut self) {
-        self.core.reset();
-    }
 }
 
 #[cfg(test)]

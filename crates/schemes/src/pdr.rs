@@ -50,7 +50,6 @@ pub(crate) struct PdrCore {
     pub plan: FloorPlan,
     pub pf: ParticleFilter<PdrParticle>,
     pub rng: Rng,
-    start: Point,
     /// Per-step wall-penalty scratch, recycled across
     /// [`advance_step`](Self::advance_step) calls so the steady-state epoch
     /// loop performs no heap allocation.
@@ -62,7 +61,7 @@ impl PdrCore {
         let mut rng = Rng::seed_from_u64(seed);
         let pf = ParticleFilter::new(Self::spawn_cloud(&mut rng, &plan, start));
         let penalty_scratch = Vec::with_capacity(NUM_PARTICLES);
-        PdrCore { plan, pf, rng, start, penalty_scratch }
+        PdrCore { plan, pf, rng, penalty_scratch }
     }
 
     /// Spawns a cloud around `center`, rejecting positions separated from
@@ -87,11 +86,6 @@ impl PdrCore {
                 }
             })
             .collect()
-    }
-
-    pub fn reset(&mut self) {
-        let cloud = Self::spawn_cloud(&mut self.rng, &self.plan, self.start);
-        self.pf.reinitialize(cloud);
     }
 
     /// Advances every particle by one measured step. A particle whose step
@@ -258,10 +252,6 @@ impl LocalizationScheme for PdrScheme {
     fn posterior_mean(&self) -> Option<Point> {
         self.core.posterior_mean()
     }
-
-    fn reset(&mut self) {
-        self.core.reset();
-    }
 }
 
 #[cfg(test)]
@@ -351,23 +341,6 @@ mod tests {
             after.distance(Point::new(12.0, 1.0)) < before.distance(Point::new(12.0, 1.0)),
             "calibration must pull toward the landmark"
         );
-    }
-
-    #[test]
-    fn reset_returns_to_start() {
-        let scenario = venues::training_office(80);
-        let mut scheme =
-            PdrScheme::new(scenario.world.floorplan().clone(), scenario.route.start(), 81);
-        // Walk a bit.
-        let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(82));
-        let walk = walker.walk(&scenario.route);
-        let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), 83);
-        for f in hub.sample_walk(&walk, 0.5).iter().take(40) {
-            scheme.update(f);
-        }
-        scheme.reset();
-        let est = scheme.core.estimate().position;
-        assert!(est.distance(scenario.route.start()) < 2.0);
     }
 
     #[test]

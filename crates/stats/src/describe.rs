@@ -111,64 +111,6 @@ pub fn percentile(xs: &[f64], q: f64) -> Result<f64> {
     }
 }
 
-/// Five-number-style summary of a sample.
-///
-/// # Examples
-///
-/// ```
-/// use uniloc_stats::Summary;
-///
-/// let s = Summary::from_sample(&[1.0, 2.0, 3.0, 4.0, 100.0])?;
-/// assert_eq!(s.n, 5);
-/// assert_eq!(s.median, 3.0);
-/// assert!(s.mean > s.median); // outlier pulls the mean
-/// # Ok::<(), uniloc_stats::StatsError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample size.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 when `n == 1`).
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-    /// 90th percentile — the paper's favorite tail statistic.
-    pub p90: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary of `xs`.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InsufficientData`] on empty input,
-    /// [`StatsError::NonFinite`] if the sample contains NaN.
-    pub fn from_sample(xs: &[f64]) -> Result<Self> {
-        if xs.is_empty() {
-            return Err(StatsError::InsufficientData { got: 0, needed: 1 });
-        }
-        if xs.iter().any(|v| v.is_nan()) {
-            return Err(StatsError::NonFinite("Summary input"));
-        }
-        let sd = if xs.len() > 1 { std_dev(xs)? } else { 0.0 };
-        Ok(Summary {
-            n: xs.len(),
-            mean: mean(xs)?,
-            std_dev: sd,
-            min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            median: percentile(xs, 50.0)?,
-            p90: percentile(xs, 90.0)?,
-            max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        })
-    }
-}
-
 /// Empirical cumulative distribution function over a fixed sample.
 ///
 /// Backs every CDF figure in the evaluation (Figs. 7 and 8).
@@ -270,7 +212,6 @@ mod tests {
         assert!(variance(&[1.0]).is_err());
         assert!(percentile(&[], 50.0).is_err());
         assert!(Ecdf::new(vec![]).is_err());
-        assert!(Summary::from_sample(&[]).is_err());
     }
 
     #[test]
@@ -315,22 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_fields() {
-        let s = Summary::from_sample(&[5.0, 1.0, 3.0]).unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.n, 3);
-    }
-
-    #[test]
-    fn summary_single_observation() {
-        let s = Summary::from_sample(&[2.0]).unwrap();
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.mean, 2.0);
-    }
-
-    #[test]
     fn ecdf_step_behavior() {
         let cdf = Ecdf::new(vec![1.0, 1.0, 2.0, 3.0]).unwrap();
         assert_eq!(cdf.eval(0.5), 0.0);
@@ -365,6 +290,5 @@ mod tests {
     fn nan_rejected_everywhere() {
         assert!(percentile(&[1.0, f64::NAN], 50.0).is_err());
         assert!(Ecdf::new(vec![f64::NAN]).is_err());
-        assert!(Summary::from_sample(&[f64::NAN]).is_err());
     }
 }

@@ -10,10 +10,10 @@
 //! * [`dist`] — the error function, the normal distribution (the paper models
 //!   per-scheme localization error as `N(mu_t, sigma_eps)`, Section IV-A) and
 //!   Student's t distribution (used for coefficient p-values in Table II).
-//! * [`ols`] — multiple linear regression with full inference output:
-//!   coefficient estimates, standard errors, t statistics, p-values, R^2 and
-//!   residual diagnostics, with or without an intercept (the paper forces
-//!   `beta_0 = 0` for all schemes except GPS, Section III-B).
+//! * [`ols`] — multiple linear regression with the inference output of
+//!   Table II: coefficient estimates, p-values, R^2 and residual
+//!   diagnostics, with no intercept (the paper forces `beta_0 = 0`,
+//!   Section III-B).
 //! * [`describe`] — descriptive statistics, RMSE / normalized RMSE (Eq. 7)
 //!   and empirical CDFs (used throughout Section V).
 //!
@@ -22,7 +22,7 @@
 //! Fitting the paper's error-model regression (Eq. 1) on synthetic data:
 //!
 //! ```
-//! use uniloc_stats::ols::OlsBuilder;
+//! use uniloc_stats::ols;
 //!
 //! // y = 2.0 * x1 - 0.5 * x2 (+ noise-free here)
 //! let xs = vec![
@@ -33,7 +33,7 @@
 //!     vec![0.5, 2.5],
 //! ];
 //! let ys: Vec<f64> = xs.iter().map(|r| 2.0 * r[0] - 0.5 * r[1]).collect();
-//! let fit = OlsBuilder::new().intercept(false).fit(&xs, &ys)?;
+//! let fit = ols::fit(&xs, &ys)?;
 //! assert!((fit.coefficients()[0] - 2.0).abs() < 1e-9);
 //! assert!((fit.coefficients()[1] + 0.5).abs() < 1e-9);
 //! # Ok::<(), uniloc_stats::StatsError>(())
@@ -102,8 +102,8 @@ impl Error for StatsError {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StatsError>;
 
-pub use describe::{mean, normalized_rmse, percentile, rmse, std_dev, variance, Ecdf, Summary};
+pub use describe::{mean, normalized_rmse, percentile, rmse, std_dev, variance, Ecdf};
 pub use dist::{erf, erfc, Normal, StudentT};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use matrix::Matrix;
-pub use ols::{OlsBuilder, OlsFit};
+pub use ols::OlsFit;

@@ -92,11 +92,6 @@ impl Matrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Returns the `(rows, cols)` pair.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)

@@ -54,11 +54,6 @@ impl LocalizationScheme for SmoothedCellular {
         kf.update(raw.position);
         Some(LocationEstimate::with_spread(kf.position(), kf.position_variance().sqrt()))
     }
-    fn reset(&mut self) {
-        self.kalman = None;
-        self.last_t = 0.0;
-        self.inner.reset();
-    }
 }
 
 fn main() {

@@ -347,6 +347,11 @@ if [ -e "$smoke/fleet-crash/FLEET.json" ]; then
     echo "       from completed runs)" >&2
     exit 1
 fi
+# A crash with no checkpoint cadence would leave nothing to resume: it
+# fails naming both flags before any work.
+expect_rejected "--crash-after-rounds leaves nothing to resume without --checkpoint-every" \
+    fleet --models "$smoke/models.json" --sessions 4 --max-epochs 4 \
+    --scenarios office --out "$smoke/crash-no-cadence" --quiet --crash-after-rounds 3
 # The checkpoint pins the fleet's shape: a resume that sets a pinned flag
 # fails naming it instead of serving the checkpoint's fleet.
 expect_rejected "--sessions cannot change a resumed fleet" fleet \
@@ -447,6 +452,6 @@ echo "    ok: compare reads every committed baseline result ($checked workloads)
 echo "==> obs-overhead gate (uniloc fleet --obs-overhead)"
 target/release/uniloc fleet --models "$smoke/models.json" --sessions 200 \
     --scenarios office,open-space --max-epochs 12 --chaos-every 10 --seed 17 \
-    --quiet --jobs 4 --obs-overhead --overhead-budget 0.05
+    --quiet --jobs 4 --obs-overhead
 echo "    ok: observability overhead within the 5% epochs/s budget"
 echo "==> ci.sh: all checks passed"

@@ -9,7 +9,6 @@ use uniloc::core::error_model::{train, LinearErrorModel};
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::env::{venues, GaitProfile, Walker};
 use uniloc::filters::Kalman2D;
-use uniloc::geom::Point;
 use uniloc::iodetect::IoState;
 use uniloc::schemes::{
     CellFingerprintDb, CellFingerprintScheme, LocalizationScheme, LocationEstimate, SchemeId,
@@ -48,12 +47,6 @@ impl LocalizationScheme for SmoothedCellular {
             kf.position(),
             kf.position_variance().sqrt(),
         ))
-    }
-
-    fn reset(&mut self) {
-        self.kalman = None;
-        self.last_t = 0.0;
-        self.inner.reset();
     }
 }
 
@@ -169,34 +162,4 @@ fn custom_scheme_joins_the_ensemble() {
         .collect();
     let mean = errs.iter().sum::<f64>() / errs.len() as f64;
     assert!(mean < 8.0, "accuracy with the integrated scheme: {mean:.2}");
-}
-
-#[test]
-fn engine_reset_restores_walk_state() {
-    let venue = venues::training_office(93);
-    let cfg = PipelineConfig::default();
-    let ctx = pipeline::build_context(&venue, &cfg, 94);
-    let mut samples = pipeline::collect_training(&venue, &cfg, 95);
-    samples.extend(pipeline::collect_training(&venues::training_open_space(96), &cfg, 97));
-    let models = train(&samples).expect("enough samples");
-    let schemes = pipeline::build_schemes(&venue, &ctx, &cfg, 98);
-    let mut engine = UniLocEngine::new(schemes, models, ctx);
-
-    let mut walker = Walker::new(GaitProfile::average(), Rng::seed_from_u64(99));
-    let walk = walker.walk(&venue.route);
-    let mut hub = SensorHub::new(&venue.world, DeviceProfile::nexus_5x(), 100);
-    let frames = hub.sample_walk(&walk, 0.5);
-
-    // Walk halfway, reset, and verify the first post-reset estimate is
-    // anchored near the start again (PDR re-seeded) rather than mid-floor.
-    for f in frames.iter().take(frames.len() / 2) {
-        engine.update(f);
-    }
-    engine.reset();
-    let out = engine.update(&frames[0]);
-    let p = out.bayesian_average.expect("delivers after reset");
-    assert!(
-        p.distance(Point::new(3.0, 3.0)) < 25.0,
-        "post-reset estimate strayed to {p}"
-    );
 }

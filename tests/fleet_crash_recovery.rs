@@ -462,6 +462,78 @@ fn spliced_checkpoints_load_or_fail_cleanly() {
         );
 }
 
+/// The seed-47 crashed checkpoint, edited, resumed into its own fleet.
+/// A checkpoint can load and still not belong to the fleet it resumes
+/// (the spliced-checkpoint property only checks loading): resume must
+/// reject it before admitting anything, naming the lane, rather than
+/// write foreign rows into the artifacts. The unedited checkpoint resumes.
+fn resume_edited(tag: &str, edit: impl FnOnce(&mut FleetCheckpoint)) -> Result<(), String> {
+    let models = models(47);
+    let (_, text) = small_crashed_checkpoint(&models, 47, tag);
+    let ckpt = FleetCheckpoint::restore(&Json::parse(&text).unwrap()).expect("checkpoint loads");
+    let cfg = FleetConfig { sessions: 4, resident: 2, max_epochs: 4, ..fleet_config(47, 2, None) };
+    let resume = |ckpt: FleetCheckpoint| {
+        let opts = FleetRunOptions { resume_from: Some(ckpt), ..FleetRunOptions::default() };
+        run_fleet_durable(&models, &PipelineConfig::default(), &cfg, opts).map(|_| ())
+    };
+    resume(ckpt.clone()).expect("the unedited checkpoint resumes");
+    let mut edited = ckpt;
+    edit(&mut edited);
+    resume(edited)
+}
+
+/// A retired row taken from the seed-53 fleet's checkpoint: same lane,
+/// name and persona, another walker's seed.
+#[test]
+fn resume_rejects_a_retired_row_of_another_fleet() {
+    let (_, donor) = small_crashed_checkpoint(&models(47), 53, "foreign-row-donor");
+    let donor = FleetCheckpoint::restore(&Json::parse(&donor).unwrap()).expect("donor loads");
+    let mut lane = None;
+    let err = resume_edited("foreign-row", |ckpt| {
+        let theirs = |l: u64| donor.retired.iter().find(|d| d.spec.lane == l);
+        let row = ckpt
+            .retired
+            .iter_mut()
+            .find(|row| theirs(row.spec.lane).is_some())
+            .expect("both fleets retired a common lane");
+        lane = Some(row.spec.lane);
+        *row = theirs(row.spec.lane).unwrap().clone();
+    })
+    .expect_err("a foreign retired row must not resume");
+    let lane = lane.unwrap();
+    assert!(err.contains(&format!("lane {lane} ")) && err.contains("its seed is"), "{err}");
+}
+
+/// A retired row for a lane past the end of the 4-walker fleet, which
+/// would otherwise make the resumed fleet report 5 sessions.
+#[test]
+fn resume_rejects_a_retired_lane_past_the_fleet() {
+    let err = resume_edited("past-end", |ckpt| {
+        let mut row = ckpt.retired[0].clone();
+        row.spec.lane = 4;
+        ckpt.retired.push(row);
+    })
+    .expect_err("a lane past the fleet must not resume");
+    assert!(err.contains("lane 4 lies outside the fleet's lanes 0..4"), "{err}");
+}
+
+/// A lane listed twice, and a snapshot that no longer covers exactly the
+/// retired rows, are rejected the same way.
+#[test]
+fn resume_rejects_a_repeated_lane_and_an_uncovering_snapshot() {
+    let err = resume_edited("repeated-lane", |ckpt| {
+        let row = ckpt.retired[0].clone();
+        ckpt.retired.push(row);
+    })
+    .expect_err("a lane retired twice must not resume");
+    assert!(err.contains("is listed twice"), "{err}");
+    let err = resume_edited("uncovering-snapshot", |ckpt| {
+        ckpt.retired.pop();
+    })
+    .expect_err("a snapshot over more rows than retired must not resume");
+    assert!(err.contains("snapshot covers"), "{err}");
+}
+
 /// Tentpole (a) acceptance: a single panicking session is retried, then
 /// poisoned — and poisons *only itself*. Every other lane's report row is
 /// byte-identical to a fleet that never had the panicking lane armed, the

@@ -8,7 +8,7 @@ use uniloc::iodetect::IoState;
 use uniloc::rng::check::Checker;
 use uniloc::rng::{require, require_eq};
 use uniloc::schemes::SchemeId;
-use uniloc::stats::{Ecdf, Normal, OlsBuilder};
+use uniloc::stats::{ols, Ecdf, Normal};
 
 const REGRESSIONS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/properties.regressions");
 
@@ -124,7 +124,7 @@ fn ols_recovers_planted_model() {
                 .map(|i| vec![(i % 7) as f64 + 0.5, ((i * 3) % 11) as f64 * 0.7 + 0.1])
                 .collect();
             let ys: Vec<f64> = xs.iter().map(|r| b1 * r[0] + b2 * r[1]).collect();
-            let fit = OlsBuilder::new().fit(&xs, &ys).unwrap();
+            let fit = ols::fit(&xs, &ys).unwrap();
             require!((fit.coefficients()[0] - b1).abs() < 1e-6);
             require!((fit.coefficients()[1] - b2).abs() < 1e-6);
             Ok(())
