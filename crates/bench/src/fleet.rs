@@ -34,7 +34,7 @@ use uniloc_obs::fleet::{self as obsfleet, FleetAggregator, FleetSnapshot, Sessio
 use uniloc_obs::ObsSession;
 use uniloc_rng::split_seed;
 use uniloc_sensors::{DeviceProfile, SensorFrame};
-use uniloc_stats::json::{flattened, float, hex, FromJson, Json, ToJson};
+use uniloc_stats::json::{flattened, float, hex, Fnv1a, FromJson, Json, ToJson};
 
 /// Load-generator parameters. Everything that shapes the fleet's *output*
 /// lives here except `jobs`/`resident`, which only shape its execution.
@@ -287,20 +287,11 @@ pub fn solo_records(
     pipeline::run_walk_on_frames(&scenario, models, &cfg, spec.seed, &frames)
 }
 
-/// FNV-1a 64 over arbitrary bytes — the artifact digest primitive.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Digest of a record series: FNV-1a over the canonical JSON array.
+/// Digest of a record series: FNV-1a over the canonical JSON array,
+/// streamed. [`FinishedSession::digest`] folds the same bytes as the
+/// records are served.
 pub fn records_digest(records: &[EpochRecord]) -> u64 {
-    let doc = Json::Arr(records.iter().map(ToJson::to_json).collect()).canonical();
-    fnv1a64(doc.to_string().as_bytes())
+    Fnv1a::digest(records)
 }
 
 /// One retired walker's row in the fleet report. Round-trips through JSON
@@ -383,7 +374,7 @@ fn summarize(spec: SessionSpec, finished: &FinishedSession) -> SessionSummary {
     SessionSummary {
         spec,
         epochs: finished.epochs,
-        digest: records_digest(&finished.records),
+        digest: finished.digest,
         mean_error,
         nonfinite_fused,
         quarantined: quarantined_schemes(&finished.records),
@@ -1091,10 +1082,12 @@ mod tests {
         assert!(fleet_specs(&c).unwrap_err().contains("mars"));
     }
 
+    /// The digest of no records is FNV-1a 64 of `[]`, and one byte of
+    /// difference in the canonical text changes it.
     #[test]
     fn fnv_digest_is_stable_and_sensitive() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+        assert_eq!(records_digest(&[]), 0x0961_2b07_b5ec_b5a5);
+        assert_ne!(Fnv1a::digest("a"), Fnv1a::digest("b"));
     }
 
     #[test]

@@ -643,8 +643,8 @@ const FLEET_MODE_FLAGS: &[&str] = &[
 /// checked before any model is loaded or trained, and a flag that would
 /// change nothing (`--panic-epoch` without a lane or past `--max-epochs`,
 /// a lane past the fleet, `--checkpoint` or `--crash-after-rounds` without
-/// a cadence, any of [`FLEET_MODE_FLAGS`] with `--obs-overhead`) is an
-/// error, never ignored.
+/// a cadence, a crash before the first checkpoint, any of
+/// [`FLEET_MODE_FLAGS`] with `--obs-overhead`) is an error, never ignored.
 /// `--crash-after-rounds N` simulates a `kill -9` between rounds N and
 /// N+1 (the crash-injection harness), and `--panic-lane L --panic-epoch E`
 /// arms a process-level panic fault in lane L at epoch E to exercise the
@@ -674,6 +674,16 @@ fn cmd_fleet(flags: &BTreeMap<String, String>) -> Result<(), String> {
         .map(|_| usize_flag(flags, "crash-after-rounds", 0))
         .transpose()?
         .map(|r| r as u64);
+    // The simulated crash comes after round max(N, 1): the scheduler
+    // completes a round before it checks. The first checkpoint is cut at
+    // round `checkpoint_every`.
+    if let Some(n) = crash_after_rounds.filter(|&n| n.max(1) < checkpoint_every) {
+        return Err(format!(
+            "--crash-after-rounds {n} comes before the first checkpoint \
+             (--checkpoint-every {checkpoint_every} cuts it at round {checkpoint_every}): \
+             nothing would be left to resume"
+        ));
+    }
     let alloc_budget = budget_flag(flags, "alloc-budget")?;
     let overhead = flags.contains_key("obs-overhead");
     if let Some(flag) = FLEET_MODE_FLAGS.iter().find(|f| overhead && flags.contains_key(**f)) {
@@ -1257,6 +1267,24 @@ mod tests {
         for line in [&["--crash-after-rounds", "3"][..], &zero_cadence] {
             fleet_rejects(line, "--crash-after-rounds");
             fleet_rejects(line, "--checkpoint-every");
+        }
+    }
+
+    /// A simulated crash before the first checkpoint would leave nothing
+    /// to resume either; a crash at the first checkpoint's round passes
+    /// the flag checks (and fails only on the missing models file).
+    #[test]
+    fn fleet_rejects_a_crash_before_the_first_checkpoint() {
+        for crash in ["0", "2", "9"] {
+            let line = ["--crash-after-rounds", crash, "--checkpoint-every", "10"];
+            fleet_rejects(&line, "--crash-after-rounds");
+            fleet_rejects(&line, "--checkpoint-every");
+        }
+        for (crash, cadence) in [("10", "10"), ("0", "1"), ("11", "10")] {
+            let mut v = vec!["--models", "no-such-models.json", "--out", "no-such-dir"];
+            v.extend(["--crash-after-rounds", crash, "--checkpoint-every", cadence]);
+            let err = cmd_fleet(&parse("fleet", &v).unwrap()).unwrap_err();
+            assert!(err.contains("no-such-models.json"), "{crash}/{cadence}: {err}");
         }
     }
 

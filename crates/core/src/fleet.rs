@@ -38,7 +38,7 @@
 //! `DESIGN.md` §9.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,7 +47,7 @@ use crate::pipeline::EpochRecord;
 use crate::session::Session;
 use uniloc_obs::session::{self as obs_session, ObsSession, SessionCapture};
 use uniloc_sensors::SensorFrame;
-use uniloc_stats::json::hex;
+use uniloc_stats::json::{hex, Fnv1a, ToJson};
 
 /// Current checkpoint format version, embedded in every
 /// [`SessionCheckpoint`] (and the fleet-level checkpoint built on it).
@@ -175,8 +175,8 @@ uniloc_stats::impl_json_struct!(SessionCheckpoint {
 });
 
 /// One walker under fleet scheduling: the serving session, its private
-/// frame stream and cursor, the records served so far, and the isolated
-/// observability session all its effects land in.
+/// frame stream and cursor, the records served so far with their running
+/// digest, and the isolated observability session all its effects land in.
 pub struct FleetSession {
     /// Unique lane within the fleet; the scheduler's canonical identity.
     pub lane: u64,
@@ -186,6 +186,9 @@ pub struct FleetSession {
     frames: Vec<SensorFrame>,
     cursor: usize,
     records: Vec<EpochRecord>,
+    /// FNV-1a over the canonical JSON array of `records`, short of its
+    /// closing `]`.
+    digest: Fnv1a,
     obs: Arc<ObsSession>,
     /// Injected process-level fault: stepping this frame index panics
     /// (the crash-injection harness's panic-at-epoch fault).
@@ -225,6 +228,7 @@ impl FleetSession {
             frames,
             cursor: 0,
             records: Vec::new(),
+            digest: Fnv1a::new(),
             obs,
             panic_at_epoch: None,
         }
@@ -250,10 +254,29 @@ impl FleetSession {
         let end = cursor.min(self.frames.len());
         while self.cursor < end {
             let record = self.session.step(&self.frames[self.cursor]);
-            self.records.push(record);
+            self.keep(record);
             self.cursor += 1;
         }
         drop(guard);
+    }
+
+    /// Folds `record`'s canonical text into the running digest, on the
+    /// thread that served it, then keeps the record.
+    fn keep(&mut self, record: EpochRecord) {
+        let digest = &mut self.digest;
+        let folded = digest
+            .write_str(if self.records.is_empty() { "[" } else { "," })
+            .and_then(|()| record.write_canonical(digest));
+        folded.expect("a hash accepts every write");
+        self.records.push(record);
+    }
+
+    /// [`FinishedSession::digest`] of the records kept so far.
+    fn records_digest(&self) -> u64 {
+        let mut digest = self.digest;
+        let close = if self.records.is_empty() { "[]" } else { "]" };
+        digest.write_str(close).expect("a hash accepts every write");
+        digest.finish()
     }
 
     /// Frames served so far.
@@ -285,7 +308,7 @@ impl FleetSession {
             let t0 = Instant::now();
             let record = self.session.step(&self.frames[self.cursor]);
             epoch_ns.push(t0.elapsed().as_nanos() as u64);
-            self.records.push(record);
+            self.keep(record);
             self.cursor += 1;
         }
         drop(guard);
@@ -298,6 +321,7 @@ impl FleetSession {
 
     fn retire(self) -> FinishedSession {
         FinishedSession {
+            digest: self.records_digest(),
             lane: self.lane,
             name: self.name,
             epochs: self.records.len(),
@@ -322,6 +346,7 @@ impl FleetSession {
             m.counter("parallel.retries").add(retries);
         }
         FinishedSession {
+            digest: self.records_digest(),
             lane: self.lane,
             name: self.name,
             epochs: self.records.len(),
@@ -340,6 +365,10 @@ pub struct FinishedSession {
     /// Epochs recorded: the walk length, or the epochs served before the
     /// first panic for a poisoned session.
     pub epochs: usize,
+    /// FNV-1a 64 of the canonical JSON array of exactly `records`
+    /// ([`Fnv1a::digest`] of the slice), folded one record at a time on
+    /// the worker that served it, replayed epochs included.
+    pub digest: u64,
     pub records: Vec<EpochRecord>,
     /// The walker's private observability capture (metrics, calibration
     /// cells, flight lines).
@@ -533,6 +562,7 @@ impl Active {
                 lane: self.lane,
                 name: format!("lane{:05}", self.lane),
                 epochs: 0,
+                digest: Fnv1a::digest::<[EpochRecord]>(&[]),
                 records: Vec::new(),
                 capture: SessionCapture::default(),
                 poisoned: Some(failure),

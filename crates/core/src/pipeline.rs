@@ -510,6 +510,106 @@ mod tests {
         assert!(matches!(cfg.validate(), Err(ConfigError::NonPositive("epoch_interval", _))));
     }
 
+    /// A random record: every field drawn, its floats often ones the
+    /// writer treats specially (non-finite, signed zero, integral,
+    /// extreme), its vectors up to `6 * scale` long.
+    fn random_record(rng: &mut Rng, scale: f64) -> EpochRecord {
+        const SPECIAL: [f64; 8] =
+            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 5e-324, 1e300, 42.0];
+        fn x(rng: &mut Rng) -> f64 {
+            if rng.gen_bool(0.2) {
+                SPECIAL[rng.gen_range(0..SPECIAL.len())]
+            } else {
+                rng.gen_range(-1e3..1e3)
+            }
+        }
+        fn opt<T>(rng: &mut Rng, f: impl FnOnce(&mut Rng) -> T) -> Option<T> {
+            if rng.gen_bool(0.7) {
+                Some(f(rng))
+            } else {
+                None
+            }
+        }
+        fn id(rng: &mut Rng) -> SchemeId {
+            match rng.gen_range(0..6usize) {
+                5 => SchemeId::Custom(rng.gen_range(0..1u32 << 16) as u16),
+                i => SchemeId::BUILTIN[i],
+            }
+        }
+        fn point(rng: &mut Rng) -> Point {
+            Point::new(x(rng), x(rng))
+        }
+        fn per_scheme<T>(
+            rng: &mut Rng,
+            scale: f64,
+            f: impl Fn(&mut Rng) -> T,
+        ) -> Vec<(SchemeId, T)> {
+            let n = rng.gen_range(0..1 + (6.0 * scale) as usize);
+            (0..n).map(|_| (id(rng), f(rng))).collect()
+        }
+        EpochRecord {
+            t: x(rng),
+            station: x(rng),
+            truth: point(rng),
+            indoor: rng.gen_bool(0.5),
+            io_detected: if rng.gen_bool(0.5) { IoState::Indoor } else { IoState::Outdoor },
+            scheme_errors: per_scheme(rng, scale, |rng| opt(rng, x)),
+            estimates: per_scheme(rng, scale, |rng| opt(rng, point)),
+            predictions: per_scheme(rng, scale, |rng| {
+                opt(rng, |rng| ErrorPrediction { mean: x(rng), sigma: x(rng) })
+            }),
+            uniloc1_error: opt(rng, x),
+            uniloc1_choice: opt(rng, id),
+            uniloc2_error: opt(rng, x),
+            uniloc2_mixture_error: opt(rng, x),
+            oracle_error: opt(rng, x),
+            oracle_choice: opt(rng, id),
+            weights: per_scheme(rng, scale, x),
+            gps_enabled: rng.gen_bool(0.5),
+            tau: opt(rng, x),
+            ladder: match rng.gen_range(0..4usize) {
+                0 => DegradationLadder::Nominal,
+                1 => DegradationLadder::Degraded(rng.gen_range(0..u32::MAX)),
+                2 => DegradationLadder::DeadReckoningOnly,
+                _ => DegradationLadder::Lost,
+            },
+            quarantined: per_scheme(rng, scale, |_| ()).into_iter().map(|(id, ())| id).collect(),
+        }
+    }
+
+    /// A record series streams the bytes of its canonical document, and
+    /// hashing the stream equals FNV-1a over that document's text.
+    #[test]
+    fn records_stream_their_canonical_json() {
+        use uniloc_rng::check::Checker;
+        use uniloc_stats::json::{Fnv1a, ToJson};
+        fn fnv1a_bytewise(bytes: &[u8]) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        }
+        Checker::new("records_stream_their_canonical_json").cases(200).run(
+            |rng, scale| {
+                let n = rng.gen_range(0..1 + (4.0 * scale) as usize);
+                (0..n).map(|_| random_record(rng, scale)).collect::<Vec<_>>()
+            },
+            |records| {
+                let doc = records.to_json().canonical().to_string();
+                let mut streamed = String::new();
+                records.write_canonical(&mut streamed).map_err(|e| e.to_string())?;
+                uniloc_rng::require_eq!(streamed, doc);
+                uniloc_rng::require_eq!(
+                    Fnv1a::digest(&records[..]),
+                    fnv1a_bytewise(doc.as_bytes())
+                );
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn mean_defined_filters_non_finite() {
         // All-NaN input must be None, not Some(NaN).

@@ -145,6 +145,13 @@ impl ToJson for DegradationLadder {
             other => Json::Str(other.name().to_owned()),
         }
     }
+
+    fn write_canonical(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        match *self {
+            DegradationLadder::Degraded(n) => write!(out, "{{\"degraded\":{n}}}"),
+            other => other.name().write_canonical(out),
+        }
+    }
 }
 
 impl FromJson for DegradationLadder {
@@ -309,6 +316,23 @@ mod tests {
     use super::*;
 
     const ID: SchemeId = SchemeId::Wifi;
+
+    /// The streaming canonical writer matches the document in every state.
+    #[test]
+    fn ladder_streams_its_canonical_json() {
+        for ladder in [
+            DegradationLadder::Nominal,
+            DegradationLadder::Degraded(0),
+            DegradationLadder::Degraded(3),
+            DegradationLadder::Degraded(u32::MAX),
+            DegradationLadder::DeadReckoningOnly,
+            DegradationLadder::Lost,
+        ] {
+            let mut text = String::new();
+            ladder.write_canonical(&mut text).unwrap();
+            assert_eq!(text, ladder.to_json().canonical().to_string(), "{ladder}");
+        }
+    }
 
     fn machine() -> QuarantineMachine {
         QuarantineMachine::new(&[SchemeId::Gps, SchemeId::Wifi, SchemeId::Motion])

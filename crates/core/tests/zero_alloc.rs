@@ -27,6 +27,10 @@
 //! calibration key, a trigger's bookkeeping) moves the per-step count off
 //! four.
 //!
+//! A fleet folds each record into its session's digest as it is served
+//! (`FinishedSession::digest`): the record's canonical JSON streams through
+//! an FNV-1a sink, which allocates nothing.
+//!
 //! Building a session shares its venue's radio map instead of copying it:
 //! the context, the fingerprint schemes and fusion read one survey, so
 //! `Session::from_context` allocates a fixed amount however many
@@ -40,6 +44,7 @@ use uniloc_core::Session;
 use uniloc_env::venues;
 use uniloc_obs::alloc::{thread_allocs, STEADY_WARMUP_EPOCHS};
 use uniloc_obs::session::{install, ObsSession};
+use uniloc_stats::json::{Fnv1a, ToJson};
 
 /// Steady-state allocations tolerated inside spans per walk. Zero: the
 /// engine's epoch loop is allocation-free once warm.
@@ -61,8 +66,9 @@ fn models() -> &'static ErrorModelSet {
 }
 
 /// Walks the zero-alloc office under `obs` and returns what each step
-/// allocated on this thread, in epoch order.
-fn walk(obs: &Arc<ObsSession>) -> Vec<u64> {
+/// allocated on this thread, then what folding its record into a digest
+/// allocated, in epoch order.
+fn walk(obs: &Arc<ObsSession>) -> (Vec<u64>, Vec<u64>) {
     let cfg = PipelineConfig::default();
     let scenario = venues::office("zero-alloc", 21, 40.0, 15.0);
     let frames = pipeline::walk_frames(&scenario, &cfg, 22);
@@ -71,13 +77,18 @@ fn walk(obs: &Arc<ObsSession>) -> Vec<u64> {
     let _guard = install(Arc::clone(obs));
     let mut walk = Session::new(Arc::new(scenario), models(), &cfg, 23);
     let mut per_step = Vec::with_capacity(frames.len());
+    let mut per_fold = Vec::with_capacity(frames.len());
+    let mut digest = Fnv1a::new();
     for f in &frames {
         let before = thread_allocs();
         let record = walk.step(f);
         per_step.push(thread_allocs() - before);
+        let before = thread_allocs();
+        record.write_canonical(&mut digest).expect("a hash accepts every write");
+        per_fold.push(thread_allocs() - before);
         drop(record);
     }
-    per_step
+    (per_step, per_fold)
 }
 
 /// What `Session::from_context` allocates on this thread over an
@@ -107,7 +118,7 @@ fn steady_state_epoch_loop_is_allocation_free() {
     let mut obs = ObsSession::isolated();
     obs.alloc_tracking = true;
     let session = Arc::new(obs);
-    let per_step = walk(&session);
+    let (per_step, _) = walk(&session);
 
     let capture = session.capture();
     let steady_epochs = counter(&capture, "alloc.steady_epochs");
@@ -145,11 +156,20 @@ fn steady_state_epoch_loop_is_allocation_free() {
 
 #[test]
 fn stubbed_step_allocates_only_its_record() {
-    let per_step = walk(&Arc::new(ObsSession::stubbed()));
+    let (per_step, _) = walk(&Arc::new(ObsSession::stubbed()));
     let steady = &per_step[STEADY_WARMUP_EPOCHS as usize..];
     assert!(
         steady.iter().all(|&n| n == RECORD_ALLOCS),
         "a steady step under stubbed obs allocated more than its record; per step: {per_step:?}"
+    );
+}
+
+#[test]
+fn folding_a_record_into_the_digest_allocates_nothing() {
+    let (_, per_fold) = walk(&Arc::new(ObsSession::stubbed()));
+    assert!(
+        per_fold.iter().all(|&n| n == 0),
+        "folding a record into the digest allocated; per record: {per_fold:?}"
     );
 }
 

@@ -119,6 +119,19 @@ mod tests {
         assert_eq!(format!("[{:<3}]", SchemeId::Cellular), "[cellular]", "width never truncates");
     }
 
+    /// The streaming canonical writer matches the document, built-in and
+    /// custom variants alike.
+    #[test]
+    fn scheme_id_streams_its_canonical_json() {
+        use uniloc_stats::ToJson;
+        let custom = [SchemeId::Custom(0), SchemeId::Custom(7), SchemeId::Custom(u16::MAX)];
+        for id in SchemeId::BUILTIN.into_iter().chain(custom) {
+            let mut text = String::new();
+            id.write_canonical(&mut text).unwrap();
+            assert_eq!(text, id.to_json().canonical().to_string(), "{id}");
+        }
+    }
+
     #[test]
     fn builtin_lists_all_five() {
         assert_eq!(SchemeId::BUILTIN.len(), 5);
@@ -149,6 +162,17 @@ impl uniloc_stats::ToJson for SchemeId {
             SchemeId::Cellular => Json::Str("Cellular".to_owned()),
             SchemeId::Motion => Json::Str("Motion".to_owned()),
             SchemeId::Fusion => Json::Str("Fusion".to_owned()),
+        }
+    }
+
+    fn write_canonical(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        match self {
+            SchemeId::Custom(n) => write!(out, "{{\"Custom\":{n}}}"),
+            SchemeId::Gps => out.write_str("\"Gps\""),
+            SchemeId::Wifi => out.write_str("\"Wifi\""),
+            SchemeId::Cellular => out.write_str("\"Cellular\""),
+            SchemeId::Motion => out.write_str("\"Motion\""),
+            SchemeId::Fusion => out.write_str("\"Fusion\""),
         }
     }
 }

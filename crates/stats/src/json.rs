@@ -20,6 +20,9 @@
 //! * Maps with non-string keys (e.g. `BTreeMap<SchemeId, _>`) serialize as
 //!   arrays of `[key, value]` pairs.
 //! * Non-finite floats serialize as `null`, matching `serde_json`.
+//! * [`ToJson::write_canonical`] streams the text of a value's canonical
+//!   document without building it; with the [`Fnv1a`] sink it digests a
+//!   record series without allocating.
 //!
 //! # Examples
 //!
@@ -39,7 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,14 +185,14 @@ impl Json {
     #[allow(clippy::inherent_to_string_shadow_display)]
     pub fn to_string(&self) -> String {
         let mut out = String::new();
-        write_value(self, None, 0, &mut out);
+        write_value(self, None, 0, &mut out).expect("a String accepts every write");
         out
     }
 
     /// Serializes with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        write_value(self, Some(2), 0, &mut out);
+        write_value(self, Some(2), 0, &mut out).expect("a String accepts every write");
         out
     }
 
@@ -219,7 +222,7 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        write_value(self, None, 0, f)
     }
 }
 
@@ -227,97 +230,135 @@ impl fmt::Display for Json {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn write_value(value: &Json, indent: Option<usize>, depth: usize, out: &mut String) {
+// The document writer and the streaming canonical writer
+// (`ToJson::write_canonical`) share the scalar writers below; none of them
+// allocates.
+
+fn write_value<W: fmt::Write + ?Sized>(
+    value: &Json,
+    indent: Option<usize>,
+    depth: usize,
+    out: &mut W,
+) -> fmt::Result {
     match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Int(i) => {
-            out.push_str(&i.to_string());
-        }
+        Json::Null => out.write_str("null"),
+        Json::Bool(b) => write_bool(*b, out),
+        Json::Int(i) => write_i64(*i, out),
         Json::Num(x) => write_f64(*x, out),
         Json::Str(s) => write_string(s, out),
         Json::Arr(items) => {
             write_seq(items.len(), indent, depth, out, '[', ']', |i, depth, out| {
-                write_value(&items[i], indent, depth, out);
-            });
+                write_value(&items[i], indent, depth, out)
+            })
         }
         Json::Obj(pairs) => {
             write_seq(pairs.len(), indent, depth, out, '{', '}', |i, depth, out| {
-                write_string(&pairs[i].0, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(&pairs[i].1, indent, depth, out);
-            });
+                write_string(&pairs[i].0, out)?;
+                out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                write_value(&pairs[i].1, indent, depth, out)
+            })
         }
     }
 }
 
-fn write_seq(
+fn write_seq<W: fmt::Write + ?Sized>(
     len: usize,
     indent: Option<usize>,
     depth: usize,
-    out: &mut String,
+    out: &mut W,
     open: char,
     close: char,
-    mut item: impl FnMut(usize, usize, &mut String),
-) {
-    out.push(open);
+    mut item: impl FnMut(usize, usize, &mut W) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
     if len == 0 {
-        out.push(close);
-        return;
+        return out.write_char(close);
     }
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
+            write_indent(step * (depth + 1), out)?;
         }
-        item(i, depth + 1, out);
+        item(i, depth + 1, out)?;
     }
     if let Some(step) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', step * depth));
+        write_indent(step * depth, out)?;
     }
-    out.push(close);
+    out.write_char(close)
+}
+
+/// A line break, then `width` spaces.
+fn write_indent<W: fmt::Write + ?Sized>(width: usize, out: &mut W) -> fmt::Result {
+    write!(out, "\n{:width$}", "")
+}
+
+fn write_bool<W: fmt::Write + ?Sized>(b: bool, out: &mut W) -> fmt::Result {
+    out.write_str(if b { "true" } else { "false" })
+}
+
+fn write_i64<W: fmt::Write + ?Sized>(i: i64, out: &mut W) -> fmt::Result {
+    write!(out, "{i}")
 }
 
 /// Writes a float with Rust's shortest round-trip formatting, forcing a
 /// `.0` suffix on integral values so the parser returns [`Json::Num`].
-fn write_f64(x: f64, out: &mut String) {
+fn write_f64<W: fmt::Write + ?Sized>(x: f64, out: &mut W) -> fmt::Result {
     if !x.is_finite() {
-        out.push_str("null");
-        return;
+        return out.write_str("null");
     }
-    let s = x.to_string();
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
+    let mut digits = Fractional { out, seen: false };
+    write!(digits, "{x}")?;
+    if !digits.seen {
+        out.write_str(".0")?;
+    }
+    Ok(())
+}
+
+/// Passes text through, noting whether it held a decimal point or an
+/// exponent: how [`write_f64`] tells an integral float without buffering
+/// its digits.
+struct Fractional<'a, W: ?Sized> {
+    out: &'a mut W,
+    seen: bool,
+}
+
+impl<W: fmt::Write + ?Sized> fmt::Write for Fractional<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.seen |= s.contains(['.', 'e', 'E']);
+        self.out.write_str(s)
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes `s` quoted, copying each run between escapes in one step. Every
+/// byte that needs an escape is ASCII, so each run ends on a character
+/// boundary.
+fn write_string<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 // ---------------------------------------------------------------------------
@@ -592,6 +633,127 @@ impl Parser<'_> {
 pub trait ToJson {
     /// Builds the JSON representation of `self`.
     fn to_json(&self) -> Json;
+
+    /// Writes the compact text of `self.to_json().canonical()` to `out`.
+    ///
+    /// The default builds that document. Scalars, `Option`, sequences,
+    /// tuples, maps and the types of [`impl_json_enum!`] and (unless they
+    /// flatten a field) [`impl_json_struct!`] stream the same bytes without
+    /// building anything, so hashing a record through an [`Fnv1a`] sink
+    /// allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Only those `out` returns.
+    ///
+    /// [`impl_json_enum!`]: crate::impl_json_enum
+    /// [`impl_json_struct!`]: crate::impl_json_struct
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_value(&self.to_json().canonical(), None, 0, out)
+    }
+}
+
+/// FNV-1a 64 as a text sink: every byte written through [`fmt::Write`]
+/// folds into the hash, so a canonical writer can digest a document it
+/// never holds.
+///
+/// ```
+/// use uniloc_stats::json::Fnv1a;
+///
+/// assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325, "the offset basis");
+/// assert_eq!(Fnv1a::digest(&vec![1.0, 2.5]), Fnv1a::digest(&[1.0, 2.5][..]));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// The empty hash (the offset basis).
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// The hash of everything written so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// FNV-1a 64 of `value`'s canonical text.
+    pub fn digest<T: ToJson + ?Sized>(value: &T) -> u64 {
+        let mut hash = Fnv1a::new();
+        value.write_canonical(&mut hash).expect("a hash accepts every write");
+        hash.finish()
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Fnv1a::PRIME);
+        }
+        Ok(())
+    }
+}
+
+/// Writes `items` as a canonical JSON array.
+fn write_canonical_seq<T: ToJson>(
+    items: impl IntoIterator<Item = T>,
+    out: &mut dyn fmt::Write,
+) -> fmt::Result {
+    out.write_char('[')?;
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        item.write_canonical(out)?;
+    }
+    out.write_char(']')
+}
+
+/// The order in which [`impl_json_struct!`](crate::impl_json_struct)'s
+/// streaming writer emits a record's `keys`: sorted as
+/// [`Json::canonical`] sorts them (byte-wise, equal keys in declaration
+/// order). Evaluated once per type, at compile time.
+#[doc(hidden)]
+pub const fn sorted_order<const N: usize>(keys: &[&str]) -> [usize; N] {
+    const fn less(a: &str, b: &str) -> bool {
+        let (a, b) = (a.as_bytes(), b.as_bytes());
+        let mut i = 0;
+        while i < a.len() && i < b.len() {
+            if a[i] != b[i] {
+                return a[i] < b[i];
+            }
+            i += 1;
+        }
+        a.len() < b.len()
+    }
+    assert!(keys.len() == N, "one position per key");
+    let mut order = [0; N];
+    let mut i = 0;
+    while i < N {
+        order[i] = i;
+        i += 1;
+    }
+    // Insertion sort: stable, and the lists are a few dozen keys at most.
+    let mut i = 1;
+    while i < N {
+        let mut j = i;
+        while j > 0 && less(keys[order[j]], keys[order[j - 1]]) {
+            let moved = order[j];
+            order[j] = order[j - 1];
+            order[j - 1] = moved;
+            j -= 1;
+        }
+        i += 1;
+    }
+    order
 }
 
 /// Conversion from a [`Json`] document.
@@ -752,11 +914,19 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
     }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        (**self).write_canonical(out)
+    }
 }
 
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
+    }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_bool(*self, out)
     }
 }
 
@@ -769,6 +939,10 @@ impl FromJson for bool {
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
+    }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_f64(*self, out)
     }
 }
 
@@ -786,6 +960,10 @@ impl ToJson for f32 {
     fn to_json(&self) -> Json {
         Json::Num(f64::from(*self))
     }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_f64(f64::from(*self), out)
+    }
 }
 
 impl FromJson for f32 {
@@ -799,6 +977,10 @@ macro_rules! impl_json_int {
         impl ToJson for $ty {
             fn to_json(&self) -> Json {
                 Json::Int(i64::try_from(*self).expect("integer fits in i64"))
+            }
+
+            fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+                write_i64(i64::try_from(*self).expect("integer fits in i64"), out)
             }
         }
         impl FromJson for $ty {
@@ -823,6 +1005,10 @@ impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
     }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_string(self, out)
+    }
 }
 
 impl FromJson for String {
@@ -837,6 +1023,10 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_owned())
     }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_string(self, out)
+    }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
@@ -844,6 +1034,13 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(v) => v.to_json(),
             None => Json::Null,
+        }
+    }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        match self {
+            Some(v) => v.write_canonical(out),
+            None => out.write_str("null"),
         }
     }
 }
@@ -861,11 +1058,19 @@ impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_canonical_seq(self, out)
+    }
 }
 
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_canonical_seq(self, out)
     }
 }
 
@@ -883,6 +1088,14 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
     }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_char('[')?;
+        self.0.write_canonical(out)?;
+        out.write_char(',')?;
+        self.1.write_canonical(out)?;
+        out.write_char(']')
+    }
 }
 
 impl<A: FromJson, B: FromJson> FromJson for (A, B) {
@@ -897,6 +1110,16 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
+    }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_char('[')?;
+        self.0.write_canonical(out)?;
+        out.write_char(',')?;
+        self.1.write_canonical(out)?;
+        out.write_char(',')?;
+        self.2.write_canonical(out)?;
+        out.write_char(']')
     }
 }
 
@@ -914,6 +1137,10 @@ impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
 impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(|(k, v)| (k, v).to_json()).collect())
+    }
+
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write_canonical_seq(self, out)
     }
 }
 
@@ -939,6 +1166,10 @@ impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
 /// A leading `..field` flattens one field: its object's keys are written
 /// first, beside the declared ones, and on reading every undeclared key
 /// belongs to it, for its own strict reader to check.
+///
+/// A record that flattens no field also streams its canonical text
+/// ([`ToJson::write_canonical`]): its fields in sorted key order, each
+/// through its own writer.
 ///
 /// ```
 /// # use uniloc_stats::impl_json_struct;
@@ -972,6 +1203,10 @@ macro_rules! impl_json_struct {
                     $crate::json::flattened(&self.$flat).into_iter().chain(pairs).collect();)?
                 $crate::json::Json::Obj(pairs)
             }
+
+            $crate::__json_write_canonical!(
+                [$($flat)?] $($field $(as $key)? $(with $($codec)::+)?),+
+            );
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(
@@ -1018,6 +1253,51 @@ macro_rules! __json_write {
     };
 }
 
+/// The streaming [`ToJson::write_canonical`] of a record that flattens no
+/// field: its fields in sorted key order, each through its own streaming
+/// writer, or for a codec field through the codec's document. A flattened
+/// field's keys interleave with the record's own, so such a record keeps
+/// the default.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_write_canonical {
+    ([$flat:ident] $($fields:tt)*) => {};
+    ([] $($field:ident $(as $key:literal)? $(with $($codec:ident)::+)?),+) => {
+        fn write_canonical(&self, out: &mut dyn ::std::fmt::Write) -> ::std::fmt::Result {
+            type Field<'a> = dyn Fn(&mut dyn ::std::fmt::Write) -> ::std::fmt::Result + 'a;
+            const KEYS: &[&str] = &[$($crate::__json_key!($field $($key)?)),+];
+            const ORDER: [usize; KEYS.len()] = $crate::json::sorted_order(KEYS);
+            let fields: [&Field<'_>; KEYS.len()] = [$(
+                &|out: &mut dyn ::std::fmt::Write| $crate::__json_write_field!(
+                    &self.$field, out $(, $($codec)::+)?
+                )
+            ),+];
+            out.write_char('{')?;
+            for (n, &i) in ORDER.iter().enumerate() {
+                if n > 0 {
+                    out.write_char(',')?;
+                }
+                $crate::json::ToJson::write_canonical(KEYS[i], out)?;
+                out.write_char(':')?;
+                fields[i](out)?;
+            }
+            out.write_char('}')
+        }
+    };
+}
+
+/// Writes a field's canonical text through [`ToJson`] or its codec.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_write_field {
+    ($value:expr, $out:expr) => {
+        $crate::json::ToJson::write_canonical($value, $out)
+    };
+    ($value:expr, $out:expr, $($codec:ident)::+) => {
+        $crate::json::ToJson::write_canonical(&$($codec)::+::to_json($value), $out)
+    };
+}
+
 /// Reads a field through [`FromJson`] or its codec.
 #[doc(hidden)]
 #[macro_export]
@@ -1055,6 +1335,18 @@ macro_rules! impl_json_enum {
                     _ => unreachable!("non-unit variant in impl_json_enum"),
                 };
                 $crate::json::Json::Str(name.to_owned())
+            }
+
+            fn write_canonical(
+                &self,
+                out: &mut dyn ::std::fmt::Write,
+            ) -> ::std::fmt::Result {
+                let name = match self {
+                    $(<$ty>::$variant => stringify!($variant),)+
+                    #[allow(unreachable_patterns)]
+                    _ => unreachable!("non-unit variant in impl_json_enum"),
+                };
+                $crate::json::ToJson::write_canonical(name, out)
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -1120,7 +1412,7 @@ mod tests {
     fn floats_round_trip_exactly() {
         for &x in &[0.1, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300, -123.456e-78, 0.0, -0.0] {
             let mut s = String::new();
-            write_f64(x, &mut s);
+            write_f64(x, &mut s).unwrap();
             let back = Json::parse(&s).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} -> {s} -> {back}");
         }
@@ -1361,5 +1653,172 @@ mod tests {
     fn i64_overflow_falls_back_to_float() {
         let v = Json::parse("99999999999999999999999").unwrap();
         assert!(matches!(v, Json::Num(_)));
+    }
+
+    /// The streaming writer's text, checked against the document it
+    /// stands in for.
+    fn streams_canonically<T: ToJson + ?Sized>(value: &T) -> String {
+        let mut streamed = String::new();
+        value.write_canonical(&mut streamed).unwrap();
+        assert_eq!(streamed, value.to_json().canonical().to_string());
+        streamed
+    }
+
+    /// FNV-1a 64 one byte at a time: the reference the sink must match.
+    fn fnv1a_bytewise(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_floats_match_the_document() {
+        let cases = [
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+            (-0.0, "-0.0"),
+            (0.0, "0.0"),
+            (5e-324, &format!("0.{}5", "0".repeat(323))),
+            (1e300, &format!("1{}.0", "0".repeat(300))),
+            (3.0, "3.0"),
+            (-2.0, "-2.0"),
+            (0.1, "0.1"),
+            (-123.456, "-123.456"),
+        ];
+        for (x, want) in cases {
+            assert_eq!(streams_canonically(&x), want, "{x:e}");
+        }
+        assert_eq!(streams_canonically(&0.5f32), "0.5");
+        assert_eq!(streams_canonically(&f32::NAN), "null");
+        assert_eq!(streams_canonically(&16_777_216f32), "16777216.0");
+    }
+
+    #[test]
+    fn streamed_integers_and_bools_match_the_document() {
+        assert_eq!(streams_canonically(&i64::MIN), "-9223372036854775808");
+        assert_eq!(streams_canonically(&i64::MAX), "9223372036854775807");
+        assert_eq!(streams_canonically(&(i64::MAX as u64)), "9223372036854775807");
+        assert_eq!(streams_canonically(&0u8), "0");
+        assert_eq!(streams_canonically(&-7i32), "-7");
+        assert_eq!(streams_canonically(&(1usize << 40)), "1099511627776");
+        assert_eq!(streams_canonically(&true), "true");
+        assert_eq!(streams_canonically(&false), "false");
+    }
+
+    #[test]
+    fn streamed_strings_match_the_document() {
+        for s in [
+            "",
+            "plain",
+            "\"quoted\"",
+            "back\\slash\\",
+            "\n\r\t\u{8}\u{c}",
+            "\u{0}\u{1}\u{1f} \u{7f}",
+            "ünïcødé 中文 😀",
+            "\"中\\é\u{1}😀\"",
+        ] {
+            let text = streams_canonically(s);
+            assert_eq!(streams_canonically(&s.to_owned()), text);
+            assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.to_owned()), "{text}");
+        }
+        assert_eq!(streams_canonically("\u{1}\u{1f}"), r#""\u0001\u001f""#);
+    }
+
+    #[test]
+    fn streamed_containers_match_the_document() {
+        assert_eq!(streams_canonically(&Vec::<f64>::new()), "[]");
+        assert_eq!(streams_canonically::<[u32]>(&[]), "[]");
+        assert_eq!(streams_canonically(&vec![Vec::<String>::new(); 2]), "[[],[]]");
+        assert_eq!(streams_canonically(&BTreeMap::<u32, f64>::new()), "[]");
+        streams_canonically(&vec![Some(1.5), None, Some(-2.0)]);
+        streams_canonically(&[(1u32, "one".to_owned()), (3, "three".to_owned())][..]);
+        streams_canonically(&(7i64, Some(0.25), vec![true, false]));
+        let map: BTreeMap<u32, Vec<f64>> = [(3, vec![1.0]), (1, vec![])].into_iter().collect();
+        assert_eq!(streams_canonically(&map), "[[1,[]],[3,[1.0]]]");
+        assert_eq!(streams_canonically(&&Some("x")), r#""x""#);
+        let doc = Json::parse(r#"{"z":[{"b":1,"a":null}],"a":"\u00e9"}"#).unwrap();
+        assert_eq!(streams_canonically(&doc), r#"{"a":"é","z":[{"a":null,"b":1}]}"#);
+    }
+
+    #[test]
+    fn streamed_records_sort_their_keys_once() {
+        #[derive(Debug, PartialEq)]
+        enum Mode {
+            Fast,
+            Accurate,
+        }
+        impl_json_enum!(Mode { Fast, Accurate });
+        // Byte order, not declaration order: `B` < `a` < `a_b` < `ab` < `b`.
+        struct Keys {
+            b: u32,
+            ab: Mode,
+            a_b: Option<f64>,
+            a: Vec<(Mode, f64)>,
+            upper: String,
+        }
+        impl_json_struct!(Keys { b, ab, a_b, a, upper as "B" });
+        let keys = Keys {
+            b: 1,
+            ab: Mode::Fast,
+            a_b: Some(2.0),
+            a: vec![(Mode::Accurate, f64::NAN)],
+            upper: "\"".into(),
+        };
+        let want = r#"{"B":"\"","a":[["Accurate",null]],"a_b":2.0,"ab":"Fast","b":1}"#;
+        assert_eq!(streams_canonically(&keys), want);
+        assert_eq!(sorted_order::<5>(&["b", "ab", "a_b", "a", "B"]), [4, 3, 2, 1, 0]);
+        assert_eq!(sorted_order::<3>(&["k", "j", "k"]), [1, 0, 2], "stable on equal keys");
+        assert_eq!(sorted_order::<0>(&[]), []);
+    }
+
+    #[test]
+    fn streamed_codec_and_flattened_records_match_the_document() {
+        let counts = [("b".to_owned(), 2), ("a".to_owned(), 1)].into_iter().collect();
+        let row = Row { seed: u64::MAX - 1, mean: None, sum: -(1i128 << 70), counts };
+        let want = [
+            r#"{"counts":{"a":1,"b":2},"mean_m":null,"#,
+            r#""seed":"fffffffffffffffe","sum":"-1180591620717411303424"}"#,
+        ];
+        assert_eq!(streams_canonically(&row), want.concat());
+
+        // A flattened record keeps the default writer.
+        #[derive(Debug, PartialEq)]
+        struct Spec {
+            lane: u64,
+            name: String,
+        }
+        struct Summary {
+            spec: Spec,
+            epochs: u32,
+            digest: u64,
+        }
+        impl_json_struct!(Spec { name, lane });
+        impl_json_struct!(Summary { ..spec, epochs, digest with hex });
+        let s = Summary { spec: Spec { lane: 3, name: "s3".into() }, epochs: 9, digest: 10 };
+        let want = r#"{"digest":"000000000000000a","epochs":9,"lane":3,"name":"s3"}"#;
+        assert_eq!(streams_canonically(&s), want);
+    }
+
+    #[test]
+    fn fnv1a_sink_matches_the_bytewise_hash() {
+        assert_eq!(Fnv1a::new().finish(), fnv1a_bytewise(b""));
+        assert_eq!(Fnv1a::default(), Fnv1a::new());
+        let text = r#"[{"a":1.5,"b":"ünïcødé 😀"},null,"\u0001"]"#;
+        let mut whole = Fnv1a::new();
+        whole.write_str(text).unwrap();
+        assert_eq!(whole.finish(), fnv1a_bytewise(text.as_bytes()));
+        // Split anywhere between characters: the same hash.
+        let mut pieces = Fnv1a::new();
+        for c in text.chars() {
+            pieces.write_char(c).unwrap();
+        }
+        assert_eq!(pieces, whole);
+        let doc = Json::parse(text).unwrap();
+        assert_eq!(Fnv1a::digest(&doc), fnv1a_bytewise(doc.canonical().to_string().as_bytes()));
+        assert_ne!(Fnv1a::digest("a"), Fnv1a::digest("b"));
     }
 }

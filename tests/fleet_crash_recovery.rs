@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use uniloc::core::error_model::ErrorModelSet;
+use uniloc::core::fleet::FleetScheduler;
 use uniloc::core::pipeline::{self, PipelineConfig};
 use uniloc::faults::CrashPoint;
 use uniloc::obs::fleet::ERROR_BUCKETS_M;
@@ -23,8 +24,9 @@ use uniloc::rng::check::Checker;
 use uniloc::rng::{require, Rng};
 use uniloc::stats::json::{Json, ToJson};
 use uniloc_bench::fleet::{
-    artifacts, load_fleet_checkpoint, run_fleet, run_fleet_durable, FleetCheckpoint, FleetConfig,
-    FleetOutcome, FleetResult, FleetRunOptions,
+    artifacts, build_session, fleet_specs, load_fleet_checkpoint, records_digest, run_fleet,
+    run_fleet_durable, solo_records, FleetCheckpoint, FleetConfig, FleetOutcome, FleetResult,
+    FleetRunOptions,
 };
 
 fn models(seed: u64) -> Arc<ErrorModelSet> {
@@ -572,4 +574,33 @@ fn panicking_session_poisons_only_itself() {
     let clean_snap = clean.snapshot.as_ref().expect("clean snapshot");
     assert_eq!(clean_snap.counter("fleet.poisoned"), 0);
     assert_eq!(clean_snap.counter("parallel.retries"), 0);
+}
+
+/// A walker restored through `replay_recorded`, as resume rebuilds a
+/// resident walker, folds its replayed epochs into its digest as it folds
+/// served ones: the retired digest is the digest of all its records, which
+/// are the uninterrupted walk's — whether the cut fell at the start, in the
+/// middle or at the end of the walk, on clean and faulted walkers.
+#[test]
+fn restored_walker_digest_covers_its_replayed_records() {
+    let models = models(41);
+    let base = PipelineConfig::default();
+    let cfg = fleet_config(41, 2, None);
+    let specs = fleet_specs(&cfg).expect("spec mix");
+    assert!(specs[..4].iter().any(|s| s.plan != "none"), "a faulted walker is covered");
+    for spec in &specs[..4] {
+        let full = solo_records(spec, &models, &base, cfg.max_epochs);
+        for cut in [0, full.len() / 2, full.len()] {
+            let mut restored =
+                build_session(spec.clone(), Arc::clone(&models), base.clone(), cfg.max_epochs);
+            restored.replay_recorded(cut);
+            let mut scheduler = FleetScheduler::new(2, base.epoch_interval, 1);
+            scheduler.admit(spec.lane, move || restored);
+            let mut finished = Vec::new();
+            scheduler.run(|f| finished.push(f));
+            let label = format!("lane {} cut at {cut}", spec.lane);
+            assert_eq!(finished[0].records, full, "{label}");
+            assert_eq!(finished[0].digest, records_digest(&full), "{label}");
+        }
+    }
 }

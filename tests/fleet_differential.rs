@@ -57,6 +57,7 @@ fn run_fleet_sessions(
     let mut last_lane = None;
     scheduler.run(|f| {
         assert!(last_lane < Some(f.lane), "retirement must stream in lane order");
+        assert_eq!(f.digest, records_digest(&f.records), "lane {} at jobs {jobs}", f.lane);
         last_lane = Some(f.lane);
         finished.insert(f.lane, f);
     });
@@ -130,6 +131,65 @@ fn fleet_matches_legacy_batch_and_is_jobs_invariant() {
                 "lane {lane} changed at jobs={jobs} resident={resident}"
             );
             assert_eq!(f.epochs, baseline[&lane].epochs);
+        }
+    }
+}
+
+/// Every retired session carries the digest of exactly its records,
+/// folded on the worker that served them: at jobs 1, 2 and 4, for a
+/// walker poisoned mid-walk (`set_panic_at_epoch`) and for a builder that
+/// panicked before serving anything.
+#[test]
+fn finished_digest_is_the_digest_of_its_records() {
+    const POISONED: u64 = 4;
+    const PANIC_EPOCH: u64 = 5;
+    const SHELL: u64 = 9;
+    let models = models(5);
+    let base = PipelineConfig::default();
+    let cfg = FleetConfig {
+        seed: 13,
+        sessions: 12,
+        scenario_names: vec!["office".to_owned(), "open-space".to_owned()],
+        jobs: 0,
+        resident: 0,
+        max_epochs: 16,
+        chaos_every: 3,
+        obs_stub: false,
+        shards: 0,
+        top_k: 0,
+        panic_lane: None,
+        panic_epoch: 0,
+    };
+    let specs = fleet_specs(&cfg).unwrap();
+    let mut first_run: Option<Vec<u64>> = None;
+    for jobs in JOB_COUNTS[..3].iter().copied() {
+        let mut scheduler = FleetScheduler::new(jobs, base.epoch_interval, 5);
+        for spec in &specs {
+            let (spec, models, base) = (spec.clone(), Arc::clone(&models), base.clone());
+            let lane = spec.lane;
+            scheduler.admit(lane, move || {
+                assert_ne!(lane, SHELL, "injected builder panic");
+                let mut session = build_session(spec, models, base, cfg.max_epochs);
+                if lane == POISONED {
+                    session.set_panic_at_epoch(Some(PANIC_EPOCH));
+                }
+                session
+            });
+        }
+        let mut finished = Vec::new();
+        scheduler.run(|f| finished.push(f));
+        assert_eq!(finished.len(), specs.len());
+        for f in &finished {
+            assert_eq!(f.digest, records_digest(&f.records), "lane {} at jobs {jobs}", f.lane);
+            let poisoned = f.lane == POISONED || f.lane == SHELL;
+            assert_eq!(f.poisoned.is_some(), poisoned, "lane {} at jobs {jobs}", f.lane);
+        }
+        assert_eq!(finished[POISONED as usize].epochs as u64, PANIC_EPOCH);
+        assert!(finished[SHELL as usize].records.is_empty());
+        let digests: Vec<u64> = finished.iter().map(|f| f.digest).collect();
+        match &first_run {
+            Some(want) => assert_eq!(&digests, want, "digests changed at jobs {jobs}"),
+            None => first_run = Some(digests),
         }
     }
 }
