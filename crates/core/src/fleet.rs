@@ -550,6 +550,20 @@ impl Active {
         fs.step_due(self.start_ns, now_ns)
     }
 
+    /// Retires a live session that has served its last frame. The job
+    /// that served that frame calls it, so the walker's capture and the
+    /// drop of its session, context and frames run on the worker, not on
+    /// the scheduler thread between rounds.
+    fn retire_if_finished(&mut self) -> Option<FinishedSession> {
+        if !matches!(&self.state, ActiveState::Live(fs) if fs.finished()) {
+            return None;
+        }
+        let ActiveState::Live(fs) = std::mem::replace(&mut self.state, ActiveState::Vacated) else {
+            unreachable!()
+        };
+        Some(fs.retire())
+    }
+
     /// Retires the slot early as poisoned; see [`FleetSession::poison`].
     /// A builder that panicked before producing a session (its `FnOnce`
     /// recipe is consumed — nothing is left to retry) retires as an empty
@@ -715,22 +729,18 @@ impl FleetScheduler {
                     self.jobs,
                     "fleet.step",
                     |a: &Active| Some(a.lane),
-                    |_, a| a.step_due(now_ns),
+                    |_, a| {
+                        let epoch_ns = a.step_due(now_ns);
+                        (epoch_ns, a.retire_if_finished())
+                    },
                 );
                 for ((&(_, i), mut slot), outcome) in due.iter().zip(batch).zip(outcomes) {
                     match outcome {
-                        Ok(epoch_ns) => {
+                        Ok((epoch_ns, finished)) => {
                             stats.epochs += epoch_ns.len() as u64;
                             stats.epoch_ns.extend(epoch_ns);
-                            let done =
-                                matches!(&slot.state, ActiveState::Live(fs) if fs.finished());
-                            if done {
-                                let ActiveState::Live(fs) =
-                                    std::mem::replace(&mut slot.state, ActiveState::Vacated)
-                                else {
-                                    unreachable!()
-                                };
-                                finish_buf.insert(slot.lane, fs.retire());
+                            if let Some(fin) = finished {
+                                finish_buf.insert(fin.lane, fin);
                                 live -= 1;
                             } else {
                                 active[i] = Some(slot);

@@ -34,7 +34,13 @@
 //! Building a session shares its venue's radio map instead of copying it:
 //! the context, the fingerprint schemes and fusion read one survey, so
 //! `Session::from_context` allocates a fixed amount however many
-//! fingerprints the venue has.
+//! fingerprints the venue has. Fusion's block table is sized by a
+//! counting pass, so it adds a fixed number of allocations too.
+//!
+//! The survey's memo is a work fence of its own: an epoch scores
+//! each heard radio's scan once, though a RADAR scheme and its feature
+//! both ask for the match, and measures the WiFi density once, though the
+//! WiFi and fusion features both ask for it.
 
 use std::sync::{Arc, OnceLock};
 
@@ -44,6 +50,8 @@ use uniloc_core::Session;
 use uniloc_env::venues;
 use uniloc_obs::alloc::{thread_allocs, STEADY_WARMUP_EPOCHS};
 use uniloc_obs::session::{install, ObsSession};
+use uniloc_schemes::fingerprint::{FingerprintDb, RssiLike};
+use uniloc_sensors::{CellScan, SensorFrame, WifiScan};
 use uniloc_stats::json::{Fnv1a, ToJson};
 
 /// Steady-state allocations tolerated inside spans per walk. Zero: the
@@ -187,4 +195,42 @@ fn session_build_shares_the_radio_map() {
              {fingerprints} WiFi fingerprints: something copies the radio map"
         );
     }
+}
+
+/// Whether `frame` carries a scan the radio's scheme and feature match:
+/// one with at least [`RssiLike::MIN_READINGS`] readings.
+fn heard<S: RssiLike>(frame: &SensorFrame) -> bool {
+    S::in_frame(frame).is_some_and(|s| s.reading_count() >= S::MIN_READINGS)
+}
+
+/// The memo misses on `db`'s survey since it read `before`.
+fn misses_over<S: RssiLike>(db: &FingerprintDb<S>, before: (u64, u64)) -> (u64, u64) {
+    let after = db.memo_misses();
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn mall_epoch_scores_each_heard_scan_once() {
+    let _guard = install(Arc::new(ObsSession::stubbed()));
+    let cfg = PipelineConfig::default();
+    let scenario = venues::shopping_mall(5, 1).swap_remove(0);
+    let frames = pipeline::walk_frames(&scenario, &cfg, 6);
+    assert!(frames.len() >= 40, "mall walk too short: {} frames", frames.len());
+    let ctx = pipeline::build_context(&scenario, &cfg, 6);
+    // Clones share the session's surveys, and with them the memo.
+    let (wifi, cell) = (ctx.wifi_db.clone(), ctx.cell_db.clone());
+    let mut session = Session::from_context(Arc::new(scenario), ctx, models(), &cfg, 6);
+    let (mut wifi_heard, mut cell_heard, mut densities) = (0, 0, 0);
+    for (epoch, f) in frames.iter().take(40).enumerate() {
+        let (w0, c0) = (wifi.memo_misses(), cell.memo_misses());
+        session.step(f);
+        let (w, c) = (misses_over(&wifi, w0), misses_over(&cell, c0));
+        let (hw, hc) = (u64::from(heard::<WifiScan>(f)), u64::from(heard::<CellScan>(f)));
+        assert_eq!(w.0, hw, "epoch {epoch}: WiFi scan scored {} time(s)", w.0);
+        assert_eq!(c.0, hc, "epoch {epoch}: cellular scan scored {} time(s)", c.0);
+        assert!(w.1 <= 1 && c.1 <= 1, "epoch {epoch}: density passes {} / {}", w.1, c.1);
+        (wifi_heard, cell_heard, densities) = (wifi_heard + hw, cell_heard + hc, densities + w.1);
+    }
+    assert!(wifi_heard >= 30 && cell_heard >= 30, "heard {wifi_heard} / {cell_heard} of 40");
+    assert!(densities >= 30, "WiFi density measured on {densities} of 40 epochs");
 }

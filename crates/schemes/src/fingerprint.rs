@@ -6,10 +6,10 @@
 //! fingerprint has one sample from each audible AP". The same machinery
 //! serves the cellular scheme over tower RSSIs.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::estimate::SchemeId;
-use crate::index::SignalIndex;
+use crate::index::{reserve_scratch, SignalIndex};
 use uniloc_geom::Point;
 use uniloc_sensors::{CellScan, RssiCalibration, SensorFrame, SensorHub, WifiScan};
 
@@ -117,17 +117,62 @@ pub struct FingerprintMatch {
 /// `tests/index_differential.rs`).
 ///
 /// Clones share one survey: a session's context, its fingerprint schemes
-/// and its fusion scheme all read the same entries and index.
+/// and its fusion scheme all read the same entries and index. They also
+/// share a one-entry memo of the last match and the last density pass,
+/// so a RADAR scheme reuses the match its feature just computed on the
+/// same scan, and the fusion feature the WiFi feature's density. A hit
+/// returns what the kernel returned for the same inputs, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintDb<S> {
     survey: Arc<Survey<S>>,
 }
 
 /// What every clone of a [`FingerprintDb`] shares.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 struct Survey<S> {
     entries: Vec<(Point, S)>,
     index: SignalIndex,
+    memo: Memo,
+}
+
+/// The survey's last match and last density pass, each with the exact
+/// inputs it answered. Every memo equals every other, so comparing two
+/// databases compares their surveys alone.
+#[derive(Debug)]
+struct Memo(Mutex<MemoState>);
+
+impl PartialEq for Memo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    /// Whether `matches` answers `match_k` and `match_scan`; cleared while
+    /// they are rewritten, so a panic mid-write leaves no stale hit.
+    match_valid: bool,
+    match_k: usize,
+    /// The scan's readings as `(id, RSSI bits)`.
+    match_scan: Vec<(u32, u64)>,
+    matches: Vec<FingerprintMatch>,
+    /// The last density pass, keyed by the bits of `p.x`, `p.y` and
+    /// `radius`.
+    density: Option<([u64; 3], Option<f64>)>,
+    /// Kernel calls the memo could not answer: matches, density passes.
+    misses: (u64, u64),
+}
+
+impl MemoState {
+    fn holds_match<S: RssiLike>(&self, scan: &S, k: usize) -> bool {
+        self.match_valid
+            && self.match_k == k
+            && self.match_scan.len() == scan.reading_count()
+            && self.match_scan.iter().enumerate().all(|(i, &key)| {
+                let (id, r) = scan.reading(i);
+                key == (id, r.to_bits())
+            })
+    }
 }
 
 /// WiFi fingerprint database.
@@ -151,7 +196,30 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// signal index is always built from exactly the stored entries.
     fn with_entries(entries: Vec<(Point, S)>) -> Self {
         let index = SignalIndex::build(&entries);
-        FingerprintDb { survey: Arc::new(Survey { entries, index }) }
+        // Room for any scan of ids the survey hears and for a top-k
+        // match, so a session's memo does not grow mid-walk.
+        let memo = MemoState {
+            match_scan: Vec::with_capacity(index.heard_len()),
+            matches: Vec::with_capacity(TOP_K),
+            ..MemoState::default()
+        };
+        let survey = Survey { entries, index, memo: Memo(Mutex::new(memo)) };
+        FingerprintDb { survey: Arc::new(survey) }
+    }
+
+    /// The shared memo, whatever a panicking holder left: a match entry
+    /// is marked invalid while it is rewritten, and a density entry is
+    /// replaced in one move.
+    fn memo(&self) -> std::sync::MutexGuard<'_, MemoState> {
+        self.survey.memo.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many `match_scan_into` and `local_density` calls on this
+    /// survey the memo could not answer, in that order: the work fence of
+    /// the session tests. Not part of the supported API.
+    #[doc(hidden)]
+    pub fn memo_misses(&self) -> (u64, u64) {
+        self.memo().misses
     }
 
     /// Number of usable fingerprints.
@@ -190,8 +258,28 @@ impl<S: RssiLike> FingerprintDb<S> {
 
     /// [`match_scan`](Self::match_scan) into a caller-owned buffer — the
     /// hot-path form the per-epoch loop uses to stay allocation-free.
+    /// The answer comes from the survey's memo when the last match on any
+    /// clone had the same `k` and the same readings, RSSI bits included.
     pub fn match_scan_into(&self, scan: &S, k: usize, out: &mut Vec<FingerprintMatch>) {
+        let mut memo = self.memo();
+        if memo.holds_match(scan, k) {
+            reserve_scratch(out, memo.matches.len());
+            out.extend_from_slice(&memo.matches);
+            return;
+        }
+        memo.match_valid = false;
+        memo.misses.0 += 1;
         self.survey.index.match_into(scan, k, out);
+        let MemoState { match_scan, matches, .. } = &mut *memo;
+        reserve_scratch(match_scan, scan.reading_count());
+        match_scan.extend((0..scan.reading_count()).map(|i| {
+            let (id, r) = scan.reading(i);
+            (id, r.to_bits())
+        }));
+        reserve_scratch(matches, out.len());
+        matches.extend_from_slice(out);
+        memo.match_k = k;
+        memo.match_valid = true;
     }
 
     /// Whether some fingerprint hears an AP (tower) id of `scan`. For a
@@ -233,8 +321,19 @@ impl<S: RssiLike> FingerprintDb<S> {
     /// Computed as the mean nearest-neighbor distance among fingerprints
     /// within `radius` of `p`. Returns `None` when fewer than two
     /// fingerprints are in range (density undefined — treat as very sparse).
+    ///
+    /// The answer comes from the survey's memo when the last density pass
+    /// on any clone had the same bits of `p` and `radius`.
     pub fn local_density(&self, p: Point, radius: f64) -> Option<f64> {
-        self.survey.index.local_density(p, radius)
+        let key = [p.x.to_bits(), p.y.to_bits(), radius.to_bits()];
+        let mut memo = self.memo();
+        if let Some((_, density)) = memo.density.filter(|&(held, _)| held == key) {
+            return density;
+        }
+        memo.misses.1 += 1;
+        let density = self.survey.index.local_density(p, radius);
+        memo.density = Some((key, density));
+        density
     }
 
     /// The retained reference implementation of

@@ -12,7 +12,9 @@
 //!   nearest other fingerprint and the squared distance to it.
 //! * [`SpatialGrid`] — a dense CSR grid over positions with
 //!   expanding-ring nearest lookup, used by the fusion scheme's
-//!   per-particle reweight.
+//!   per-particle reweight. A block table holds each cell's 3×3
+//!   neighbourhood as one contiguous slice, so most lookups scan one slice
+//!   and never walk rings.
 //!
 //! Every kernel is exact: it returns the bits its retained reference
 //! returns (`FingerprintDb::match_scan_linear`,
@@ -118,7 +120,7 @@ struct MatchScratch {
 }
 
 /// Clears `buf` and makes room for `n` items, growing it unattributed.
-fn reserve_scratch<T>(buf: &mut Vec<T>, n: usize) {
+pub(crate) fn reserve_scratch<T>(buf: &mut Vec<T>, n: usize) {
     buf.clear();
     if buf.capacity() < n {
         let _pause = uniloc_obs::alloc::pause();
@@ -215,6 +217,11 @@ impl SignalIndex {
     /// Whether the index holds no fingerprints.
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
+    }
+
+    /// Number of distinct ids the survey hears.
+    pub(crate) fn heard_len(&self) -> usize {
+        self.heard.len()
     }
 
     /// Whether some fingerprint hears an id of `scan`.
@@ -463,6 +470,11 @@ fn nearest_neighbors(positions: &[Point]) -> Vec<(u32, f64)> {
     table
 }
 
+/// The cells of a 3×3 block in the ring walk's visit order: ring 0, then
+/// ring 1 by `dx` and, within each `dx`, `dy` ascending.
+const BLOCK_ORDER: [(i64, i64); 9] =
+    [(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)];
+
 /// Spatial grid over positions for O(1) nearest lookups (the fusion
 /// scheme's per-particle inner loop would otherwise be quadratic).
 ///
@@ -474,6 +486,13 @@ fn nearest_neighbors(positions: &[Point]) -> Vec<(u32, f64)> {
 /// A range too wide for a dense table (far-flung or non-finite positions)
 /// keeps one slot per occupied key in sorted key order and finds slots by
 /// binary search instead.
+///
+/// A dense grid also keeps a block table: for every cell of the table
+/// grown by one cell on each side, the positions of its 3×3 block with
+/// their ids, inline, in the ring walk's visit order. A lookup scans
+/// that one slice for rings 0 and 1 and walks rings only from ring 2 on.
+/// Each position sits in nine blocks, so the table costs about 9 × 24
+/// bytes per position.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cell: f64,
@@ -487,6 +506,11 @@ pub struct SpatialGrid {
     starts: Vec<u32>,
     ids: Vec<u32>,
     positions: Vec<Point>,
+    /// Block `b` of the grown table (column-major, `rows + 2` per column)
+    /// is `blocks[block_starts[b]..block_starts[b + 1]]`; both empty for
+    /// a sparse grid.
+    block_starts: Vec<u32>,
+    blocks: Vec<(Point, u32)>,
 }
 
 impl SpatialGrid {
@@ -516,6 +540,8 @@ impl SpatialGrid {
             starts: Vec::new(),
             ids: vec![0; positions.len()],
             positions,
+            block_starts: Vec::new(),
+            blocks: Vec::new(),
         };
         if !dense {
             grid.sparse_keys = keys.clone();
@@ -541,7 +567,45 @@ impl SpatialGrid {
             fill[s] += 1;
         }
         grid.starts = starts;
+        if dense {
+            grid.build_blocks();
+        }
         grid
+    }
+
+    /// Fills a dense grid's block table. A counting pass sizes both
+    /// arrays, as the CSR table is sized, so the build allocates a fixed
+    /// number of times; a table whose total would overflow its `u32`
+    /// offsets is left out, and lookups then walk every ring.
+    fn build_blocks(&mut self) {
+        let (cols, rows) = (self.cols as i64, self.rows as i64);
+        let grown_rows = rows as usize + 2;
+        let grown = (cols as usize + 2) * grown_rows;
+        let starts = &self.starts;
+        // The CSR slot of grown cell `g`'s neighbour `(dx, dy)`, if any.
+        let slot = |g: usize, (dx, dy): (i64, i64)| {
+            let c = (g / grown_rows) as i64 - 1 + dx;
+            let r = (g % grown_rows) as i64 - 1 + dy;
+            ((0..cols).contains(&c) && (0..rows).contains(&r)).then(|| (c * rows + r) as usize)
+        };
+        let count = |s: usize| (starts[s + 1] - starts[s]) as u64;
+        let mut block_starts = Vec::with_capacity(grown + 1);
+        let mut total = 0u64;
+        block_starts.push(0u32);
+        for g in 0..grown {
+            total += BLOCK_ORDER.iter().filter_map(|&d| slot(g, d)).map(count).sum::<u64>();
+            let Ok(end) = u32::try_from(total) else { return };
+            block_starts.push(end);
+        }
+        let mut blocks = Vec::with_capacity(total as usize);
+        for g in 0..grown {
+            for s in BLOCK_ORDER.iter().filter_map(|&d| slot(g, d)) {
+                let ids = &self.ids[starts[s] as usize..starts[s + 1] as usize];
+                blocks.extend(ids.iter().map(|&i| (self.positions[i as usize], i)));
+            }
+        }
+        self.block_starts = block_starts;
+        self.blocks = blocks;
     }
 
     /// The CSR slot of cell key `(kx, ky)`, if the grid has one.
@@ -557,17 +621,51 @@ impl SpatialGrid {
         }
     }
 
+    /// The block of the grown-table cell holding key `(kx, ky)`, if the
+    /// grid has a block table and the key lies in the grown table. The
+    /// wrapping differences are `slot`'s, shifted by the one-cell border,
+    /// so the block holds exactly the cells `slot` finds around the key.
+    fn block(&self, kx: i64, ky: i64) -> Option<&[(Point, u32)]> {
+        if self.block_starts.is_empty() {
+            return None;
+        }
+        let col = (kx as u64).wrapping_sub(self.origin.0 as u64).wrapping_add(1);
+        let row = (ky as u64).wrapping_sub(self.origin.1 as u64).wrapping_add(1);
+        let grown_rows = self.rows + 2;
+        (col < self.cols + 2 && row < grown_rows).then(|| {
+            let b = (col * grown_rows + row) as usize;
+            &self.blocks[self.block_starts[b] as usize..self.block_starts[b + 1] as usize]
+        })
+    }
+
     /// Index of the position nearest to `p`, searching expanding rings
     /// (up to 3 cells; beyond that no fingerprint can constrain anything).
     /// Cells are visited ring by ring, `dx` then `dy`, and ids in
     /// insertion order, so ties resolve to the first position met in that
     /// order. A NaN coordinate keys to cell 0 and an infinite one
     /// saturates; key arithmetic wraps, so neither can overflow.
+    ///
+    /// Rings 0 and 1 come from the key's block when the grid has one: the
+    /// same positions in the same order, then ring 1's stopping test.
+    /// Ring 0's test, `d.sqrt() < 0.0 * cell`, never holds.
     pub fn nearest(&self, p: Point) -> Option<usize> {
         let cx = (p.x / self.cell).floor() as i64;
         let cy = (p.y / self.cell).floor() as i64;
         let mut best: Option<(usize, f64)> = None;
-        for ring in 0..=3i64 {
+        let mut first_ring = 0;
+        if let Some(block) = self.block(cx, cy) {
+            for &(q, i) in block {
+                let d = q.distance_sq(p);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((i as usize, d));
+                }
+            }
+            if best.is_some_and(|(_, d)| d.sqrt() < self.cell) {
+                return best.map(|(i, _)| i);
+            }
+            first_ring = 2;
+        }
+        for ring in first_ring..=3i64 {
             for dx in -ring..=ring {
                 for dy in -ring..=ring {
                     if dx.abs() != ring && dy.abs() != ring {

@@ -22,8 +22,15 @@
 //!   exactly on the radius, radius 0, NaN and ∞ radii and coordinates, a
 //!   NaN query point, and fewer than 2 and fewer than 40 points in range;
 //! * the grid against the `HashMap` grid it replaced, kept below as a
-//!   reference: equidistant ties, far and non-finite queries;
-//! * `hears_any` against the emptiness of a linear top-1 match.
+//!   reference: equidistant ties, far and non-finite queries; and its
+//!   block table against the same reference: every cell size, queries
+//!   inside, on and past the grown border and on cell edges, non-finite
+//!   positions, sparse and empty grids, nearest positions in ring 2 or 3;
+//! * `hears_any` against the emptiness of a linear top-1 match;
+//! * the survey memo against uncached `SignalIndex` calls: random
+//!   interleavings over databases and clones, scans one RSSI bit apart,
+//!   `-0.0` against `0.0`, two threads on two clones, and a calibrated
+//!   WiFi scheme sharing its survey with a feature pass.
 //!
 //! Equality is asserted on `f64::to_bits`, not `==`: a NaN distance must
 //! match a NaN distance, and `-0.0` must not pass for `0.0`.
@@ -33,9 +40,11 @@ use uniloc_env::ApId;
 use uniloc_geom::Point;
 use uniloc_rng::check::Checker;
 use uniloc_rng::{require, require_eq, Rng};
-use uniloc_schemes::fingerprint::{FingerprintDb, FingerprintMatch};
-use uniloc_schemes::SpatialGrid;
-use uniloc_sensors::WifiScan;
+use uniloc_schemes::fingerprint::{FingerprintDb, FingerprintMatch, TOP_K};
+use uniloc_schemes::{
+    LocalizationScheme, LocationEstimate, SignalIndex, SpatialGrid, WifiFingerprintScheme,
+};
+use uniloc_sensors::{RssiCalibration, SensorFrame, WifiScan};
 
 const REGRESSIONS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/index_differential.regressions");
@@ -473,6 +482,330 @@ fn hears_any_iff_linear_match_is_nonempty() {
         |(db, scans)| {
             for scan in scans.iter().filter(|s| !s.is_empty()) {
                 require_eq!(db.hears_any(scan), !db.match_scan_linear(scan, 1).is_empty());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Cell sizes for the block-table cases: fusion's 5 m, and others that
+/// move the lattice against cell edges.
+const GRID_CELLS: [f64; 4] = [5.0, 2.5, 1.0, 7.3];
+
+/// Positions for the block-table cases, by kind: a lattice with
+/// duplicates (ties everywhere), a lattice three cells apart (the nearest
+/// position of most queries lies in ring 2 or 3), a lattice with a few
+/// non-finite coordinates, every position on one non-finite column (a
+/// dense table whose key saturates or is NaN's 0), two clusters too far
+/// apart for a dense table, and no positions at all.
+fn gen_block_positions(rng: &mut Rng, scale: f64, cell: f64) -> Vec<Point> {
+    let n = 1 + (rng.gen_range(0..80usize) as f64 * scale) as usize;
+    let kind = rng.gen_range(0..8u32);
+    let column = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)];
+    let mut positions: Vec<Point> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let p = match kind {
+            0 | 1 => Point::new(gen_coord(rng, cell / 2.0), gen_coord(rng, cell / 2.0)),
+            2 | 3 => {
+                let spacing = 3.0 * cell;
+                Point::new(
+                    rng.gen_range(0..6u32) as f64 * spacing,
+                    rng.gen_range(0..4u32) as f64 * spacing,
+                )
+            }
+            4 => Point::new(column, rng.gen_range(0..6u32) as f64 * cell),
+            5 => {
+                let far = if rng.gen_range(0..2u32) == 0 { 0.0 } else { 1e7 };
+                Point::new(far + rng.gen_range(0.0..20.0), far + rng.gen_range(0.0..20.0))
+            }
+            6 => return Vec::new(),
+            _ => Point::new(rng.gen_range(-20.0..40.0), rng.gen_range(-20.0..40.0)),
+        };
+        if !positions.is_empty() && rng.gen_range(0..6u32) == 0 {
+            positions.push(positions[rng.gen_range(0..positions.len())]);
+        } else {
+            positions.push(p);
+        }
+    }
+    positions
+}
+
+/// Queries against `positions`: inside the occupied key range, on its
+/// one-cell grown border and one and two cells past it, exactly on cell
+/// edges, at lattice midpoints (equidistant ties), and NaN, ±inf and far.
+fn gen_block_queries(rng: &mut Rng, positions: &[Point], cell: f64) -> Vec<Point> {
+    let finite: Vec<Point> =
+        positions.iter().copied().filter(|p| p.x.is_finite() && p.y.is_finite()).collect();
+    let key = |v: f64| (v / cell).floor();
+    let (mut k0, mut k1) = ((0.0, 0.0), (4.0, 4.0));
+    if let Some(first) = finite.first() {
+        k0 = (key(first.x), key(first.y));
+        k1 = k0;
+        for p in &finite {
+            k0 = (k0.0.min(key(p.x)), k0.1.min(key(p.y)));
+            k1 = (k1.0.max(key(p.x)), k1.1.max(key(p.y)));
+        }
+    }
+    let in_key = |rng: &mut Rng, lo: f64, hi: f64| {
+        (lo + rng.gen_range(0..(hi - lo).clamp(0.0, 1e6) as u64 + 1) as f64) * cell
+    };
+    (0..32)
+        .map(|_| match rng.gen_range(0..12u32) {
+            0 => Point::new(f64::NAN, rng.gen_range(0.0..20.0)),
+            1 => Point::new(f64::INFINITY, in_key(rng, k0.1, k1.1)),
+            2 if rng.gen_range(0..2u32) == 0 => {
+                Point::new(f64::NEG_INFINITY, in_key(rng, k0.1, k1.1))
+            }
+            2 => Point::new(in_key(rng, k0.0, k1.0), f64::NEG_INFINITY),
+            3 => Point::new(rng.gen_range(-1e4..1e4), 1e4),
+            // One, two or three cells past the occupied range, on a side.
+            4 | 5 => {
+                let past = rng.gen_range(1..4u32) as f64;
+                let frac = rng.gen_range(0.0..1.0);
+                let low = rng.gen_range(0..2u32) == 0;
+                let beyond = |lo: f64, hi: f64| if low { lo - past } else { hi + past };
+                if rng.gen_range(0..2u32) == 0 {
+                    let y = in_key(rng, k0.1, k1.1) + frac * cell;
+                    Point::new((beyond(k0.0, k1.0) + frac) * cell, y)
+                } else {
+                    let x = in_key(rng, k0.0, k1.0) + frac * cell;
+                    Point::new(x, (beyond(k0.1, k1.1) + frac) * cell)
+                }
+            }
+            // Exactly on cell edges, inside and on the border.
+            6 | 7 => {
+                let x = in_key(rng, k0.0 - 1.0, k1.0 + 1.0);
+                Point::new(x, in_key(rng, k0.1 - 1.0, k1.1 + 1.0))
+            }
+            // Midpoints between positions: equidistant from both.
+            8 | 9 if finite.len() >= 2 => {
+                let a = finite[rng.gen_range(0..finite.len())];
+                let b = finite[rng.gen_range(0..finite.len())];
+                Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+            }
+            _ => Point::new(
+                rng.gen_range((k0.0 - 2.0) * cell..(k1.0 + 3.0) * cell),
+                rng.gen_range((k0.1 - 2.0) * cell..(k1.1 + 3.0) * cell),
+            ),
+        })
+        .collect()
+}
+
+/// The block table returns the ring walk's index — the `HashMap`
+/// reference's — on dense grids of every shape, on their grown border and
+/// past it, on cell edges and ties, with non-finite queries and positions,
+/// on sparse and empty grids, and where the nearest position lies only in
+/// ring 2 or 3.
+#[test]
+fn block_table_nearest_equals_hashmap_reference() {
+    checker("block_table_nearest_equals_hashmap_reference").run(
+        |rng, scale| {
+            let cell = GRID_CELLS[rng.gen_range(0..GRID_CELLS.len())];
+            let positions = gen_block_positions(rng, scale, cell);
+            let queries = gen_block_queries(rng, &positions, cell);
+            (cell, positions, queries)
+        },
+        |(cell, positions, queries)| {
+            let grid = SpatialGrid::build(positions.clone(), *cell);
+            let reference = HashGrid::build(positions.clone(), *cell);
+            for &q in queries {
+                let (got, want) = (grid.nearest(q), reference.nearest(q));
+                if got != want {
+                    return Err(format!("query {q:?}: block table {got:?} vs reference {want:?}"));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The survey memo's reference: an index built from the database's own
+/// entries, called directly, with no memo in between.
+fn uncached(db: &FingerprintDb<WifiScan>) -> SignalIndex {
+    let entries: Vec<(Point, WifiScan)> = db.entries().map(|(p, s)| (p, s.clone())).collect();
+    SignalIndex::build(&entries)
+}
+
+/// `scan` with one reading's RSSI changed in its lowest bit, or a zero
+/// RSSI's sign flipped: a key the memo must not confuse with the original.
+fn one_bit_off(rng: &mut Rng, scan: &WifiScan) -> WifiScan {
+    let mut scan = scan.clone();
+    if !scan.readings.is_empty() {
+        let i = rng.gen_range(0..scan.readings.len());
+        let r = &mut scan.readings[i].1;
+        *r = if *r == 0.0 { -*r } else { f64::from_bits(r.to_bits() ^ 1) };
+    }
+    scan
+}
+
+/// One step of a memo interleaving.
+#[derive(Debug, Clone)]
+enum MemoOp {
+    Match { db: usize, scan: WifiScan, k: usize },
+    Density { db: usize, p: Point, radius: f64 },
+}
+
+/// A random interleaving over `dbs` databases: fresh scans, repeats of an
+/// earlier scan or query, scans one RSSI bit away, `-0.0` against `0.0`,
+/// and a spread of `k`.
+fn gen_memo_ops(rng: &mut Rng, dbs: usize, n: usize) -> Vec<MemoOp> {
+    let mut ops: Vec<MemoOp> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let db = rng.gen_range(0..dbs);
+        let earlier = (!ops.is_empty()).then(|| ops[rng.gen_range(0..ops.len())].clone());
+        let op = match (rng.gen_range(0..8u32), earlier) {
+            (0 | 1, Some(MemoOp::Match { scan, k, .. })) => MemoOp::Match { db, scan, k },
+            (2, Some(MemoOp::Match { scan, k, .. })) => {
+                MemoOp::Match { db, scan: one_bit_off(rng, &scan), k }
+            }
+            (3, Some(MemoOp::Density { p, radius, .. })) => MemoOp::Density { db, p, radius },
+            (3, _) | (4, _) => {
+                let (p, radius) = gen_density_query(rng);
+                MemoOp::Density { db, p, radius }
+            }
+            (5, _) => {
+                let mut scan = gen_online(rng);
+                if let Some(r) = scan.readings.first_mut() {
+                    r.1 = if rng.gen_range(0..2u32) == 0 { 0.0 } else { -0.0 };
+                }
+                MemoOp::Match { db, scan, k: rng.gen_range(0..6usize) }
+            }
+            _ => MemoOp::Match { db, scan: gen_online(rng), k: rng.gen_range(0..6usize) },
+        };
+        ops.push(op);
+    }
+    ops
+}
+
+/// Runs `ops` through the memoized databases and checks every answer
+/// against the uncached index of the same database.
+fn run_memo_ops(
+    dbs: &[FingerprintDb<WifiScan>],
+    references: &[SignalIndex],
+    ops: &[MemoOp],
+) -> Result<(), String> {
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (step, op) in ops.iter().enumerate() {
+        match op {
+            MemoOp::Match { db, scan, k } => {
+                dbs[*db].match_scan_into(scan, *k, &mut got);
+                references[*db].match_into(scan, *k, &mut want);
+                require_identical(&got, &want).map_err(|e| format!("step {step}: {e}"))?;
+            }
+            MemoOp::Density { db, p, radius } => {
+                let got = dbs[*db].local_density(*p, *radius);
+                let want = references[*db].local_density(*p, *radius);
+                require_same_density(got, want).map_err(|e| format!("step {step}: {e}"))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Over random interleavings of databases (and clones sharing one
+/// survey), scans and `k`, every memoized match and density equals an
+/// uncached `SignalIndex` call, bit for bit.
+#[test]
+fn memoized_answers_equal_uncached_index_calls() {
+    checker("memoized_answers_equal_uncached_index_calls").run(
+        |rng, scale| {
+            let dbs: Vec<FingerprintDb<WifiScan>> = (0..2)
+                .map(|i| if i == 0 { gen_db(rng, scale) } else { gen_density_db(rng, scale) })
+                .collect();
+            let ops = gen_memo_ops(rng, 4, 40);
+            (dbs, ops)
+        },
+        |(dbs, ops)| {
+            // Databases 2 and 3 are clones of 0 and 1: same survey, same memo.
+            let all: Vec<FingerprintDb<WifiScan>> = dbs.iter().chain(dbs.iter()).cloned().collect();
+            let references: Vec<SignalIndex> = all.iter().map(uncached).collect();
+            run_memo_ops(&all, &references, ops)
+        },
+    );
+}
+
+/// Two clones of one database, used from two threads at once, each get
+/// the uncached answer to every call.
+#[test]
+fn memo_is_exact_across_threads() {
+    checker("memo_is_exact_across_threads").cases(32).run(
+        |rng, scale| {
+            let db = gen_db(rng, scale.max(0.5));
+            let ops: Vec<Vec<MemoOp>> = (0..2).map(|_| gen_memo_ops(rng, 1, 200)).collect();
+            (db, ops)
+        },
+        |(db, ops)| {
+            let reference = [uncached(db)];
+            std::thread::scope(|s| {
+                let handles: Vec<_> = ops
+                    .iter()
+                    .map(|ops| {
+                        let clone = [db.clone()];
+                        let reference = &reference;
+                        s.spawn(move || run_memo_ops(&clone, reference, ops))
+                    })
+                    .collect();
+                handles.into_iter().try_for_each(|h| h.join().expect("memo thread panicked"))
+            })
+        },
+    );
+}
+
+/// A frame carrying only `scan`.
+fn wifi_frame(t: f64, scan: WifiScan) -> SensorFrame {
+    SensorFrame {
+        t,
+        true_position: Point::origin(),
+        wifi: Some(scan),
+        cell: None,
+        gps: None,
+        steps: vec![],
+        landmark: None,
+        light_lux: 100.0,
+        magnetic_variance: 0.5,
+    }
+}
+
+/// A calibrated WiFi scheme whose survey is shared with a feature pass,
+/// which matches the raw scan and measures density on the same survey
+/// before each update, estimates exactly what the same scheme over a
+/// private copy of the survey does: the calibrated scan keys differently
+/// and never gets the raw scan's match.
+#[test]
+fn calibrated_scheme_on_a_shared_survey_equals_a_private_one() {
+    checker("calibrated_scheme_on_a_shared_survey_equals_a_private_one").run(
+        |rng, scale| {
+            let entries = gen_entries(rng, scale.max(0.3));
+            let scans: Vec<WifiScan> = (0..24)
+                .map(|_| {
+                    let mut scan = gen_scan(rng, 0, 12);
+                    while scan.readings.len() < 3 {
+                        scan = gen_scan(rng, 0, 12);
+                    }
+                    scan
+                })
+                .collect();
+            let calibration =
+                RssiCalibration { alpha: rng.gen_range(0.9..1.1), delta: rng.gen_range(-6.0..6.0) };
+            (entries, scans, calibration)
+        },
+        |(entries, scans, calibration)| {
+            let shared = FingerprintDb::from_entries(entries.clone());
+            let private = FingerprintDb::from_entries(entries.clone());
+            let scheme = |db| WifiFingerprintScheme::new(db).with_calibration(*calibration);
+            let (mut on_shared, mut on_private) = (scheme(shared.clone()), scheme(private));
+            let mut feature_matches = Vec::new();
+            let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+            for (i, scan) in scans.iter().enumerate() {
+                shared.match_scan_into(scan, TOP_K, &mut feature_matches);
+                let _ = shared.local_density(Point::new(i as f64, 3.0), 20.0);
+                let frame = wifi_frame(i as f64 * 0.5, scan.clone());
+                let (a, b) = (on_shared.update(&frame), on_private.update(&frame));
+                let key = |e: LocationEstimate| (bits(e.position), e.spread.map(f64::to_bits));
+                require_eq!(a.map(key), b.map(key));
+                let means = (on_shared.posterior_mean(), on_private.posterior_mean());
+                require_eq!(means.0.map(bits), means.1.map(bits));
             }
             Ok(())
         },
