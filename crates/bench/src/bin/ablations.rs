@@ -25,9 +25,9 @@
 
 use uniloc_bench::{mean_defined, system_errors, trained_models};
 use uniloc_core::aloc::ALocSelector;
-use uniloc_core::confidence::confidence;
+use uniloc_core::confidence::{self, confidence};
 use uniloc_core::energy::scheme_power_mw;
-use uniloc_core::error_model::{ErrorModelSet, ErrorPrediction};
+use uniloc_core::error_model::ErrorModelSet;
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_env::{campus, venues};
 use uniloc_geom::Point;
@@ -41,36 +41,21 @@ use uniloc_env::{GaitProfile, Walker};
 use uniloc_rng::Rng;
 
 /// Re-fuses recorded per-epoch estimates with externally supplied weights
-/// and returns the mean error.
+/// through the engine's weighted mean and returns the mean error.
 fn refuse(records: &[EpochRecord], weight_of: impl Fn(&EpochRecord, SchemeId) -> f64) -> f64 {
-    let mut errors = Vec::new();
-    for r in records {
-        let mut wsum = 0.0;
-        let mut x = 0.0;
-        let mut y = 0.0;
-        for (id, est) in &r.estimates {
-            if let Some(p) = est {
-                let w = weight_of(r, *id);
-                if w > 0.0 {
-                    wsum += w;
-                    x += w * p.x;
-                    y += w * p.y;
-                }
-            }
-        }
-        if wsum > 0.0 {
-            errors.push(Point::new(x / wsum, y / wsum).distance(r.truth));
-        }
-    }
+    let errors: Vec<f64> = records
+        .iter()
+        .filter_map(|r| {
+            let weighted =
+                r.estimates.iter().filter_map(|&(id, p)| p.map(|p| (weight_of(r, id), p)));
+            confidence::weighted_mean(weighted).map(|p| p.distance(r.truth))
+        })
+        .collect();
     errors.iter().sum::<f64>() / errors.len() as f64
 }
 
 fn recorded_weight(r: &EpochRecord, id: SchemeId) -> f64 {
-    r.weights.iter().find(|(s, _)| *s == id).map_or(0.0, |(_, w)| *w)
-}
-
-fn prediction_of(r: &EpochRecord, id: SchemeId) -> Option<ErrorPrediction> {
-    r.predictions.iter().find(|(s, _)| *s == id).and_then(|(_, p)| *p)
+    r.weight(id).unwrap_or(0.0)
 }
 
 fn main() {
@@ -107,7 +92,7 @@ fn main() {
     println!("\n== ablation 2: adaptive vs fixed confidence threshold ==");
     let with_tau = |records: &[EpochRecord], tau: Option<f64>| {
         refuse(records, |r, id| {
-            let Some(p) = prediction_of(r, id) else { return 0.0 };
+            let Some(p) = r.prediction(id) else { return 0.0 };
             let t = tau.or(r.tau).unwrap_or(5.0);
             confidence(p, t)
         })
@@ -204,25 +189,8 @@ fn main() {
         let mut errors = Vec::new();
         let mut power_sum = 0.0;
         for r in &records {
-            // Rebuild per-epoch reports from the recorded data.
-            let reports: Vec<uniloc_core::engine::SchemeReport> = r
-                .estimates
-                .iter()
-                .map(|(id, est)| uniloc_core::engine::SchemeReport {
-                    id: *id,
-                    estimate: est.map(uniloc_schemes::LocationEstimate::at),
-                    prediction: prediction_of(r, *id),
-                    confidence: 0.0,
-                    weight: 0.0,
-                })
-                .collect();
-            if let Some(choice) = aloc.select(&reports) {
-                if let Some(e) = r
-                    .scheme_errors
-                    .iter()
-                    .find(|(s, _)| *s == choice)
-                    .and_then(|(_, e)| *e)
-                {
+            if let Some(choice) = aloc.select(&r.reports()) {
+                if let Some(e) = r.scheme_error(choice) {
                     errors.push(e);
                     power_sum += scheme_power_mw(choice);
                 }

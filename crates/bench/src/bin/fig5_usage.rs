@@ -30,11 +30,7 @@ fn main() {
             records.iter().filter(|r| r.uniloc1_choice == Some(id)).count() as f64 / total;
         let oracle =
             records.iter().filter(|r| r.oracle_choice == Some(id)).count() as f64 / total;
-        let bma_weight: f64 = records
-            .iter()
-            .filter_map(|r| r.weights.iter().find(|(s, _)| *s == id).map(|(_, w)| *w))
-            .sum::<f64>()
-            / total;
+        let bma_weight = records.iter().filter_map(|r| r.weight(id)).sum::<f64>() / total;
         rows.push(vec![
             id.to_string(),
             format!("{:.1}%", uniloc1 * 100.0),

@@ -20,18 +20,8 @@ fn prediction_pairs(records: &[EpochRecord], id: SchemeId) -> (Vec<f64>, Vec<f64
     let mut predicted = Vec::new();
     let mut actual = Vec::new();
     for r in records {
-        let p = r
-            .predictions
-            .iter()
-            .find(|(s, _)| *s == id)
-            .and_then(|(_, p)| p.map(|p| p.mean));
-        let a = r
-            .scheme_errors
-            .iter()
-            .find(|(s, _)| *s == id)
-            .and_then(|(_, e)| *e);
-        if let (Some(p), Some(a)) = (p, a) {
-            predicted.push(p);
+        if let (Some(p), Some(a)) = (r.prediction(id), r.scheme_error(id)) {
+            predicted.push(p.mean);
             actual.push(a);
         }
     }

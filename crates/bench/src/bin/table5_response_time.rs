@@ -14,11 +14,13 @@
 use std::io::{self, Write};
 use std::time::Instant;
 use uniloc_bench::trained_models;
-use uniloc_core::confidence::{adaptive_tau, confidence};
+use uniloc_core::confidence;
+use uniloc_core::engine::SchemeReport;
 use uniloc_core::error_model::ErrorPrediction;
 use uniloc_core::response::ResponseTimeModel;
+use uniloc_geom::Point;
 use uniloc_iodetect::IoState;
-use uniloc_schemes::SchemeId;
+use uniloc_schemes::{LocationEstimate, SchemeId};
 
 fn print_model(out: &mut dyn Write, title: &str, model: &ResponseTimeModel) -> io::Result<()> {
     let r = model.report();
@@ -65,28 +67,30 @@ fn main() -> io::Result<()> {
     }
     let errpred_ms = t0.elapsed().as_secs_f64() * 1000.0 / ITERS as f64;
 
-    // Measure the real BMA stage: tau, confidences, weights, weighted mean.
-    let preds: Vec<ErrorPrediction> = vec![
-        ErrorPrediction { mean: 13.5, sigma: 9.4 },
-        ErrorPrediction { mean: 3.0, sigma: 4.7 },
-        ErrorPrediction { mean: 8.0, sigma: 8.2 },
-        ErrorPrediction { mean: 2.5, sigma: 1.2 },
-        ErrorPrediction { mean: 2.0, sigma: 0.9 },
-    ];
-    let positions = [(5.0, 5.0), (6.0, 4.0), (9.0, 8.0), (5.5, 4.5), (5.8, 4.9)];
+    // Measure the real BMA stage: the engine's own combiner (tau,
+    // confidences, weights, UniLoc1's selection and UniLoc2's weighted
+    // mean) over five fixed reports.
+    let reports = [
+        (SchemeId::Gps, 13.5, 9.4, (5.0, 5.0)),
+        (SchemeId::Wifi, 3.0, 4.7, (6.0, 4.0)),
+        (SchemeId::Cellular, 8.0, 8.2, (9.0, 8.0)),
+        (SchemeId::Motion, 2.5, 1.2, (5.5, 4.5)),
+        (SchemeId::Fusion, 2.0, 0.9, (5.8, 4.9)),
+    ]
+    .map(|(id, mean, sigma, (x, y))| SchemeReport {
+        id,
+        estimate: Some(LocationEstimate::at(Point::new(x, y))),
+        prediction: Some(ErrorPrediction { mean, sigma }),
+        confidence: 0.0,
+        weight: 0.0,
+    });
     let t0 = Instant::now();
     let mut sink = 0.0f64;
     for _ in 0..ITERS {
-        let tau = adaptive_tau(&preds).unwrap();
-        let confs: Vec<f64> = preds.iter().map(|&p| confidence(p, tau)).collect();
-        let total: f64 = confs.iter().sum();
-        let mut x = 0.0;
-        let mut y = 0.0;
-        for (c, (px, py)) in confs.iter().zip(positions) {
-            x += c / total * px;
-            y += c / total * py;
-        }
-        sink += x + y;
+        let mut epoch = std::hint::black_box(reports);
+        confidence::weigh(&mut epoch, |_| true);
+        let fused = confidence::fuse(&epoch, &[]).uniloc2().expect("every report weighs");
+        sink += fused.x + fused.y;
     }
     let bma_ms = t0.elapsed().as_secs_f64() * 1000.0 / ITERS as f64;
     // Keep the optimizer honest.

@@ -183,11 +183,8 @@ pub fn spec_pipeline_config(base: &PipelineConfig, spec: &SessionSpec) -> Pipeli
         .into_iter()
         .find(|g| g.name == spec.persona)
         .unwrap_or_else(|| panic!("unknown persona {}", spec.persona));
-    let device = match spec.device.as_str() {
-        "nexus5x" => DeviceProfile::nexus_5x(),
-        "lgg3" => DeviceProfile::lg_g3(),
-        other => panic!("unknown device {other}"),
-    };
+    let device = DeviceProfile::by_name(&spec.device)
+        .unwrap_or_else(|| panic!("unknown device {}", spec.device));
     PipelineConfig { gait, device, ..base.clone() }
 }
 

@@ -84,10 +84,7 @@ pub fn system_errors(records: &[EpochRecord], system: &str) -> Vec<Option<f64>> 
             "oracle" => r.oracle_error,
             "uniloc1" => r.uniloc1_error,
             "uniloc2" => r.uniloc2_error,
-            _ => {
-                let id = parse_scheme(system);
-                r.scheme_errors.iter().find(|(s, _)| *s == id).and_then(|(_, e)| *e)
-            }
+            _ => r.scheme_error(parse_scheme(system)),
         })
         .collect()
 }

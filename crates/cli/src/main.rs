@@ -230,11 +230,8 @@ fn cmd_run(flags: &BTreeMap<String, String>, exporter: Option<&JsonlExporter>) -
     let seed = seed_flag(flags)?;
     let name = flags.get("scenario").map(String::as_str).unwrap_or("path1");
     let scenario = scenario_by_name(name, seed)?;
-    let device = match flags.get("device").map(String::as_str) {
-        None | Some("nexus5x") => DeviceProfile::nexus_5x(),
-        Some("lgg3") => DeviceProfile::lg_g3(),
-        Some(other) => return Err(format!("unknown device `{other}`")),
-    };
+    let device = flags.get("device").map_or("nexus5x", String::as_str);
+    let device = DeviceProfile::by_name(device).ok_or(format!("unknown device `{device}`"))?;
     let cfg = PipelineConfig { device, ..PipelineConfig::default() };
     uniloc_obs::info!("walking {} ({:.0} m) ...", scenario.name, scenario.route.length());
     let records = pipeline::run_walk(&scenario, &models, &cfg, seed + 100);
@@ -261,10 +258,7 @@ fn cmd_run(flags: &BTreeMap<String, String>, exporter: Option<&JsonlExporter>) -
     println!("{:<10}{:>10}{:>12}", "system", "mean (m)", "available");
     for id in SchemeId::BUILTIN {
         let mean = pipeline::scheme_mean_error(&records, id);
-        let avail = records
-            .iter()
-            .filter(|r| r.scheme_errors.iter().any(|(s, e)| *s == id && e.is_some()))
-            .count() as f64
+        let avail = records.iter().filter(|r| r.scheme_error(id).is_some()).count() as f64
             / records.len() as f64;
         match mean {
             Some(m) => println!("{:<10}{m:>10.2}{:>11.1}%", id.to_string(), avail * 100.0),

@@ -12,6 +12,11 @@
 //!   estimate, the mixture mean reduces to exactly this weighted average,
 //!   computed independently for X and Y as in the paper).
 //!
+//! Steps (4) and (5) are the pure combiner in
+//! [`confidence`](mod@crate::confidence) ([`weigh`](crate::confidence::weigh)
+//! and [`fuse`](crate::confidence::fuse)), which offline recombination of
+//! recorded epochs calls too.
+//!
 //! An unavailable scheme "just sets its output to zero and UniLoc will
 //! exclude it in calculation temporarily" — here, `None` estimates get zero
 //! confidence. The engine also implements the GPS duty-cycling policy of
@@ -19,7 +24,7 @@
 //! compares its predicted error against every other scheme *before*
 //! consulting the receiver and ignores the fix when GPS would not win.
 
-use crate::confidence::{adaptive_tau, confidence};
+use crate::confidence;
 use crate::error_model::{ErrorModelSet, ErrorPrediction};
 use crate::features::{FeatureExtractor, PredictorKind, SharedContext};
 use crate::guard::{self, FrameGate, GateVerdict};
@@ -131,8 +136,6 @@ struct EpochScratch {
     posterior_means: Vec<Option<Point>>,
     /// Per-scheme non-finite-estimate strikes.
     nonfinite: Vec<bool>,
-    /// Predictions of available, participating schemes (adaptive tau).
-    usable: Vec<ErrorPrediction>,
     /// The feature vector of the scheme being predicted.
     feats: Vec<f64>,
     /// Fingerprint-lookup scratch for feature extraction.
@@ -440,11 +443,7 @@ impl UniLocEngine {
             // unavailable *and* counts as a quarantine strike — it means
             // the scheme's internal state is corrupt, not merely blind.
             let estimate = match estimate {
-                Some(e)
-                    if !e.position.x.is_finite()
-                        || !e.position.y.is_finite()
-                        || e.spread.is_some_and(|s| !s.is_finite()) =>
-                {
+                Some(e) if !e.position.is_finite() || e.spread.is_some_and(|s| !s.is_finite()) => {
                     scratch.nonfinite[idx] = true;
                     metrics.counter(&self.names[idx].nonfinite).inc();
                     None
@@ -465,114 +464,42 @@ impl UniLocEngine {
                 .push(if estimate.is_some() { s.posterior_mean() } else { None });
             reports[idx].estimate = estimate;
         }
-        let participates = |r: &SchemeReport| {
-            (r.id != SchemeId::Gps || gps_enabled) && !excluded_now.contains(&r.id)
-        };
 
-        // Adaptive tau over schemes that are available, predictable and
-        // participating.
+        // Eq. 2: adaptive tau over schemes that are available, predictable
+        // and participating, then confidences and weights.
         let confidence_span = obs.span(Stage::EngineConfidence);
-        scratch.usable.clear();
-        scratch.usable.extend(
-            reports
-                .iter()
-                .filter(|r| r.estimate.is_some() && participates(r))
-                .filter_map(|r| r.prediction),
-        );
-        let tau = adaptive_tau(&scratch.usable);
-
-        // Confidences and weights.
+        let tau = confidence::weigh(&mut reports, |r| {
+            (r.id != SchemeId::Gps || gps_enabled) && !excluded_now.contains(&r.id)
+        });
         if let Some(tau) = tau {
-            let mut total = 0.0;
-            for r in &mut reports {
-                if r.estimate.is_some() && participates(r) {
-                    if let Some(pred) = r.prediction {
-                        r.confidence = confidence(pred, tau);
-                        total += r.confidence;
-                    }
-                }
-            }
-            if total > 0.0 {
-                for r in &mut reports {
-                    r.weight = r.confidence / total;
-                }
-            }
             metrics.gauge("engine.tau").set(tau);
         }
         drop(confidence_span);
+
+        // UniLoc1 (most-confident scheme) and UniLoc2 (locally-weighted BMA
+        // mean, X and Y independently).
         let fuse_span = obs.span(Stage::EngineFuse);
-
-        // UniLoc1: most-confident scheme. `total_cmp` keeps a stray NaN
-        // confidence (already gated upstream) from panicking mid-walk.
-        let best = reports
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.estimate.is_some() && r.confidence > 0.0)
-            .max_by(|(_, a), (_, b)| a.confidence.total_cmp(&b.confidence));
-        // `carrier` is the scheme that actually produced the headline
-        // position (for the degradation ladder when nothing fused).
-        let (best_selection, selected, selected_idx, carrier) = match best {
-            Some((i, r)) => (r.estimate.map(|e| e.position), Some(r.id), Some(i), Some(r.id)),
-            None => {
-                // No model-backed scheme: fall back to any available
-                // estimate so UniLoc still reports a position, preferring
-                // schemes not under quarantine.
-                let fallback = reports
-                    .iter()
-                    .find(|r| r.estimate.is_some() && !excluded_now.contains(&r.id))
-                    .or_else(|| reports.iter().find(|r| r.estimate.is_some()));
-                (
-                    fallback.and_then(|r| r.estimate).map(|e| e.position),
-                    None,
-                    None,
-                    fallback.map(|r| r.id),
-                )
-            }
-        };
-
-        // UniLoc2: locally-weighted BMA mean (X and Y independently).
-        let mut wsum = 0.0;
-        let mut x = 0.0;
-        let mut y = 0.0;
-        for r in &reports {
-            if let Some(e) = r.estimate {
-                if r.weight > 0.0 {
-                    wsum += r.weight;
-                    x += r.weight * e.position.x;
-                    y += r.weight * e.position.y;
-                }
-            }
-        }
-        let bayesian_average = if wsum > 0.0 {
-            metrics.counter("engine.fusion.mode.bma").inc();
-            Some(Point::new(x / wsum, y / wsum))
+        let fusion = confidence::fuse(&reports, &excluded_now);
+        let best_selection = fusion.uniloc1;
+        let mode = if fusion.bma.is_some() {
+            "engine.fusion.mode.bma"
         } else {
-            metrics.counter("engine.fusion.mode.fallback").inc();
-            best_selection
+            "engine.fusion.mode.fallback"
         };
-        if let Some(i) = selected_idx {
+        metrics.counter(mode).inc();
+        let bayesian_average = fusion.uniloc2();
+        if let Some(i) = fusion.selected {
             metrics.counter(&self.names[i].selected).inc();
         }
 
         // The mixture-mean variant: identical weights, but each component
         // contributes its posterior mean instead of its point estimate.
-        let mut mw = 0.0;
-        let mut mx = 0.0;
-        let mut my = 0.0;
-        for (r, pm) in reports.iter().zip(&scratch.posterior_means) {
-            if r.weight > 0.0 {
-                if let Some(p) = pm.or_else(|| r.estimate.map(|e| e.position)) {
-                    mw += r.weight;
-                    mx += r.weight * p.x;
-                    my += r.weight * p.y;
-                }
-            }
-        }
-        let mixture_average = if mw > 0.0 {
-            Some(Point::new(mx / mw, my / mw))
-        } else {
-            bayesian_average
-        };
+        let mixture_average = confidence::weighted_mean(
+            reports.iter().zip(&scratch.posterior_means).filter_map(|(r, pm)| {
+                Some((r.weight, pm.or_else(|| r.estimate.map(|e| e.position))?))
+            }),
+        )
+        .or(bayesian_average);
         drop(fuse_span);
 
         // Numerical-corruption tripwire (sidecar-only): a NaN/infinite
@@ -585,7 +512,7 @@ impl UniLocEngine {
             ("mixture_average", mixture_average),
         ] {
             if let Some(p) = p {
-                if !p.x.is_finite() || !p.y.is_finite() {
+                if !p.is_finite() {
                     metrics.counter("engine.non_finite_estimate").inc();
                     obs.event(
                         uniloc_obs::TraceLevel::Warn,
@@ -612,8 +539,7 @@ impl UniLocEngine {
         // effect at the NEXT epoch's fusion, so this stage reads outputs
         // but never rewrites them.
         let fused = bayesian_average.or(best_selection);
-        let fused_finite =
-            fused.filter(|p| p.x.is_finite() && p.y.is_finite());
+        let fused_finite = fused.filter(|p| p.is_finite());
         for (i, r) in reports.iter().enumerate() {
             let mut strike = scratch.nonfinite[i];
             if let Some(e) = r.estimate {
@@ -740,7 +666,8 @@ impl UniLocEngine {
         let ladder = if fused_finite.is_none() || frozen {
             DegradationLadder::Lost
         } else if contributing == 0 {
-            match carrier {
+            // The scheme that produced the headline position unfused.
+            match fusion.carrier.map(|i| reports[i].id) {
                 Some(SchemeId::Motion) => DegradationLadder::DeadReckoningOnly,
                 Some(_) => DegradationLadder::Degraded(total.saturating_sub(1)),
                 None => DegradationLadder::Lost,
@@ -758,7 +685,7 @@ impl UniLocEngine {
         UniLocOutput {
             t: frame.t,
             best_selection,
-            selected,
+            selected: fusion.selected.map(|i| reports[i].id),
             bayesian_average,
             mixture_average,
             io,

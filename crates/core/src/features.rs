@@ -338,8 +338,7 @@ impl FeatureExtractor {
 /// everything, and no cell block can express that, so then every state is
 /// tested.
 fn hmm_states(mut states: Vec<Point>, cell: &[Point]) -> Vec<Point> {
-    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
-    if !(states.iter().all(finite) && cell.iter().all(finite)) {
+    if !(states.iter().all(|p| p.is_finite()) && cell.iter().all(|p| p.is_finite())) {
         return hmm_states_quadratic(states, cell);
     }
     // Per-cell chains of state indices: `heads` holds each cell's latest

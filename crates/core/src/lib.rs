@@ -18,11 +18,14 @@
 //!   (collect `(features, error)` samples with ground truth, fit a
 //!   per-scheme multiple linear regression with `beta_0 = 0`, indoor and
 //!   outdoor separately) producing Table II.
-//! * [`mod@confidence`] — Eq. 2: confidence as `P(Y_t <= tau)` under
-//!   `Y_t ~ N(mu_t, sigma_eps)` with an adaptive threshold `tau`.
-//! * [`engine`] — Section IV: **UniLoc1** (pick the most-confident scheme)
-//!   and **UniLoc2** (locally-weighted BMA, Eqs. 3-5), scheme exclusion by
-//!   zero confidence, and the GPS duty-cycling policy.
+//! * [`mod@confidence`] — Eqs. 2-5, the combiner as pure functions of one
+//!   epoch's reports: confidence as `P(Y_t <= tau)` under
+//!   `Y_t ~ N(mu_t, sigma_eps)` with an adaptive threshold `tau`,
+//!   **UniLoc1** (pick the most-confident scheme) and **UniLoc2**
+//!   (locally-weighted BMA), scheme exclusion by zero confidence.
+//! * [`engine`] — Section IV: runs the schemes and the error models every
+//!   epoch, applies the GPS duty-cycling policy and the quarantine set,
+//!   and calls the combiner.
 //! * [`pipeline`] — the experiment harness: surveys fingerprints, builds
 //!   the five schemes, walks a scenario and records per-epoch results
 //!   (training-data collection and evaluation share this machinery).

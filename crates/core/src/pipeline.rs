@@ -10,6 +10,7 @@
 //!   models and record every scheme's error, UniLoc1/UniLoc2's errors, the
 //!   oracle, scheme usage and the GPS duty cycle.
 
+use crate::engine::SchemeReport;
 use crate::error_model::{train, ErrorModelSet, ErrorPrediction, TrainingSample};
 use crate::features::{FeatureExtractor, PredictorKind, SharedContext};
 use crate::quarantine::DegradationLadder;
@@ -18,7 +19,7 @@ use uniloc_geom::Point;
 use uniloc_iodetect::IoState;
 use uniloc_schemes::{
     CellFingerprintDb, CellFingerprintScheme, FusionScheme, GpsScheme, LocalizationScheme,
-    PdrScheme, SchemeId, WifiFingerprintDb, WifiFingerprintScheme,
+    LocationEstimate, PdrScheme, SchemeId, WifiFingerprintDb, WifiFingerprintScheme,
 };
 use uniloc_sensors::{DeviceProfile, RssiCalibration, SensorHub};
 use uniloc_rng::Rng;
@@ -173,6 +174,42 @@ uniloc_stats::impl_json_struct!(EpochRecord {
     ladder,
     quarantined,
 });
+
+impl EpochRecord {
+    /// The localization error of scheme `id` (`None` when it was
+    /// unavailable or is not in the record).
+    pub fn scheme_error(&self, id: SchemeId) -> Option<f64> {
+        self.scheme_errors.iter().find(|(s, _)| *s == id).and_then(|(_, e)| *e)
+    }
+
+    /// The predicted error distribution of scheme `id`, if it had one.
+    pub fn prediction(&self, id: SchemeId) -> Option<ErrorPrediction> {
+        self.predictions.iter().find(|(s, _)| *s == id).and_then(|(_, p)| *p)
+    }
+
+    /// The BMA weight of scheme `id` (`None` when it is not in the record).
+    pub fn weight(&self, id: SchemeId) -> Option<f64> {
+        self.weights.iter().find(|(s, _)| *s == id).map(|(_, w)| *w)
+    }
+
+    /// The combiner's inputs for this epoch, rebuilt from the record: each
+    /// scheme's estimate (a bare position) and prediction, with confidence
+    /// and weight zero for [`confidence::weigh`](crate::confidence::weigh)
+    /// to fill in.
+    pub fn reports(&self) -> Vec<SchemeReport> {
+        self.estimates
+            .iter()
+            .zip(&self.predictions)
+            .map(|(&(id, estimate), &(_, prediction))| SchemeReport {
+                id,
+                estimate: estimate.map(LocationEstimate::at),
+                prediction,
+                confidence: 0.0,
+                weight: 0.0,
+            })
+            .collect()
+    }
+}
 
 /// Surveys the venue's fingerprint databases (always with the reference
 /// device, as in the paper) and snapshots the floor plan.
@@ -403,12 +440,7 @@ pub fn mean_defined(values: impl Iterator<Item = Option<f64>>) -> Option<f64> {
 
 /// Per-scheme mean error across records.
 pub fn scheme_mean_error(records: &[EpochRecord], id: SchemeId) -> Option<f64> {
-    mean_defined(records.iter().map(|r| {
-        r.scheme_errors
-            .iter()
-            .find(|(s, _)| *s == id)
-            .and_then(|(_, e)| *e)
-    }))
+    mean_defined(records.iter().map(|r| r.scheme_error(id)))
 }
 
 #[cfg(test)]

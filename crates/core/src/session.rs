@@ -183,7 +183,7 @@ impl Session {
         if [out.best_selection, out.bayesian_average, out.mixture_average]
             .iter()
             .flatten()
-            .any(|p| !p.x.is_finite() || !p.y.is_finite())
+            .any(|p| !p.is_finite())
         {
             flight.trigger("non_finite_estimate", || vec![("t".to_owned(), frame.t.into())]);
         }
@@ -286,9 +286,7 @@ mod tests {
             let _guard = install(Arc::clone(obs));
             let mut session = Session::new(Arc::clone(&scenario), &models, &cfg, 43);
             let records: Vec<EpochRecord> = frames.iter().map(|f| session.step(f)).collect();
-            let available = |i: usize, id: SchemeId| {
-                records[i].scheme_errors.iter().any(|&(s, e)| s == id && e.is_some())
-            };
+            let available = |i: usize, id: SchemeId| records[i].scheme_error(id).is_some();
             assert!((0..records.len()).all(|i| !available(i, SchemeId::Gps)));
             assert!(available(25, SchemeId::Cellular) && !available(24, SchemeId::Cellular));
             obs.capture().flight_lines

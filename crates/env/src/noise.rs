@@ -10,19 +10,12 @@
 //! measurement time.
 
 use uniloc_geom::{Point, Rect};
-
-/// SplitMix64 — tiny, high-quality hash/PRNG step for lattice nodes.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use uniloc_rng::splitmix64;
 
 fn hash_node(seed: u64, salt: u64, ix: i64, iy: i64) -> u64 {
-    let mut h = splitmix64(seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
-    h = splitmix64(h ^ (ix as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
-    splitmix64(h ^ (iy as u64).wrapping_mul(0x8EBC_6AF0_9C88_C6E3))
+    let mut h = splitmix64(&mut (seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F)));
+    h = splitmix64(&mut (h ^ (ix as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB)));
+    splitmix64(&mut (h ^ (iy as u64).wrapping_mul(0x8EBC_6AF0_9C88_C6E3)))
 }
 
 /// Maps a 64-bit hash to an approximately standard-normal value by summing
@@ -31,7 +24,7 @@ fn gaussian_from_hash(h: u64) -> f64 {
     let mut s = 0.0;
     let mut x = h;
     for _ in 0..12 {
-        x = splitmix64(x);
+        x = splitmix64(&mut x);
         s += (x >> 11) as f64 / (1u64 << 53) as f64;
     }
     s - 6.0

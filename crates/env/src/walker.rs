@@ -175,11 +175,11 @@ impl Walker {
         let len = route.length();
         while station < len {
             let step_len = (self.gait.step_length_m
-                * (1.0 + self.gait.length_cv * gauss(&mut self.rng)))
+                * (1.0 + self.gait.length_cv * self.rng.standard_normal()))
             .clamp(0.3 * self.gait.step_length_m, 1.8 * self.gait.step_length_m);
             // Step period varies in the paper's 0.4-0.7 s band.
             let nominal = 1.0 / self.gait.step_freq_hz;
-            let duration = (nominal * (1.0 + 0.08 * gauss(&mut self.rng))).clamp(0.4, 0.7);
+            let duration = (nominal * (1.0 + 0.08 * self.rng.standard_normal())).clamp(0.4, 0.7);
             let heading = route.heading_at(station + step_len / 2.0);
             station = (station + step_len).min(len);
             t += duration;
@@ -194,12 +194,6 @@ impl Walker {
         }
         Trajectory { steps, route_length: len }
     }
-}
-
-fn gauss(rng: &mut Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -162,7 +162,7 @@ impl World {
             let walls = self.wall_crossings(ap.position, p);
             let mean = radio::wifi_mean_rss(d, walls) - extra;
             let shadow = lattice.sample(i, p) * scale;
-            let fading = gauss(rng) * temporal;
+            let fading = rng.standard_normal() * temporal;
             let rss = mean + shadow + fading;
             if rss >= radio::WIFI_FLOOR_DBM {
                 out.push((ap.id, rss));
@@ -187,7 +187,7 @@ impl World {
             let d = tower.position.distance(p);
             let mean = radio::cell_mean_rss(d, pen);
             let shadow = memo.coarse.sample(self.aps.len() + j, p) * scale;
-            let fading = gauss(rng) * radio::CELL_TEMPORAL_SIGMA_DB;
+            let fading = rng.standard_normal() * radio::CELL_TEMPORAL_SIGMA_DB;
             let rss = mean + shadow + fading;
             if rss >= radio::CELL_FLOOR_DBM {
                 out.push((tower.id, rss));
@@ -211,14 +211,14 @@ impl World {
     pub fn visible_satellites(&self, p: Point, memo: &mut ShadowMemo, rng: &mut Rng) -> u32 {
         let sky = self.sky_view(p, memo);
         let mean = 12.0 * sky;
-        let n = mean + gauss(rng) * 0.8;
+        let n = mean + rng.standard_normal() * 0.8;
         n.round().clamp(0.0, 14.0) as u32
     }
 
     /// Ambient light level in lux (daytime).
     pub fn ambient_light(&self, p: Point, rng: &mut Rng) -> f64 {
         let base = self.kind_at(p).base_light_lux();
-        (base * (1.0 + 0.15 * gauss(rng))).max(0.0)
+        (base * (1.0 + 0.15 * rng.standard_normal())).max(0.0)
     }
 
     /// Magnetic disturbance level in `[0, 1]` at `p`.
@@ -242,13 +242,6 @@ impl World {
 pub struct ShadowMemo {
     fine: NoiseMemo,
     coarse: NoiseMemo,
-}
-
-/// Standard normal sample from a uniform RNG (Box–Muller).
-fn gauss(rng: &mut Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Builder for [`World`].

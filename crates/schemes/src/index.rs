@@ -372,12 +372,8 @@ impl SignalIndex {
 /// Positions with a non-finite coordinate get [`NO_NEIGHBOR`].
 fn nearest_neighbors(positions: &[Point]) -> Vec<(u32, f64)> {
     let mut table = vec![(NO_NEIGHBOR, f64::INFINITY); positions.len()];
-    let finite: Vec<u32> = (0..positions.len() as u32)
-        .filter(|&e| {
-            let p = positions[e as usize];
-            p.x.is_finite() && p.y.is_finite()
-        })
-        .collect();
+    let finite: Vec<u32> =
+        (0..positions.len() as u32).filter(|&e| positions[e as usize].is_finite()).collect();
     if finite.len() < 2 {
         return table;
     }

@@ -72,8 +72,11 @@ impl PdrCore {
             .map(|_| {
                 let mut pos = center;
                 for _ in 0..8 {
-                    let cand =
-                        center + Vector2::new(gauss(rng) * INIT_SPREAD, gauss(rng) * INIT_SPREAD);
+                    let cand = center
+                        + Vector2::new(
+                            rng.standard_normal() * INIT_SPREAD,
+                            rng.standard_normal() * INIT_SPREAD,
+                        );
                     if !plan.blocks(center, cand) {
                         pos = cand;
                         break;
@@ -81,8 +84,8 @@ impl PdrCore {
                 }
                 PdrParticle {
                     pos,
-                    length_scale: 1.0 + 0.05 * gauss(rng),
-                    heading_offset: 0.03 * gauss(rng),
+                    length_scale: 1.0 + 0.05 * rng.standard_normal(),
+                    heading_offset: 0.03 * rng.standard_normal(),
                 }
             })
             .collect()
@@ -98,10 +101,12 @@ impl PdrCore {
         penalties.reserve(self.pf.len());
         let plan = &self.plan;
         self.pf.predict(&mut self.rng, |p, rng| {
-            let heading = step.heading_est + p.heading_offset + HEADING_NOISE * gauss(rng);
-            let length =
-                (step.length_est * p.length_scale * (1.0 + STEP_LENGTH_NOISE * gauss(rng)))
-                    .max(0.0);
+            let heading =
+                step.heading_est + p.heading_offset + HEADING_NOISE * rng.standard_normal();
+            let length = (step.length_est
+                * p.length_scale
+                * (1.0 + STEP_LENGTH_NOISE * rng.standard_normal()))
+            .max(0.0);
             let old = p.pos;
             let delta = Vector2::from_heading(heading, length);
             let cand = old + delta;
@@ -196,12 +201,6 @@ impl PdrCore {
         let var = self.pf.estimate(|p| p.pos.distance_sq(mean));
         LocationEstimate::with_spread(mean, var.sqrt())
     }
-}
-
-fn gauss(rng: &mut Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// The motion-based PDR scheme.

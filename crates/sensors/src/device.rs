@@ -80,6 +80,17 @@ impl DeviceProfile {
         DeviceProfile { model: DeviceModel::GalaxyS2, rssi_alpha: 0.94, rssi_delta: -7.0 }
     }
 
+    /// The walking device a name selects: `nexus5x` or `lgg3`, the
+    /// vocabulary of `uniloc run --device` and of the fleet's session
+    /// specs. `None` for any other name.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "nexus5x" => Some(DeviceProfile::nexus_5x()),
+            "lgg3" => Some(DeviceProfile::lg_g3()),
+            _ => None,
+        }
+    }
+
     /// Applies the device's RSSI transfer function to a physical RSS value
     /// (dBm).
     pub fn measure_rssi(&self, truth_dbm: f64) -> f64 {
@@ -114,6 +125,13 @@ mod tests {
         let a = g3.measure_rssi(-50.0);
         let b = g3.measure_rssi(-80.0);
         assert!((a - b) > 25.0 && (a - b) < 35.0);
+    }
+
+    #[test]
+    fn names_select_the_walking_devices() {
+        assert_eq!(DeviceProfile::by_name("nexus5x"), Some(DeviceProfile::nexus_5x()));
+        assert_eq!(DeviceProfile::by_name("lgg3"), Some(DeviceProfile::lg_g3()));
+        assert_eq!(DeviceProfile::by_name("s7"), None);
     }
 
     #[test]

@@ -103,16 +103,14 @@ impl<'w> SensorHub<'w> {
     /// `seed`.
     pub fn new(world: &'w World, device: DeviceProfile, seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let step_scale = 1.0 + 0.08 * rng.standard_normal();
         SensorHub {
             world,
             memo: world.shadow_memo(),
             device,
             rng,
             heading_bias: 0.0,
-            step_scale: 1.0 + 0.08 * g,
+            step_scale,
             last_landmark: None,
         }
     }
@@ -155,9 +153,10 @@ impl<'w> SensorHub<'w> {
         if sats < 4 {
             return None;
         }
-        let hdop = (0.4 + 5.5 / (sats as f64 - 3.0) + 0.15 * self.gauss().abs()).min(20.0);
+        let hdop =
+            (0.4 + 5.5 / (sats as f64 - 3.0) + 0.15 * self.rng.standard_normal().abs()).min(20.0);
         let degradation = (10.5 / sats as f64).max(1.0).powf(1.2);
-        let magnitude = (13.5 + 9.4 * self.gauss()).abs() * degradation;
+        let magnitude = (13.5 + 9.4 * self.rng.standard_normal()).abs() * degradation;
         let angle = self.rng.gen_range(0.0..(2.0 * std::f64::consts::PI));
         let reported = p + Vector2::from_heading(angle, magnitude);
         Some(GpsFix {
@@ -174,7 +173,7 @@ impl<'w> SensorHub<'w> {
 
     /// Reads the magnetometer disturbance proxy at `p`.
     pub fn magnetic_variance(&mut self, p: Point) -> f64 {
-        (self.world.magnetic_disturbance(p) + 0.05 * self.gauss()).clamp(0.0, 1.0)
+        (self.world.magnetic_disturbance(p) + 0.05 * self.rng.standard_normal()).clamp(0.0, 1.0)
     }
 
     /// Corrupts one true step into an IMU [`StepMeasurement`], advancing the
@@ -187,13 +186,14 @@ impl<'w> SensorHub<'w> {
         // over tens of meters — the error-accumulation behaviour the
         // paper's beta_1 (distance from last landmark) feature captures.
         let rate = 0.025 + 0.020 * mag;
-        self.heading_bias = self.heading_bias * 0.97 + rate * self.gauss();
+        self.heading_bias = self.heading_bias * 0.97 + rate * self.rng.standard_normal();
         let tremble = 0.03 + 0.02 * mag;
-        let heading_est = step.heading + self.heading_bias + tremble * self.gauss();
+        let heading_est = step.heading + self.heading_bias + tremble * self.rng.standard_normal();
         // Persistent per-walk gait-scale error plus per-step noise: the
         // correlated part produces along-track drift that only landmark
         // calibration can remove.
-        let length_est = step.step_length * self.step_scale * (1.0 + 0.03 * self.gauss());
+        let length_est =
+            step.step_length * self.step_scale * (1.0 + 0.03 * self.rng.standard_normal());
         StepMeasurement { t: step.t, duration: step.duration, length_est, heading_est }
     }
 
@@ -274,12 +274,6 @@ impl<'w> SensorHub<'w> {
             t += interval;
         }
         frames
-    }
-
-    fn gauss(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }
 

@@ -47,15 +47,8 @@ fn main() {
             ..PipelineConfig::default()
         };
         let records = pipeline::run_walk(&venue, &models, &cfg, 60);
-        let wifi: Vec<f64> = records
-            .iter()
-            .filter_map(|r| {
-                r.scheme_errors
-                    .iter()
-                    .find(|(s, _)| *s == SchemeId::Wifi)
-                    .and_then(|(_, e)| *e)
-            })
-            .collect();
+        let wifi: Vec<f64> =
+            records.iter().filter_map(|r| r.scheme_error(SchemeId::Wifi)).collect();
         let uniloc2: Vec<f64> =
             records.iter().filter_map(|r| r.uniloc2_error).collect();
         println!("\n{label}:");

@@ -46,7 +46,7 @@ fn main() {
                             "motion" => SchemeId::Motion,
                             _ => SchemeId::Fusion,
                         };
-                        r.scheme_errors.iter().find(|(s, _)| *s == id).and_then(|(_, e)| *e)
+                        r.scheme_error(id)
                     }
                 })
                 .collect();

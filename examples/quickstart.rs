@@ -29,12 +29,7 @@ fn main() {
     println!("\nmean localization error over {} epochs:", records.len());
     for id in SchemeId::BUILTIN {
         let err = pipeline::scheme_mean_error(&records, id);
-        let avail = records
-            .iter()
-            .filter(|r| {
-                r.scheme_errors.iter().any(|(s, e)| *s == id && e.is_some())
-            })
-            .count() as f64
+        let avail = records.iter().filter(|r| r.scheme_error(id).is_some()).count() as f64
             / records.len() as f64;
         match err {
             Some(e) => println!("  {id:<10} {e:6.2} m   (available {:5.1}%)", avail * 100.0),
@@ -70,9 +65,7 @@ fn main() {
         }
         print!("  {:<18}", kind.to_string());
         for id in SchemeId::BUILTIN {
-            let err = pipeline::mean_defined(seg.iter().map(|r| {
-                r.scheme_errors.iter().find(|(s, _)| *s == id).and_then(|(_, e)| *e)
-            }));
+            let err = pipeline::mean_defined(seg.iter().map(|r| r.scheme_error(id)));
             match err {
                 Some(e) => print!("{e:>9.2}"),
                 None => print!("{:>9}", "-"),
@@ -85,22 +78,14 @@ fn main() {
         // Mean BMA weight per scheme in this segment.
         print!("    weights        ");
         for id in SchemeId::BUILTIN {
-            let w = pipeline::mean_defined(seg.iter().map(|r| {
-                r.weights.iter().find(|(s, _)| *s == id).map(|(_, w)| *w)
-            }))
-            .unwrap_or(0.0);
+            let w = pipeline::mean_defined(seg.iter().map(|r| r.weight(id))).unwrap_or(0.0);
             print!("{w:>9.3}");
         }
         println!();
         // Mean predicted error per scheme in this segment.
         print!("    predicted      ");
         for id in SchemeId::BUILTIN {
-            let p = pipeline::mean_defined(seg.iter().map(|r| {
-                r.predictions
-                    .iter()
-                    .find(|(s, _)| *s == id)
-                    .and_then(|(_, p)| p.map(|p| p.mean))
-            }));
+            let p = pipeline::mean_defined(seg.iter().map(|r| r.prediction(id).map(|p| p.mean)));
             match p {
                 Some(v) => print!("{v:>9.2}"),
                 None => print!("{:>9}", "-"),

@@ -1,13 +1,14 @@
 //! Cross-crate property-based tests on UniLoc's core invariants, on the
 //! in-repo [`uniloc::rng::check`] harness.
 
-use uniloc::core::confidence::{adaptive_tau, confidence};
+use uniloc::core::confidence::{adaptive_tau, confidence, fuse, weigh, Fusion};
+use uniloc::core::engine::SchemeReport;
 use uniloc::core::error_model::{train, ErrorPrediction, TrainingSample};
 use uniloc::geom::{Point, Polygon, Polyline};
 use uniloc::iodetect::IoState;
 use uniloc::rng::check::Checker;
-use uniloc::rng::{require, require_eq};
-use uniloc::schemes::SchemeId;
+use uniloc::rng::{require, require_eq, Rng};
+use uniloc::schemes::{LocationEstimate, SchemeId};
 use uniloc::stats::{ols, Ecdf, Normal};
 
 const REGRESSIONS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/properties.regressions");
@@ -55,7 +56,7 @@ fn tau_lies_within_prediction_range() {
                 .iter()
                 .map(|&m| ErrorPrediction { mean: m, sigma: 1.0 })
                 .collect();
-            let tau = adaptive_tau(&preds).unwrap();
+            let tau = adaptive_tau(preds).unwrap();
             let lo = means.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = means.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             require!(tau >= lo - 1e-9 && tau <= hi + 1e-9);
@@ -64,45 +65,110 @@ fn tau_lies_within_prediction_range() {
     );
 }
 
-/// BMA weights from any confidence vector form a simplex, and the fused
-/// point stays inside the bounding box of the scheme estimates.
+/// A random combiner input: scheme `Custom(k)` with an estimate, a
+/// prediction and a participation flag, each present with probability 0.8.
+fn random_report(rng: &mut Rng, scale: f64, k: usize) -> (SchemeReport, bool) {
+    let span = 100.0 * scale.max(0.01);
+    let estimate = rng.gen_bool(0.8).then(|| {
+        LocationEstimate::at(Point::new(rng.gen_range(-span..span), rng.gen_range(-span..span)))
+    });
+    let prediction = rng.gen_bool(0.8).then(|| ErrorPrediction {
+        mean: rng.gen_range(0.1..0.1 + 49.9 * scale),
+        sigma: rng.gen_range(0.1..0.1 + 19.9 * scale),
+    });
+    let id = SchemeId::Custom(k as u16);
+    (SchemeReport { id, estimate, prediction, confidence: 0.0, weight: 0.0 }, rng.gen_bool(0.8))
+}
+
+/// Runs the combiner on reports with participation flags; a
+/// non-participant is excluded the way a quarantined scheme is.
+fn combine(inputs: &[(SchemeReport, bool)]) -> (Option<f64>, Vec<SchemeReport>, Fusion) {
+    let excluded: Vec<SchemeId> =
+        inputs.iter().filter(|(_, takes_part)| !takes_part).map(|(r, _)| r.id).collect();
+    let mut reports: Vec<SchemeReport> = inputs.iter().map(|(r, _)| *r).collect();
+    let tau = weigh(&mut reports, |r| !excluded.contains(&r.id));
+    let fusion = fuse(&reports, &excluded);
+    (tau, reports, fusion)
+}
+
+fn point_bits(p: Option<Point>) -> Option<(u64, u64)> {
+    p.map(|p| (p.x.to_bits(), p.y.to_bits()))
+}
+
+/// The combiner's BMA weights form a simplex, and UniLoc2 stays inside the
+/// bounding box of the weighted estimates.
 #[test]
 fn bma_stays_in_the_hull() {
     checker("bma_stays_in_the_hull").run(
         |rng, scale| {
             let n = rng.gen_range(2..8usize);
-            (
-                (0..n).map(|_| rng.gen_range(0.0..1.0)).collect::<Vec<f64>>(),
-                (0..8)
-                    .map(|_| rng.gen_range(-100.0 * scale..100.0 * scale.max(0.01)))
-                    .collect::<Vec<f64>>(),
-                (0..8)
-                    .map(|_| rng.gen_range(-100.0 * scale..100.0 * scale.max(0.01)))
-                    .collect::<Vec<f64>>(),
-            )
+            (0..n).map(|k| random_report(rng, scale, k)).collect::<Vec<_>>()
         },
-        |(confs, xs, ys)| {
-            let n = confs.len();
-            let total: f64 = confs.iter().sum();
-            if total <= 1e-9 {
-                return Ok(()); // degenerate confidences: nothing to fuse
+        |inputs| {
+            let (_, reports, fusion) = combine(inputs);
+            let Some(bma) = fusion.bma else {
+                require!(reports.iter().all(|r| r.weight == 0.0));
+                return Ok(()); // nothing confident: nothing to fuse
+            };
+            require!(reports.iter().all(|r| (0.0..=1.0).contains(&r.weight)));
+            require!((reports.iter().map(|r| r.weight).sum::<f64>() - 1.0).abs() < 1e-9);
+            let weighted = reports.iter().filter(|r| r.weight > 0.0).filter_map(|r| r.estimate);
+            let within = |axis: fn(Point) -> f64| {
+                let (lo, hi) = weighted
+                    .clone()
+                    .map(|e| axis(e.position))
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)));
+                (lo - 1e-9..=hi + 1e-9).contains(&axis(bma))
+            };
+            require!(within(|p| p.x) && within(|p| p.y), "{bma} outside the hull");
+            require_eq!(fusion.uniloc2(), Some(bma));
+            Ok(())
+        },
+    );
+}
+
+/// Scheme-exclusion equivalence (DESIGN.md §7): inserting a report that is
+/// unavailable, has no prediction or does not participate leaves `tau`,
+/// every other report's confidence and weight, the BMA mean, and — when
+/// some scheme is confident — UniLoc1's choice and both UniLoc positions
+/// bit-identical; the inserted report gets no weight. The no-model
+/// fallback is exempt: it may carry any available estimate.
+#[test]
+fn excluded_report_changes_nothing() {
+    checker("excluded_report_changes_nothing").run(
+        |rng, scale| {
+            let n = rng.gen_range(1..7usize);
+            let inputs: Vec<_> = (0..n).map(|k| random_report(rng, scale, k)).collect();
+            let (mut extra, mut takes_part) = random_report(rng, scale, n);
+            match rng.gen_range(0..3usize) {
+                0 => extra.estimate = None,
+                1 => extra.prediction = None,
+                _ => takes_part = false,
             }
-            let weights: Vec<f64> = confs.iter().map(|c| c / total).collect();
-            require!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            let fused_x: f64 = weights.iter().zip(xs).map(|(w, x)| w * x).sum();
-            let fused_y: f64 = weights.iter().zip(ys).map(|(w, y)| w * y).sum();
-            let (min_x, max_x) = xs[..n]
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                });
-            let (min_y, max_y) = ys[..n]
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                });
-            require!(fused_x >= min_x - 1e-9 && fused_x <= max_x + 1e-9);
-            require!(fused_y >= min_y - 1e-9 && fused_y <= max_y + 1e-9);
+            (inputs, (extra, takes_part), rng.gen_range(0..n + 1))
+        },
+        |(inputs, extra, at)| {
+            let (tau, reports, fusion) = combine(inputs);
+            let mut more = inputs.clone();
+            more.insert(*at, *extra);
+            let (tau_more, mut reports_more, fusion_more) = combine(&more);
+            require_eq!(tau.map(f64::to_bits), tau_more.map(f64::to_bits));
+            for ((_, takes_part), r) in more.iter().zip(&reports_more) {
+                let usable = *takes_part && r.estimate.is_some() && r.prediction.is_some();
+                require!(r.weight == 0.0 || usable, "unusable {} weighs {}", r.id, r.weight);
+            }
+            let inserted = reports_more.remove(*at);
+            require_eq!((inserted.confidence, inserted.weight), (0.0, 0.0));
+            for (a, b) in reports.iter().zip(&reports_more) {
+                require_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+                require_eq!(a.weight.to_bits(), b.weight.to_bits());
+            }
+            require_eq!(point_bits(fusion.bma), point_bits(fusion_more.bma));
+            if let Some(i) = fusion.selected {
+                require_eq!(Some(if i < *at { i } else { i + 1 }), fusion_more.selected);
+                require_eq!(point_bits(fusion.uniloc1), point_bits(fusion_more.uniloc1));
+                require_eq!(point_bits(fusion.uniloc2()), point_bits(fusion_more.uniloc2()));
+            }
             Ok(())
         },
     );
