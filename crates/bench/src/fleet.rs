@@ -28,7 +28,7 @@ use uniloc_core::fleet::{
 };
 use uniloc_core::pipeline::{self, EpochRecord, PipelineConfig};
 use uniloc_core::session::Session;
-use uniloc_env::{GaitProfile, Scenario};
+use uniloc_env::{GaitProfile, Scenario, SurveyPlan};
 use uniloc_faults::{FaultInjector, FaultPlan};
 use uniloc_obs::fleet::{self as obsfleet, FleetAggregator, FleetSnapshot, SessionMeta};
 use uniloc_obs::ObsSession;
@@ -244,6 +244,20 @@ pub fn build_session_with_obs(
     max_epochs: usize,
     obs_stub: bool,
 ) -> FleetSession {
+    build_walker(spec, models, base, max_epochs, obs_stub, None)
+}
+
+/// [`build_session_with_obs`], surveying on `survey` when given: the
+/// venue's plan that the whole fleet shares ([`venue_plans`]). Without
+/// one the walker lays its own ([`pipeline::build_context`]).
+fn build_walker(
+    spec: SessionSpec,
+    models: Arc<ErrorModelSet>,
+    base: PipelineConfig,
+    max_epochs: usize,
+    obs_stub: bool,
+    survey: Option<Arc<SurveyPlan>>,
+) -> FleetSession {
     let lane = spec.lane;
     let name = spec.name.clone();
     let panic_epoch = FaultPlan::by_name(&spec.plan).and_then(|p| p.panic_epoch());
@@ -262,11 +276,42 @@ pub fn build_session_with_obs(
         let scenario = spec_scenario(&spec);
         let cfg = spec_pipeline_config(&base, &spec);
         let frames = spec_frames(&scenario, &cfg, &spec, max_epochs);
-        let session = Session::new(Arc::new(scenario), &models, &cfg, spec.seed);
+        let ctx = match &survey {
+            Some(survey) => pipeline::build_context_on(&scenario, &cfg, spec.seed, survey),
+            None => pipeline::build_context(&scenario, &cfg, spec.seed),
+        };
+        let session = Session::from_context(Arc::new(scenario), ctx, &models, &cfg, spec.seed);
         (session, frames)
     });
     fleet_session.set_panic_at_epoch(panic_epoch);
     fleet_session
+}
+
+/// One survey plan per venue of `cfg`, for every walker of that venue to
+/// share read-only. A plan depends on the venue's geometry and `base`'s
+/// spacings, never on the seed, so the seed-1 venue lays it for all.
+/// An invalid `base` lays none: each walker's builder then fails in its
+/// own job, as it would without plans.
+///
+/// # Errors
+///
+/// Returns the first unknown scenario name.
+fn venue_plans(
+    cfg: &FleetConfig,
+    base: &PipelineConfig,
+) -> Result<BTreeMap<String, Arc<SurveyPlan>>, String> {
+    let mut plans = BTreeMap::new();
+    if base.validate().is_err() {
+        return Ok(plans);
+    }
+    for name in &cfg.scenario_names {
+        if !plans.contains_key(name) {
+            let venue = scenario_by_name(name, 1)?;
+            let plan = venue.survey_plan(base.indoor_spacing, base.outdoor_spacing);
+            plans.insert(name.clone(), Arc::new(plan));
+        }
+    }
+    Ok(plans)
 }
 
 /// The spec's records through the *legacy batch path*
@@ -695,6 +740,7 @@ pub fn run_fleet_durable(
         summaries.iter().map(|s| s.spec.lane).collect();
     let spec_by_lane: BTreeMap<u64, SessionSpec> =
         specs.iter().map(|s| (s.lane, s.clone())).collect();
+    let plans = venue_plans(cfg, base)?;
 
     let mut admitted = 0usize;
     for spec in &specs {
@@ -702,29 +748,24 @@ pub fn run_fleet_durable(
             continue;
         }
         admitted += 1;
+        let lane = spec.lane;
+        let survey = plans.get(&spec.scenario).cloned();
         let (spec, models, base) = (spec.clone(), Arc::clone(models), base.clone());
         let (max_epochs, obs_stub) = (cfg.max_epochs, cfg.obs_stub);
-        match restored.remove(&spec.lane) {
+        let build = move || build_walker(spec, models, base, max_epochs, obs_stub, survey);
+        match restored.remove(&lane) {
             // A mid-flight walker: rebuild from its recipe and replay the
             // already-served frames *with recording*, so its eventual row
             // and capture match an uninterrupted serve byte for byte.
             Some(entry) => {
                 let cursor = entry.checkpoint.cursor as usize;
-                scheduler.admit_restored(
-                    spec.lane,
-                    entry.strikes,
-                    entry.backoff_rounds,
-                    move || {
-                        let mut session =
-                            build_session_with_obs(spec, models, base, max_epochs, obs_stub);
-                        session.replay_recorded(cursor);
-                        session
-                    },
-                );
+                scheduler.admit_restored(lane, entry.strikes, entry.backoff_rounds, move || {
+                    let mut session = build();
+                    session.replay_recorded(cursor);
+                    session
+                });
             }
-            None => scheduler.admit(spec.lane, move || {
-                build_session_with_obs(spec, models, base, max_epochs, obs_stub)
-            }),
+            None => scheduler.admit(lane, build),
         }
     }
     uniloc_obs::info!(

@@ -14,7 +14,7 @@ use crate::engine::SchemeReport;
 use crate::error_model::{train, ErrorModelSet, ErrorPrediction, TrainingSample};
 use crate::features::{FeatureExtractor, PredictorKind, SharedContext};
 use crate::quarantine::DegradationLadder;
-use uniloc_env::{venues, GaitProfile, Scenario, Walker};
+use uniloc_env::{venues, GaitProfile, Scenario, SurveyPlan, Walker};
 use uniloc_geom::Point;
 use uniloc_iodetect::IoState;
 use uniloc_schemes::{
@@ -212,14 +212,34 @@ impl EpochRecord {
 }
 
 /// Surveys the venue's fingerprint databases (always with the reference
-/// device, as in the paper) and snapshots the floor plan.
+/// device, as in the paper) and snapshots the floor plan: a fresh
+/// [`SurveyPlan`] at the config's spacings, then [`build_context_on`].
 pub fn build_context(scenario: &Scenario, cfg: &PipelineConfig, seed: u64) -> SharedContext {
     assert_valid(cfg);
+    let survey = scenario.survey_plan(cfg.indoor_spacing, cfg.outdoor_spacing);
+    build_context_on(scenario, cfg, seed, &survey)
+}
+
+/// [`build_context`] on a survey plan of the venue that may be shared:
+/// the hub on `seed` draws only the seeded half of each scan, so the
+/// context equals [`build_context`]'s bit for bit.
+///
+/// # Panics
+///
+/// Panics when `cfg` is invalid, or when `survey` is not the venue's plan
+/// at the config's spacings ([`Scenario::assert_plan`]).
+pub fn build_context_on(
+    scenario: &Scenario,
+    cfg: &PipelineConfig,
+    seed: u64,
+    survey: &SurveyPlan,
+) -> SharedContext {
+    assert_valid(cfg);
+    scenario.assert_plan(survey, cfg.indoor_spacing, cfg.outdoor_spacing);
     let mut hub = SensorHub::new(&scenario.world, DeviceProfile::nexus_5x(), seed);
-    let points = scenario.survey_points(cfg.indoor_spacing, cfg.outdoor_spacing);
     SharedContext {
-        wifi_db: WifiFingerprintDb::survey_wifi(&mut hub, &points),
-        cell_db: CellFingerprintDb::survey_cell(&mut hub, &points),
+        wifi_db: WifiFingerprintDb::survey_wifi_plan(&mut hub, survey),
+        cell_db: CellFingerprintDb::survey_cell_plan(&mut hub, survey),
         plan: scenario.world.floorplan().clone(),
     }
 }

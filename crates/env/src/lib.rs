@@ -53,5 +53,5 @@ pub use campus::Scenario;
 pub use noise::SpatialNoise;
 pub use radio::{AccessPoint, ApId, CellTower, TowerId};
 pub use walker::{GaitProfile, StepEvent, Trajectory, Walker};
-pub use world::{ShadowMemo, World, WorldBuilder};
+pub use world::{ShadowMemo, SurveyPlan, World, WorldBuilder};
 pub use zone::{EnvKind, Zone};

@@ -9,7 +9,7 @@ use crate::noise::{NoiseMemo, SpatialNoise};
 use crate::radio::{self, AccessPoint, ApId, CellTower, TowerId};
 use crate::zone::{EnvKind, Zone};
 use uniloc_rng::Rng;
-use uniloc_geom::{FloorPlan, GeoCoord, GeoFrame, Point, Rect, Segment};
+use uniloc_geom::{FloorPlan, GeoCoord, GeoFrame, Point, Rect, Segment, Wall};
 
 /// Salt namespaces so shadowing fields of APs and towers never collide.
 const WIFI_SALT: u64 = 0x5749_4649; // "WIFI"
@@ -148,27 +148,8 @@ impl World {
         assert!(self.owns(memo), "shadow memo from another world");
         let kind = self.kind_at(p);
         let extra = kind.wifi_extra_loss_db();
-        // Indoor shadowing decorrelates at room scale (walls, furniture);
-        // outdoor shadowing varies over tens of meters.
-        let (lattice, temporal) = if kind.is_roofed() {
-            (&mut memo.fine, radio::WIFI_TEMPORAL_SIGMA_DB)
-        } else {
-            (&mut memo.coarse, radio::WIFI_TEMPORAL_OUTDOOR_SIGMA_DB)
-        };
-        let scale = radio::WIFI_SHADOWING_SIGMA_DB / lattice.field().sigma().max(1e-9);
-        let mut out = Vec::new();
-        for (i, ap) in self.aps.iter().enumerate() {
-            let d = ap.position.distance(p);
-            let walls = self.wall_crossings(ap.position, p);
-            let mean = radio::wifi_mean_rss(d, walls) - extra;
-            let shadow = lattice.sample(i, p) * scale;
-            let fading = rng.standard_normal() * temporal;
-            let rss = mean + shadow + fading;
-            if rss >= radio::WIFI_FLOOR_DBM {
-                out.push((ap.id, rss));
-            }
-        }
-        out
+        let means = self.aps.iter().map(|ap| self.wifi_path_rss(ap, p) - extra);
+        self.wifi_scan(p, kind, means, memo, rng)
     }
 
     /// Truth-level cellular scan at `p`, sorted by id.
@@ -179,21 +160,141 @@ impl World {
         rng: &mut Rng,
     ) -> Vec<(TowerId, f64)> {
         assert!(self.owns(memo), "shadow memo from another world");
-        let kind = self.kind_at(p);
-        let pen = kind.cellular_penetration_loss_db();
+        let pen = self.kind_at(p).cellular_penetration_loss_db();
+        let means = self.towers.iter().map(|t| radio::cell_mean_rss(t.position.distance(p), pen));
+        self.cell_scan(p, means, memo, rng)
+    }
+
+    /// Mean WiFi RSS of `ap` at `p` through the walls between them,
+    /// before the zone's extra loss.
+    fn wifi_path_rss(&self, ap: &AccessPoint, p: Point) -> f64 {
+        radio::wifi_mean_rss(ap.position.distance(p), self.wall_crossings(ap.position, p))
+    }
+
+    /// The WiFi scan at `p`, in zone kind `kind`, from each AP's mean RSS
+    /// in world order: the one loop of [`World::wifi_observation`] and
+    /// [`World::wifi_survey`].
+    fn wifi_scan(
+        &self,
+        p: Point,
+        kind: EnvKind,
+        means: impl Iterator<Item = f64>,
+        memo: &mut ShadowMemo,
+        rng: &mut Rng,
+    ) -> Vec<(ApId, f64)> {
+        // Indoor shadowing decorrelates at room scale (walls, furniture);
+        // outdoor shadowing varies over tens of meters.
+        let (lattice, temporal) = if kind.is_roofed() {
+            (&mut memo.fine, radio::WIFI_TEMPORAL_SIGMA_DB)
+        } else {
+            (&mut memo.coarse, radio::WIFI_TEMPORAL_OUTDOOR_SIGMA_DB)
+        };
+        let scale = radio::WIFI_SHADOWING_SIGMA_DB / lattice.field().sigma().max(1e-9);
+        let ids = self.aps.iter().map(|ap| ap.id);
+        let shadow = |i| lattice.sample(i, p) * scale;
+        observe(ids, means, shadow, temporal, radio::WIFI_FLOOR_DBM, rng)
+    }
+
+    /// The cellular scan at `p` from each tower's mean RSS in world order:
+    /// the one loop of [`World::cell_observation`] and
+    /// [`World::cell_survey`].
+    fn cell_scan(
+        &self,
+        p: Point,
+        means: impl Iterator<Item = f64>,
+        memo: &mut ShadowMemo,
+        rng: &mut Rng,
+    ) -> Vec<(TowerId, f64)> {
         let scale = radio::CELL_SHADOWING_SIGMA_DB / self.cell_shadowing.sigma().max(1e-9);
-        let mut out = Vec::new();
-        for (j, tower) in self.towers.iter().enumerate() {
-            let d = tower.position.distance(p);
-            let mean = radio::cell_mean_rss(d, pen);
-            let shadow = memo.coarse.sample(self.aps.len() + j, p) * scale;
-            let fading = rng.standard_normal() * radio::CELL_TEMPORAL_SIGMA_DB;
-            let rss = mean + shadow + fading;
-            if rss >= radio::CELL_FLOOR_DBM {
-                out.push((tower.id, rss));
-            }
+        let ids = self.towers.iter().map(|t| t.id);
+        let first = self.aps.len();
+        let shadow = |j| memo.coarse.sample(first + j, p) * scale;
+        observe(ids, means, shadow, radio::CELL_TEMPORAL_SIGMA_DB, radio::CELL_FLOOR_DBM, rng)
+    }
+
+    /// The seed-independent half of a survey at `points`: each point's zone
+    /// kind and every transmitter's mean RSS there ([`SurveyPlan`]).
+    pub fn survey_plan(&self, points: Vec<Point>) -> SurveyPlan {
+        let kinds: Vec<EnvKind> = points.iter().map(|&p| self.kind_at(p)).collect();
+        let mut wifi_means = Vec::with_capacity(points.len() * self.aps.len());
+        let mut cell_means = Vec::with_capacity(points.len() * self.towers.len());
+        for (&p, kind) in points.iter().zip(&kinds) {
+            let extra = kind.wifi_extra_loss_db();
+            wifi_means.extend(self.aps.iter().map(|ap| self.wifi_path_rss(ap, p) - extra));
+            let pen = kind.cellular_penetration_loss_db();
+            cell_means.extend(
+                self.towers.iter().map(|t| radio::cell_mean_rss(t.position.distance(p), pen)),
+            );
         }
-        out
+        SurveyPlan {
+            zones: self.zones.clone(),
+            walls: self.floorplan.walls().to_vec(),
+            aps: self.aps.clone(),
+            towers: self.towers.clone(),
+            spacings: None,
+            points,
+            kinds,
+            wifi_means,
+            cell_means,
+        }
+    }
+
+    /// Whether `plan` was computed over this world's geometry: the same
+    /// zones, walls, access points and towers, compared with `==`. The
+    /// shadowing seed is not part of it.
+    pub fn owns_plan(&self, plan: &SurveyPlan) -> bool {
+        plan.zones == self.zones
+            && plan.walls == self.floorplan.walls()
+            && plan.aps == self.aps
+            && plan.towers == self.towers
+    }
+
+    /// The WiFi survey of `plan`: [`World::wifi_observation`] at each of
+    /// its points in order, bit for bit and draw for draw, with the means
+    /// read from the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics when this world does not own `plan` ([`World::owns_plan`])
+    /// or `memo`.
+    pub fn wifi_survey(
+        &self,
+        plan: &SurveyPlan,
+        memo: &mut ShadowMemo,
+        rng: &mut Rng,
+    ) -> Vec<Vec<(ApId, f64)>> {
+        assert!(self.owns(memo), "shadow memo from another world");
+        assert!(self.owns_plan(plan), "survey plan from another world");
+        let n = self.aps.len();
+        (0..plan.points.len())
+            .map(|i| {
+                let means = plan.wifi_means[i * n..(i + 1) * n].iter().copied();
+                self.wifi_scan(plan.points[i], plan.kinds[i], means, memo, rng)
+            })
+            .collect()
+    }
+
+    /// The cellular survey of `plan`: [`World::cell_observation`] at each
+    /// of its points in order, bit for bit and draw for draw.
+    ///
+    /// # Panics
+    ///
+    /// As [`World::wifi_survey`].
+    pub fn cell_survey(
+        &self,
+        plan: &SurveyPlan,
+        memo: &mut ShadowMemo,
+        rng: &mut Rng,
+    ) -> Vec<Vec<(TowerId, f64)>> {
+        assert!(self.owns(memo), "shadow memo from another world");
+        assert!(self.owns_plan(plan), "survey plan from another world");
+        let n = self.towers.len();
+        (0..plan.points.len())
+            .map(|i| {
+                let means = plan.cell_means[i * n..(i + 1) * n].iter().copied();
+                self.cell_scan(plan.points[i], means, memo, rng)
+            })
+            .collect()
     }
 
     /// Sky-view fraction at `p` (from the zone kind, smoothly dithered so
@@ -242,6 +343,82 @@ impl World {
 pub struct ShadowMemo {
     fine: NoiseMemo,
     coarse: NoiseMemo,
+}
+
+/// The one observation loop: per transmitter, in world order, its mean
+/// RSS plus its shadowing plus a fresh fading draw, kept when at or above
+/// the receiver floor.
+fn observe<Id>(
+    ids: impl Iterator<Item = Id>,
+    means: impl Iterator<Item = f64>,
+    mut shadow: impl FnMut(usize) -> f64,
+    fading_sigma: f64,
+    floor: f64,
+    rng: &mut Rng,
+) -> Vec<(Id, f64)> {
+    let mut out = Vec::new();
+    for (j, (id, mean)) in ids.zip(means).enumerate() {
+        let shadow = shadow(j);
+        let fading = rng.standard_normal() * fading_sigma;
+        let rss = mean + shadow + fading;
+        if rss >= floor {
+            out.push((id, rss));
+        }
+    }
+    out
+}
+
+/// The seed-independent half of a radio-map survey
+/// ([`World::survey_plan`], [`Scenario::survey_plan`](crate::Scenario::survey_plan)).
+///
+/// A survey scan at a point is, per transmitter, its mean RSS plus
+/// shadowing plus fresh fading. The mean (path loss over the distance,
+/// the walls crossed, the zone's extra or penetration loss) depends on the
+/// venue's geometry alone; the shadowing comes from the world's seeded
+/// fields and the fading from the caller's RNG. A plan holds the survey
+/// points, each point's [`EnvKind`] and every AP's and tower's mean there
+/// (row-major, one row per point), so every walker of a venue, each with
+/// its own seed, can survey from one plan read-only and do only the
+/// seeded half. [`World::wifi_survey`] and [`World::cell_survey`] run the
+/// same loop as [`World::wifi_observation`] and [`World::cell_observation`]
+/// and return their bits.
+///
+/// The plan keeps the geometry it was computed over. A world with other
+/// zones, walls, APs or towers does not own it ([`World::owns_plan`]) and
+/// its surveys panic, as they do for a [`ShadowMemo`] of another world; a
+/// plan built at other spacings fails
+/// [`Scenario::assert_plan`](crate::Scenario::assert_plan).
+#[derive(Debug, Clone)]
+pub struct SurveyPlan {
+    zones: Vec<Zone>,
+    walls: Vec<Wall>,
+    aps: Vec<AccessPoint>,
+    towers: Vec<CellTower>,
+    /// Bits of the indoor and outdoor spacings the points were laid at;
+    /// `None` for a plan over given points.
+    spacings: Option<[u64; 2]>,
+    points: Vec<Point>,
+    kinds: Vec<EnvKind>,
+    wifi_means: Vec<f64>,
+    cell_means: Vec<f64>,
+}
+
+impl SurveyPlan {
+    /// The survey points, in survey order.
+    pub fn points(&self) -> &[Point] {
+        &self.points
+    }
+
+    /// This plan, marked as laid at these spacings.
+    pub(crate) fn laid_at(mut self, indoor_spacing: f64, outdoor_spacing: f64) -> Self {
+        self.spacings = Some([indoor_spacing.to_bits(), outdoor_spacing.to_bits()]);
+        self
+    }
+
+    /// Whether the plan was laid at these spacings, bit for bit.
+    pub(crate) fn is_laid_at(&self, indoor_spacing: f64, outdoor_spacing: f64) -> bool {
+        self.spacings == Some([indoor_spacing.to_bits(), outdoor_spacing.to_bits()])
+    }
 }
 
 /// Builder for [`World`].

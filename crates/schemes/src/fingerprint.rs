@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::estimate::SchemeId;
 use crate::index::{reserve_scratch, SignalIndex};
+use uniloc_env::SurveyPlan;
 use uniloc_geom::Point;
 use uniloc_sensors::{CellScan, RssiCalibration, SensorFrame, SensorHub, WifiScan};
 
@@ -384,16 +385,29 @@ impl<S: RssiLike> FingerprintDb<S> {
 
 impl WifiFingerprintDb {
     /// Surveys WiFi fingerprints at the given points with a device hub —
-    /// the offline phase of RADAR.
+    /// the offline phase of RADAR. A thin wrapper over
+    /// [`survey_wifi_plan`](Self::survey_wifi_plan) on a fresh plan.
     pub fn survey_wifi(hub: &mut SensorHub<'_>, points: &[Point]) -> Self {
-        FingerprintDb::from_entries(points.iter().map(|&p| (p, hub.scan_wifi(p))))
+        Self::survey_wifi_plan(hub, &hub.world().survey_plan(points.to_vec()))
+    }
+
+    /// Surveys WiFi fingerprints at the points of `plan`, which may be
+    /// shared by every hub of the venue ([`SurveyPlan`]).
+    pub fn survey_wifi_plan(hub: &mut SensorHub<'_>, plan: &SurveyPlan) -> Self {
+        FingerprintDb::from_entries(plan.points().iter().copied().zip(hub.survey_wifi(plan)))
     }
 }
 
 impl CellFingerprintDb {
-    /// Surveys cellular fingerprints at the given points.
+    /// Surveys cellular fingerprints at the given points. A thin wrapper
+    /// over [`survey_cell_plan`](Self::survey_cell_plan) on a fresh plan.
     pub fn survey_cell(hub: &mut SensorHub<'_>, points: &[Point]) -> Self {
-        FingerprintDb::from_entries(points.iter().map(|&p| (p, hub.scan_cell(p))))
+        Self::survey_cell_plan(hub, &hub.world().survey_plan(points.to_vec()))
+    }
+
+    /// Surveys cellular fingerprints at the points of `plan`.
+    pub fn survey_cell_plan(hub: &mut SensorHub<'_>, plan: &SurveyPlan) -> Self {
+        FingerprintDb::from_entries(plan.points().iter().copied().zip(hub.survey_cell(plan)))
     }
 }
 

@@ -65,11 +65,26 @@
 //!   reference does. (`f64::min` ignores NaN and squared distances are
 //!   never `-0.0`, so a minimum's bits do not depend on scan order.)
 //!
-//! The table is built with a uniform grid search. After ring `r` of
-//! cells around a point is searched, every unsearched point lies at least
-//! `r` cells away, up to rounding in the cell assignment; the search
-//! stops once the best squared distance is below `((r − 1)·cell)²`, a
-//! whole cell of margin.
+//! The table is built with a uniform grid search that stops as soon as no
+//! unsearched point can come closer. Write `u = 2⁻⁵³` (the unit roundoff),
+//! `c` for the cell, `x0` for the smallest x and `K = max(nx, ny)` for the
+//! grid's larger side in cells. A point's column is `floor(ũ)` with
+//! `ũ = fl(fl(x − x0) / c)`: two roundings, so `|ũ − (x − x0)/c| ≤ 3u·ũ`,
+//! and `ũ < K`. After ring `r` around point `a` is searched, an unsearched
+//! point `q` sits at least `r + 1` columns (or rows) from `a`'s, so
+//! `ũ_q − ũ_a > r`, and in exact arithmetic
+//! `|q.x − a.x| > c·(r − 7uK) ≥ c·r·(1 − 7uK)` for `r ≥ 1`. `distance_sq`
+//! rounds the difference, both squares and the sum, so its value for `q`
+//! is at least `(1 − 4u)` times the exact one, hence above
+//! `(r·c)²·(1 − 18uK)`. The test computes `(r·c)²·(1 − η)` with five
+//! roundings, each at most a factor `(1 + u)`, so with
+//! `η = 32u·(K + 1) = (K + 1)·2⁻⁴⁸ ≥ 18uK + 5.0001u` the computed bound is
+//! below every unsearched point's squared distance. The search stops once
+//! the best squared distance is below that bound; an unsearched point is
+//! then strictly farther, and a tie never replaces the best (`d < best`),
+//! so the table equals an exhaustive ring search's, index included. Ring
+//! 0 never stops (its bound is 0). Cells outside `1e-100..=1e100` walk
+//! every ring, so no square in the argument can underflow or overflow.
 //!
 //! # Scratch
 //!
@@ -371,6 +386,12 @@ impl SignalIndex {
 /// the squared distance to it, by uniform grid search (module docs).
 /// Positions with a non-finite coordinate get [`NO_NEIGHBOR`].
 fn nearest_neighbors(positions: &[Point]) -> Vec<(u32, f64)> {
+    ring_search(positions, true)
+}
+
+/// The grid search behind [`nearest_neighbors`]; without `stop` it walks
+/// every ring, the exhaustive reference of the stopping rule's test.
+fn ring_search(positions: &[Point], stop: bool) -> Vec<(u32, f64)> {
     let mut table = vec![(NO_NEIGHBOR, f64::INFINITY); positions.len()];
     let finite: Vec<u32> =
         (0..positions.len() as u32).filter(|&e| positions[e as usize].is_finite()).collect();
@@ -420,6 +441,12 @@ fn nearest_neighbors(positions: &[Point]) -> Vec<(u32, f64)> {
         ids[*slot as usize] = e;
         *slot += 1;
     }
+    // `1 − η` of the stopping rule (module docs); 0 never stops.
+    let shrink = if (1e-100..=1e100).contains(&cell) {
+        1.0 - (nx.max(ny) as f64 + 1.0) * 2f64.powi(-48)
+    } else {
+        0.0
+    };
     let (nx, ny) = (nx as isize, ny as isize);
     for &e in &finite {
         let a = positions[e as usize];
@@ -456,8 +483,8 @@ fn nearest_neighbors(positions: &[Point]) -> Vec<(u32, f64)> {
                     visit(x, cy + r, &mut best);
                 }
             }
-            let margin = (r - 1).max(0) as f64 * cell;
-            if best.0 != NO_NEIGHBOR && best.1 < margin * margin {
+            let reach = r as f64 * cell;
+            if stop && best.1 < reach * reach * shrink {
                 break;
             }
         }
@@ -778,10 +805,38 @@ mod tests {
         assert!(!SignalIndex::build::<WifiScan>(&[]).hears_any(&scan(&[(0, -60.0)])));
     }
 
+    /// The table of `positions` is the exhaustive ring search's, index
+    /// included, and each distance is the brute-force minimum's bits.
+    /// Non-finite points get no neighbour and are never one.
+    fn assert_exact_table(positions: &[Point], case: &str) {
+        let table = nearest_neighbors(positions);
+        assert_eq!(table, ring_search(positions, false), "{case}: early stop changed the table");
+        for (e, a) in positions.iter().enumerate() {
+            let (j, d) = table[e];
+            if !a.is_finite() {
+                assert_eq!(j, NO_NEIGHBOR, "{case}: entry {e}");
+                continue;
+            }
+            let brute = positions
+                .iter()
+                .enumerate()
+                .filter(|&(f, q)| f != e && q.is_finite())
+                .map(|(_, q)| a.distance_sq(*q))
+                .fold(f64::INFINITY, f64::min);
+            if brute == f64::INFINITY {
+                assert_eq!(j, NO_NEIGHBOR, "{case}: entry {e}");
+                continue;
+            }
+            assert_ne!(j, NO_NEIGHBOR, "{case}: entry {e}");
+            assert_eq!(d.to_bits(), brute.to_bits(), "{case}: entry {e}");
+            assert_eq!(d.to_bits(), a.distance_sq(positions[j as usize]).to_bits());
+        }
+    }
+
     #[test]
     fn nearest_neighbor_table_matches_brute_force() {
         // A jittered grid with duplicates, a far outlier and non-finite
-        // points, which get no neighbour and are never one.
+        // points.
         let mut positions: Vec<Point> = (0..120)
             .map(|i| {
                 Point::new((i % 12) as f64 * 1.5 + (i % 7) as f64 * 0.1, (i / 12) as f64 * 2.0)
@@ -791,23 +846,54 @@ mod tests {
         positions.push(Point::new(500.0, -80.0));
         positions.push(Point::new(f64::NAN, 1.0));
         positions.push(Point::new(3.0, f64::INFINITY));
-        let table = nearest_neighbors(&positions);
-        for (e, a) in positions.iter().enumerate() {
-            let (j, d) = table[e];
-            if !(a.x.is_finite() && a.y.is_finite()) {
-                assert_eq!(j, NO_NEIGHBOR);
-                continue;
-            }
-            let brute = positions
-                .iter()
-                .enumerate()
-                .filter(|&(f, q)| f != e && q.x.is_finite() && q.y.is_finite())
-                .map(|(_, q)| a.distance_sq(*q))
-                .fold(f64::INFINITY, f64::min);
-            assert_ne!(j, NO_NEIGHBOR);
-            assert_eq!(d.to_bits(), brute.to_bits(), "entry {e}");
-            assert_eq!(d.to_bits(), a.distance_sq(positions[j as usize]).to_bits());
+        assert_exact_table(&positions, "jittered grid");
+
+        // Survey-style lattices: every interior point has four neighbours
+        // at exactly the same distance, so ties decide the index.
+        for (step, (cols, rows)) in [(1.5, (40, 12)), (3.0, (9, 9)), (12.0, (5, 3)), (0.1, (30, 1))]
+        {
+            let lattice: Vec<Point> = (0..cols * rows)
+                .map(|i| Point::new((i % cols) as f64 * step, (i / cols) as f64 * step))
+                .collect();
+            assert_exact_table(&lattice, &format!("{cols}x{rows} lattice at {step} m"));
+            // The same lattice a billion meters off the origin.
+            let far: Vec<Point> =
+                lattice.iter().map(|p| Point::new(p.x + 1e9, p.y - 1e9)).collect();
+            assert_exact_table(&far, &format!("{cols}x{rows} lattice at 1e9 m"));
         }
+
+        // Points exactly on cell boundaries: the table's cell for m points
+        // over a W × H box is max(sqrt(W·H / m), max(W, H) / m). Two corners
+        // fix the box and the rest sit on multiples of that cell.
+        let (w, h, m) = (37.0, 23.0, 60usize);
+        let cell = (w * h / m as f64).sqrt().max(w.max(h) / m as f64);
+        let mut boundary = vec![Point::new(0.0, 0.0), Point::new(w, h)];
+        let per_row = (w / cell) as usize + 1;
+        boundary.extend((0..m - 2).map(|i| {
+            Point::new((i % per_row) as f64 * cell, ((i / per_row) as f64 * cell).min(h))
+        }));
+        assert_exact_table(&boundary, "cell boundaries");
+        let shifted: Vec<Point> =
+            boundary.iter().map(|p| Point::new(p.x - 1e9, p.y + 1e9)).collect();
+        assert_exact_table(&shifted, "cell boundaries at 1e9 m");
+
+        // Random clouds, uniform and clustered, where the nearest point
+        // often lies a ring beyond a candidate found in an inner one.
+        let mut rng = uniloc_rng::Rng::seed_from_u64(31);
+        for n in [2usize, 3, 17, 90, 400] {
+            let uniform: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..50.0), rng.gen_range(0.0..20.0)))
+                .collect();
+            assert_exact_table(&uniform, &format!("{n} uniform points"));
+            let clustered: Vec<Point> = (0..n)
+                .map(|i| {
+                    let c = (i % 3) as f64 * 40.0;
+                    Point::new(c + rng.gen_range(0.0..2.0), c + rng.gen_range(0.0..2.0))
+                })
+                .collect();
+            assert_exact_table(&clustered, &format!("{n} clustered points"));
+        }
+
         // Fewer than two finite points: no neighbours at all.
         let lone = nearest_neighbors(&[Point::origin(), Point::new(f64::NAN, 0.0)]);
         assert!(lone.iter().all(|&(j, _)| j == NO_NEIGHBOR));

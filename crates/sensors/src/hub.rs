@@ -12,7 +12,7 @@
 use crate::device::DeviceProfile;
 use crate::scans::{CellScan, GpsFix, WifiScan};
 use uniloc_rng::Rng;
-use uniloc_env::{ShadowMemo, Trajectory, World};
+use uniloc_env::{ShadowMemo, SurveyPlan, Trajectory, World};
 use uniloc_geom::{LandmarkKind, Point, Vector2};
 
 /// One IMU-derived step, as the phone's PDR front-end reports it.
@@ -65,6 +65,14 @@ pub struct SensorFrame {
     pub light_lux: f64,
     /// Magnetometer disturbance proxy in `[0, 1]` — IODetector input.
     pub magnetic_variance: f64,
+}
+
+/// A truth-level scan through `device`'s RSSI transfer, in place.
+fn measured<Id>(device: DeviceProfile, mut readings: Vec<(Id, f64)>) -> Vec<(Id, f64)> {
+    for (_, rss) in &mut readings {
+        *rss = device.measure_rssi(*rss);
+    }
+    readings
 }
 
 /// Samples sensor measurements for a device moving through a world.
@@ -120,26 +128,44 @@ impl<'w> SensorHub<'w> {
         self.device
     }
 
+    /// The world this hub measures.
+    pub fn world(&self) -> &'w World {
+        self.world
+    }
+
     /// Performs one WiFi scan at `p` through the device's RSSI transfer.
     pub fn scan_wifi(&mut self, p: Point) -> WifiScan {
-        let readings = self
-            .world
-            .wifi_observation(p, &mut self.memo, &mut self.rng)
-            .into_iter()
-            .map(|(id, rss)| (id, self.device.measure_rssi(rss)))
-            .collect();
-        WifiScan { readings }
+        let truth = self.world.wifi_observation(p, &mut self.memo, &mut self.rng);
+        WifiScan { readings: measured(self.device, truth) }
     }
 
     /// Performs one cellular scan at `p`.
     pub fn scan_cell(&mut self, p: Point) -> CellScan {
-        let readings = self
-            .world
-            .cell_observation(p, &mut self.memo, &mut self.rng)
-            .into_iter()
-            .map(|(id, rss)| (id, self.device.measure_rssi(rss)))
-            .collect();
-        CellScan { readings }
+        let truth = self.world.cell_observation(p, &mut self.memo, &mut self.rng);
+        CellScan { readings: measured(self.device, truth) }
+    }
+
+    /// One WiFi scan at each point of `plan`, in order: exactly
+    /// [`SensorHub::scan_wifi`] at each point, the same draws and bits
+    /// ([`World::wifi_survey`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the hub's world does not own `plan`.
+    pub fn survey_wifi(&mut self, plan: &SurveyPlan) -> Vec<WifiScan> {
+        let truth = self.world.wifi_survey(plan, &mut self.memo, &mut self.rng);
+        truth.into_iter().map(|t| WifiScan { readings: measured(self.device, t) }).collect()
+    }
+
+    /// One cellular scan at each point of `plan`, in order: exactly
+    /// [`SensorHub::scan_cell`] at each point.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the hub's world does not own `plan`.
+    pub fn survey_cell(&mut self, plan: &SurveyPlan) -> Vec<CellScan> {
+        let truth = self.world.cell_survey(plan, &mut self.memo, &mut self.rng);
+        truth.into_iter().map(|t| CellScan { readings: measured(self.device, t) }).collect()
     }
 
     /// Attempts a GPS fix at `p`. Returns `None` with fewer than 4 visible

@@ -23,9 +23,10 @@ use uniloc::faults::{FaultInjector, FaultPlan};
 use uniloc::sensors::SensorFrame;
 use uniloc::obs::session as obs_session;
 use uniloc::obs::ObsSession;
+use uniloc_bench::chaos::scenario_by_name;
 use uniloc_bench::fleet::{
-    build_session, fleet_specs, records_digest, solo_records, spec_frames, spec_pipeline_config,
-    spec_scenario, FleetConfig, SessionSpec,
+    build_session, fleet_specs, records_digest, run_fleet, solo_records, spec_frames,
+    spec_pipeline_config, spec_scenario, FleetConfig, SessionSpec,
 };
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -423,6 +424,50 @@ fn spec_frames_match_legacy_walk_frames() {
                 let served = if max_epochs == 0 { whole.len() } else { max_epochs };
                 assert_eq!(frames.len(), served.min(whole.len()), "{at}");
             }
+        }
+    }
+}
+
+/// `run_fleet` surveys every walker on its venue's shared survey plan,
+/// laid once by the seed-1 venue; the batch path lays a fresh plan per
+/// walker. Over every venue of the vocabulary, on both devices, each
+/// lane's digest equals its solo replay's. The sharing precondition holds
+/// too: each venue's seed-1 plan is owned by the venue at other seeds,
+/// because the seed only reaches the shadowing fields.
+#[test]
+fn shared_survey_plans_equal_fresh_plans_on_every_venue() {
+    const VENUES: [&str; 11] = [
+        "office", "open-space", "mall", "path1", "path2", "path3", "path4", "path5", "path6",
+        "path7", "path8",
+    ];
+    let models = models(5);
+    let base = PipelineConfig::default();
+    let cfg = FleetConfig {
+        seed: 31,
+        sessions: 2 * VENUES.len(),
+        scenario_names: VENUES.map(str::to_owned).to_vec(),
+        jobs: 2,
+        resident: 0,
+        max_epochs: 4,
+        chaos_every: 0,
+        obs_stub: false,
+        shards: 0,
+        top_k: 0,
+        panic_lane: None,
+        panic_epoch: 0,
+    };
+    let fleet = run_fleet(&models, &base, &cfg).unwrap();
+    assert_eq!(fleet.summaries.len(), cfg.sessions);
+    for row in &fleet.summaries {
+        let solo = solo_records(&row.spec, &models, &base, cfg.max_epochs);
+        assert_eq!(row.epochs, solo.len(), "{}", row.spec.name);
+        assert_eq!(row.digest, records_digest(&solo), "{}", row.spec.name);
+    }
+    let (indoor, outdoor) = (base.indoor_spacing, base.outdoor_spacing);
+    for name in VENUES {
+        let plan = scenario_by_name(name, 1).unwrap().survey_plan(indoor, outdoor);
+        for seed in [2, 0x5eed, u64::MAX] {
+            scenario_by_name(name, seed).unwrap().assert_plan(&plan, indoor, outdoor);
         }
     }
 }
